@@ -24,8 +24,6 @@ namespace {
 
 constexpr char kMagic2[8] = {'P', 'F', 'S', 'E', 'M', 'T', 'R', '2'};
 
-using detail::get_string;
-using detail::get_varint;
 using detail::put_string;
 using detail::put_varint;
 using detail::unzigzag;
@@ -35,60 +33,60 @@ using detail::zigzag;
 
 namespace detail {
 
-void write_comm(const CommLog& comm, std::ostream& os) {
-  put_varint(os, comm.p2p.size());
+void write_comm(const CommLog& comm, std::string& out) {
+  put_varint(out, comm.p2p.size());
   for (const auto& e : comm.p2p) {
-    put_varint(os, static_cast<std::uint64_t>(e.src));
-    put_varint(os, static_cast<std::uint64_t>(e.dst));
-    put_varint(os, zigzag(e.tag));
-    put_varint(os, e.bytes);
-    put_varint(os, zigzag(e.t_send_start));
-    put_varint(os, zigzag(e.t_send_end - e.t_send_start));
-    put_varint(os, zigzag(e.t_recv_start - e.t_send_start));
-    put_varint(os, zigzag(e.t_recv_end - e.t_recv_start));
+    put_varint(out, static_cast<std::uint64_t>(e.src));
+    put_varint(out, static_cast<std::uint64_t>(e.dst));
+    put_varint(out, zigzag(e.tag));
+    put_varint(out, e.bytes);
+    put_varint(out, zigzag(e.t_send_start));
+    put_varint(out, zigzag(e.t_send_end - e.t_send_start));
+    put_varint(out, zigzag(e.t_recv_start - e.t_send_start));
+    put_varint(out, zigzag(e.t_recv_end - e.t_recv_start));
   }
-  put_varint(os, comm.collectives.size());
+  put_varint(out, comm.collectives.size());
   for (const auto& c : comm.collectives) {
-    put_varint(os, static_cast<std::uint64_t>(c.kind));
-    put_varint(os, zigzag(c.root));
-    put_varint(os, c.arrivals.size());
+    put_varint(out, static_cast<std::uint64_t>(c.kind));
+    put_varint(out, zigzag(c.root));
+    put_varint(out, c.arrivals.size());
     for (const auto& a : c.arrivals) {
-      put_varint(os, static_cast<std::uint64_t>(a.rank));
-      put_varint(os, zigzag(a.t_enter));
-      put_varint(os, zigzag(a.t_exit - a.t_enter));
+      put_varint(out, static_cast<std::uint64_t>(a.rank));
+      put_varint(out, zigzag(a.t_enter));
+      put_varint(out, zigzag(a.t_exit - a.t_enter));
     }
   }
 }
 
-CommLog read_comm(std::istream& is, int nranks) {
+CommLog read_comm(ByteReader& in, int nranks) {
   CommLog comm;
-  const auto np2p = get_varint(is);
-  comm.p2p.reserve(std::min<std::uint64_t>(np2p, 1u << 20));
+  const auto np2p = in.varint();
+  comm.p2p.reserve(std::min(np2p, kMaxReserve));
   for (std::uint64_t i = 0; i < np2p; ++i) {
     P2PEvent e;
-    e.src = static_cast<Rank>(get_varint(is));
-    e.dst = static_cast<Rank>(get_varint(is));
-    e.tag = static_cast<std::int32_t>(unzigzag(get_varint(is)));
-    e.bytes = get_varint(is);
-    e.t_send_start = unzigzag(get_varint(is));
-    e.t_send_end = e.t_send_start + unzigzag(get_varint(is));
-    e.t_recv_start = e.t_send_start + unzigzag(get_varint(is));
-    e.t_recv_end = e.t_recv_start + unzigzag(get_varint(is));
+    e.src = static_cast<Rank>(in.varint());
+    e.dst = static_cast<Rank>(in.varint());
+    e.tag = static_cast<std::int32_t>(unzigzag(in.varint()));
+    e.bytes = in.varint();
+    e.t_send_start = unzigzag(in.varint());
+    e.t_send_end = e.t_send_start + unzigzag(in.varint());
+    e.t_recv_start = e.t_send_start + unzigzag(in.varint());
+    e.t_recv_end = e.t_recv_start + unzigzag(in.varint());
     comm.p2p.push_back(e);
   }
-  const auto ncoll = get_varint(is);
-  comm.collectives.reserve(std::min<std::uint64_t>(ncoll, 1u << 20));
+  const auto ncoll = in.varint();
+  comm.collectives.reserve(std::min(ncoll, kMaxReserve));
   for (std::uint64_t i = 0; i < ncoll; ++i) {
     CollectiveEvent c;
-    c.kind = static_cast<CollectiveKind>(get_varint(is));
-    c.root = static_cast<Rank>(unzigzag(get_varint(is)));
-    const auto na = get_varint(is);
+    c.kind = static_cast<CollectiveKind>(in.varint());
+    c.root = static_cast<Rank>(unzigzag(in.varint()));
+    const auto na = in.varint();
     require(na <= static_cast<std::uint64_t>(nranks), "bad arrival count");
     for (std::uint64_t j = 0; j < na; ++j) {
       CollectiveArrival a;
-      a.rank = static_cast<Rank>(get_varint(is));
-      a.t_enter = unzigzag(get_varint(is));
-      a.t_exit = a.t_enter + unzigzag(get_varint(is));
+      a.rank = static_cast<Rank>(in.varint());
+      a.t_enter = unzigzag(in.varint());
+      a.t_exit = a.t_enter + unzigzag(in.varint());
       c.arrivals.push_back(a);
     }
     comm.collectives.push_back(std::move(c));
@@ -102,8 +100,14 @@ void write_compact_streamed(int nranks, const PathTable& paths,
                             const CommLog& comm, std::uint64_t record_count,
                             const std::function<void(const RecordEmit&)>& scan,
                             std::ostream& os) {
-  os.write(kMagic2, sizeof kMagic2);
-  put_varint(os, static_cast<std::uint64_t>(nranks));
+  // Encode into a block buffer and hand the stream whole blocks.
+  std::string buf(kMagic2, sizeof kMagic2);
+  const auto flush_full = [&] {
+    if (buf.size() < detail::kBlockBytes) return;
+    os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+    buf.clear();
+  };
+  put_varint(buf, static_cast<std::uint64_t>(nranks));
 
   // The on-disk path table is the run's PathTable verbatim, so FileIds
   // survive a round trip unchanged. Records without a path (kNoFile) are
@@ -114,37 +118,40 @@ void write_compact_streamed(int nranks, const PathTable& paths,
   const bool need_empty = empty_id == kNoFile;
   const std::uint64_t npaths = paths.size() + (need_empty ? 1 : 0);
   const std::uint64_t no_file_slot = need_empty ? paths.size() : empty_id;
-  put_varint(os, npaths);
+  put_varint(buf, npaths);
   for (std::size_t i = 0; i < paths.size(); ++i) {
-    put_string(os, paths.view(static_cast<FileId>(i)));
+    put_string(buf, paths.view(static_cast<FileId>(i)));
+    flush_full();
   }
-  if (need_empty) put_string(os, "");
+  if (need_empty) put_string(buf, "");
 
-  put_varint(os, record_count);
+  put_varint(buf, record_count);
   std::vector<SimTime> last_t(static_cast<std::size_t>(nranks), 0);
   std::uint64_t emitted = 0;
   scan([&](const Record& r) {
     auto& prev = last_t[static_cast<std::size_t>(r.rank)];
-    put_varint(os, static_cast<std::uint64_t>(r.rank));
-    put_varint(os, zigzag(r.tstart - prev));  // per-rank delta
-    put_varint(os, zigzag(r.tend - r.tstart));
+    put_varint(buf, static_cast<std::uint64_t>(r.rank));
+    put_varint(buf, zigzag(r.tstart - prev));  // per-rank delta
+    put_varint(buf, zigzag(r.tend - r.tstart));
     prev = r.tstart;
-    put_varint(os, static_cast<std::uint64_t>(r.layer) |
-                       (static_cast<std::uint64_t>(r.origin) << 3) |
-                       (static_cast<std::uint64_t>(r.func) << 6));
-    put_varint(os, zigzag(r.fd));
-    put_varint(os, zigzag(r.ret));
-    put_varint(os, r.offset);
-    put_varint(os, r.count);
-    put_varint(os, zigzag(r.flags));
-    put_varint(os, r.file == kNoFile ? no_file_slot
-                                     : static_cast<std::uint64_t>(r.file));
+    put_varint(buf, static_cast<std::uint64_t>(r.layer) |
+                        (static_cast<std::uint64_t>(r.origin) << 3) |
+                        (static_cast<std::uint64_t>(r.func) << 6));
+    put_varint(buf, zigzag(r.fd));
+    put_varint(buf, zigzag(r.ret));
+    put_varint(buf, r.offset);
+    put_varint(buf, r.count);
+    put_varint(buf, zigzag(r.flags));
+    put_varint(buf, r.file == kNoFile ? no_file_slot
+                                      : static_cast<std::uint64_t>(r.file));
+    flush_full();
     ++emitted;
   });
   require(emitted == record_count,
           "record scan count mismatch in compact trace write");
 
-  detail::write_comm(comm, os);
+  detail::write_comm(comm, buf);
+  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
   require(static_cast<bool>(os), "compact trace write failure");
 }
 
@@ -157,53 +164,52 @@ void write_compact(const TraceBundle& bundle, std::ostream& os) {
       os);
 }
 
-CompactReader::CompactReader(std::istream& is) : is_(is) {
+CompactReader::CompactReader(std::istream& is) : in_(is) {
   char magic[8];
-  is_.read(magic, sizeof magic);
-  require(static_cast<bool>(is_) &&
+  require(in_.read(magic, sizeof magic) &&
               std::equal(std::begin(magic), std::end(magic), kMagic2),
           "not a compact pfsem trace");
-  nranks_ = static_cast<int>(get_varint(is_));
+  nranks_ = static_cast<int>(in_.varint());
   require(nranks_ > 0 && nranks_ < (1 << 24), "bad rank count");
 
   // Adopt the on-disk intern table directly as the in-memory PathTable:
   // ids in the stream are ids in the decoded records, no per-record
   // string materialization. Empty-string entries stay in the table
   // (records referencing them decode to kNoFile in next()).
-  const auto npaths = get_varint(is_);
+  const auto npaths = in_.varint();
   require(npaths <= (1u << 24), "implausible path-table size");
   for (std::uint64_t i = 0; i < npaths; ++i) {
-    const std::string s = get_string(is_);
+    const std::string s = in_.string();
     const FileId id = paths_.intern(s);
     require(id == static_cast<FileId>(i), "duplicate path in compact table");
   }
 
-  nrec_ = get_varint(is_);
+  nrec_ = in_.varint();
   last_t_.assign(static_cast<std::size_t>(nranks_), 0);
 }
 
 bool CompactReader::next(Record& out) {
   if (read_ == nrec_) return false;
   ++read_;
-  const auto rank = get_varint(is_);
+  const auto rank = in_.varint();
   require(rank < static_cast<std::uint64_t>(nranks_), "bad record rank");
   out.rank = static_cast<Rank>(rank);
   auto& prev = last_t_[rank];
-  out.tstart = prev + unzigzag(get_varint(is_));
-  out.tend = out.tstart + unzigzag(get_varint(is_));
+  out.tstart = prev + unzigzag(in_.varint());
+  out.tend = out.tstart + unzigzag(in_.varint());
   prev = out.tstart;
-  const auto packed = get_varint(is_);
+  const auto packed = in_.varint();
   out.layer = static_cast<Layer>(packed & 0x7);
   out.origin = static_cast<Layer>((packed >> 3) & 0x7);
   const auto func = packed >> 6;
   require(func < kFuncCount, "bad function id in compact trace");
   out.func = static_cast<Func>(func);
-  out.fd = static_cast<std::int32_t>(unzigzag(get_varint(is_)));
-  out.ret = unzigzag(get_varint(is_));
-  out.offset = get_varint(is_);
-  out.count = get_varint(is_);
-  out.flags = static_cast<std::int32_t>(unzigzag(get_varint(is_)));
-  const auto pid = get_varint(is_);
+  out.fd = static_cast<std::int32_t>(unzigzag(in_.varint()));
+  out.ret = unzigzag(in_.varint());
+  out.offset = in_.varint();
+  out.count = in_.varint();
+  out.flags = static_cast<std::int32_t>(unzigzag(in_.varint()));
+  const auto pid = in_.varint();
   require(pid < paths_.size(), "bad path id in compact trace");
   const auto id = static_cast<FileId>(pid);
   out.file = paths_.view(id).empty() ? kNoFile : id;
@@ -212,7 +218,7 @@ bool CompactReader::next(Record& out) {
 
 CommLog CompactReader::read_comm() {
   require(read_ == nrec_, "comm log read before records were drained");
-  return detail::read_comm(is_, nranks_);
+  return detail::read_comm(in_, nranks_);
 }
 
 TraceBundle read_compact(std::istream& is) {
@@ -220,7 +226,7 @@ TraceBundle read_compact(std::istream& is) {
   TraceBundle b;
   b.nranks = reader.nranks();
   b.paths = reader.paths();
-  b.records.reserve(std::min<std::uint64_t>(reader.record_count(), 1u << 20));
+  b.records.reserve(std::min(reader.record_count(), detail::kMaxReserve));
   Record r;
   while (reader.next(r)) b.records.push_back(r);
   b.comm = reader.read_comm();

@@ -98,6 +98,8 @@ struct Record {
   }
 
   [[nodiscard]] bool has_path() const { return file != kNoFile; }
+
+  friend bool operator==(const Record&, const Record&) = default;
 };
 
 /// open(2)-style flag bits used by the simulated stack (subset of POSIX).

@@ -10,9 +10,11 @@
 #include <functional>
 #include <iosfwd>
 #include <istream>
+#include <string>
 #include <vector>
 
 #include "pfsem/trace/bundle.hpp"
+#include "pfsem/trace/varint.hpp"
 
 namespace pfsem::trace {
 
@@ -33,7 +35,8 @@ void write_text(const TraceBundle& bundle, std::ostream& os);
 void write_compact(const TraceBundle& bundle, std::ostream& os);
 
 /// Parse a bundle written by write_compact. Throws pfsem::Error on
-/// malformed input.
+/// malformed input. Reads ahead: `is` may be left past the end of the
+/// trace (see CompactReader).
 [[nodiscard]] TraceBundle read_compact(std::istream& is);
 
 /// Streaming writer core of the compact (v2) format: `scan` is invoked
@@ -52,6 +55,9 @@ void write_compact_streamed(int nranks, const PathTable& paths,
 /// next() call instead of materializing a TraceBundle. Construct, drain
 /// next() until it returns false, then read_comm(). Validation (and every
 /// error message) matches read_compact, which is a thin wrapper over this.
+/// The reader decodes from its own block buffer, so it may consume `is`
+/// past the end of the trace; `is` must outlive the reader, and a caller
+/// that reads the stream again must clear() and seekg() it first.
 class CompactReader {
  public:
   explicit CompactReader(std::istream& is);
@@ -67,7 +73,7 @@ class CompactReader {
   [[nodiscard]] CommLog read_comm();
 
  private:
-  std::istream& is_;
+  detail::ByteReader in_;
   int nranks_ = 0;
   PathTable paths_;
   std::uint64_t nrec_ = 0;
@@ -78,8 +84,8 @@ class CompactReader {
 namespace detail {
 /// Comm-log encoding shared by the compact (v2) trailer and the chunk
 /// spill trailer (spill.cpp) — one definition, formats cannot drift.
-void write_comm(const CommLog& comm, std::ostream& os);
-[[nodiscard]] CommLog read_comm(std::istream& is, int nranks);
+void write_comm(const CommLog& comm, std::string& out);
+[[nodiscard]] CommLog read_comm(ByteReader& in, int nranks);
 }  // namespace detail
 
 }  // namespace pfsem::trace

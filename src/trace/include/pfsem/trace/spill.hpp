@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "pfsem/trace/stream.hpp"
+#include "pfsem/trace/varint.hpp"
 #include "pfsem/util/types.hpp"
 
 namespace pfsem::trace {
@@ -59,8 +60,10 @@ class SpillStore {
   [[nodiscard]] bool spilled() const { return !path_.empty(); }
 
   /// Fresh read stream over everything appended so far. The writer side
-  /// must be done (appending after open_read() on a spilled store is an
-  /// error).
+  /// must be done: appending after open_read() is an error. An unspilled
+  /// store hands out a view of its memory buffer, not a copy, so the
+  /// stream must not outlive the store; any number of views may be open
+  /// at once.
   [[nodiscard]] std::unique_ptr<std::istream> open_read();
 
  private:
@@ -97,7 +100,10 @@ class ChunkWriter final : public StreamSink {
 
 /// Replays a PFSEMCK1 stream record by record, validating framing as it
 /// goes. Usage: construct, call next() until it returns false, then
-/// read_trailer().
+/// read_trailer(). The reader decodes from its own block buffer, so it
+/// may consume `is` past the end of the chunk stream; `is` must outlive
+/// the reader, and a caller that reads the stream again must clear() and
+/// seekg() it first.
 class ChunkReader {
  public:
   struct Trailer {
@@ -120,7 +126,7 @@ class ChunkReader {
   [[nodiscard]] Trailer read_trailer();
 
  private:
-  std::istream& is_;
+  detail::ByteReader in_;
   int nranks_ = 0;
   std::vector<SimTime> last_t_;
   std::uint64_t seen_ = 0;

@@ -1,14 +1,18 @@
 #pragma once
 // LEB128 varint and zig-zag primitives shared by the compact (v2) codec
-// (compact.cpp) and the chunked spill codec (spill.hpp). Stream variants
-// encode/decode against iostreams; the string variants append to a byte
-// buffer for hot paths that batch a whole chunk before touching the
-// stream. Both sides of every format in the repository use exactly these
+// (compact.cpp) and the chunked spill codec (spill.cpp). There is one
+// encoder and one decoder: writers append to a std::string and hand the
+// stream whole blocks; readers decode through a ByteReader, which pulls
+// the stream's bytes in fixed blocks and walks them with plain pointer
+// reads. Both sides of every format in the repository use exactly these
 // functions, so the encodings cannot drift apart.
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <istream>
-#include <ostream>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -16,13 +20,13 @@
 
 namespace pfsem::trace::detail {
 
-inline void put_varint(std::ostream& os, std::uint64_t v) {
-  while (v >= 0x80) {
-    os.put(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  os.put(static_cast<char>(v));
-}
+/// Block size of ByteReader refills and of streamed writers' flushes.
+inline constexpr std::size_t kBlockBytes = std::size_t{64} << 10;
+
+/// Counts read from input are untrusted: decoders reserve at most this
+/// many elements up front and let the container grow as elements
+/// actually decode, so a few hostile bytes cannot claim a large buffer.
+inline constexpr std::uint64_t kMaxReserve = 4096;
 
 inline void put_varint(std::string& out, std::uint64_t v) {
   while (v >= 0x80) {
@@ -32,18 +36,9 @@ inline void put_varint(std::string& out, std::uint64_t v) {
   out.push_back(static_cast<char>(v));
 }
 
-inline std::uint64_t get_varint(std::istream& is) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  while (true) {
-    const int c = is.get();
-    require(c != std::char_traits<char>::eof(), "truncated compact trace");
-    require(shift < 64, "overlong varint in compact trace");
-    v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
-    if (!(c & 0x80)) break;
-    shift += 7;
-  }
-  return v;
+inline void put_string(std::string& out, std::string_view s) {
+  put_varint(out, s.size());
+  out.append(s);
 }
 
 constexpr std::uint64_t zigzag(std::int64_t v) {
@@ -55,18 +50,100 @@ constexpr std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
-inline void put_string(std::ostream& os, std::string_view s) {
-  put_varint(os, s.size());
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
+/// Buffered decoder over an istream's streambuf. It refills a fixed
+/// kBlockBytes buffer with sgetn, so it may consume bytes past the end of
+/// the format it decodes: a caller that reuses the stream afterwards must
+/// reposition it (clear() + seekg()). The stream's state flags are not
+/// touched; every failure is a pfsem::Error.
+class ByteReader {
+ public:
+  explicit ByteReader(std::istream& is)
+      : sb_(is.rdbuf()),
+        buf_(std::make_unique_for_overwrite<char[]>(kBlockBytes)) {}
 
-inline std::string get_string(std::istream& is) {
-  const auto n = get_varint(is);
-  require(n <= (1u << 20), "implausible string length in compact trace");
-  std::string s(n, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(n));
-  require(static_cast<bool>(is), "truncated compact trace");
-  return s;
-}
+  /// Next byte as unsigned char, or EOF.
+  int get() {
+    if (cur_ == end_ && !refill()) return std::char_traits<char>::eof();
+    return static_cast<unsigned char>(*cur_++);
+  }
+
+  /// Copy exactly `n` bytes to `dst`; false if the stream ends first.
+  bool read(char* dst, std::size_t n) {
+    while (n > 0) {
+      if (cur_ == end_ && !refill()) return false;
+      const auto k = std::min(n, static_cast<std::size_t>(end_ - cur_));
+      std::memcpy(dst, cur_, k);
+      cur_ += k;
+      dst += k;
+      n -= k;
+    }
+    return true;
+  }
+
+  std::uint64_t varint() {
+    // Fast path: a whole maximal varint is buffered, so no byte needs a
+    // refill check. Anything else (a short buffer, an overlong varint)
+    // re-decodes from cur_ on the checked path.
+    if (end_ - cur_ >= kMaxVarintBytes) {
+      const char* p = cur_;
+      std::uint64_t v = 0;
+      for (int shift = 0; shift < 64; shift += 7) {
+        const auto c = static_cast<unsigned char>(*p++);
+        v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
+        if (!(c & 0x80)) {
+          cur_ = p;
+          return v;
+        }
+      }
+    }
+    return varint_checked();
+  }
+
+  /// varint length, then that many bytes. The string grows only by bytes
+  /// actually read, never by the length the input claims.
+  std::string string() {
+    const auto n = varint();
+    require(n <= (1u << 20), "implausible string length in compact trace");
+    std::string s;
+    for (auto left = static_cast<std::size_t>(n); left > 0;) {
+      require(cur_ != end_ || refill(), "truncated compact trace");
+      const auto k = std::min(left, static_cast<std::size_t>(end_ - cur_));
+      s.append(cur_, k);
+      cur_ += k;
+      left -= k;
+    }
+    return s;
+  }
+
+ private:
+  static constexpr std::ptrdiff_t kMaxVarintBytes = 10;  // ceil(64 / 7)
+
+  std::uint64_t varint_checked() {
+    std::uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+      require(cur_ != end_ || refill(), "truncated compact trace");
+      require(shift < 64, "overlong varint in compact trace");
+      const auto c = static_cast<unsigned char>(*cur_++);
+      v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
+      if (!(c & 0x80)) return v;
+    }
+  }
+
+  /// Only called with the buffer drained. A short read is fine; zero
+  /// bytes means end of stream.
+  bool refill() {
+    cur_ = buf_.get();
+    end_ = cur_ + (sb_ != nullptr
+                       ? sb_->sgetn(buf_.get(),
+                                    static_cast<std::streamsize>(kBlockBytes))
+                       : 0);
+    return cur_ != end_;
+  }
+
+  std::streambuf* sb_;
+  std::unique_ptr<char[]> buf_;
+  const char* cur_ = nullptr;
+  const char* end_ = nullptr;
+};
 
 }  // namespace pfsem::trace::detail

@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 
+#include "pfsem/trace/varint.hpp"
 #include "pfsem/util/error.hpp"
 
 namespace pfsem::trace {
@@ -27,17 +28,25 @@ T get(std::istream& is) {
   return v;
 }
 
-void put_string(std::ostream& os, std::string_view s) {
+// v1 paths: a fixed-width u32 length, then the bytes.
+void put_path32(std::ostream& os, std::string_view s) {
   put<std::uint32_t>(os, static_cast<std::uint32_t>(s.size()));
   os.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
 
-std::string get_string(std::istream& is) {
+std::string get_path32(std::istream& is) {
   const auto n = get<std::uint32_t>(is);
   require(n <= (1u << 20), "implausible string length in trace stream");
-  std::string s(n, '\0');
-  is.read(s.data(), n);
-  require(static_cast<bool>(is), "truncated trace stream");
+  // Grow by bytes actually read, not by the length the input claims.
+  std::string s;
+  char block[4096];
+  for (std::uint32_t left = n; left > 0;) {
+    const auto k = std::min<std::uint32_t>(left, sizeof block);
+    is.read(block, k);
+    require(static_cast<bool>(is), "truncated trace stream");
+    s.append(block, k);
+    left -= k;
+  }
   return s;
 }
 
@@ -56,7 +65,7 @@ void put_record(std::ostream& os, const TraceBundle& bundle, const Record& r) {
   put(os, r.offset);
   put(os, r.count);
   put(os, r.flags);
-  put_string(os, bundle.path_of(r));
+  put_path32(os, bundle.path_of(r));
 }
 
 Record get_record(std::istream& is, TraceBundle& bundle) {
@@ -74,7 +83,7 @@ Record get_record(std::istream& is, TraceBundle& bundle) {
   r.offset = get<Offset>(is);
   r.count = get<std::uint64_t>(is);
   r.flags = get<std::int32_t>(is);
-  const std::string path = get_string(is);
+  const std::string path = get_path32(is);
   r.file = path.empty() ? kNoFile : bundle.intern(path);
   return r;
 }
@@ -124,12 +133,12 @@ TraceBundle read_binary(std::istream& is) {
   const auto nrec = get<std::uint64_t>(is);
   // Counts are untrusted: reserve only a bounded prefix; a corrupted huge
   // count then fails as a clean truncated-stream error instead of OOM.
-  b.records.reserve(std::min<std::uint64_t>(nrec, 1u << 20));
+  b.records.reserve(std::min(nrec, detail::kMaxReserve));
   for (std::uint64_t i = 0; i < nrec; ++i) {
     b.records.push_back(get_record(is, b));
   }
   const auto np2p = get<std::uint64_t>(is);
-  b.comm.p2p.reserve(std::min<std::uint64_t>(np2p, 1u << 20));
+  b.comm.p2p.reserve(std::min(np2p, detail::kMaxReserve));
   for (std::uint64_t i = 0; i < np2p; ++i) {
     P2PEvent e;
     e.src = get<Rank>(is);
@@ -143,13 +152,13 @@ TraceBundle read_binary(std::istream& is) {
     b.comm.p2p.push_back(e);
   }
   const auto ncoll = get<std::uint64_t>(is);
-  b.comm.collectives.reserve(std::min<std::uint64_t>(ncoll, 1u << 20));
+  b.comm.collectives.reserve(std::min(ncoll, detail::kMaxReserve));
   for (std::uint64_t i = 0; i < ncoll; ++i) {
     CollectiveEvent c;
     c.kind = static_cast<CollectiveKind>(get<std::uint8_t>(is));
     c.root = get<Rank>(is);
     const auto na = get<std::uint32_t>(is);
-    c.arrivals.reserve(std::min<std::uint32_t>(na, 1u << 16));
+    c.arrivals.reserve(std::min<std::uint64_t>(na, detail::kMaxReserve));
     for (std::uint32_t j = 0; j < na; ++j) {
       CollectiveArrival a;
       a.rank = get<Rank>(is);

@@ -4,7 +4,7 @@
 
 #include <atomic>
 #include <filesystem>
-#include <sstream>
+#include <streambuf>
 #include <utility>
 
 #include "pfsem/trace/serialize.hpp"
@@ -19,8 +19,6 @@ constexpr char kChunkMagic[8] = {'P', 'F', 'S', 'E', 'M', 'C', 'K', '1'};
 constexpr char kChunkMarker = 'C';
 constexpr char kTrailerMarker = 'T';
 
-using detail::get_string;
-using detail::get_varint;
 using detail::put_varint;
 using detail::unzigzag;
 using detail::zigzag;
@@ -32,6 +30,41 @@ std::string fresh_spill_path() {
                     std::to_string(n) + ".bin";
   return (std::filesystem::temp_directory_path() / name).string();
 }
+
+/// Read-only, seekable istream over bytes owned by someone else: replays
+/// an unspilled store without copying it.
+class ViewStream final : public std::istream {
+ public:
+  explicit ViewStream(std::string_view bytes) : std::istream(nullptr) {
+    char* const begin = const_cast<char*>(bytes.data());
+    buf_.view(begin, begin + bytes.size());
+    rdbuf(&buf_);
+  }
+
+ private:
+  struct ViewBuf final : std::streambuf {
+    void view(char* begin, char* end) { setg(begin, begin, end); }
+
+    pos_type seekoff(off_type off, std::ios_base::seekdir dir,
+                     std::ios_base::openmode which) override {
+      const off_type size = egptr() - eback();
+      const off_type base = dir == std::ios_base::beg   ? 0
+                            : dir == std::ios_base::cur ? gptr() - eback()
+                                                        : size;
+      const off_type to = base + off;
+      if (!(which & std::ios_base::in) || to < 0 || to > size) {
+        return pos_type(off_type(-1));
+      }
+      setg(eback(), eback() + to, egptr());
+      return pos_type(to);
+    }
+
+    pos_type seekpos(pos_type pos, std::ios_base::openmode which) override {
+      return seekoff(off_type(pos), std::ios_base::beg, which);
+    }
+  };
+  ViewBuf buf_;
+};
 
 }  // namespace
 
@@ -47,8 +80,9 @@ SpillStore::~SpillStore() {
 }
 
 void SpillStore::append(std::string_view bytes) {
+  // Readers view mem_ or read the file in place: both must stay frozen.
+  require(!reading_, "SpillStore::append after open_read");
   if (path_.empty() && mem_.size() + bytes.size() > ceiling_) {
-    require(!reading_, "SpillStore::append after open_read");
     path_ = fresh_spill_path();
     file_.open(path_, std::ios::binary | std::ios::trunc);
     require(static_cast<bool>(file_), "cannot open spill file " + path_);
@@ -60,7 +94,6 @@ void SpillStore::append(std::string_view bytes) {
     mem_.append(bytes);
     peak_mem_ = std::max(peak_mem_, mem_.size());
   } else {
-    require(!reading_, "SpillStore::append after open_read");
     file_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     require(static_cast<bool>(file_), "spill file write failure");
   }
@@ -68,12 +101,8 @@ void SpillStore::append(std::string_view bytes) {
 }
 
 std::unique_ptr<std::istream> SpillStore::open_read() {
-  if (path_.empty()) {
-    // Unspilled: hand out a copy so the store stays re-readable; small by
-    // definition (below the ceiling).
-    return std::make_unique<std::istringstream>(mem_, std::ios::binary);
-  }
   reading_ = true;
+  if (path_.empty()) return std::make_unique<ViewStream>(mem_);
   file_.flush();
   auto in = std::make_unique<std::ifstream>(path_, std::ios::binary);
   require(static_cast<bool>(*in), "cannot reopen spill file " + path_);
@@ -124,24 +153,23 @@ void ChunkWriter::finish(const StreamMeta& meta) {
   require(meta.records == expected_seq_,
           "stream meta record count does not match the chunks written");
   finished_ = true;
-  std::ostringstream trailer(std::ios::binary);
-  trailer.put(kTrailerMarker);
-  put_varint(trailer, meta.records);
-  put_varint(trailer, meta.paths.size());
+  buf_.clear();
+  buf_.push_back(kTrailerMarker);
+  put_varint(buf_, meta.records);
+  put_varint(buf_, meta.paths.size());
   for (std::size_t i = 0; i < meta.paths.size(); ++i) {
-    detail::put_string(trailer, meta.paths.view(static_cast<FileId>(i)));
+    detail::put_string(buf_, meta.paths.view(static_cast<FileId>(i)));
   }
-  detail::write_comm(meta.comm, trailer);
-  store_.append(trailer.str());
+  detail::write_comm(meta.comm, buf_);
+  store_.append(buf_);
 }
 
-ChunkReader::ChunkReader(std::istream& is) : is_(is) {
+ChunkReader::ChunkReader(std::istream& is) : in_(is) {
   char magic[8];
-  is_.read(magic, sizeof magic);
-  require(static_cast<bool>(is_) &&
+  require(in_.read(magic, sizeof magic) &&
               std::equal(std::begin(magic), std::end(magic), kChunkMagic),
           "not a pfsem chunk stream");
-  nranks_ = static_cast<int>(get_varint(is_));
+  nranks_ = static_cast<int>(in_.varint());
   require(nranks_ > 0 && nranks_ < (1 << 24), "bad rank count");
   last_t_.assign(static_cast<std::size_t>(nranks_), 0);
 }
@@ -149,7 +177,7 @@ ChunkReader::ChunkReader(std::istream& is) : is_(is) {
 bool ChunkReader::next(Record& out) {
   while (chunk_left_ == 0) {
     if (at_trailer_) return false;
-    const int marker = is_.get();
+    const int marker = in_.get();
     require(marker != std::char_traits<char>::eof(),
             "truncated chunk stream");
     if (marker == kTrailerMarker) {
@@ -157,31 +185,31 @@ bool ChunkReader::next(Record& out) {
       return false;
     }
     require(marker == kChunkMarker, "bad chunk marker in stream");
-    const auto base_seq = get_varint(is_);
+    const auto base_seq = in_.varint();
     require(base_seq == seen_, "out-of-order chunk in stream");
-    chunk_left_ = get_varint(is_);
+    chunk_left_ = in_.varint();
   }
   --chunk_left_;
   ++seen_;
-  const auto rank = get_varint(is_);
+  const auto rank = in_.varint();
   require(rank < static_cast<std::uint64_t>(nranks_), "bad record rank");
   out.rank = static_cast<Rank>(rank);
   auto& prev = last_t_[rank];
-  out.tstart = prev + unzigzag(get_varint(is_));
-  out.tend = out.tstart + unzigzag(get_varint(is_));
+  out.tstart = prev + unzigzag(in_.varint());
+  out.tend = out.tstart + unzigzag(in_.varint());
   prev = out.tstart;
-  const auto packed = get_varint(is_);
+  const auto packed = in_.varint();
   out.layer = static_cast<Layer>(packed & 0x7);
   out.origin = static_cast<Layer>((packed >> 3) & 0x7);
   const auto func = packed >> 6;
   require(func < kFuncCount, "bad function id in chunk stream");
   out.func = static_cast<Func>(func);
-  out.fd = static_cast<std::int32_t>(unzigzag(get_varint(is_)));
-  out.ret = unzigzag(get_varint(is_));
-  out.offset = get_varint(is_);
-  out.count = get_varint(is_);
-  out.flags = static_cast<std::int32_t>(unzigzag(get_varint(is_)));
-  const auto fid = get_varint(is_);
+  out.fd = static_cast<std::int32_t>(unzigzag(in_.varint()));
+  out.ret = unzigzag(in_.varint());
+  out.offset = in_.varint();
+  out.count = in_.varint();
+  out.flags = static_cast<std::int32_t>(unzigzag(in_.varint()));
+  const auto fid = in_.varint();
   if (fid == 0) {
     out.file = kNoFile;
   } else {
@@ -195,18 +223,18 @@ bool ChunkReader::next(Record& out) {
 ChunkReader::Trailer ChunkReader::read_trailer() {
   require(at_trailer_, "trailer read before the record stream was drained");
   Trailer t;
-  t.records = get_varint(is_);
+  t.records = in_.varint();
   require(t.records == seen_, "record count mismatch in chunk stream");
-  const auto npaths = get_varint(is_);
+  const auto npaths = in_.varint();
   require(npaths <= (1u << 24), "implausible path-table size");
   for (std::uint64_t i = 0; i < npaths; ++i) {
-    const std::string s = get_string(is_);
+    const std::string s = in_.string();
     const FileId id = t.paths.intern(s);
     require(id == static_cast<FileId>(i), "duplicate path in chunk table");
   }
   require(!any_file_seen_ || max_file_seen_ < t.paths.size(),
           "bad path id in chunk stream");
-  t.comm = detail::read_comm(is_, nranks_);
+  t.comm = detail::read_comm(in_, nranks_);
   return t;
 }
 

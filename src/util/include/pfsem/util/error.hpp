@@ -16,14 +16,26 @@ class Error : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
+/// Throw pfsem::Error carrying the caller's location and `msg`.
+[[noreturn]] inline void fail(
+    const std::string& msg,
+    std::source_location loc = std::source_location::current()) {
+  throw Error(std::string(loc.file_name()) + ":" + std::to_string(loc.line()) +
+              ": " + msg);
+}
+
 /// Throw pfsem::Error if `cond` is false. Used for API-contract checks that
 /// must hold in release builds too (unlike assert).
 inline void require(bool cond, const std::string& msg,
                     std::source_location loc = std::source_location::current()) {
-  if (!cond) {
-    throw Error(std::string(loc.file_name()) + ":" + std::to_string(loc.line()) +
-                ": " + msg);
-  }
+  if (!cond) fail(msg, loc);
+}
+
+/// Literal-message form: builds no std::string unless the check fails, so
+/// it is free on hot paths (per-record decoder validation).
+inline void require(bool cond, const char* msg,
+                    std::source_location loc = std::source_location::current()) {
+  if (!cond) fail(msg, loc);
 }
 
 }  // namespace pfsem

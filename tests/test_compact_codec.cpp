@@ -8,20 +8,74 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iterator>
 #include <limits>
+#include <new>
 #include <span>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "pfsem/core/conflict.hpp"
 #include "pfsem/core/offset_tracker.hpp"
 #include "pfsem/trace/serialize.hpp"
 #include "pfsem/trace/spill.hpp"
 #include "pfsem/util/error.hpp"
+
+// Allocation accounting for the bounded-allocation tests: every
+// operator new in this binary adds its size here. All throwing, nothrow
+// and array forms are replaced, so no allocation bypasses the count and
+// every pointer reaches the matching free() (sanitizer runtimes bring
+// their own versions of any form left out). Kept out of line so the
+// compiler never pairs an inlined free() with a call to operator new.
+namespace {
+std::atomic<std::size_t> g_allocated_bytes{0};
+
+void* counted_malloc(std::size_t n) noexcept {
+  g_allocated_bytes.fetch_add(n, std::memory_order_relaxed);
+  return std::malloc(n == 0 ? 1 : n);
+}
+}  // namespace
+
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  if (void* p = counted_malloc(n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t n) {
+  return operator new(n);
+}
+[[gnu::noinline]] void* operator new(std::size_t n,
+                                     const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+[[gnu::noinline]] void* operator new[](std::size_t n,
+                                       const std::nothrow_t&) noexcept {
+  return counted_malloc(n);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace pfsem::trace {
 namespace {
@@ -263,10 +317,11 @@ TEST(SerializationCompat, V1InlinePathFixtureAnalysesIdentically) {
             analysis_fingerprint(reference_bundle()));
 }
 
-TEST(SerializationCompat, V2PathTableFixtureAnalysesIdentically) {
-  // Byte-for-byte what the pre-refactor v2 writer produced: a leading
-  // path table ("shared" then the synthesized empty slot) and per-record
-  // table references, varint/zig-zag encoded with per-rank time deltas.
+/// Byte-for-byte what the pre-refactor v2 writer produced for
+/// reference_bundle(): a leading path table ("shared" then the
+/// synthesized empty slot) and per-record table references,
+/// varint/zig-zag encoded with per-rank time deltas.
+std::string compact_fixture() {
   std::string s("PFSEMTR2", 8);
   put_varint(s, 2);  // nranks
   put_varint(s, 2);  // path table: "shared", ""
@@ -300,8 +355,11 @@ TEST(SerializationCompat, V2PathTableFixtureAnalysesIdentically) {
   rec(230, 231, 1, Func::close, 3, 0, 0, 0, 0, 1);
   put_varint(s, 0);  // p2p
   put_varint(s, 0);  // collectives
+  return s;
+}
 
-  std::istringstream is(s);
+TEST(SerializationCompat, V2PathTableFixtureAnalysesIdentically) {
+  std::istringstream is(compact_fixture());
   const auto loaded = read_compact(is);
   ASSERT_EQ(loaded.records.size(), 6u);
   EXPECT_EQ(loaded.path_of(loaded.records[0]), "shared");
@@ -361,8 +419,7 @@ std::string chunk_fixture() {
 }
 
 /// Drain a chunk stream back into a TraceBundle (records + trailer).
-TraceBundle decode_chunks(const std::string& bytes) {
-  std::istringstream is(bytes);
+TraceBundle decode_chunks(std::istream& is) {
   ChunkReader reader(is);
   TraceBundle b;
   b.nranks = reader.nranks();
@@ -372,6 +429,11 @@ TraceBundle decode_chunks(const std::string& bytes) {
   b.paths = std::move(trailer.paths);
   b.comm = std::move(trailer.comm);
   return b;
+}
+
+TraceBundle decode_chunks(const std::string& bytes) {
+  std::istringstream is(bytes);
+  return decode_chunks(is);
 }
 
 TEST(ChunkStream, WriterMatchesHandCraftedFixtureExactly) {
@@ -452,6 +514,227 @@ TEST(ChunkStream, TrailerRecordCountMismatchRejected) {
   put_varint(bad, 9);  // stream carried 6
   bad += s.substr(t + 2);
   EXPECT_THROW((void)decode_chunks(bad), Error);
+}
+
+// --- block decoder: short reads, block edges, varint limits -----------
+
+/// A streambuf over a string that hands out at most `k` bytes per read,
+/// however many the caller asks for: a pipe or a slow file, as the
+/// decoder's block refill sees it.
+class TrickleBuf final : public std::streambuf {
+ public:
+  TrickleBuf(std::string bytes, std::size_t k)
+      : bytes_(std::move(bytes)), k_(k) {}
+
+ protected:
+  int_type underflow() override {
+    if (pos_ == bytes_.size()) return traits_type::eof();
+    char* const p = bytes_.data() + pos_;
+    const auto n = std::min(k_, bytes_.size() - pos_);
+    setg(p, p, p + n);
+    pos_ += n;
+    return traits_type::to_int_type(*p);
+  }
+
+  std::streamsize xsgetn(char* dst, std::streamsize n) override {
+    if (gptr() == egptr() && traits_type::eq_int_type(underflow(), traits_type::eof())) {
+      return 0;
+    }
+    const auto got = std::min<std::streamsize>(n, egptr() - gptr());
+    std::memcpy(dst, gptr(), static_cast<std::size_t>(got));
+    gbump(static_cast<int>(got));
+    return got;
+  }
+
+ private:
+  std::string bytes_;
+  std::size_t k_;
+  std::size_t pos_ = 0;
+};
+
+/// The message of the pfsem::Error `fn` throws, or "" if it throws none.
+std::string error_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BlockDecoder, PinnedFixturesDecodeIdenticallyUnderShortReads) {
+  std::istringstream whole_chunks(chunk_fixture());
+  std::istringstream whole_compact(compact_fixture());
+  const auto want_chunks = decode_chunks(whole_chunks);
+  const auto want_compact = read_compact(whole_compact);
+  for (const std::size_t k : {1u, 3u, 7u}) {
+    TrickleBuf chunk_buf(chunk_fixture(), k);
+    std::istream chunk_in(&chunk_buf);
+    const auto chunks = decode_chunks(chunk_in);
+    EXPECT_EQ(chunks.records, want_chunks.records) << "k=" << k;
+    EXPECT_EQ(analysis_fingerprint(chunks), analysis_fingerprint(want_chunks))
+        << "k=" << k;
+
+    TrickleBuf compact_buf(compact_fixture(), k);
+    std::istream compact_in(&compact_buf);
+    const auto compact = read_compact(compact_in);
+    EXPECT_EQ(compact.records, want_compact.records) << "k=" << k;
+    EXPECT_EQ(analysis_fingerprint(compact),
+              analysis_fingerprint(want_compact))
+        << "k=" << k;
+  }
+}
+
+/// True if a 10-byte varint covers both bytes edge-1 and edge of `s`.
+bool ten_byte_varint_straddles(const std::string& s, std::size_t edge) {
+  if (edge == 0 || edge >= s.size() || !(s[edge - 1] & 0x80)) return false;
+  std::size_t begin = edge - 1;
+  while (begin > 0 && (s[begin - 1] & 0x80)) --begin;
+  std::size_t last = edge;
+  while (last < s.size() && (s[last] & 0x80)) ++last;
+  return last - begin + 1 == 10;
+}
+
+TEST(BlockDecoder, ChunkStreamDecodesAcrossBlockEdges) {
+  // Records made mostly of maximal (10-byte) varints, in a stream over
+  // two 64 KiB decoder blocks. The first record's offset varint takes
+  // 1..10 bytes, sliding everything after it across the block edge, so
+  // some 10-byte varint must straddle it.
+  constexpr std::size_t kEdge = std::size_t{64} << 10;
+  constexpr std::size_t kRecords = 3000;
+  bool straddled = false;
+  for (int shift = 0; shift < 10; ++shift) {
+    std::vector<Record> in;
+    for (std::size_t i = 0; i < kRecords; ++i) {
+      in.push_back(make_record(
+          static_cast<Rank>(i % 2), 0, std::numeric_limits<SimTime>::max(),
+          Func::pwrite, std::numeric_limits<std::int32_t>::min(),
+          std::numeric_limits<std::int64_t>::min(),
+          std::numeric_limits<Offset>::max(),
+          std::numeric_limits<std::uint64_t>::max(),
+          std::numeric_limits<std::int32_t>::min(), kNoFile));
+    }
+    in[0].offset = shift == 0 ? 0 : std::uint64_t{1} << (7 * shift);
+    SpillStore store;
+    ChunkWriter writer(store, 2);
+    for (std::size_t at = 0; at < kRecords; at += 1000) {
+      writer.on_records(at, std::span<const Record>(in).subspan(at, 1000));
+    }
+    StreamMeta meta;
+    meta.nranks = 2;
+    meta.records = kRecords;
+    writer.finish(meta);
+    const auto is = store.open_read();
+    const std::string bytes(std::istreambuf_iterator<char>(*is), {});
+    ASSERT_GT(bytes.size(), 2 * kEdge);
+    straddled = straddled || ten_byte_varint_straddles(bytes, kEdge);
+    EXPECT_EQ(decode_chunks(bytes).records, in) << "shift " << shift;
+  }
+  EXPECT_TRUE(straddled);
+}
+
+TEST(BlockDecoder, ElevenByteVarintRejectedOnBothPaths) {
+  std::string overlong("PFSEMTR2", 8);
+  overlong.append(10, static_cast<char>(0x80));
+  overlong.push_back(0x01);  // the 11th byte
+  // Mid-buffer: plenty of bytes follow, so the unchecked path sees it
+  // first and must hand over to the checked one.
+  std::istringstream mid(overlong + std::string(64, '\0'));
+  EXPECT_NE(error_of([&] { (void)read_compact(mid); })
+                .find("overlong varint in compact trace"),
+            std::string::npos);
+  // Stream end, fed 7 bytes at a time: the checked path decodes it
+  // across refills with the 11th byte last in the stream.
+  TrickleBuf tail_buf(overlong, 7);
+  std::istream tail(&tail_buf);
+  EXPECT_NE(error_of([&] { (void)read_compact(tail); })
+                .find("overlong varint in compact trace"),
+            std::string::npos);
+  // Ten continuation bytes and then nothing is a truncation instead.
+  std::istringstream cut(overlong.substr(0, overlong.size() - 1));
+  EXPECT_NE(error_of([&] { (void)read_compact(cut); })
+                .find("truncated compact trace"),
+            std::string::npos);
+}
+
+// --- bounded allocation on hostile counts ------------------------------
+
+/// Bytes requested from operator new while `fn` runs.
+std::size_t bytes_allocated_by(const std::function<void()>& fn) {
+  const auto before = g_allocated_bytes.load();
+  fn();
+  return g_allocated_bytes.load() - before;
+}
+
+TEST(BoundedAllocation, HugeClaimedCountsFailWithoutLargeAllocations) {
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 40;
+  constexpr std::size_t kLimit = std::size_t{1} << 20;
+  struct Case {
+    const char* what;
+    std::string bytes;
+    std::function<void(std::istream&)> decode;
+  };
+  const auto compact = [](std::istream& is) { (void)read_compact(is); };
+  const auto chunks = [](std::istream& is) { (void)decode_chunks(is); };
+  const auto binary = [](std::istream& is) { (void)read_binary(is); };
+  const auto v2_header = [](std::uint64_t npaths) {
+    std::string s("PFSEMTR2", 8);
+    put_varint(s, 1);  // nranks
+    put_varint(s, npaths);
+    return s;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"compact records", v2_header(0), compact});
+  put_varint(cases.back().bytes, kHuge);
+  cases.push_back({"compact p2p events", v2_header(0), compact});
+  put_varint(cases.back().bytes, 0);  // records
+  put_varint(cases.back().bytes, kHuge);
+  cases.push_back({"compact path bytes", v2_header(1), compact});
+  put_varint(cases.back().bytes, kHuge);
+  // The largest length the decoder accepts, backed by three bytes.
+  cases.push_back({"compact path bytes at the cap", v2_header(1), compact});
+  put_varint(cases.back().bytes, 1u << 20);
+  cases.back().bytes += "abc";
+  cases.push_back({"chunk trailer p2p events", "PFSEMCK1", chunks});
+  put_varint(cases.back().bytes, 1);  // nranks
+  cases.back().bytes.push_back('T');
+  put_varint(cases.back().bytes, 0);  // records
+  put_varint(cases.back().bytes, 0);  // paths
+  put_varint(cases.back().bytes, kHuge);
+  cases.push_back({"v1 records", "PFSEMTRC", binary});
+  put_le<std::uint32_t>(cases.back().bytes, 1);  // version
+  put_le<std::int32_t>(cases.back().bytes, 1);   // nranks
+  put_le<std::uint64_t>(cases.back().bytes, kHuge);
+  cases.push_back({"v1 p2p events", "PFSEMTRC", binary});
+  put_le<std::uint32_t>(cases.back().bytes, 1);
+  put_le<std::int32_t>(cases.back().bytes, 1);
+  put_le<std::uint64_t>(cases.back().bytes, 0);  // records
+  put_le<std::uint64_t>(cases.back().bytes, kHuge);
+
+  for (const auto& c : cases) {
+    ASSERT_LE(c.bytes.size(), 32u) << c.what;
+    std::istringstream is(c.bytes);
+    const auto allocated = bytes_allocated_by(
+        [&] { EXPECT_THROW(c.decode(is), Error) << c.what; });
+    EXPECT_LT(allocated, kLimit) << c.what;
+  }
+}
+
+TEST(BoundedAllocation, V1PathGrowsByBytesRead) {
+  // v1 stores each record's path inline behind fixed-width fields, so
+  // its header cannot be this short; a path claiming the largest length
+  // the decoder accepts, backed by three bytes, must still fail cheaply.
+  std::string s("PFSEMTRC", 8);
+  put_le<std::uint32_t>(s, 1);  // version
+  put_le<std::int32_t>(s, 1);   // nranks
+  put_le<std::uint64_t>(s, 1);  // records
+  s.append(56, '\0');           // fixed-width fields of one pathless open
+  put_le<std::uint32_t>(s, 1u << 20);
+  s += "abc";
+  std::istringstream is(s);
+  const auto allocated = bytes_allocated_by(
+      [&] { EXPECT_THROW((void)read_binary(is), Error); });
+  EXPECT_LT(allocated, std::size_t{1} << 20);
 }
 
 }  // namespace

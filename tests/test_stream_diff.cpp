@@ -378,5 +378,25 @@ TEST(StreamDiff, UnspilledStoreIsRereadable) {
   }
 }
 
+TEST(StreamDiff, UnspilledStoreViewsAreReadOnly) {
+  // open_read() on an unspilled store hands out views of its buffer, not
+  // copies: the store freezes, and concurrent views read the same bytes.
+  trace::SpillStore store(1u << 10);
+  store.append("abcdef");
+  const auto a = store.open_read();
+  const auto b = store.open_read();
+  EXPECT_THROW(store.append("more"), Error);
+  EXPECT_FALSE(store.spilled());
+  char head[3];
+  ASSERT_TRUE(a->read(head, sizeof head));
+  const std::string all_b(std::istreambuf_iterator<char>(*b), {});
+  const std::string rest_a(std::istreambuf_iterator<char>(*a), {});
+  EXPECT_EQ(std::string(head, sizeof head) + rest_a, "abcdef");
+  EXPECT_EQ(all_b, "abcdef");
+  a->clear();
+  a->seekg(2);
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(*a), {}), "cdef");
+}
+
 }  // namespace
 }  // namespace pfsem
