@@ -537,7 +537,8 @@ class TrickleBuf final : public std::streambuf {
   }
 
   std::streamsize xsgetn(char* dst, std::streamsize n) override {
-    if (gptr() == egptr() && traits_type::eq_int_type(underflow(), traits_type::eof())) {
+    if (gptr() == egptr() &&
+        traits_type::eq_int_type(underflow(), traits_type::eof())) {
       return 0;
     }
     const auto got = std::min<std::streamsize>(n, egptr() - gptr());
