@@ -20,16 +20,17 @@ constexpr Offset align_up(Offset x) { return (x + kAlign - 1) / kAlign * kAlign;
 
 /// Shared state of one HDF5 file (one instance per path, shared by the
 /// group's rank coroutines like a real collectively-opened file handle).
+/// Per-rank state is indexed by group position and sized by the group.
 struct H5File {
   std::string path;       ///< display/open path; `file` is its interned id
   FileId file = kNoFile;
   mpi::Group group;
   std::vector<Rank> meta_writers;
-  std::map<Rank, int> fds;    // independent (sec2) data path
+  std::vector<int> fds;       // independent (sec2) data path; -1 = unopened
   MpiFile* mfile = nullptr;   // collective (mpio) data path
   Offset eoa = kDataStart;
   std::uint64_t nobjects = 0;
-  std::map<Rank, std::uint64_t> flush_gen;
+  std::vector<std::uint64_t> flush_gen;
   /// Dataset extents plus the interned id of the composite
   /// "<file>/<dataset>" trace path, assigned once at dataset_create.
   struct Dataset {
@@ -38,6 +39,8 @@ struct H5File {
   };
   std::map<std::string, Dataset> datasets;
   int open_count = 0;
+
+  [[nodiscard]] int fd(Rank r) const { return fds[mpi::group_pos(group, r)]; }
 };
 
 Hdf5Lite::Hdf5Lite(IoContext ctx, H5Options opt)
@@ -80,6 +83,8 @@ sim::Task<H5File*> Hdf5Lite::create(Rank r, const std::string& path,
     slot->path = path;
     slot->file = file;
     slot->group = group;
+    slot->fds.assign(group.size(), -1);
+    slot->flush_gen.assign(group.size(), 0);
     // Rotating metadata-writer subset: evenly spaced ranks of the group.
     const auto nw = std::min<std::size_t>(
         static_cast<std::size_t>(opt_.metadata_writers), group.size());
@@ -105,7 +110,7 @@ sim::Task<H5File*> Hdf5Lite::create(Rank r, const std::string& path,
                            group);
     }
   } else {
-    f->fds[r] =
+    f->fds[mpi::group_pos(f->group, r)] =
         co_await posix_.open(r, path, trace::kCreate | trace::kRdWr);
     if (group.size() > 1) co_await ctx_.world->barrier(r, group);
   }
@@ -147,28 +152,28 @@ sim::Task<void> Hdf5Lite::dataset_create(Rank r, H5File* f,
       if (f->mfile) {
         co_await mpiio_.read_at(r, f->mfile, kSymtabBase, node_len);
       } else {
-        co_await posix_.pread(r, f->fds.at(r), kSymtabBase, node_len);
+        co_await posix_.pread(r, f->fd(r), kSymtabBase, node_len);
       }
     }
     const Offset entry_off = kSymtabBase + kSymtabEntry * index;
     if (f->mfile) {
       co_await mpiio_.write_at(r, f->mfile, entry_off, kSymtabEntry);
     } else {
-      co_await posix_.pwrite(r, f->fds.at(r), entry_off, kSymtabEntry);
+      co_await posix_.pwrite(r, f->fd(r), entry_off, kSymtabEntry);
     }
   }
   if (r == header_owner) {
     if (f->mfile) {
       co_await mpiio_.write_at(r, f->mfile, hdr, kObjHeader / 2);
     } else {
-      co_await posix_.pwrite(r, f->fds.at(r), hdr, kObjHeader / 2);
+      co_await posix_.pwrite(r, f->fd(r), hdr, kObjHeader / 2);
     }
   }
   if (r == cont_owner) {
     if (f->mfile) {
       co_await mpiio_.write_at(r, f->mfile, hdr + kObjHeader / 2, kObjHeader / 2);
     } else {
-      co_await posix_.pwrite(r, f->fds.at(r), hdr + kObjHeader / 2,
+      co_await posix_.pwrite(r, f->fd(r), hdr + kObjHeader / 2,
                              kObjHeader / 2);
     }
   }
@@ -185,7 +190,7 @@ sim::Task<void> Hdf5Lite::dataset_write(Rank r, H5File* f,
   if (f->mfile) {
     co_await mpiio_.write_at_all(r, f->mfile, ds.begin + rel_off, count);
   } else {
-    co_await posix_.pwrite(r, f->fds.at(r), ds.begin + rel_off, count);
+    co_await posix_.pwrite(r, f->fd(r), ds.begin + rel_off, count);
   }
   emit(r, trace::Func::h5dwrite, t0, count, ds_id);
   if (opt_.flush_after_dataset) co_await flush(r, f);
@@ -199,14 +204,14 @@ sim::Task<void> Hdf5Lite::dataset_read(Rank r, H5File* f,
   if (f->mfile) {
     co_await mpiio_.read_at(r, f->mfile, ds.begin + rel_off, count);
   } else {
-    co_await posix_.pread(r, f->fds.at(r), ds.begin + rel_off, count);
+    co_await posix_.pread(r, f->fd(r), ds.begin + rel_off, count);
   }
   emit(r, trace::Func::h5dread, t0, count, ds_id);
 }
 
 sim::Task<void> Hdf5Lite::flush(Rank r, H5File* f) {
   const SimTime t0 = ctx_.engine->now();
-  const std::uint64_t epoch = f->flush_gen[r]++;
+  const std::uint64_t epoch = f->flush_gen[mpi::group_pos(f->group, r)]++;
   // The rank holding the dirty shared accumulator rewrites the file head,
   // then everyone persists with fsync — the commit that makes FLASH's
   // conflicts vanish under commit semantics.
@@ -218,14 +223,14 @@ sim::Task<void> Hdf5Lite::flush(Rank r, H5File* f) {
       co_await mpiio_.write_at(r, f->mfile, kSuperblock.begin,
                                kSuperblock.size());
     } else {
-      co_await posix_.pwrite(r, f->fds.at(r), kSuperblock.begin,
+      co_await posix_.pwrite(r, f->fd(r), kSuperblock.begin,
                              kSuperblock.size());
     }
   }
   if (f->mfile) {
     co_await mpiio_.sync(r, f->mfile);
   } else {
-    co_await posix_.fsync(r, f->fds.at(r));
+    co_await posix_.fsync(r, f->fd(r));
   }
   if (f->group.size() > 1) co_await ctx_.world->barrier(r, f->group);
   emit(r, trace::Func::h5fflush, t0, 0, f->file);
@@ -242,10 +247,10 @@ sim::Task<void> Hdf5Lite::close(Rank r, H5File* f) {
                                kSuperblock.size());
       co_await mpiio_.set_size(r, f->mfile, f->eoa);
     } else {
-      co_await posix_.pwrite(r, f->fds.at(r), kSuperblock.begin,
+      co_await posix_.pwrite(r, f->fd(r), kSuperblock.begin,
                              kSuperblock.size());
-      co_await posix_.fstat(r, f->fds.at(r));
-      co_await posix_.ftruncate(r, f->fds.at(r), f->eoa);
+      co_await posix_.fstat(r, f->fd(r));
+      co_await posix_.ftruncate(r, f->fd(r), f->eoa);
     }
   }
   const FileId file = f->file;
@@ -254,7 +259,7 @@ sim::Task<void> Hdf5Lite::close(Rank r, H5File* f) {
     if (--f->open_count == 0) handles_.erase(file);
     co_await mpiio_.close(r, m);
   } else {
-    co_await posix_.close(r, f->fds.at(r));
+    co_await posix_.close(r, f->fd(r));
     if (--f->open_count == 0) handles_.erase(file);
   }
   emit(r, trace::Func::h5fclose, t0, 0, file);

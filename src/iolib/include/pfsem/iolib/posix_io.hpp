@@ -15,11 +15,13 @@
 // validate the reconstruction, but core::OffsetTracker never reads it for
 // offset-implicit calls.
 
+#include <optional>
 #include <string>
 
 #include "pfsem/iolib/context.hpp"
 #include "pfsem/sim/task.hpp"
 #include "pfsem/trace/record.hpp"
+#include "pfsem/util/fd_table.hpp"
 
 namespace pfsem::iolib {
 
@@ -87,7 +89,7 @@ class PosixIo {
 
   IoContext ctx_;
   trace::Layer origin_;
-  std::map<std::pair<Rank, int>, FileId> fd_files_;
+  FdTable<std::optional<FileId>> fd_files_;
   std::vector<vfs::ReadExtent> last_read_;
 };
 

@@ -8,14 +8,18 @@
 
 namespace pfsem::iolib {
 
-/// Shared state of one collectively-opened file.
+/// Shared state of one collectively-opened file. Per-rank state is
+/// indexed by group position (mpi::group_pos) and sized by the group, not
+/// the world: a one-member file per rank stays O(1) each.
 struct MpiFile {
   std::string path;       ///< display/open path; `file` is its interned id
   FileId file = kNoFile;
   mpi::Group group;
   std::vector<Rank> aggregators;
-  std::map<Rank, int> fds;
+  std::vector<int> fds;   ///< by group position; -1 until that rank opens
   int open_count = 0;
+
+  [[nodiscard]] int fd(Rank r) const { return fds[mpi::group_pos(group, r)]; }
 
   /// Staging for collective transfers: one generation per *per-rank* call
   /// index, so ranks at different speeds never mix up epochs. Only the
@@ -28,7 +32,7 @@ struct MpiFile {
     std::size_t done = 0;
   };
   std::map<std::uint64_t, Pending> pending;
-  std::map<Rank, std::uint64_t> generation;
+  std::vector<std::uint64_t> generation;  ///< by group position
 };
 
 MpiIo::MpiIo(IoContext ctx, MpiIoOptions opt)
@@ -64,6 +68,8 @@ sim::Task<MpiFile*> MpiIo::open(Rank r, const std::string& path, int flags,
     slot->path = path;
     slot->file = file;
     slot->group = group;
+    slot->fds.assign(group.size(), -1);
+    slot->generation.assign(group.size(), 0);
     // Evenly-spaced aggregator ranks within the group (ROMIO default-ish).
     const int naggr = std::min<int>(opt_.aggregators,
                                     static_cast<int>(group.size()));
@@ -82,7 +88,7 @@ sim::Task<MpiFile*> MpiIo::open(Rank r, const std::string& path, int flags,
   ++fh->open_count;
   // ROMIO stats the file then every rank opens it.
   co_await posix_.stat(r, path);
-  fh->fds[r] = co_await posix_.open(r, path, flags);
+  fh->fds[mpi::group_pos(fh->group, r)] = co_await posix_.open(r, path, flags);
   co_await ctx_.world->barrier(r, group);
   emit(r, trace::Func::mpi_file_open, t0, 0, 0, file);
   co_return fh;
@@ -91,7 +97,7 @@ sim::Task<MpiFile*> MpiIo::open(Rank r, const std::string& path, int flags,
 sim::Task<void> MpiIo::close(Rank r, MpiFile* fh) {
   const SimTime t0 = ctx_.engine->now();
   co_await ctx_.world->barrier(r, fh->group);
-  co_await posix_.close(r, fh->fds.at(r));
+  co_await posix_.close(r, fh->fd(r));
   const FileId file = fh->file;
   emit(r, trace::Func::mpi_file_close, t0, 0, 0, file);
   if (--fh->open_count == 0) handles_.erase(file);
@@ -100,14 +106,14 @@ sim::Task<void> MpiIo::close(Rank r, MpiFile* fh) {
 sim::Task<void> MpiIo::write_at(Rank r, MpiFile* fh, Offset off,
                                 std::uint64_t count) {
   const SimTime t0 = ctx_.engine->now();
-  co_await posix_.pwrite(r, fh->fds.at(r), off, count);
+  co_await posix_.pwrite(r, fh->fd(r), off, count);
   emit(r, trace::Func::mpi_file_write_at, t0, off, count, fh->file);
 }
 
 sim::Task<void> MpiIo::read_at(Rank r, MpiFile* fh, Offset off,
                                std::uint64_t count) {
   const SimTime t0 = ctx_.engine->now();
-  co_await posix_.pread(r, fh->fds.at(r), off, count);
+  co_await posix_.pread(r, fh->fd(r), off, count);
   emit(r, trace::Func::mpi_file_read_at, t0, off, count, fh->file);
 }
 
@@ -115,7 +121,7 @@ sim::Task<void> MpiIo::collective_transfer(Rank r, MpiFile* fh, Offset off,
                                            std::uint64_t count, bool is_write) {
   // Phase 1: exchange access ranges (modelled by the barrier's all-to-all
   // synchronization; contribution hulls are staged in the shared handle).
-  const std::uint64_t gen = fh->generation[r]++;
+  const std::uint64_t gen = fh->generation[mpi::group_pos(fh->group, r)]++;
   {
     auto& stage = fh->pending[gen];
     const Extent ext{off, off + count};
@@ -146,9 +152,9 @@ sim::Task<void> MpiIo::collective_transfer(Rank r, MpiFile* fh, Offset off,
           static_cast<double>(domain.size()) /
           ctx_.world->config().net_bytes_per_ns));
       if (is_write) {
-        co_await posix_.pwrite(r, fh->fds.at(r), domain.begin, domain.size());
+        co_await posix_.pwrite(r, fh->fd(r), domain.begin, domain.size());
       } else {
-        co_await posix_.pread(r, fh->fds.at(r), domain.begin, domain.size());
+        co_await posix_.pread(r, fh->fd(r), domain.begin, domain.size());
       }
     }
   }
@@ -172,13 +178,13 @@ sim::Task<void> MpiIo::read_at_all(Rank r, MpiFile* fh, Offset off,
 
 sim::Task<void> MpiIo::sync(Rank r, MpiFile* fh) {
   const SimTime t0 = ctx_.engine->now();
-  co_await posix_.fsync(r, fh->fds.at(r));
+  co_await posix_.fsync(r, fh->fd(r));
   emit(r, trace::Func::mpi_file_sync, t0, 0, 0, fh->file);
 }
 
 sim::Task<void> MpiIo::set_size(Rank r, MpiFile* fh, Offset size) {
   const SimTime t0 = ctx_.engine->now();
-  co_await posix_.ftruncate(r, fh->fds.at(r), size);
+  co_await posix_.ftruncate(r, fh->fd(r), size);
   emit(r, trace::Func::mpi_file_set_size, t0, 0, size, fh->file);
 }
 

@@ -193,9 +193,9 @@ void PosixIo::emit(Rank r, trace::Func f, SimTime t0, SimTime t1, int fd,
 }
 
 FileId PosixIo::file_of(Rank r, int fd) const {
-  auto it = fd_files_.find({r, fd});
-  require(it != fd_files_.end(), "file_of: unknown fd");
-  return it->second;
+  const FileId* file = fd_files_.find(r, fd);
+  require(file != nullptr, "file_of: unknown fd");
+  return *file;
 }
 
 sim::Task<int> PosixIo::open(Rank r, std::string path, int flags) {
@@ -209,7 +209,7 @@ sim::Task<int> PosixIo::open(Rank r, std::string path, int flags) {
   // Paths are interned once at open; every later record on this fd
   // carries the id.
   const FileId file = ctx_.collector->intern(path);
-  fd_files_[{r, res.fd}] = file;
+  fd_files_.put(r, res.fd, file);
   emit(r, trace::Func::open, t0, ctx_.engine->now(), res.fd, res.fd, 0, 0,
        flags, file);
   led.record(file, 0);
@@ -223,7 +223,7 @@ sim::Task<void> PosixIo::close(Rank r, int fd) {
   const FileId file = file_of(r, fd);
   auto res = led.snap([&] { return ctx_.pfs->close(r, fd, t0); });
   co_await ctx_.engine->delay(res.cost);
-  fd_files_.erase({r, fd});
+  fd_files_.remove(r, fd);
   emit(r, trace::Func::close, t0, ctx_.engine->now(), fd, res.ret, 0, 0, 0,
        file);
   led.record(file, 0);

@@ -33,6 +33,13 @@ namespace pfsem::mpi {
 /// Sorted set of participating ranks in a collective.
 using Group = std::vector<Rank>;
 
+/// Position of `r` in the sorted, duplicate-free group `g`; throws
+/// pfsem::Error if `r` is not a member. O(1) when `g[r] == r` (the world
+/// and its identity prefixes) or when `g` is a contiguous range, a binary
+/// search otherwise — so per-member state of a world-sized group can be
+/// indexed without an O(log P) term per operation.
+[[nodiscard]] std::size_t group_pos(const Group& g, Rank r);
+
 struct WorldConfig {
   int nranks = 64;
   int ranks_per_node = 8;
@@ -107,6 +114,7 @@ class World {
   struct Mailbox;
 
   PendingCollective& join_collective(const Group& group, Rank me,
+                                     std::size_t pos,
                                      trace::CollectiveKind kind, Rank root,
                                      std::uint64_t bytes, SimTime t_enter);
   /// The pending queue this group's collectives park in (world-sized

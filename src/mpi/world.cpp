@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <coroutine>
+#include <functional>
 
 #include "pfsem/fault/injector.hpp"
 #include "pfsem/util/error.hpp"
@@ -16,8 +17,11 @@ struct World::PendingCollective {
   trace::CollectiveKind kind{};
   Rank root = kNoRank;
   std::uint64_t max_bytes = 0;
+  // Group positions are computed once per join and kept beside the
+  // arrival and the waiter, so completion indexes `exits` directly.
   std::vector<trace::CollectiveArrival> arrivals;          // t_enter global
-  std::vector<std::pair<Rank, std::coroutine_handle<>>> waiters;
+  std::vector<std::size_t> arrival_pos;                    // of arrivals[i]
+  std::vector<std::pair<std::size_t, std::coroutine_handle<>>> waiters;
   std::vector<char> joined;                                // by group position
   std::vector<SimTime> exits;                              // by group position
 };
@@ -38,16 +42,22 @@ struct World::Mailbox {
   std::deque<PendingRecv> recvs;
 };
 
-namespace {
-
-/// Position of `r` in the sorted group; throws if absent.
 std::size_t group_pos(const Group& g, Rank r) {
+  constexpr const char* kNotMember = "rank not a member of collective group";
+  require(!g.empty(), kNotMember);
+  const std::size_t n = g.size();
+  if (r >= 0 && static_cast<std::size_t>(r) < n &&
+      g[static_cast<std::size_t>(r)] == r) {
+    return static_cast<std::size_t>(r);
+  }
+  if (static_cast<std::size_t>(g.back() - g.front()) == n - 1) {
+    require(r >= g.front() && r <= g.back(), kNotMember);
+    return static_cast<std::size_t>(r - g.front());
+  }
   auto it = std::lower_bound(g.begin(), g.end(), r);
-  require(it != g.end() && *it == r, "rank not a member of collective group");
+  require(it != g.end() && *it == r, kNotMember);
   return static_cast<std::size_t>(it - g.begin());
 }
-
-}  // namespace
 
 World::World(sim::Engine& engine, trace::Collector& collector, WorldConfig cfg)
     : engine_(&engine), collector_(&collector), cfg_(cfg), rng_(cfg.seed) {
@@ -176,11 +186,10 @@ std::deque<std::unique_ptr<World::PendingCollective>>& World::queue_for(
 }
 
 World::PendingCollective& World::join_collective(const Group& group, Rank me,
+                                                 std::size_t pos,
                                                  trace::CollectiveKind kind,
                                                  Rank root, std::uint64_t bytes,
                                                  SimTime t_enter) {
-  require(!group.empty(), "collective group must be sorted and non-empty");
-  const std::size_t pos = group_pos(group, me);
   auto& queue = queue_for(group);
   for (auto& p : queue) {
     if (!p->joined[pos]) {
@@ -189,13 +198,16 @@ World::PendingCollective& World::join_collective(const Group& group, Rank me,
       p->joined[pos] = 1;
       p->max_bytes = std::max(p->max_bytes, bytes);
       p->arrivals.push_back({me, t_enter, 0});
+      p->arrival_pos.push_back(pos);
       return *p;
     }
   }
   // Full content validation once per collective, on the rank that opens
   // it — an O(group) check per *join* would put world collectives right
-  // back at O(nranks^2).
-  require(std::is_sorted(group.begin(), group.end()),
+  // back at O(nranks^2). Strictly increasing, because group_pos's
+  // contiguous-range shortcut relies on the group having no duplicates.
+  require(std::adjacent_find(group.begin(), group.end(),
+                             std::greater_equal<Rank>()) == group.end(),
           "collective group must be sorted and non-empty");
   auto p = std::make_unique<PendingCollective>();
   p->kind = kind;
@@ -204,6 +216,7 @@ World::PendingCollective& World::join_collective(const Group& group, Rank me,
   p->joined.assign(group.size(), 0);
   p->joined[pos] = 1;
   p->arrivals.push_back({me, t_enter, 0});
+  p->arrival_pos.push_back(pos);
   p->exits.assign(group.size(), 0);
   queue.push_back(std::move(p));
   return *queue.back();
@@ -215,33 +228,34 @@ void World::complete_collective(const Group& group, PendingCollective& p) {
   const int hops = std::bit_width(group.size() - 1);  // ceil(log2(P))
   const SimTime t_done = latest + cfg_.collective_base +
                          cfg_.collective_hop * hops + transfer_time(p.max_bytes);
-  for (auto& a : p.arrivals) {
+  for (std::size_t i = 0; i < p.arrivals.size(); ++i) {
     const SimDuration jitter =
         cfg_.exit_jitter == 0
             ? 0
             : static_cast<SimDuration>(
                   rng_.below(static_cast<std::uint64_t>(cfg_.exit_jitter) + 1));
-    a.t_exit = t_done + jitter;
-    p.exits[group_pos(group, a.rank)] = a.t_exit;
+    p.arrivals[i].t_exit = t_done + jitter;
+    p.exits[p.arrival_pos[i]] = p.arrivals[i].t_exit;
   }
   trace::CollectiveEvent ev;
   ev.kind = p.kind;
   ev.root = p.root;
-  ev.arrivals = p.arrivals;
+  ev.arrivals = std::move(p.arrivals);  // `p` is erased right after
   collector_->emit_collective(std::move(ev));
-  for (auto& [rank, handle] : p.waiters) {
-    engine_->schedule(p.exits[group_pos(group, rank)], handle);
-  }
+  for (auto& [pos, handle] : p.waiters) engine_->schedule(p.exits[pos], handle);
 }
 
 sim::Task<void> World::collective(Rank me, trace::CollectiveKind kind, Rank root,
                                   std::uint64_t bytes, const Group& group) {
   check_alive(me);
   const SimTime t_enter = engine_->now();
-  PendingCollective& p = join_collective(group, me, kind, root, bytes, t_enter);
+  require(!group.empty(), "collective group must be sorted and non-empty");
+  const std::size_t pos = group_pos(group, me);
+  PendingCollective& p =
+      join_collective(group, me, pos, kind, root, bytes, t_enter);
   if (p.arrivals.size() == group.size()) {
     complete_collective(group, p);
-    const SimTime my_exit = p.exits[group_pos(group, me)];
+    const SimTime my_exit = p.exits[pos];
     // Remove the completed collective before suspending; `p` dies here.
     auto& queue = queue_for(group);
     for (auto it = queue.begin(); it != queue.end(); ++it) {
@@ -255,12 +269,12 @@ sim::Task<void> World::collective(Rank me, trace::CollectiveKind kind, Rank root
   }
   struct CollectiveWait {
     PendingCollective* p;
-    Rank me;
+    std::size_t pos;
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) { p->waiters.emplace_back(me, h); }
+    void await_suspend(std::coroutine_handle<> h) { p->waiters.emplace_back(pos, h); }
     void await_resume() const noexcept {}
   };
-  co_await CollectiveWait{&p, me};
+  co_await CollectiveWait{&p, pos};
 }
 
 sim::Task<void> World::barrier(Rank me) { return barrier(me, all_); }

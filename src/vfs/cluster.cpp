@@ -11,13 +11,6 @@ namespace pfsem::vfs {
 
 using detail::WriteRecord;
 
-struct PfsCluster::OpenFile {
-  std::shared_ptr<File> file;
-  int flags = 0;
-  Offset offset = 0;
-  SimTime t_open = 0;
-};
-
 PfsCluster::PfsCluster(ClusterConfig cfg) : cfg_(cfg) {
   require(cfg_.mds_count >= 1, "PfsCluster: mds_count must be >= 1");
   require(cfg_.ost_count >= 1, "PfsCluster: ost_count must be >= 1");
@@ -73,11 +66,12 @@ int PfsCluster::mds_route(int shard, SimTime now, bool can_fail) {
   return 0;
 }
 
-SimDuration PfsCluster::charge_locks(File& f, Rank r, Extent ext,
+SimDuration PfsCluster::charge_locks(OpenFile& of, Rank r, Extent ext,
                                      bool exclusive) {
   return detail::charge_locks(
-      f, r, ext, exclusive,
-      {cfg_.base.model, cfg_.base.lock_latency, cfg_.base.lock_block}, locks_);
+      *of.file, r, ext, exclusive,
+      {cfg_.base.model, cfg_.base.lock_latency, cfg_.base.lock_block}, locks_,
+      of.locked);
 }
 
 SimDuration PfsCluster::charge_transfer(Extent ext, SimTime now) {
@@ -177,19 +171,13 @@ OpenResult PfsCluster::open(Rank r, const std::string& path, int flags,
   of->flags = flags;
   of->offset = 0;
   of->t_open = now;
-  int& next = next_fd_[r];
-  if (next < 3) next = 3;
-  const int fd = next++;
-  open_files_[{r, fd}] = std::move(of);
-  return {fd, cfg_.base.meta_latency};
+  return {open_files_.add(r, std::move(of)), cfg_.base.meta_latency};
 }
 
 MetaResult PfsCluster::close(Rank r, int fd, SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "close: bad file descriptor");
   // Pin the file: if it was unlinked while open, this fd holds the last
-  // reference and erase() below would free it.
-  std::shared_ptr<File> pin = it->second->file;
+  // reference and remove() below would free it.
+  std::shared_ptr<File> pin = open_files_.at(r, fd, "close").file;
   File& f = *pin;
   // close is both a commit (paper footnote 2) and the session publish
   // point; it cannot surface an errno (the facade ignores it), so a dead
@@ -203,11 +191,9 @@ MetaResult PfsCluster::close(Rank r, int fd, SimTime now) {
       if (w.t_publish == kTimeNever) w.t_publish = now;
     }
   }
-  // Release this rank's locks.
-  if (cfg_.base.model == ConsistencyModel::Strong) {
-    for (auto& [blk, lock] : f.locks) lock.holders.erase(r);
-  }
-  open_files_.erase(it);
+  // Release this rank's locks on the file, whichever fd took them.
+  detail::release_locks(f, open_files_, r);
+  open_files_.remove(r, fd);
   maybe_compact(f, now);
   ++locks_.meta_ops;
   return {0, cfg_.base.meta_latency, err};
@@ -218,9 +204,7 @@ MetaResult PfsCluster::close(Rank r, int fd, SimTime now) {
 
 WriteResult PfsCluster::write(Rank r, int fd, std::uint64_t count,
                               SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "write: bad file descriptor");
-  OpenFile& of = *it->second;
+  OpenFile& of = open_files_.at(r, fd, "write");
   const Offset off = (of.flags & trace::kAppend) ? of.file->size : of.offset;
   WriteResult res = pwrite(r, fd, off, count, now);
   if (res.err == 0) of.offset = off + count;  // a failed attempt wrote nothing
@@ -229,9 +213,8 @@ WriteResult PfsCluster::write(Rank r, int fd, std::uint64_t count,
 
 WriteResult PfsCluster::pwrite(Rank r, int fd, Offset off, std::uint64_t count,
                                SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "pwrite: bad file descriptor");
-  File& f = *it->second->file;
+  OpenFile& of = open_files_.at(r, fd, "pwrite");
+  File& f = *of.file;
   if (f.laminated) {
     // Read-only forever; EROFS is permanent, so retries never absorb it.
     return {0, off, cfg_.base.data_latency, fault::kErofs};
@@ -263,14 +246,12 @@ WriteResult PfsCluster::pwrite(Rank r, int fd, Offset off, std::uint64_t count,
     injector_->note_delayed_write();
   }
   SimDuration cost = cfg_.base.data_latency + charge_transfer(w.ext, now);
-  cost += charge_locks(f, r, w.ext, /*exclusive=*/true);
+  cost += charge_locks(of, r, w.ext, /*exclusive=*/true);
   return {w.id, off, cost};
 }
 
 ReadResult PfsCluster::read(Rank r, int fd, std::uint64_t count, SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "read: bad file descriptor");
-  OpenFile& of = *it->second;
+  OpenFile& of = open_files_.at(r, fd, "read");
   ReadResult res = pread(r, fd, of.offset, count, now);
   of.offset += res.bytes;
   return res;
@@ -278,9 +259,7 @@ ReadResult PfsCluster::read(Rank r, int fd, std::uint64_t count, SimTime now) {
 
 ReadResult PfsCluster::pread(Rank r, int fd, Offset off, std::uint64_t count,
                              SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "pread: bad file descriptor");
-  OpenFile& of = *it->second;
+  OpenFile& of = open_files_.at(r, fd, "pread");
   File& f = *of.file;
   ReadResult res;
   res.offset = off;
@@ -302,16 +281,14 @@ ReadResult PfsCluster::pread(Rank r, int fd, Offset off, std::uint64_t count,
     }
   }
   res.cost = cfg_.base.data_latency + charge_transfer({off, off + res.bytes}, now);
-  res.cost += charge_locks(f, r, {off, off + res.bytes}, /*exclusive=*/false);
+  res.cost += charge_locks(of, r, {off, off + res.bytes}, /*exclusive=*/false);
   return res;
 }
 
 MetaResult PfsCluster::lseek(Rank r, int fd, std::int64_t delta, int whence,
                              SimTime now) {
   (void)now;
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "lseek: bad file descriptor");
-  OpenFile& of = *it->second;
+  OpenFile& of = open_files_.at(r, fd, "lseek");
   std::int64_t base = 0;
   switch (whence) {
     case trace::kSeekSet: base = 0; break;
@@ -329,9 +306,9 @@ void PfsCluster::maybe_compact(File& f, SimTime now) {
   if (!cfg_.base.compaction || !detail::should_compact(f)) return;
   SimTime floor = kTimeNever;
   if (cfg_.base.model == ConsistencyModel::Session) {
-    for (const auto& [key, of] : open_files_) {
-      if (of->file.get() == &f) floor = std::min(floor, of->t_open);
-    }
+    open_files_.for_all([&](const OpenFile& of) {
+      if (of.file.get() == &f) floor = std::min(floor, of.t_open);
+    });
   }
   const std::size_t folded = detail::compact_file(f, env(), now, floor);
   if (folded > 0) {
@@ -346,12 +323,10 @@ void PfsCluster::maybe_compact(File& f, SimTime now) {
 }
 
 MetaResult PfsCluster::fsync(Rank r, int fd, SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "fsync: bad file descriptor");
+  File& f = *open_files_.at(r, fd, "fsync").file;
   if (const int e = inject(fault::OpClass::Sync, r, now)) {
     return {-1, cfg_.base.meta_latency, e};  // nothing committed this attempt
   }
-  File& f = *it->second->file;
   if (const int e = mds_route(shard_of(f.path), now)) {
     return {-1, cfg_.base.meta_latency, e};
   }
@@ -380,12 +355,10 @@ MetaResult PfsCluster::laminate(const std::string& path, SimTime now) {
 }
 
 MetaResult PfsCluster::ftruncate(Rank r, int fd, Offset length, SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "ftruncate: bad file descriptor");
+  File& f = *open_files_.at(r, fd, "ftruncate").file;
   if (const int e = inject(fault::OpClass::Meta, r, now)) {
     return {-1, cfg_.base.meta_latency, e};
   }
-  File& f = *it->second->file;
   if (const int e = mds_route(shard_of(f.path), now)) {
     return {-1, cfg_.base.meta_latency, e};
   }
@@ -490,8 +463,7 @@ std::vector<VersionTag> PfsCluster::crash_rank(Rank r, SimTime now) {
   std::vector<VersionTag> lost = detail::apply_rank_crash(files_, r, now, env());
   // Drop the rank's descriptors *without* the close-time commit/publish —
   // a crashed process never reaches close().
-  std::erase_if(open_files_,
-                [&](const auto& kv) { return kv.first.first == r; });
+  open_files_.drop_rank(r);
   return lost;
 }
 

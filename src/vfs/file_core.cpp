@@ -171,7 +171,8 @@ bool write_durable(const WriteRecord& w, const ResolveEnv& env, SimTime now) {
 }
 
 SimDuration charge_locks(FileCore& f, Rank r, Extent ext, bool exclusive,
-                         const LockParams& p, LockStats& stats) {
+                         const LockParams& p, LockStats& stats,
+                         std::vector<Offset>& locked) {
   if (p.model != ConsistencyModel::Strong || ext.empty()) return 0;
   SimDuration cost = 0;
   const Offset first = ext.begin / p.lock_block;
@@ -199,6 +200,7 @@ SimDuration charge_locks(FileCore& f, Rank r, Extent ext, bool exclusive,
       stats.revocations += conflicting;
       cost += p.lock_latency * static_cast<SimDuration>(conflicting);
     }
+    if (!blk.holders.contains(r)) locked.push_back(b);
     if (exclusive) {
       blk.holders = {r};
       blk.exclusive = true;
@@ -209,6 +211,18 @@ SimDuration charge_locks(FileCore& f, Rank r, Extent ext, bool exclusive,
     }
   }
   return cost;
+}
+
+void release_locks(FileCore& f, FdTable& fds, Rank r) {
+  fds.for_rank(r, [&](OpenFile& of) {
+    if (of.file.get() != &f) return;
+    for (const Offset b : of.locked) {
+      if (auto it = f.locks.find(b); it != f.locks.end()) {
+        it->second.holders.erase(r);
+      }
+    }
+    of.locked.clear();
+  });
 }
 
 std::vector<VersionTag> apply_rank_crash(

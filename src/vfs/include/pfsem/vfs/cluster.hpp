@@ -38,7 +38,6 @@
 // client-link-bound (PfsConfig::bytes_per_ns is the aggregate), so trace
 // bundles and reports are byte-identical across topologies.
 
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -157,7 +156,7 @@ class PfsCluster final : public FileSystem {
 
  private:
   using File = detail::FileCore;
-  struct OpenFile;
+  using OpenFile = detail::OpenFile;
 
   [[nodiscard]] detail::ResolveEnv env() const {
     return {cfg_.base.model, cfg_.base.eventual_propagation, injector_};
@@ -169,7 +168,7 @@ class PfsCluster final : public FileSystem {
   /// observe EHOSTDOWN once (the client failover redirects), commit
   /// points (can_fail = false) ride the new primary silently.
   int mds_route(int shard, SimTime now, bool can_fail = true);
-  SimDuration charge_locks(File& f, Rank r, Extent ext, bool exclusive);
+  SimDuration charge_locks(OpenFile& of, Rank r, Extent ext, bool exclusive);
   SimDuration charge_transfer(Extent ext, SimTime now);
   /// Replace resolved bytes on down-OST stripe blocks with holes; true if
   /// the range touched a down OST.
@@ -183,8 +182,7 @@ class PfsCluster final : public FileSystem {
   trace::PathTable names_;
   std::vector<std::shared_ptr<File>> files_;
   std::set<FileId> dirs_;
-  std::map<std::pair<Rank, int>, std::unique_ptr<OpenFile>> open_files_;
-  std::map<Rank, int> next_fd_;
+  detail::FdTable open_files_;
   VersionTag next_version_ = 1;
   LockStats locks_;
   OstStats osts_;

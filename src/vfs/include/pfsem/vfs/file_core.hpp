@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "pfsem/util/extent.hpp"
+#include "pfsem/util/fd_table.hpp"
 #include "pfsem/util/types.hpp"
 #include "pfsem/vfs/pfs_types.hpp"
 
@@ -95,6 +96,26 @@ struct FileCore {
   }
 };
 
+/// One open descriptor of a backend.
+struct OpenFile {
+  std::shared_ptr<FileCore> file;
+  int flags = 0;
+  Offset offset = 0;
+  SimTime t_open = 0;
+  /// Lock blocks the owning rank newly joined through this handle (strong
+  /// model; charge_locks appends). close() releases the rank's holds on
+  /// the file from these lists, so it never scans the file's lock table.
+  std::vector<Offset> locked;
+};
+
+/// A backend's descriptor table: rank, then fd, to the open handle.
+using FdTable = pfsem::FdTable<std::unique_ptr<OpenFile>>;
+
+/// Release rank `r`'s lock holds on `f`: the blocks recorded on each of
+/// the rank's handles to `f`, whose lists are then cleared. A close drops
+/// all of the rank's holds on the file, whichever fd acquired them.
+void release_locks(FileCore& f, FdTable& fds, Rank r);
+
 /// Consistency environment shared by visibility resolution and crash
 /// durability: the model, its propagation knob, and the (optional) fault
 /// injector whose visibility spikes and network partitions stretch keys.
@@ -134,10 +155,13 @@ struct LockParams {
 };
 
 /// Acquire (or upgrade) `r`'s locks covering `ext`, charging one
-/// lock_latency per request and per conflicting-holder revocation.
+/// lock_latency per request and per conflicting-holder revocation. Blocks
+/// whose holder set `r` newly joins are appended to `locked` (the
+/// charging handle's OpenFile::locked).
 [[nodiscard]] SimDuration charge_locks(FileCore& f, Rank r, Extent ext,
                                        bool exclusive, const LockParams& p,
-                                       LockStats& stats);
+                                       LockStats& stats,
+                                       std::vector<Offset>& locked);
 
 /// Fail-stop crash of rank `r` against every live file: erase its
 /// non-durable writes (laminated files are globally published and always

@@ -24,7 +24,6 @@
 // price of POSIX semantics (Section 3.1); data transfers are striped
 // round-robin across OSTs (PfsConfig::stripe_count).
 
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -121,15 +120,14 @@ class Pfs final : public FileSystem {
   /// Per-file semantics live in the shared core (file_core.hpp) so the
   /// multi-server PfsCluster resolves reads with identical code.
   using File = detail::FileCore;
-  struct OpenFile;
+  using OpenFile = detail::OpenFile;
 
-  File& file_for_fd(Rank r, int fd);
   std::shared_ptr<File> lookup(const std::string& path) const;
   /// Slot for `path` in the id-indexed file vector, interning on demand.
   /// A null slot means the name is known but no file currently exists
   /// (never created, unlinked, or renamed away).
   std::shared_ptr<File>& slot(const std::string& path);
-  SimDuration charge_locks(File& f, Rank r, Extent ext, bool exclusive);
+  SimDuration charge_locks(OpenFile& of, Rank r, Extent ext, bool exclusive);
   /// Amortized extent-compaction trigger (cfg_.compaction); called at
   /// commit points and after writes.
   void maybe_compact(File& f, SimTime now);
@@ -150,8 +148,7 @@ class Pfs final : public FileSystem {
   trace::PathTable names_;
   std::vector<std::shared_ptr<File>> files_;
   std::set<FileId> dirs_;
-  std::map<std::pair<Rank, int>, std::unique_ptr<OpenFile>> open_files_;
-  std::map<Rank, int> next_fd_;
+  detail::FdTable open_files_;
   VersionTag next_version_ = 1;
   LockStats locks_;
   OstStats osts_;

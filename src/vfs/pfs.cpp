@@ -21,13 +21,6 @@ const char* to_string(ConsistencyModel m) {
 
 using detail::WriteRecord;
 
-struct Pfs::OpenFile {
-  std::shared_ptr<File> file;
-  int flags = 0;
-  Offset offset = 0;
-  SimTime t_open = 0;
-};
-
 Pfs::Pfs(PfsConfig cfg) : cfg_(cfg) {
   require(cfg_.stripe_count >= 1, "stripe_count must be >= 1");
   require(cfg_.stripe_size > 0, "stripe_size must be positive");
@@ -48,19 +41,14 @@ std::shared_ptr<Pfs::File>& Pfs::slot(const std::string& path) {
   return files_[id];
 }
 
-Pfs::File& Pfs::file_for_fd(Rank r, int fd) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "bad file descriptor");
-  return *it->second->file;
-}
-
 // ----------------------------------------------------------------------
 // lock cost model (strong semantics only)
 
-SimDuration Pfs::charge_locks(File& f, Rank r, Extent ext, bool exclusive) {
+SimDuration Pfs::charge_locks(OpenFile& of, Rank r, Extent ext,
+                              bool exclusive) {
   return detail::charge_locks(
-      f, r, ext, exclusive, {cfg_.model, cfg_.lock_latency, cfg_.lock_block},
-      locks_);
+      *of.file, r, ext, exclusive,
+      {cfg_.model, cfg_.lock_latency, cfg_.lock_block}, locks_, of.locked);
 }
 
 SimDuration Pfs::charge_transfer(Extent ext, SimTime now) {
@@ -112,9 +100,9 @@ void Pfs::maybe_compact(File& f, SimTime now) {
   if (!cfg_.compaction || !detail::should_compact(f)) return;
   SimTime floor = kTimeNever;
   if (cfg_.model == ConsistencyModel::Session) {
-    for (const auto& [key, of] : open_files_) {
-      if (of->file.get() == &f) floor = std::min(floor, of->t_open);
-    }
+    open_files_.for_all([&](const OpenFile& of) {
+      if (of.file.get() == &f) floor = std::min(floor, of.t_open);
+    });
   }
   const std::size_t folded = detail::compact_file(
       f, {cfg_.model, cfg_.eventual_propagation, injector_}, now, floor);
@@ -164,19 +152,13 @@ OpenResult Pfs::open(Rank r, const std::string& path, int flags, SimTime now) {
   of->flags = flags;
   of->offset = 0;
   of->t_open = now;
-  int& next = next_fd_[r];
-  if (next < 3) next = 3;
-  const int fd = next++;
-  open_files_[{r, fd}] = std::move(of);
-  return {fd, cfg_.meta_latency};
+  return {open_files_.add(r, std::move(of)), cfg_.meta_latency};
 }
 
 MetaResult Pfs::close(Rank r, int fd, SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "close: bad file descriptor");
   // Pin the file: if it was unlinked while open, this fd holds the last
-  // reference and erase() below would free it.
-  std::shared_ptr<File> pin = it->second->file;
+  // reference and remove() below would free it.
+  std::shared_ptr<File> pin = open_files_.at(r, fd, "close").file;
   File& f = *pin;
   // close is both a commit (paper footnote 2) and the session publish point.
   for (auto& w : f.writes) {
@@ -184,11 +166,9 @@ MetaResult Pfs::close(Rank r, int fd, SimTime now) {
     if (w.t_commit == kTimeNever) w.t_commit = now;
     if (w.t_publish == kTimeNever) w.t_publish = now;
   }
-  // Release this rank's locks.
-  if (cfg_.model == ConsistencyModel::Strong) {
-    for (auto& [blk, lock] : f.locks) lock.holders.erase(r);
-  }
-  open_files_.erase(it);
+  // Release this rank's locks on the file, whichever fd took them.
+  detail::release_locks(f, open_files_, r);
+  open_files_.remove(r, fd);
   maybe_compact(f, now);
   ++locks_.meta_ops;
   return {0, cfg_.meta_latency};
@@ -198,9 +178,7 @@ MetaResult Pfs::close(Rank r, int fd, SimTime now) {
 // data ops
 
 WriteResult Pfs::write(Rank r, int fd, std::uint64_t count, SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "write: bad file descriptor");
-  OpenFile& of = *it->second;
+  OpenFile& of = open_files_.at(r, fd, "write");
   const Offset off = (of.flags & trace::kAppend) ? of.file->size : of.offset;
   WriteResult res = pwrite(r, fd, off, count, now);
   if (res.err == 0) of.offset = off + count;  // a failed attempt wrote nothing
@@ -209,9 +187,8 @@ WriteResult Pfs::write(Rank r, int fd, std::uint64_t count, SimTime now) {
 
 WriteResult Pfs::pwrite(Rank r, int fd, Offset off, std::uint64_t count,
                         SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "pwrite: bad file descriptor");
-  File& f = *it->second->file;
+  OpenFile& of = open_files_.at(r, fd, "pwrite");
+  File& f = *of.file;
   if (f.laminated) {
     // Read-only forever; EROFS is permanent, so retries never absorb it.
     return {0, off, cfg_.data_latency, fault::kErofs};
@@ -240,14 +217,12 @@ WriteResult Pfs::pwrite(Rank r, int fd, Offset off, std::uint64_t count,
     injector_->note_delayed_write();
   }
   SimDuration cost = cfg_.data_latency + charge_transfer(w.ext, now);
-  cost += charge_locks(f, r, w.ext, /*exclusive=*/true);
+  cost += charge_locks(of, r, w.ext, /*exclusive=*/true);
   return {w.id, off, cost};
 }
 
 ReadResult Pfs::read(Rank r, int fd, std::uint64_t count, SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "read: bad file descriptor");
-  OpenFile& of = *it->second;
+  OpenFile& of = open_files_.at(r, fd, "read");
   ReadResult res = pread(r, fd, of.offset, count, now);
   of.offset += res.bytes;
   return res;
@@ -255,9 +230,7 @@ ReadResult Pfs::read(Rank r, int fd, std::uint64_t count, SimTime now) {
 
 ReadResult Pfs::pread(Rank r, int fd, Offset off, std::uint64_t count,
                       SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "pread: bad file descriptor");
-  OpenFile& of = *it->second;
+  OpenFile& of = open_files_.at(r, fd, "pread");
   File& f = *of.file;
   ReadResult res;
   res.offset = off;
@@ -271,16 +244,14 @@ ReadResult Pfs::pread(Rank r, int fd, Offset off, std::uint64_t count,
     res.extents = resolve(f, r, now, of.t_open, off, res.bytes);
   }
   res.cost = cfg_.data_latency + charge_transfer({off, off + res.bytes}, now);
-  res.cost += charge_locks(f, r, {off, off + res.bytes}, /*exclusive=*/false);
+  res.cost += charge_locks(of, r, {off, off + res.bytes}, /*exclusive=*/false);
   return res;
 }
 
 MetaResult Pfs::lseek(Rank r, int fd, std::int64_t delta, int whence,
                       SimTime now) {
   (void)now;
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "lseek: bad file descriptor");
-  OpenFile& of = *it->second;
+  OpenFile& of = open_files_.at(r, fd, "lseek");
   std::int64_t base = 0;
   switch (whence) {
     case trace::kSeekSet: base = 0; break;
@@ -295,12 +266,10 @@ MetaResult Pfs::lseek(Rank r, int fd, std::int64_t delta, int whence,
 }
 
 MetaResult Pfs::fsync(Rank r, int fd, SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "fsync: bad file descriptor");
+  File& f = *open_files_.at(r, fd, "fsync").file;
   if (const int e = inject(static_cast<int>(fault::OpClass::Sync), r, now)) {
     return {-1, cfg_.meta_latency, e};  // nothing committed this attempt
   }
-  File& f = *it->second->file;
   for (auto& w : f.writes) {
     if (w.writer == r && w.t_commit == kTimeNever) w.t_commit = now;
   }
@@ -323,12 +292,10 @@ MetaResult Pfs::laminate(const std::string& path, SimTime now) {
 }
 
 MetaResult Pfs::ftruncate(Rank r, int fd, Offset length, SimTime now) {
-  auto it = open_files_.find({r, fd});
-  require(it != open_files_.end(), "ftruncate: bad file descriptor");
+  File& f = *open_files_.at(r, fd, "ftruncate").file;
   if (const int e = inject(static_cast<int>(fault::OpClass::Meta), r, now)) {
     return {-1, cfg_.meta_latency, e};
   }
-  File& f = *it->second->file;
   if (length < f.size) {
     // Clip recorded writes so re-grown regions read as holes, like a real
     // zero-filling truncate.
@@ -426,8 +393,7 @@ std::vector<VersionTag> Pfs::crash_rank(Rank r, SimTime now) {
       files_, r, now, {cfg_.model, cfg_.eventual_propagation, injector_});
   // Drop the rank's descriptors *without* the close-time commit/publish —
   // a crashed process never reaches close().
-  std::erase_if(open_files_,
-                [&](const auto& kv) { return kv.first.first == r; });
+  open_files_.drop_rank(r);
   return lost;
 }
 

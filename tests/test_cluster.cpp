@@ -238,6 +238,85 @@ TEST(ClusterRouting, ShardsAreDeterministicAndAccountingIsConserved) {
   EXPECT_EQ(ost_bytes, written) << "striping must conserve transferred bytes";
 }
 
+// --- lock release and descriptor checks ------------------------------------
+//
+// Counterparts of the single-server Locks.* and Mechanics.* tests in
+// test_vfs.cpp: both backends share the FileCore lock table and FdTable.
+
+ClusterConfig strong_small_locks() {
+  ClusterConfig c = topo(2, 4, 64u << 10);
+  c.base.model = vfs::ConsistencyModel::Strong;
+  c.base.lock_block = 1024;
+  return c;
+}
+
+TEST(ClusterLocks, CloseReleasesHoldsTakenThroughAnotherFd) {
+  PfsCluster fs(strong_small_locks());
+  const int a = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+  const int b = fs.open(0, "f", kRdWr, 0).fd;
+  const int c = fs.open(1, "f", kRdWr, 0).fd;
+  (void)fs.pwrite(0, b, 0, 2048, 10);  // rank 0 holds blocks 0-1 via b
+  (void)fs.close(0, a, 20);
+  const vfs::LockStats before = fs.lock_stats();
+  (void)fs.pwrite(1, c, 0, 2048, 30);
+  EXPECT_EQ(fs.lock_stats().revocations, before.revocations);
+  EXPECT_EQ(fs.lock_stats().requests, before.requests + 2);
+  (void)fs.pwrite(0, b, 0, 1024, 40);  // re-acquire block 0, revoking rank 1
+  const vfs::LockStats reacquired = fs.lock_stats();
+  EXPECT_EQ(reacquired.revocations, before.revocations + 1);
+  (void)fs.close(0, b, 50);
+  (void)fs.pwrite(1, c, 0, 2048, 60);
+  EXPECT_EQ(fs.lock_stats().revocations, reacquired.revocations);
+  EXPECT_EQ(fs.lock_stats().requests, reacquired.requests + 1);
+}
+
+TEST(ClusterLocks, CloseLeavesOtherRanksHolds) {
+  PfsCluster fs(strong_small_locks());
+  const int a = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+  const int c = fs.open(1, "f", kRdWr, 0).fd;
+  (void)fs.pwrite(1, c, 0, 2048, 10);     // rank 1: blocks 0-1 exclusive
+  (void)fs.pwrite(0, a, 2048, 1024, 20);  // rank 0: block 2 exclusive
+  (void)fs.pread(1, c, 2048, 1024, 30);   // block 2 shared by rank 1 ...
+  (void)fs.pread(0, a, 2048, 1024, 40);   // ... and rank 0
+  (void)fs.close(0, a, 50);
+  const vfs::LockStats before = fs.lock_stats();
+  (void)fs.pwrite(1, c, 0, 2048, 60);
+  (void)fs.pread(1, c, 2048, 1024, 70);
+  EXPECT_EQ(fs.lock_stats().requests, before.requests);
+  EXPECT_EQ(fs.lock_stats().revocations, before.revocations);
+}
+
+void expect_bad_fd(PfsCluster& fs, Rank r, int fd) {
+  SCOPED_TRACE("rank " + std::to_string(r) + " fd " + std::to_string(fd));
+  EXPECT_THROW(fs.write(r, fd, 10, 100), Error);
+  EXPECT_THROW(fs.pwrite(r, fd, 0, 10, 100), Error);
+  EXPECT_THROW(fs.read(r, fd, 10, 100), Error);
+  EXPECT_THROW(fs.pread(r, fd, 0, 10, 100), Error);
+  EXPECT_THROW(fs.lseek(r, fd, 0, trace::kSeekSet, 100), Error);
+  EXPECT_THROW(fs.fsync(r, fd, 100), Error);
+  EXPECT_THROW(fs.ftruncate(r, fd, 0, 100), Error);
+  EXPECT_THROW(fs.close(r, fd, 100), Error);
+}
+
+TEST(ClusterMechanics, EveryKindOfBadFdThrows) {
+  PfsCluster fs(topo(2, 4, 64u << 10));
+  const int first = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+  const int closed = fs.open(0, "f", kRdWr, 0).fd;
+  const int last = fs.open(0, "f", kRdWr, 0).fd;
+  (void)fs.close(0, closed, 1);
+  expect_bad_fd(fs, 0, 0);         // never opened (a standard stream)
+  expect_bad_fd(fs, 0, closed);    // closed
+  expect_bad_fd(fs, 0, -1);        // negative
+  expect_bad_fd(fs, 0, last + 1);  // above any allocated fd
+  expect_bad_fd(fs, 0, 1 << 30);
+  expect_bad_fd(fs, 1, first);     // another rank's fd
+  expect_bad_fd(fs, 5000, first);  // a rank that never opened anything
+  EXPECT_EQ(fs.pwrite(0, first, 0, 10, 2).err, 0);
+  EXPECT_EQ(fs.close(0, last, 3).ret, 0);
+  EXPECT_EQ(fs.close(0, first, 4).ret, 0);
+  expect_bad_fd(fs, 0, first);
+}
+
 // --- topology validation -----------------------------------------------------
 
 TEST(ClusterConfigValidation, RejectsBadTopology) {

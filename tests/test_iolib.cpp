@@ -15,6 +15,7 @@
 #include "pfsem/iolib/netcdf_lite.hpp"
 #include "pfsem/iolib/posix_io.hpp"
 #include "pfsem/iolib/silo_lite.hpp"
+#include "pfsem/util/error.hpp"
 
 namespace pfsem::iolib {
 namespace {
@@ -65,6 +66,32 @@ TEST(PosixIo, EmitsRecordsWithOriginAndTiming) {
   }
   EXPECT_EQ(recs[1].ret, 4096);
   EXPECT_EQ(f.collector.path_view(recs[1].file), "x");
+}
+
+TEST(PosixIo, FileOfRejectsEveryKindOfBadFd) {
+  Fixture f(2);
+  PosixIo posix(f.ctx());
+  int first = -1;
+  int closed = -1;
+  int last = -1;
+  auto prog = [&]() -> sim::Task<void> {
+    first = co_await posix.open(0, "x", trace::kCreate | trace::kRdWr);
+    closed = co_await posix.open(0, "y", trace::kCreate | trace::kRdWr);
+    last = co_await posix.open(0, "z", trace::kCreate | trace::kRdWr);
+    co_await posix.close(0, closed);
+  };
+  f.engine.spawn(prog());
+  f.engine.run();
+  EXPECT_EQ(f.collector.path_view(posix.file_of(0, first)), "x");
+  EXPECT_EQ(f.collector.path_view(posix.file_of(0, last)), "z");
+  EXPECT_THROW((void)posix.file_of(0, 0), Error);         // never opened
+  EXPECT_THROW((void)posix.file_of(0, closed), Error);    // closed
+  EXPECT_THROW((void)posix.file_of(0, -1), Error);        // negative
+  EXPECT_THROW((void)posix.file_of(0, last + 1), Error);  // above any fd
+  EXPECT_THROW((void)posix.file_of(0, 1 << 30), Error);
+  EXPECT_THROW((void)posix.file_of(1, first), Error);     // another rank's
+  EXPECT_THROW((void)posix.file_of(5000, first), Error);  // unknown rank
+  EXPECT_THROW((void)posix.file_of(-1, first), Error);
 }
 
 TEST(PosixIo, SimulatedTimeAdvancesWithCost) {

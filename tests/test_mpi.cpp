@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "pfsem/mpi/world.hpp"
@@ -145,6 +147,71 @@ TEST(P2P, FifoPerChannelNonOvertaking) {
   f.engine.spawn(receiver());
   f.engine.run();
   EXPECT_EQ(got, (std::vector<std::uint64_t>{1, 2, 3}));
+}
+
+// --- group positions ------------------------------------------------------
+
+TEST(GroupPos, EveryShapeMapsMembersAndRejectsOutsiders) {
+  const std::vector<Group> shapes = {
+      {0, 1, 2, 3, 4, 5, 6, 7},  // the world
+      {0, 1, 2},                 // identity prefix
+      {2, 3, 4},                 // contiguous range
+      {1, 3, 5},                 // sparse
+      {5},                       // singleton
+  };
+  for (const Group& g : shapes) {
+    SCOPED_TRACE("group of " + std::to_string(g.size()) + " from " +
+                 std::to_string(g.front()));
+    for (std::size_t i = 0; i < g.size(); ++i) EXPECT_EQ(group_pos(g, g[i]), i);
+    for (Rank r = -2; r < 12; ++r) {
+      if (std::find(g.begin(), g.end(), r) == g.end()) {
+        EXPECT_THROW((void)group_pos(g, r), Error) << "rank " << r;
+      }
+    }
+  }
+  EXPECT_THROW((void)group_pos(Group{}, 0), Error);
+}
+
+// Members arrive out of rank order; the logged event and every exit time
+// are pinned to the values the binary-search join produced, so the O(1)
+// position paths change nothing observable.
+TEST(GroupPos, BarrierOverEveryShapeKeepsExits) {
+  struct Shape {
+    Group group;
+    std::vector<SimTime> exits;  // by group position
+  };
+  const std::vector<Shape> shapes = {
+      {{0, 1, 2, 3, 4, 5, 6, 7},
+       {11242, 9207, 11151, 9817, 12169, 8740, 9018, 12128}},
+      {{0, 1, 2}, {9642, 8217, 10528}},
+      {{2, 3, 4}, {10628, 9742, 8317}},
+      {{1, 3, 5}, {8217, 9642, 10528}},
+      {{5}, {6542}},
+  };
+  for (const Shape& shape : shapes) {
+    const Group& g = shape.group;
+    SCOPED_TRACE("group of " + std::to_string(g.size()) + " from " +
+                 std::to_string(g.front()));
+    Fixture f(8);
+    std::vector<SimTime> exits(g.size(), -1);
+    auto prog = [&](Rank r, std::size_t pos) -> sim::Task<void> {
+      co_await f.engine.delay(100 * ((r * 5) % 7 + 1));
+      co_await f.world->barrier(r, g);
+      exits[pos] = f.engine.now();
+    };
+    for (std::size_t i = 0; i < g.size(); ++i) f.engine.spawn(prog(g[i], i));
+    f.engine.run();
+    EXPECT_EQ(exits, shape.exits);
+    const auto& log = f.collector.bundle().comm.collectives;
+    ASSERT_EQ(log.size(), 1u);
+    std::vector<Rank> arrived;
+    for (const auto& a : log[0].arrivals) {
+      arrived.push_back(a.rank);
+      EXPECT_EQ(a.t_exit, exits[group_pos(g, a.rank)]);
+    }
+    std::sort(arrived.begin(), arrived.end());
+    EXPECT_EQ(arrived, g);
+  }
 }
 
 TEST(Collectives, EachKindLogsMatchedEvent) {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <optional>
 #include <sstream>
+#include <utility>
 
 #include "pfsem/util/error.hpp"
 #include "pfsem/util/extent.hpp"
+#include "pfsem/util/fd_table.hpp"
 #include "pfsem/util/rng.hpp"
 #include "pfsem/util/table.hpp"
 
@@ -64,6 +69,66 @@ TEST(Extent, NormalizeEmptyInput) {
   normalize(v);
   EXPECT_TRUE(v.empty());
   EXPECT_EQ(covered_bytes(v), 0u);
+}
+
+// --- FdTable -------------------------------------------------------------
+
+// Random opens and closes over a few ranks, checked after every step
+// against a (rank, fd)-keyed map: the sliding per-rank window must find
+// exactly the open fds, including long-lived ones far behind the newest.
+TEST(FdTable, MatchesAMapUnderRandomOpensAndCloses) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    FdTable<std::unique_ptr<int>> table;
+    std::map<std::pair<Rank, int>, int> model;
+    int next_fd[4] = {3, 3, 3, 3};
+    for (int step = 0; step < 400; ++step) {
+      const auto r = static_cast<Rank>(rng.below(4));
+      if (model.empty() || rng.below(3) != 0) {
+        const int fd = table.add(r, std::make_unique<int>(step));
+        EXPECT_EQ(fd, next_fd[r]++);
+        model[{r, fd}] = step;
+      } else {
+        auto it = model.begin();
+        std::advance(it, static_cast<long>(rng.below(model.size())));
+        EXPECT_EQ(*table.remove(it->first.first, it->first.second),
+                  it->second);
+        model.erase(it);
+      }
+      for (Rank q = 0; q < 4; ++q) {
+        for (int fd = -1; fd < next_fd[q] + 2; ++fd) {
+          const auto it = model.find({q, fd});
+          const int* got = table.find(q, fd);
+          ASSERT_EQ(got != nullptr, it != model.end()) << q << ":" << fd;
+          if (got != nullptr) {
+            EXPECT_EQ(*got, it->second);
+          }
+        }
+      }
+    }
+    std::size_t visited = 0;
+    table.for_all([&](int&) { ++visited; });
+    EXPECT_EQ(visited, model.size());
+  }
+}
+
+TEST(FdTable, PutFollowsAnotherTablesFdsAndRejectsReuse) {
+  FdTable<std::optional<FileId>> table;
+  table.put(2, 5, FileId{7});
+  table.put(2, 9, FileId{8});
+  EXPECT_EQ(table.at(2, 9, "read"), 8u);
+  EXPECT_EQ(table.find(2, 6), nullptr);
+  EXPECT_THROW(table.put(2, 9, FileId{1}), Error);  // fds never come back
+  EXPECT_THROW(table.put(2, 4, FileId{1}), Error);
+  EXPECT_EQ(table.remove(2, 5), FileId{7});
+  EXPECT_EQ(table.find(2, 5), nullptr);
+  EXPECT_THROW((void)table.at(2, 5, "read"), Error);
+  EXPECT_THROW((void)table.remove(2, 5), Error);
+  EXPECT_THROW(table.put(-1, 3, FileId{1}), Error);
+  table.drop_rank(2);
+  EXPECT_EQ(table.find(2, 9), nullptr);
+  EXPECT_EQ(table.add(2, FileId{3}), 10);  // numbering carries on
 }
 
 TEST(Rng, DeterministicForSeed) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "pfsem/trace/record.hpp"
 #include "pfsem/util/error.hpp"
 #include "pfsem/vfs/pfs.hpp"
@@ -226,6 +228,39 @@ TEST(Mechanics, BadFdThrows) {
   EXPECT_THROW(fs.close(0, 99, 0), Error);
 }
 
+/// Every fd-taking operation on (r, fd) throws pfsem::Error.
+void expect_bad_fd(FileSystem& fs, Rank r, int fd) {
+  SCOPED_TRACE("rank " + std::to_string(r) + " fd " + std::to_string(fd));
+  EXPECT_THROW(fs.write(r, fd, 10, 100), Error);
+  EXPECT_THROW(fs.pwrite(r, fd, 0, 10, 100), Error);
+  EXPECT_THROW(fs.read(r, fd, 10, 100), Error);
+  EXPECT_THROW(fs.pread(r, fd, 0, 10, 100), Error);
+  EXPECT_THROW(fs.lseek(r, fd, 0, trace::kSeekSet, 100), Error);
+  EXPECT_THROW(fs.fsync(r, fd, 100), Error);
+  EXPECT_THROW(fs.ftruncate(r, fd, 0, 100), Error);
+  EXPECT_THROW(fs.close(r, fd, 100), Error);
+}
+
+TEST(Mechanics, EveryKindOfBadFdThrows) {
+  Pfs fs(with_model(ConsistencyModel::Strong));
+  const int first = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+  const int closed = fs.open(0, "f", kRdWr, 0).fd;
+  const int last = fs.open(0, "f", kRdWr, 0).fd;
+  (void)fs.close(0, closed, 1);
+  expect_bad_fd(fs, 0, 0);           // never opened (a standard stream)
+  expect_bad_fd(fs, 0, closed);      // closed
+  expect_bad_fd(fs, 0, -1);          // negative
+  expect_bad_fd(fs, 0, last + 1);    // above any allocated fd
+  expect_bad_fd(fs, 0, 1 << 30);
+  expect_bad_fd(fs, 1, first);       // another rank's fd
+  expect_bad_fd(fs, 5000, first);    // a rank that never opened anything
+  // The survivors still work.
+  EXPECT_EQ(fs.pwrite(0, first, 0, 10, 2).err, 0);
+  EXPECT_EQ(fs.close(0, last, 3).ret, 0);
+  EXPECT_EQ(fs.close(0, first, 4).ret, 0);
+  expect_bad_fd(fs, 0, first);
+}
+
 TEST(Mechanics, OpenMissingWithoutCreateFails) {
   Pfs fs(with_model(ConsistencyModel::Strong));
   EXPECT_EQ(fs.open(0, "nope", kRdOnly, 0).fd, -1);
@@ -274,6 +309,53 @@ TEST(Locks, RepeatedAccessReusesLock) {
   const auto first = fs.lock_stats().requests;
   (void)fs.pwrite(0, a, 512, 512, 20);  // same block, lock already held
   EXPECT_EQ(fs.lock_stats().requests, first);
+}
+
+// A close releases every hold the rank has on the file, whichever of its
+// fds took it; a later write through another fd re-acquires and is
+// released again by that fd's close.
+TEST(Locks, CloseReleasesHoldsTakenThroughAnotherFd) {
+  PfsConfig cfg;
+  cfg.model = ConsistencyModel::Strong;
+  cfg.lock_block = 1024;
+  Pfs fs(cfg);
+  const int a = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+  const int b = fs.open(0, "f", kRdWr, 0).fd;
+  const int c = fs.open(1, "f", kRdWr, 0).fd;
+  (void)fs.pwrite(0, b, 0, 2048, 10);  // rank 0 holds blocks 0-1 via b
+  (void)fs.close(0, a, 20);
+  const LockStats before = fs.lock_stats();
+  (void)fs.pwrite(1, c, 0, 2048, 30);
+  EXPECT_EQ(fs.lock_stats().revocations, before.revocations);
+  EXPECT_EQ(fs.lock_stats().requests, before.requests + 2);
+  (void)fs.pwrite(0, b, 0, 1024, 40);  // re-acquire block 0, revoking rank 1
+  const LockStats reacquired = fs.lock_stats();
+  EXPECT_EQ(reacquired.revocations, before.revocations + 1);
+  (void)fs.close(0, b, 50);
+  (void)fs.pwrite(1, c, 0, 2048, 60);
+  EXPECT_EQ(fs.lock_stats().revocations, reacquired.revocations);
+  EXPECT_EQ(fs.lock_stats().requests, reacquired.requests + 1);
+}
+
+// A close drops only the closing rank's holds: rank 1's exclusive and
+// shared holds survive rank 0's close, so repeating them costs nothing.
+TEST(Locks, CloseLeavesOtherRanksHolds) {
+  PfsConfig cfg;
+  cfg.model = ConsistencyModel::Strong;
+  cfg.lock_block = 1024;
+  Pfs fs(cfg);
+  const int a = fs.open(0, "f", kCreate | kRdWr, 0).fd;
+  const int c = fs.open(1, "f", kRdWr, 0).fd;
+  (void)fs.pwrite(1, c, 0, 2048, 10);     // rank 1: blocks 0-1 exclusive
+  (void)fs.pwrite(0, a, 2048, 1024, 20);  // rank 0: block 2 exclusive
+  (void)fs.pread(1, c, 2048, 1024, 30);   // block 2 shared by rank 1 ...
+  (void)fs.pread(0, a, 2048, 1024, 40);   // ... and rank 0
+  (void)fs.close(0, a, 50);
+  const LockStats before = fs.lock_stats();
+  (void)fs.pwrite(1, c, 0, 2048, 60);
+  (void)fs.pread(1, c, 2048, 1024, 70);
+  EXPECT_EQ(fs.lock_stats().requests, before.requests);
+  EXPECT_EQ(fs.lock_stats().revocations, before.revocations);
 }
 
 TEST(Locks, RelaxedModelsChargeNoLockTraffic) {
