@@ -1,7 +1,7 @@
 #pragma once
-// Descriptor table indexed by rank, then by fd — the flat replacement for
-// a map keyed by (rank, fd), whose lookups cost O(log open files) pair
-// compares on every simulated I/O call.
+// Descriptor table indexed by rank, then by fd. Every simulated I/O call
+// looks up its descriptor, so a lookup is two bounds-checked indexings,
+// whatever the number of ranks or open files.
 
 #include <algorithm>
 #include <cstddef>
