@@ -16,8 +16,8 @@
 //                  adversarial long-lived-read log — the single-thread
 //                  algorithmic win;
 //   reconstruction interned vs string-keyed record grouping;
-//   capture        bucketed-ring scheduler + per-rank arenas vs the
-//                  retained reference capture path on an adversarial
+//   capture        bucketed-ring scheduler vs the heap-scheduler oracle,
+//                  both on the one emitter, on an adversarial
 //                  delay(0)-heavy workload (--check floor: >=2x, and the
 //                  two bundles must be byte-identical);
 //   run_to_report  a registered app (FLASH-fbs) driven end to end —
@@ -30,9 +30,6 @@
 //                  131072-rank windowed pF3D-IO point that must complete
 //                  under the 65536-rank point's RSS — twice the ranks in
 //                  less memory).
-//   capture_crossover  FLASH-fbs capture wall time, fast vs reference
-//                  pair, at small rank counts — locates the break-even
-//                  that CaptureMode::Auto's rank threshold encodes.
 //   memory_scaling full-log vs windowed analysis peak RSS on a synthetic
 //                  phased N-N checkpoint trace fed straight into the
 //                  analyzer, at ranks 1024/4096/16384 in fresh
@@ -191,6 +188,23 @@ struct ThreadPoint {
   double seconds;
 };
 
+/// The conflict_scaling.speedup_by_threads value: the ratio against one
+/// thread per thread count, or the "unmeasurable" marker on a host with
+/// one hardware thread, where every thread count time-slices the same
+/// core and the ratios would record scheduling noise as a result.
+std::string speedup_by_threads_json(const std::vector<ThreadPoint>& points,
+                                    int hardware_threads) {
+  if (hardware_threads <= 1) return "\"unmeasurable\"";
+  std::ostringstream os;
+  os << "{";
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    os << (i ? ", " : "") << "\"" << points[i].threads
+       << "\": " << points[0].seconds / points[i].seconds;
+  }
+  os << "}";
+  return os.str();
+}
+
 /// Synthetic raw trace for the intern-vs-string grouping experiment:
 /// `nrecords` data records spread round-robin over `nfiles` paths with
 /// realistic path lengths (directory prefix + numbered leaf).
@@ -249,14 +263,13 @@ std::size_t group_by_id(const trace::TraceBundle& bundle) {
 using pfsem_bench::CaptureRun;
 using pfsem_bench::run_capture;
 
-/// One end-to-end run→report point: capture FLASH-fbs at `ranks` on the
-/// given capture path, then (fast path only) the full analysis + report.
+/// One end-to-end run→report point: capture FLASH-fbs at `ranks`, then
+/// the full analysis + report.
 struct RunToReportPoint {
   std::string app = "FLASH-fbs";
   int ranks = 0;
   std::size_t records = 0;
   double capture_seconds = 0;
-  double capture_reference_seconds = 0;
   double analysis_seconds = 0;
   // Chunked streaming pipeline (same workload, spill → merge → stream
   // analysis) plus peak RSS for both pipelines, each measured in a fresh
@@ -618,12 +631,6 @@ RunToReportPoint run_to_report(const apps::AppInfo& info, int ranks,
       best_of(reps, [&] { bundle = apps::run_app(info, cfg); });
   pt.records = bundle.records.size();
 
-  apps::AppConfig ref_cfg = cfg;
-  ref_cfg.scheduler = sim::SchedulerKind::Heap;
-  ref_cfg.capture = trace::CaptureMode::Reference;
-  pt.capture_reference_seconds =
-      best_of(reps, [&] { (void)apps::run_app(info, ref_cfg); });
-
   std::string report_text;
   pt.analysis_seconds = best_of(reps, [&] {
     report_text = materialized_report_text(bundle);
@@ -757,37 +764,36 @@ int run(bool check, bool scale64k, const std::string& out_path,
             << " s   interned " << interned_s << " s   speedup "
             << intern_speedup << "x\n";
 
-  // --- experiment 4: capture path — bucketed+arenas vs reference --------
-  // The reference pair (heap scheduler + single global emitter) is the
-  // retained pre-PR capture path; the fast pair must produce the exact
-  // same compact bytes and beat it >=2x on this delay(0)-heavy workload.
+  // --- experiment 4: capture — bucketed scheduler vs heap oracle -------
+  // Both arms run the one emitter; the heap scheduler is the test-only
+  // oracle. The bucketed scheduler must produce the exact same compact
+  // bytes and beat it >=2x on this delay(0)-heavy workload.
   const int cap_roots = check ? 32'768 : 65'536;
   const int cap_rounds = check ? 8 : 16;
-  // Interleave the repetitions (fast, reference, fast, reference, ...) and
+  // Interleave the repetitions (bucketed, heap, bucketed, heap, ...) and
   // keep each side's best so a transient load spike on a shared host hits
-  // both paths instead of biasing one of them.
-  CaptureRun cap_fast, cap_ref;
+  // both schedulers instead of biasing one of them.
+  CaptureRun cap_bucketed, cap_heap;
   for (int rep = 0; rep < (check ? 4 : reps); ++rep) {
-    auto f = run_capture(sim::SchedulerKind::Bucketed, trace::CaptureMode::Fast,
-                         cap_roots, cap_rounds, 1);
-    auto r = run_capture(sim::SchedulerKind::Heap, trace::CaptureMode::Reference,
-                         cap_roots, cap_rounds, 1);
+    auto b =
+        run_capture(sim::SchedulerKind::Bucketed, cap_roots, cap_rounds, 1);
+    auto h = run_capture(sim::SchedulerKind::Heap, cap_roots, cap_rounds, 1);
     if (rep == 0) {
-      cap_fast = std::move(f);
-      cap_ref = std::move(r);
+      cap_bucketed = std::move(b);
+      cap_heap = std::move(h);
     } else {
-      cap_fast.seconds = std::min(cap_fast.seconds, f.seconds);
-      cap_ref.seconds = std::min(cap_ref.seconds, r.seconds);
+      cap_bucketed.seconds = std::min(cap_bucketed.seconds, b.seconds);
+      cap_heap.seconds = std::min(cap_heap.seconds, h.seconds);
     }
   }
-  if (cap_fast.compact_bytes != cap_ref.compact_bytes) {
-    std::cerr << "FAIL: fast and reference capture paths produced "
-                 "different bundles\n";
+  if (cap_bucketed.compact_bytes != cap_heap.compact_bytes) {
+    std::cerr << "FAIL: bucketed and heap schedulers produced different "
+                 "bundles\n";
     return 1;
   }
-  const double capture_speedup = cap_ref.seconds / cap_fast.seconds;
-  std::cout << "capture path (" << cap_fast.events << " events): bucketed+arenas "
-            << cap_fast.seconds << " s   heap+global " << cap_ref.seconds
+  const double capture_speedup = cap_heap.seconds / cap_bucketed.seconds;
+  std::cout << "capture (" << cap_bucketed.events << " events): bucketed "
+            << cap_bucketed.seconds << " s   heap " << cap_heap.seconds
             << " s   speedup " << capture_speedup << "x\n";
 
   // --- experiment 5: end-to-end run -> report on a registered app -------
@@ -810,8 +816,7 @@ int run(bool check, bool scale64k, const std::string& out_path,
     }
     std::cout << "run_to_report FLASH-fbs ranks=" << pt.ranks << "  records="
               << pt.records << "  capture " << pt.capture_seconds
-              << " s (reference " << pt.capture_reference_seconds
-              << " s)   analysis " << pt.analysis_seconds
+              << " s   analysis " << pt.analysis_seconds
               << " s   stream capture " << pt.stream_capture_seconds
               << " s + analysis " << pt.stream_analysis_seconds
               << " s (spill " << pt.spill_bytes << " B, rss "
@@ -998,44 +1003,6 @@ int run(bool check, bool scale64k, const std::string& out_path,
     }
   }
 
-  // --- experiment 5b: capture crossover — where Auto's threshold sits ----
-  // Below the crossover the fast path's per-rank arenas and bucket ring
-  // cost more to set up than they save; CaptureMode::Auto switches to the
-  // reference pair below kAutoCaptureRankThreshold ranks. Measure the pair
-  // across the curve so the constant is data, not folklore (the big
-  // points are single-rep: at 4K+ ranks one capture is seconds long and
-  // the ratio, not the absolute time, is what the curve needs).
-  struct CrossoverPoint {
-    int ranks;
-    double fast_seconds;
-    double reference_seconds;
-  };
-  std::vector<CrossoverPoint> crossover;
-  for (const int ranks : check ? std::vector<int>{16, 128}
-                               : std::vector<int>{16, 64, 256, 1024, 4096,
-                                                  8192}) {
-    apps::AppConfig fast_cfg;
-    fast_cfg.nranks = ranks;
-    fast_cfg.ranks_per_node = std::max(1, ranks / 8);
-    apps::AppConfig ref_cfg = fast_cfg;
-    ref_cfg.scheduler = sim::SchedulerKind::Heap;
-    ref_cfg.capture = trace::CaptureMode::Reference;
-    // Interleaved best-of, same reasoning as experiment 4.
-    double fast_s = 1e300, ref_s = 1e300;
-    const int xreps = check ? 2 : (ranks >= 4'096 ? 1 : 3);
-    for (int rep = 0; rep < xreps; ++rep) {
-      double t0 = now_seconds();
-      (void)apps::run_app(*flash, fast_cfg);
-      fast_s = std::min(fast_s, now_seconds() - t0);
-      t0 = now_seconds();
-      (void)apps::run_app(*flash, ref_cfg);
-      ref_s = std::min(ref_s, now_seconds() - t0);
-    }
-    crossover.push_back({ranks, fast_s, ref_s});
-    std::cout << "capture_crossover ranks=" << ranks << "  fast " << fast_s
-              << " s   reference " << ref_s << " s\n";
-  }
-
   // --- experiment 6: cluster failover — degraded vs healthy -------------
   // The same workload on the multi-server backend, healthy and with one
   // MDS plus one OST crashed early in the run. Time-to-recover shows up
@@ -1175,8 +1142,15 @@ int run(bool check, bool scale64k, const std::string& out_path,
     // The capture floor is algorithmic too: O(1) bucket ops vs O(log n)
     // heap ops on a ~16Ki-deep pending set, so it holds on any host.
     if (capture_speedup < 2.0) {
-      std::cerr << "FAIL: capture-path speedup " << capture_speedup
+      std::cerr << "FAIL: capture speedup " << capture_speedup
                 << "x below the 2x bound\n";
+      return 1;
+    }
+    // A record written on a 1-thread host must carry the marker, never
+    // ratios (checked on every host, whatever its own thread count).
+    if (speedup_by_threads_json(points, 1) != "\"unmeasurable\"") {
+      std::cerr << "FAIL: a 1-thread record must mark speedup_by_threads "
+                   "unmeasurable\n";
       return 1;
     }
     if (cores >= 2) {
@@ -1214,12 +1188,8 @@ int run(bool check, bool scale64k, const std::string& out_path,
        << "\": " << points[i].seconds;
   }
   os << "},\n"
-     << "    \"speedup_by_threads\": {";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    os << (i ? ", " : "") << "\"" << points[i].threads
-       << "\": " << points[0].seconds / points[i].seconds;
-  }
-  os << "}\n"
+     << "    \"speedup_by_threads\": "
+     << speedup_by_threads_json(points, cores) << "\n"
      << "  },\n"
      << "  \"sweep_vs_scan\": {\n"
      << "    \"accesses\": " << adversarial_n << ",\n"
@@ -1237,9 +1207,9 @@ int run(bool check, bool scale64k, const std::string& out_path,
      << "  \"capture_path\": {\n"
      << "    \"roots\": " << cap_roots << ",\n"
      << "    \"rounds\": " << cap_rounds << ",\n"
-     << "    \"events\": " << cap_fast.events << ",\n"
-     << "    \"bucketed_arena_seconds\": " << cap_fast.seconds << ",\n"
-     << "    \"heap_global_seconds\": " << cap_ref.seconds << ",\n"
+     << "    \"events\": " << cap_bucketed.events << ",\n"
+     << "    \"bucketed_seconds\": " << cap_bucketed.seconds << ",\n"
+     << "    \"heap_seconds\": " << cap_heap.seconds << ",\n"
      << "    \"speedup\": " << capture_speedup << "\n"
      << "  },\n"
      << "  \"run_to_report\": {\n"
@@ -1254,7 +1224,6 @@ int run(bool check, bool scale64k, const std::string& out_path,
        << ", \"windowed\": " << (pt.windowed ? "true" : "false");
     if (!pt.streaming_only) {
       os << ", \"capture_seconds\": " << pt.capture_seconds
-         << ", \"capture_reference_seconds\": " << pt.capture_reference_seconds
          << ", \"analysis_seconds\": " << pt.analysis_seconds;
     }
     os << ", \"stream_capture_seconds\": " << pt.stream_capture_seconds
@@ -1304,19 +1273,6 @@ int run(bool check, bool scale64k, const std::string& out_path,
        << ", \"windowed_live_peak_files\": " << ms_win_128k.live_peak << "}";
   }
   os << "\n"
-     << "  },\n"
-     << "  \"capture_crossover\": {\n"
-     << "    \"app\": \"FLASH-fbs\",\n"
-     << "    \"auto_threshold_ranks\": "
-     << apps::kAutoCaptureRankThreshold << ",\n"
-     << "    \"points\": [";
-  for (std::size_t i = 0; i < crossover.size(); ++i) {
-    const auto& pt = crossover[i];
-    os << (i ? ", " : "") << "{\"ranks\": " << pt.ranks
-       << ", \"fast_seconds\": " << pt.fast_seconds
-       << ", \"reference_seconds\": " << pt.reference_seconds << "}";
-  }
-  os << "]\n"
      << "  },\n"
      << "  \"obs_overhead\": {\n"
      << "    \"app\": \"FLASH-fbs\",\n"

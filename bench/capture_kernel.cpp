@@ -21,8 +21,8 @@ double now_seconds() {
 
 }  // namespace
 
-CaptureRun run_capture(sim::SchedulerKind kind, trace::CaptureMode mode,
-                       int roots, int rounds, int reps) {
+CaptureRun run_capture(sim::SchedulerKind kind, int roots, int rounds,
+                       int reps) {
   constexpr int kRanks = 64;
   CaptureRun out;
   trace::TraceBundle bundle;
@@ -30,7 +30,7 @@ CaptureRun run_capture(sim::SchedulerKind kind, trace::CaptureMode mode,
   for (int rep = 0; rep < reps; ++rep) {
     const double t0 = now_seconds();
     sim::Engine engine(kind);
-    trace::Collector collector(kRanks, {}, mode);
+    trace::Collector collector(kRanks);
     collector.reserve(kRanks, static_cast<std::size_t>(roots) *
                                   static_cast<std::size_t>(rounds) / kRanks);
     std::vector<FileId> files;

@@ -1,9 +1,9 @@
-// The capture-path microbenchmark kernel, compiled in its own translation
-// unit on purpose: the timed region is a coroutine-heavy inner loop whose
+// The capture microbenchmark kernel, compiled in its own translation unit
+// on purpose: the timed region is a coroutine-heavy inner loop whose
 // codegen (inlining, layout) must not drift as the driver TU
 // (bench_perf_scaling.cpp) grows. Keeping it isolated makes the
-// fast-vs-reference speedup a property of the library, not of how big the
-// benchmark driver happens to be this month.
+// bucketed-vs-heap scheduler speedup a property of the library, not of
+// how big the benchmark driver happens to be this month.
 #pragma once
 
 #include <cstdint>
@@ -23,11 +23,10 @@ struct CaptureRun {
 /// Adversarial delay(0)-heavy capture workload: `roots` coroutines (spread
 /// over 64 collector ranks) each do `rounds` fairness round-trips, almost
 /// all at the current timestamp — the pending-event set stays ~`roots`
-/// deep, so the reference heap pays O(log roots) with cold cache lines on
+/// deep, so the heap oracle pays O(log roots) with cold cache lines on
 /// every event while the bucket ring pays O(1) — and emit one pwrite
-/// record per round through the collector under test.
-CaptureRun run_capture(pfsem::sim::SchedulerKind kind,
-                       pfsem::trace::CaptureMode mode, int roots, int rounds,
+/// record per round through the collector.
+CaptureRun run_capture(pfsem::sim::SchedulerKind kind, int roots, int rounds,
                        int reps);
 
 }  // namespace pfsem_bench

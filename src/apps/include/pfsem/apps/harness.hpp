@@ -22,30 +22,6 @@
 
 namespace pfsem::apps {
 
-/// Below this rank count, CaptureMode::Auto resolves to the reference
-/// pair (Reference capture + Heap scheduler). The bucket ring + arenas
-/// win on pending-set depth — O(1) vs O(log n) per event — so they need
-/// enough in-flight coroutines to pay for their setup. Remeasured after
-/// the collective-path fixes (which shrank the shared capture cost both
-/// pairs carry): on FLASH-fbs end-to-end capture the reference pair
-/// stays ~10-20% faster through 8K ranks and the fast pair pulls ahead
-/// by 16K (1.04x there, growing with depth; 2.3x in the isolated
-/// scheduler/emitter microbench, whose 32K-root pending set is the
-/// regime large runs actually hit). The bench's capture_crossover
-/// experiment records the curve below the threshold.
-inline constexpr int kAutoCaptureRankThreshold = 16'384;
-
-/// The capture mode Auto resolves to at this rank count (identity for
-/// the concrete modes). Pure, so tests can pin the policy on both sides
-/// of the threshold without simulating threshold-sized runs; the harness
-/// applies it (plus the matching scheduler) before capture starts.
-[[nodiscard]] constexpr trace::CaptureMode resolved_capture_mode(
-    trace::CaptureMode mode, int nranks) {
-  if (mode != trace::CaptureMode::Auto) return mode;
-  return nranks < kAutoCaptureRankThreshold ? trace::CaptureMode::Reference
-                                            : trace::CaptureMode::Fast;
-}
-
 struct AppConfig {
   int nranks = 64;
   int ranks_per_node = 8;
@@ -57,18 +33,10 @@ struct AppConfig {
   /// access *structure* is what the analysis consumes.
   std::uint64_t bytes_per_rank = 256 * 1024;
   std::uint64_t seed = 42;
-  /// Capture-path implementation selectors. The defaults are the fast
-  /// path; the reference pair (Heap + Reference) is the retained pre-
-  /// optimization oracle — both must produce byte-identical bundles
-  /// (tests/test_capture_diff.cpp). CaptureMode::Auto picks the whole
-  /// pair by rank count (reference below kAutoCaptureRankThreshold, fast
-  /// at or above it), overriding `scheduler` — safe precisely because
-  /// the pairs are byte-identical.
+  /// Event scheduler. Bucketed is the production scheduler; Heap is the
+  /// test-only differential oracle — both must produce byte-identical
+  /// bundles (tests/test_capture_diff.cpp).
   sim::SchedulerKind scheduler = sim::SchedulerKind::Bucketed;
-  trace::CaptureMode capture = trace::CaptureMode::Fast;
-  /// Expected records per rank, used to pre-size the collector's arenas
-  /// (0 = derive a heuristic from `steps`). Purely a capacity hint.
-  std::size_t ops_per_rank_hint = 0;
   /// Streaming capture (nullptr = materialize, the default): the
   /// collector hands records to this sink in batches of
   /// `stream_chunk_records` instead of accumulating a bundle. Finish the

@@ -4,7 +4,7 @@
 // metrics (iolib facades delta-snapshot the vfs traffic counters around
 // each call). Every quantity derives from simulated time and deterministic
 // event counts, so the exported rows are Stable in the obs sense: byte-
-// identical across --threads, --capture fast|reference, and
+// identical across --threads, both schedulers, and
 // --stream/materialized.
 //
 // Memory shape: per-file aggregates are a fixed array of op-class cells
@@ -74,13 +74,16 @@ class Ledger {
   };
 
   /// Per-file state. `rank_stall` is the live (pre-condensation) rank
-  /// dimension; condense() folds it into ranks_touched/hottest_* and
-  /// frees it.
+  /// dimension; condense() folds it into hottest_* and frees it.
   struct Entry {
     std::array<Cell, kOpClasses> cells{};
-    std::vector<std::pair<Rank, std::uint64_t>> rank_stall;  ///< sorted by rank
+    /// Per-rank stall sums: an open-addressing table keyed by rank
+    /// (linear probing, power-of-two size, at most half full; empty slots
+    /// hold kNoRank). A shared file gathers every rank, and a sorted
+    /// vector's binary search was most of record()'s cost there.
+    std::vector<std::pair<Rank, std::uint64_t>> rank_stall;
     std::string path;  ///< filled post-run via note_path ("" until then)
-    std::uint32_t ranks_touched = 0;
+    std::uint32_t ranks_touched = 0;  ///< distinct ranks recorded
     Rank hottest_rank = kNoRank;
     std::uint64_t hottest_rank_stall_ns = 0;
     bool touched = false;

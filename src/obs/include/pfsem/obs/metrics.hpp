@@ -10,9 +10,9 @@
 // Determinism contract: a metric registered `Stability::Stable` may
 // derive only from simulated time and event counts — never wall clock,
 // thread ids, or scheduling races — so the stable dump is byte-identical
-// across `--threads N` and `--capture fast|reference` and can itself be
+// across `--threads N` and both schedulers and can itself be
 // diff-tested (tests/test_obs.cpp). Implementation-dependent values
-// (scheduler-tier hit counts, pool steal counts, arena occupancy) must
+// (scheduler-tier hit counts, pool steal counts, stream batch sizes) must
 // be registered `Stability::Volatile`; dump() excludes them unless asked.
 //
 // The registry is not thread-safe: updates must come from one thread at

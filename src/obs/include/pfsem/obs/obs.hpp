@@ -76,8 +76,8 @@ struct Run {
   // trace::Collector
   Counter trace_records;  ///< records captured (stable)
   Gauge trace_files;      ///< paths interned at take() (stable)
-  Counter trace_flushes;  ///< arena flushes (volatile)
-  Gauge trace_arena_bytes;  ///< arena bytes at the largest flush (volatile)
+  Counter trace_handoffs;  ///< batches handed to the stream sink (volatile)
+  Gauge trace_handoff_bytes;  ///< largest hand-off, in bytes (volatile)
   // iolib / vfs (fed from the collector's emit stream + retry loops)
   Counter io_ops;         ///< every traced call (stable)
   Counter io_reads;       ///< POSIX-layer read/pread (stable)

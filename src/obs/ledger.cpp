@@ -1,6 +1,7 @@
 #include "pfsem/obs/ledger.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "pfsem/util/error.hpp"
 
@@ -17,6 +18,38 @@ const char* to_string(OpClass c) {
   }
   return "?";
 }
+
+namespace {
+
+using RankSlots = std::vector<std::pair<Rank, std::uint64_t>>;
+
+/// The slot holding `r` in a table of at least 8 slots, or the empty slot
+/// that ends its probe run. Fibonacci hashing keeps strided rank sets
+/// (every 8th rank, say) spread over the whole table.
+std::size_t rank_slot(const RankSlots& slots, Rank r) {
+  const int shift = 64 - std::countr_zero(slots.size());
+  const std::size_t mask = slots.size() - 1;
+  std::size_t i = static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(r)) *
+       0x9e3779b97f4a7c15ULL) >>
+      shift);
+  while (slots[i].first != r && slots[i].first != kNoRank) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+/// Double the table (at least 8 slots) and re-place every occupied slot.
+void grow(RankSlots& slots) {
+  RankSlots bigger(std::max<std::size_t>(8, slots.size() * 2),
+                   {kNoRank, 0});
+  for (const auto& s : slots) {
+    if (s.first != kNoRank) bigger[rank_slot(bigger, s.first)] = s;
+  }
+  slots.swap(bigger);
+}
+
+}  // namespace
 
 void Ledger::record(const LedgerOp& op) {
   if (op.file == kNoFile) return;
@@ -47,14 +80,14 @@ void Ledger::record(const LedgerOp& op) {
 
   const auto stall =
       static_cast<std::uint64_t>(op.stall_ns < 0 ? 0 : op.stall_ns);
-  auto it = std::lower_bound(
-      e.rank_stall.begin(), e.rank_stall.end(), op.rank,
-      [](const auto& p, Rank r) { return p.first < r; });
-  if (it != e.rank_stall.end() && it->first == op.rank) {
-    it->second += stall;
-  } else {
-    e.rank_stall.insert(it, {op.rank, stall});
+  if (op.rank == kNoRank) return;  // kNoRank marks an empty slot
+  if (2 * (e.ranks_touched + 1) > e.rank_stall.size()) grow(e.rank_stall);
+  auto& slot = e.rank_stall[rank_slot(e.rank_stall, op.rank)];
+  if (slot.first == kNoRank) {
+    slot.first = op.rank;
+    ++e.ranks_touched;
   }
+  slot.second += stall;
 }
 
 void Ledger::condense(FileId f) {
@@ -63,11 +96,11 @@ void Ledger::condense(FileId f) {
   if (e.condensed) return;
   e.condensed = true;
   if (!e.touched) return;
-  e.ranks_touched = static_cast<std::uint32_t>(e.rank_stall.size());
-  // Max per-rank stall; the vector is sorted by rank, so keeping the
-  // first strict maximum IS the lowest-rank tie-break.
+  // Max per-rank stall, ties to the lowest rank (the table is unordered).
   for (const auto& [rank, stall] : e.rank_stall) {
-    if (e.hottest_rank == kNoRank || stall > e.hottest_rank_stall_ns) {
+    if (rank == kNoRank) continue;
+    if (e.hottest_rank == kNoRank || stall > e.hottest_rank_stall_ns ||
+        (stall == e.hottest_rank_stall_ns && rank < e.hottest_rank)) {
       e.hottest_rank = rank;
       e.hottest_rank_stall_ns = stall;
     }
@@ -87,7 +120,9 @@ void Ledger::note_path(FileId f, std::string_view path) {
 
 std::size_t Ledger::live_rank_cells() const {
   std::size_t n = 0;
-  for (const Entry& e : files_) n += e.rank_stall.size();
+  for (const Entry& e : files_) {
+    for (const auto& s : e.rank_stall) n += s.first != kNoRank;
+  }
   return n;
 }
 

@@ -24,8 +24,8 @@ Run::Run(Config c)
 
   trace_records = metrics.counter("trace.records", S);
   trace_files = metrics.gauge("trace.files_interned", S);
-  trace_flushes = metrics.counter("trace.arena_flushes", V);
-  trace_arena_bytes = metrics.gauge("trace.arena_bytes_peak", V);
+  trace_handoffs = metrics.counter("trace.stream_handoffs", V);
+  trace_handoff_bytes = metrics.gauge("trace.handoff_bytes_peak", V);
 
   io_ops = metrics.counter("io.ops", S);
   io_reads = metrics.counter("io.reads", S);

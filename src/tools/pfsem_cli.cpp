@@ -27,11 +27,6 @@
 //   --retries N      I/O retries per op after the first attempt (default 0)
 //   --threads N      analysis threads (N >= 1; omit for all hardware
 //                    threads; output is byte-identical for every N)
-//   --capture MODE   capture path: "fast" (bucketed scheduler + per-rank
-//                    emission arenas, default), "reference" (the retained
-//                    pre-optimization heap scheduler + global emitter;
-//                    bundles are byte-identical either way), or "auto"
-//                    (pick the pair by rank count)
 //   --stream         report/trace/tune: chunked streaming pipeline —
 //                    records spill to a bounded store as they are
 //                    captured and the analysis consumes them
@@ -51,7 +46,7 @@
 //                    file (default 64)
 //   --obs            observability: print the run's metrics summary
 //   --obs-out FILE   write the stable metrics dump (byte-identical across
-//                    --threads and --capture; see docs/observability.md)
+//                    --threads; see docs/observability.md)
 //   --obs-trace FILE write a Chrome trace_event JSON timeline (load in
 //                    ui.perfetto.dev or chrome://tracing)
 //   --obs-ledger     cost-attribution ledger: per-(file × rank × op-class)
@@ -118,8 +113,6 @@ struct Options {
   Offset stripe = 64u << 10;
   int retries = 0;  // retries per op after the first attempt
   int threads = 0;  // analysis threads (0 = all hardware threads)
-  bool capture_reference = false;  // run the retained reference capture path
-  bool capture_auto = false;       // resolve the capture pair by rank count
   // Chunked streaming pipeline (--stream; report, trace, and tune).
   bool stream = false;
   bool window = true;  // windowed analysis under --stream (--no-window)
@@ -161,8 +154,7 @@ int usage() {
                "  pfsem remedy <config|trace.trc> [--strict] [options]\n"
                "  pfsem obs-diff <a.json> <b.json> [--threshold F]\n"
                "common options: --threads N (N >= 1; omit for all cores),\n"
-               "                --capture fast|reference|auto, --obs,\n"
-               "                --obs-out <file>, --obs-trace <file>,\n"
+               "                --obs, --obs-out <file>, --obs-trace <file>,\n"
                "                --obs-ledger, --obs-json <file> ('-' = "
                "stdout),\n"
                "                --mds N --ost M --stripe K (multi-server "
@@ -257,14 +249,6 @@ Options parse_options(int argc, char** argv, int first) {
                     " (omit the flag to use all hardware threads)");
       }
     }
-    else if (a == "--capture") {
-      const std::string mode = next();
-      if (mode == "reference") opt.capture_reference = true;
-      else if (mode == "auto") opt.capture_auto = true;
-      else if (mode != "fast") {
-        throw Error("--capture wants fast|reference|auto");
-      }
-    }
     else if (a == "--stream") opt.stream = true;
     else if (a == "--window") opt.window = true;
     else if (a == "--no-window") opt.window = false;
@@ -322,7 +306,7 @@ Options parse_options(int argc, char** argv, int first) {
 
 /// Run manifest for the structured JSON export: the knobs that produced
 /// this dump. Deliberately outside the dump's "stable" section — it
-/// records exactly the parameters (threads, capture, stream) the stable
+/// records exactly the parameters (threads, stream) the stable
 /// metrics are invariant to.
 obs::Manifest make_manifest(const Options& opt) {
   obs::Manifest m;
@@ -332,9 +316,6 @@ obs::Manifest make_manifest(const Options& opt) {
   m.emplace_back("ranks", std::to_string(opt.ranks));
   m.emplace_back("seed", std::to_string(opt.seed));
   m.emplace_back("threads", std::to_string(opt.threads));
-  m.emplace_back("capture", opt.capture_auto        ? "auto"
-                            : opt.capture_reference ? "reference"
-                                                    : "fast");
   m.emplace_back("stream", opt.stream ? "1" : "0");
   m.emplace_back("window", opt.stream && opt.window ? "1" : "0");
   m.emplace_back("faults", opt.faults);
@@ -391,12 +372,6 @@ SimSetup make_setup(Options& opt) {
   s.cfg.seed = opt.seed;
   s.cfg.obs = opt.obs_run.get();
   s.cfg.stream_chunk_records = opt.chunk_records;
-  if (opt.capture_auto) {
-    s.cfg.capture = trace::CaptureMode::Auto;
-  } else if (opt.capture_reference) {
-    s.cfg.scheduler = sim::SchedulerKind::Heap;
-    s.cfg.capture = trace::CaptureMode::Reference;
-  }
   if (opt.skew > 0) {
     s.clocks = sim::make_skewed_clocks(opt.ranks, opt.skew, 100.0, opt.seed);
   }

@@ -2,7 +2,8 @@
 // Bounded spill store + chunked compact-v2 framing ("PFSEMCK1").
 //
 // A streaming capture spills fixed-size record chunks as the collector's
-// arenas fill, then replays them after the run for analysis or transcode.
+// pending batch fills, then replays them after the run for analysis or
+// transcode.
 // The spill byte format is pinned (tests/test_compact_codec.cpp carries a
 // hand-crafted fixture):
 //

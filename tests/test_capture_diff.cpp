@@ -1,11 +1,10 @@
-// Differential tests extending the determinism contract to the capture
-// path: every registered application, simulated on the fast path
-// (bucketed scheduler + per-rank emission arenas) and on the retained
-// reference path (heap scheduler + single global emitter), must produce
-// byte-identical trace bundles (compact v2 serialization) and
-// byte-identical report text — at 8 and 64 ranks, with and without
-// injected clock skew, and under fail-stop crash faults (TaskKilled
-// unwinding through the real I/O stack).
+// Differential tests extending the determinism contract to capture:
+// every registered application, simulated on the production bucketed
+// scheduler and on the heap-scheduler oracle, must produce byte-identical
+// trace bundles (compact v2 serialization) and byte-identical report
+// text — at 8 and 64 ranks, with and without injected clock skew, and
+// under fail-stop crash faults (TaskKilled unwinding through the real
+// I/O stack).
 
 #include <gtest/gtest.h>
 
@@ -25,18 +24,27 @@
 namespace pfsem {
 namespace {
 
-apps::AppConfig fast_cfg(int ranks) {
+apps::AppConfig bucketed_cfg(int ranks) {
   apps::AppConfig cfg;
   cfg.nranks = ranks;
   cfg.ranks_per_node = std::max(1, ranks / 8);
   return cfg;
 }
 
-apps::AppConfig reference_cfg(int ranks) {
-  apps::AppConfig cfg = fast_cfg(ranks);
+apps::AppConfig heap_cfg(int ranks) {
+  apps::AppConfig cfg = bucketed_cfg(ranks);
   cfg.scheduler = sim::SchedulerKind::Heap;
-  cfg.capture = trace::CaptureMode::Reference;
   return cfg;
+}
+
+/// The column hints must cover the whole path table and tally exactly the
+/// file-carrying records.
+void expect_column_hints(const trace::TraceBundle& b, const std::string& what) {
+  ASSERT_EQ(b.file_op_counts.size(), b.paths.size()) << what;
+  std::size_t tallied = 0, with_file = 0;
+  for (const auto c : b.file_op_counts) tallied += c;
+  for (const auto& r : b.records) with_file += r.file != kNoFile;
+  ASSERT_EQ(tallied, with_file) << what;
 }
 
 std::string compact_bytes(const trace::TraceBundle& bundle) {
@@ -55,50 +63,45 @@ std::string report_text(const trace::TraceBundle& bundle) {
   return os.str();
 }
 
-TEST(CaptureDiff, EveryAppBundleByteIdenticalAcrossCapturePaths) {
+TEST(CaptureDiff, EveryAppBundleByteIdenticalAcrossSchedulers) {
   for (const int ranks : {8, 64}) {
     for (const auto& info : apps::registry()) {
-      const auto fast = apps::run_app(info, fast_cfg(ranks));
-      const auto ref = apps::run_app(info, reference_cfg(ranks));
-      ASSERT_EQ(compact_bytes(fast), compact_bytes(ref))
-          << info.name << " ranks=" << ranks;
-      // The fast path additionally carries column hints; they must cover
-      // the whole path table and tally exactly the file-carrying records.
-      ASSERT_EQ(fast.file_op_counts.size(), fast.paths.size()) << info.name;
-      std::size_t tallied = 0, with_file = 0;
-      for (const auto c : fast.file_op_counts) tallied += c;
-      for (const auto& r : fast.records) with_file += r.file != kNoFile;
-      ASSERT_EQ(tallied, with_file) << info.name;
-      ASSERT_TRUE(ref.file_op_counts.empty()) << info.name;
+      const auto bucketed = apps::run_app(info, bucketed_cfg(ranks));
+      const auto heap = apps::run_app(info, heap_cfg(ranks));
+      const std::string what =
+          std::string(info.name) + " ranks=" + std::to_string(ranks);
+      ASSERT_EQ(compact_bytes(bucketed), compact_bytes(heap)) << what;
+      expect_column_hints(bucketed, what + " bucketed");
+      expect_column_hints(heap, what + " heap");
     }
   }
 }
 
-TEST(CaptureDiff, EveryAppReportTextIdenticalAcrossCapturePaths) {
+TEST(CaptureDiff, EveryAppReportTextIdenticalAcrossSchedulers) {
   for (const auto& info : apps::registry()) {
-    const auto fast = apps::run_app(info, fast_cfg(8));
-    const auto ref = apps::run_app(info, reference_cfg(8));
-    ASSERT_EQ(report_text(fast), report_text(ref)) << info.name;
+    const auto bucketed = apps::run_app(info, bucketed_cfg(8));
+    const auto heap = apps::run_app(info, heap_cfg(8));
+    ASSERT_EQ(report_text(bucketed), report_text(heap)) << info.name;
   }
 }
 
-TEST(CaptureDiff, SkewedClocksConvertIdenticallyInArenas) {
-  // Clock conversion happens at emit time in both paths; under per-rank
-  // skew/drift the arena path must store the same local timestamps the
-  // reference path does.
+TEST(CaptureDiff, SkewedClocksConvertIdenticallyAcrossSchedulers) {
+  // Clock conversion happens at emit time; under per-rank skew/drift both
+  // schedulers must store the same local timestamps.
   const auto& info = *apps::find_app("FLASH-fbs");
   for (const int ranks : {8, 64}) {
     const auto clocks = sim::make_skewed_clocks(ranks, 20'000, 100.0, 7);
-    const auto fast = apps::run_app(info, fast_cfg(ranks), {}, clocks);
-    const auto ref = apps::run_app(info, reference_cfg(ranks), {}, clocks);
-    ASSERT_EQ(compact_bytes(fast), compact_bytes(ref)) << "ranks=" << ranks;
+    const auto bucketed = apps::run_app(info, bucketed_cfg(ranks), {}, clocks);
+    const auto heap = apps::run_app(info, heap_cfg(ranks), {}, clocks);
+    ASSERT_EQ(compact_bytes(bucketed), compact_bytes(heap))
+        << "ranks=" << ranks;
   }
 }
 
-TEST(CaptureDiff, TransientFaultsReplayIdenticallyAcrossCapturePaths) {
+TEST(CaptureDiff, TransientFaultsReplayIdenticallyAcrossSchedulers) {
   // Retried EIO faults, slowdowns, and MPI drops perturb timing and event
-  // interleaving; with the same plan and seed, the fast path must emit the
-  // exact bytes the reference path does.
+  // interleaving; with the same plan and seed, the bucketed scheduler must
+  // emit the exact bytes the heap oracle does.
   const auto& info = *apps::find_app("MACSio");
   apps::FaultSetup setup;
   setup.plan = fault::FaultPlan::parse(
@@ -106,16 +109,16 @@ TEST(CaptureDiff, TransientFaultsReplayIdenticallyAcrossCapturePaths) {
       "drop:p=0.1,timeout=500us");
   setup.seed = 11;
   setup.retry.max_attempts = 4;
-  const auto fast = apps::run_app(info, fast_cfg(8), {}, {}, &setup);
-  const auto ref = apps::run_app(info, reference_cfg(8), {}, {}, &setup);
-  ASSERT_EQ(compact_bytes(fast), compact_bytes(ref));
-  ASSERT_EQ(report_text(fast), report_text(ref));
+  const auto bucketed = apps::run_app(info, bucketed_cfg(8), {}, {}, &setup);
+  const auto heap = apps::run_app(info, heap_cfg(8), {}, {}, &setup);
+  ASSERT_EQ(compact_bytes(bucketed), compact_bytes(heap));
+  ASSERT_EQ(report_text(bucketed), report_text(heap));
 }
 
-TEST(CaptureDiff, ClusterMdsFailoverReplaysIdenticallyAcrossCapturePaths) {
+TEST(CaptureDiff, ClusterMdsFailoverReplaysIdenticallyAcrossSchedulers) {
   // Server fault domains on the multi-server backend: an MDS crash plus
   // standby failover (with its EHOSTDOWN redirect and backoff) must
-  // replay byte-identically on both capture paths, for every registered
+  // replay byte-identically on both schedulers, for every registered
   // application.
   apps::FaultSetup setup;
   setup.plan = fault::FaultPlan::parse("crash_mds:id=0,t=1ms");
@@ -125,12 +128,12 @@ TEST(CaptureDiff, ClusterMdsFailoverReplaysIdenticallyAcrossCapturePaths) {
   ccfg.ost_count = 4;
   for (const auto& info : apps::registry()) {
     fault::FaultStats stats;
-    const auto fast = apps::run_app_cluster(info, fast_cfg(8), ccfg, {},
-                                            &setup, &stats);
-    const auto ref =
-        apps::run_app_cluster(info, reference_cfg(8), ccfg, {}, &setup);
-    ASSERT_EQ(compact_bytes(fast), compact_bytes(ref)) << info.name;
-    ASSERT_EQ(report_text(fast), report_text(ref)) << info.name;
+    const auto bucketed = apps::run_app_cluster(info, bucketed_cfg(8), ccfg,
+                                                {}, &setup, &stats);
+    const auto heap =
+        apps::run_app_cluster(info, heap_cfg(8), ccfg, {}, &setup);
+    ASSERT_EQ(compact_bytes(bucketed), compact_bytes(heap)) << info.name;
+    ASSERT_EQ(report_text(bucketed), report_text(heap)) << info.name;
     ASSERT_EQ(stats.server_crashes, 1u) << info.name;
   }
 }
@@ -139,7 +142,7 @@ TEST(CaptureDiff, CrashMidBucketLeavesIdenticalSurvivingTrace) {
   // A fail-stop crash kills rank 3 mid-run (TaskKilled propagates out of a
   // delay(0) cohort inside the write loop). The workload has no
   // collectives, so the survivors finish; the surviving trace must be
-  // byte-identical across capture paths.
+  // byte-identical across schedulers.
   auto run_crash = [](apps::AppConfig cfg) {
     apps::Harness h(cfg);
     h.set_faults(fault::FaultPlan::parse("crash:rank=3,t=2ms"),
@@ -156,10 +159,11 @@ TEST(CaptureDiff, CrashMidBucketLeavesIdenticalSurvivingTrace) {
     });
     return h.collector().take();
   };
-  const auto fast = run_crash(fast_cfg(8));
-  const auto ref = run_crash(reference_cfg(8));
-  ASSERT_EQ(compact_bytes(fast), compact_bytes(ref));
-  ASSERT_LT(fast.records.size(), 8u * 66u) << "the crash must cut rank 3 short";
+  const auto bucketed = run_crash(bucketed_cfg(8));
+  const auto heap = run_crash(heap_cfg(8));
+  ASSERT_EQ(compact_bytes(bucketed), compact_bytes(heap));
+  ASSERT_LT(bucketed.records.size(), 8u * 66u)
+      << "the crash must cut rank 3 short";
 }
 
 }  // namespace

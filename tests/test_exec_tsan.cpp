@@ -52,9 +52,9 @@ int main() {
     }
 
     // Concurrent per-shard capture: each pool task owns an independent
-    // Collector, drives the arena emission path (reserve, emit, flush-on-
-    // take), and publishes its bundle into its own slot. Any hidden shared
-    // state in the collector internals would trip TSan here.
+    // Collector, drives the emission path (reserve, emit, take), and
+    // publishes its bundle into its own slot. Any hidden shared state in
+    // the collector internals would trip TSan here.
     constexpr std::size_t kShards = 16;
     std::vector<pfsem::trace::TraceBundle> bundles(kShards);
     pool.parallel_for(kShards, [&](std::size_t shard) {

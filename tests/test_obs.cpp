@@ -2,7 +2,7 @@
 // Chrome-trace export, and the two wiring contracts that matter —
 //
 //  1. The stable metrics dump is byte-identical across analysis thread
-//     counts {1,2,4} AND capture paths {fast, reference}; it is the
+//     counts {1,2,4} AND schedulers {bucketed, heap}; it is the
 //     diff-testable observability artifact.
 //  2. Observability is a pure observer: a run with obs wired in produces
 //     a byte-identical trace bundle to the same run without it.
@@ -121,17 +121,14 @@ TEST(Tracer, ChromeJsonCarriesRequiredKeys) {
 
 /// One full simulate + analyze pass with observability on; returns the
 /// stable metrics dump.
-std::string stable_dump(int threads, bool reference) {
+std::string stable_dump(int threads, bool heap) {
   obs::Run run(obs::Config{.metrics = true, .tracing = false});
   const auto* info = apps::find_app("pF3D-IO");
   EXPECT_NE(info, nullptr);
   apps::AppConfig cfg;
   cfg.nranks = 8;
   cfg.ranks_per_node = 4;
-  if (reference) {
-    cfg.scheduler = sim::SchedulerKind::Heap;
-    cfg.capture = trace::CaptureMode::Reference;
-  }
+  if (heap) cfg.scheduler = sim::SchedulerKind::Heap;
   cfg.obs = &run;
   const auto bundle = apps::run_app(*info, cfg);
 
@@ -153,15 +150,15 @@ std::string stable_dump(int threads, bool reference) {
 }
 
 TEST(ObsDeterminism, StableDumpIdenticalAcrossThreadsAndCapture) {
-  const std::string baseline = stable_dump(/*threads=*/1, /*reference=*/false);
+  const std::string baseline = stable_dump(/*threads=*/1, /*heap=*/false);
   EXPECT_NE(baseline.find("counter io.ops"), std::string::npos);
   for (const int threads : {2, 4}) {
-    EXPECT_EQ(stable_dump(threads, /*reference=*/false), baseline)
+    EXPECT_EQ(stable_dump(threads, /*heap=*/false), baseline)
         << "threads=" << threads;
   }
   for (const int threads : {1, 4}) {
-    EXPECT_EQ(stable_dump(threads, /*reference=*/true), baseline)
-        << "reference capture, threads=" << threads;
+    EXPECT_EQ(stable_dump(threads, /*heap=*/true), baseline)
+        << "heap scheduler, threads=" << threads;
   }
 }
 

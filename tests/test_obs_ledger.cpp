@@ -7,13 +7,14 @@
 //     byte-identical: the reductions commute with interleaving.
 //  3. The versioned JSON export format is pinned by fixture, and its
 //     stable section is byte-identical across analysis thread counts and
-//     capture paths with the ledger enabled.
+//     schedulers with the ledger enabled.
 //  4. obs-diff policy: exact on the stable section, threshold-gated on
 //     volatile metrics and ledger rows, version exact, manifest informational.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -84,6 +85,36 @@ TEST(Ledger, HottestRankTieBreaksToLowestRank) {
   led.for_each([&](FileId, const obs::Ledger::Entry& e) {
     EXPECT_EQ(e.hottest_rank, 3) << "equal stalls resolve to the lowest rank";
   });
+}
+
+// A file many ranks touch, in scrambled order and with a strided rank
+// set, grows the per-rank table well past its first size; its condensed
+// summary must match a plain per-rank reduction.
+TEST(Ledger, WideFileMatchesPerRankReduction) {
+  obs::Ledger led;
+  std::map<Rank, std::uint64_t> ref;
+  for (int i = 0; i < 20'000; ++i) {
+    const Rank r = static_cast<Rank>((i * 7919) % 2'503) * 8;
+    const SimDuration stall = (i * 31) % 97;
+    led.record(op(obs::OpClass::Write, 0, r, stall));
+    ref[r] += static_cast<std::uint64_t>(stall);
+  }
+  EXPECT_EQ(led.live_rank_cells(), ref.size());
+  Rank hottest = kNoRank;
+  std::uint64_t hottest_stall = 0;
+  for (const auto& [r, s] : ref) {  // ascending rank: first max wins ties
+    if (hottest == kNoRank || s > hottest_stall) {
+      hottest = r;
+      hottest_stall = s;
+    }
+  }
+  led.condense(0);
+  led.for_each([&](FileId, const obs::Ledger::Entry& e) {
+    EXPECT_EQ(e.ranks_touched, ref.size());
+    EXPECT_EQ(e.hottest_rank, hottest);
+    EXPECT_EQ(e.hottest_rank_stall_ns, hottest_stall);
+  });
+  EXPECT_EQ(led.live_rank_cells(), 0u);
 }
 
 TEST(Ledger, DropsNoFileAndGuardsCondensedFiles) {
@@ -173,17 +204,14 @@ TEST(ObsExport, LedgerSectionPinnedByFixture) {
 }
 
 /// One full simulated run with metrics + ledger; returns the export.
-std::string obs_json(int threads, bool reference) {
+std::string obs_json(int threads, bool heap) {
   obs::Run run(obs::Config{.metrics = true, .ledger = true});
   const auto* info = apps::find_app("pF3D-IO");
   EXPECT_NE(info, nullptr);
   apps::AppConfig cfg;
   cfg.nranks = 8;
   cfg.ranks_per_node = 4;
-  if (reference) {
-    cfg.scheduler = sim::SchedulerKind::Heap;
-    cfg.capture = trace::CaptureMode::Reference;
-  }
+  if (heap) cfg.scheduler = sim::SchedulerKind::Heap;
   cfg.obs = &run;
   (void)apps::run_app(*info, cfg);
   (void)threads;  // the capture side is thread-free; knob kept for symmetry
@@ -205,7 +233,7 @@ std::string stable_section(const std::string& json) {
 
 TEST(ObsExport, StableSectionIdenticalAcrossThreadsAndCapture) {
   const std::string baseline =
-      stable_section(obs_json(/*threads=*/1, /*reference=*/false));
+      stable_section(obs_json(/*threads=*/1, /*heap=*/false));
   EXPECT_NE(baseline.find("\"ledger\""), std::string::npos);
   EXPECT_EQ(stable_section(obs_json(4, false)), baseline);
   EXPECT_EQ(stable_section(obs_json(1, true)), baseline);

@@ -2,7 +2,7 @@
 // registered application, run once through the spill → merge → stream
 // analysis path and once through the materialized build-a-bundle path,
 // must produce byte-identical compact-v2 serializations and
-// byte-identical report text — across thread counts, capture modes,
+// byte-identical report text — across thread counts, both schedulers,
 // both PFS backends, fault plans, and skewed clocks. The materialized
 // path is the oracle; the streaming path must never be observable in
 // the output.
@@ -133,53 +133,17 @@ TEST(StreamDiff, EveryAppStreamingMatchesMaterialized) {
                               "the on-disk path went untested";
 }
 
-TEST(StreamDiff, ReferenceAndAutoCaptureMatchMaterialized) {
+TEST(StreamDiff, HeapSchedulerMatchesMaterialized) {
+  // The heap-scheduler oracle streams the same bytes it materializes (the
+  // production scheduler's stream-vs-materialized identity is covered by
+  // the other tests in this file).
   const auto& info = *apps::find_app("FLASH-fbs");
-  // Reference capture pair.
-  auto ref = base_cfg(8);
-  ref.scheduler = sim::SchedulerKind::Heap;
-  ref.capture = trace::CaptureMode::Reference;
-  const auto ref_bundle = apps::run_app(info, ref);
-  const auto ref_stream = stream_run(info, ref, 64, 16u << 10);
-  ASSERT_EQ(ref_stream.compact, compact_bytes(ref_bundle));
-  ASSERT_EQ(ref_stream.report, report_text(ref_bundle));
-  // Auto capture (resolves to the reference pair at this rank count; the
-  // fast pair's stream-vs-materialized identity is covered by the other
-  // tests in this file, which all run the default Fast mode).
   auto cfg = base_cfg(8);
-  cfg.capture = trace::CaptureMode::Auto;
+  cfg.scheduler = sim::SchedulerKind::Heap;
   const auto bundle = apps::run_app(info, cfg);
-  const auto stream = stream_run(info, cfg, 256, 64u << 10);
+  const auto stream = stream_run(info, cfg, 64, 16u << 10);
   ASSERT_EQ(stream.compact, compact_bytes(bundle));
   ASSERT_EQ(stream.report, report_text(bundle));
-}
-
-TEST(StreamDiff, AutoCaptureResolvesByRankCount) {
-  const auto& info = *apps::find_app("GTC");
-  auto cfg = base_cfg(8);
-  cfg.capture = trace::CaptureMode::Auto;
-  // Below the threshold Auto must be the reference pair bit-for-bit;
-  // above it, the fast pair. Both are byte-identical anyway (the capture
-  // differential), so Auto can never change output — only speed.
-  auto ref = base_cfg(8);
-  ref.scheduler = sim::SchedulerKind::Heap;
-  ref.capture = trace::CaptureMode::Reference;
-  ASSERT_EQ(compact_bytes(apps::run_app(info, cfg)),
-            compact_bytes(apps::run_app(info, ref)));
-  ASSERT_LT(8, apps::kAutoCaptureRankThreshold);
-  // The resolution policy itself, on both sides of the threshold — pure,
-  // so pinning the fast side needs no threshold-sized simulation.
-  using trace::CaptureMode;
-  static_assert(apps::resolved_capture_mode(
-                    CaptureMode::Auto, apps::kAutoCaptureRankThreshold - 1) ==
-                CaptureMode::Reference);
-  static_assert(apps::resolved_capture_mode(
-                    CaptureMode::Auto, apps::kAutoCaptureRankThreshold) ==
-                CaptureMode::Fast);
-  static_assert(apps::resolved_capture_mode(CaptureMode::Fast, 8) ==
-                CaptureMode::Fast);
-  static_assert(apps::resolved_capture_mode(CaptureMode::Reference, 1 << 20) ==
-                CaptureMode::Reference);
 }
 
 TEST(StreamDiff, ThreadCountsAllByteIdentical) {

@@ -3,8 +3,8 @@
 // (StreamAnalyzer::enable_window → per-file retirement at the stream
 // frontier → assemble_windowed_report) and once through the materialized
 // build-a-bundle path, must produce byte-identical report text and
-// structurally identical tuning reports — across thread counts, capture
-// modes, both PFS backends, and fault plans. The materialized path is
+// structurally identical tuning reports — across thread counts, both
+// schedulers, both PFS backends, and fault plans. The materialized path is
 // the oracle; retiring files mid-stream must never be observable in the
 // output, only in the memory profile.
 
@@ -156,11 +156,10 @@ TEST(WindowDiff, ThreadCountsAllByteIdentical) {
   }
 }
 
-TEST(WindowDiff, ReferenceCaptureMatchesMaterialized) {
+TEST(WindowDiff, HeapSchedulerMatchesMaterialized) {
   const auto& info = *apps::find_app("HACC-IO POSIX");
   auto cfg = base_cfg(8);
   cfg.scheduler = sim::SchedulerKind::Heap;
-  cfg.capture = trace::CaptureMode::Reference;
   const auto bundle = apps::run_app(info, cfg);
   const auto win = windowed_run(info, cfg);
   ASSERT_EQ(win.report, report_text(bundle));
