@@ -67,6 +67,7 @@ HappensBefore::HappensBefore(const trace::CommLog& comm, int nranks)
       push_node(p.dst, p.t_recv_start, p.t_recv_end);
     } else {
       const auto& c = comm.collectives[ev.index];
+      trace::check_collective(c, nranks);
       using K = trace::CollectiveKind;
       const bool root_releases = c.kind == K::Bcast || c.kind == K::Scatter;
       const bool root_acquires = c.kind == K::Reduce || c.kind == K::Gather;

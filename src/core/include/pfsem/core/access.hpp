@@ -36,8 +36,8 @@ enum class AccessType : std::uint8_t { Read, Write };
 struct Access {
   SimTime t = 0;  ///< entry timestamp (local rank clock)
   Rank rank = kNoRank;
+  AccessType type = AccessType::Read;  ///< packs into rank's padding
   Extent ext;     ///< [os, oe) byte range
-  AccessType type = AccessType::Read;
   /// Last open of this file by `rank` at or before `t`.
   SimTime t_open = 0;
   /// First commit op (fsync/fdatasync/fflush/close/fclose) by `rank` on
@@ -48,6 +48,7 @@ struct Access {
   /// Index into TraceBundle::records this access was derived from.
   std::size_t record_index = 0;
 };
+static_assert(sizeof(Access) == 64, "Access is one cache line");
 
 /// All reconstructed activity on one file. A slot is *active* once the
 /// run touched the file (open/data/commit op); interned-but-untouched
@@ -164,41 +165,31 @@ struct TraceStore {
 /// Historical name: analyses consume the reconstructed store.
 using AccessLog = TraceStore;
 
-/// Arena view of a TraceStore: every access copied into one flat
-/// file-major vector, with per-file index slices, so parallel analysis
-/// shards index files by FileId (slice index == FileId, no map walking
-/// inside tasks) and read contiguous memory. Holds pointers into the
-/// source store, so the store must outlive the view.
+/// Per-file view of a TraceStore: one slice per store slot (slice
+/// index == FileId), each a span over the slot's own `accesses` column,
+/// so parallel analysis shards index files by FileId without walking
+/// the store. Owns no Access storage; the store must outlive the view.
 struct FlatAccessLog {
   int nranks = 0;
-  std::vector<Access> arena;  ///< all accesses, grouped by file, id order
   struct FileSlice {
-    FileId file = kNoFile;          ///< slot id (kNoFile: inactive slot)
-    const FileLog* log = nullptr;   ///< source (open/close/commit tables)
-    std::size_t begin = 0, end = 0; ///< [begin, end) into `arena`
+    FileId file = kNoFile;         ///< slot id (kNoFile: inactive slot)
+    const FileLog* log = nullptr;  ///< the slot (accesses, event tables)
   };
   /// One slice per store slot, index == FileId (inactive slots empty).
   std::vector<FileSlice> files;
 
   [[nodiscard]] std::span<const Access> accesses(std::size_t f) const {
-    return {arena.data() + files[f].begin, files[f].end - files[f].begin};
+    return files[f].log->accesses;
   }
 
   [[nodiscard]] static FlatAccessLog from(const TraceStore& log) {
     FlatAccessLog flat;
     flat.nranks = log.nranks;
-    std::size_t total = 0;
-    for (const auto& fl : log.files) total += fl.accesses.size();
-    flat.arena.reserve(total);
     flat.files.reserve(log.files.size());
     for (std::size_t id = 0; id < log.files.size(); ++id) {
       const FileLog& fl = log.files[id];
-      const std::size_t begin = flat.arena.size();
-      flat.arena.insert(flat.arena.end(), fl.accesses.begin(),
-                        fl.accesses.end());
       flat.files.push_back(
-          {fl.active() ? static_cast<FileId>(id) : kNoFile, &fl, begin,
-           flat.arena.size()});
+          {fl.active() ? static_cast<FileId>(id) : kNoFile, &fl});
     }
     return flat;
   }

@@ -36,6 +36,7 @@ namespace pfsem::core {
 
 namespace detail {
 class OffsetStepper;
+class Annotator;
 }
 
 class StreamAnalyzer {
@@ -120,10 +121,12 @@ class StreamAnalyzer {
   [[nodiscard]] std::size_t peak_buffered() const { return peak_buffered_; }
 
  private:
+  /// Reorder-heap key: the record itself waits in `slab_[slot]`, so
+  /// heap moves shuffle 24 bytes, not whole records.
   struct Pending {
     SimTime tstart = 0;
     std::uint64_t seq = 0;
-    trace::Record rec;
+    std::uint32_t slot = 0;
   };
   struct Later {
     bool operator()(const Pending& a, const Pending& b) const {
@@ -137,13 +140,19 @@ class StreamAnalyzer {
   };
 
   void release_ready();
-  void step_record(const Pending& p);
+  /// Step the buffer's earliest record and free its slab slot.
+  void step_top();
   void note_stepped(const trace::Record& rec);
   void finalize_file(FileId f);
 
   Result out_;
   std::unique_ptr<detail::OffsetStepper> stepper_;
+  std::unique_ptr<detail::Annotator> annotator_;
   std::priority_queue<Pending, std::vector<Pending>, Later> buffer_;
+  /// Buffered records, addressed by Pending::slot; freed slots are
+  /// reused, so the slab never outgrows the buffer's high-water mark.
+  std::vector<trace::Record> slab_;
+  std::vector<std::uint32_t> free_slots_;
   /// Lazy-deletion min-heap over (last Posix tstart, rank): the top
   /// non-stale, non-retired entry is the release frontier.
   std::priority_queue<FrontierEntry, std::vector<FrontierEntry>,

@@ -61,6 +61,14 @@ struct WindowAnalysisOptions {
   std::function<void(FileId, std::size_t, SimTime)> on_retire;
 };
 
+/// The per-file half both report paths share: the report row's op/byte
+/// counters and layout, the transition mixes and the family stats of one
+/// annotated FileLog. summarize_file adds the conflict counts and tuning
+/// flags; assemble_report adds the conflict counts of its whole-log pass.
+[[nodiscard]] FileWindowSummary summarize_file_pattern(
+    FileId id, std::string_view path, const FileLog& fl,
+    const PatternOptions& p);
+
 /// Run the complete per-file analysis pipeline over one *annotated*
 /// FileLog (overlap sweep, conflict semantics, layout, transition mixes,
 /// family stats, tuning flags) and condense the results. The caller
@@ -70,10 +78,11 @@ struct WindowAnalysisOptions {
                                                const FileLog& fl,
                                                const WindowAnalysisOptions& w);
 
-/// Assemble the run report from rolling summaries — the windowed
-/// equivalent of assemble_report, byte-identical to it when both consume
-/// the same run. `summaries` is indexed by FileId; inactive slots carry
-/// file == kNoFile.
+/// Assemble the run report from per-file summaries: files and family
+/// inputs in path order, transition-mix sums, the family classification
+/// and the dominant file's layout as its summary holds it. assemble_report
+/// ends here too, so both paths share one cross-file policy. `summaries`
+/// is indexed by FileId; inactive slots carry file == kNoFile.
 [[nodiscard]] RunReport assemble_windowed_report(
     RecordStats stats, std::uint64_t records, int nranks,
     const std::vector<FileWindowSummary>& summaries);

@@ -1,6 +1,7 @@
 #include "pfsem/core/offset_tracker.hpp"
 
 #include <algorithm>
+#include <map>
 
 #include "offset_stepper.hpp"
 
@@ -8,30 +9,72 @@ namespace pfsem::core {
 
 namespace detail {
 
-void annotate_file(FileLog& fl) {
-  for (auto& [rank, v] : fl.opens) std::sort(v.begin(), v.end());
-  for (auto& [rank, v] : fl.closes) std::sort(v.begin(), v.end());
-  for (auto& [rank, v] : fl.commits) std::sort(v.begin(), v.end());
-  std::stable_sort(fl.accesses.begin(), fl.accesses.end(),
-                   [](const Access& a, const Access& b) { return a.t < b.t; });
+namespace {
+
+using EventTable = std::map<Rank, std::vector<SimTime>>;
+
+void sort_events(EventTable& table) {
+  for (auto& [rank, v] : table) {
+    if (!std::is_sorted(v.begin(), v.end())) std::sort(v.begin(), v.end());
+  }
+}
+
+}  // namespace
+
+void Annotator::annotate_file(FileLog& fl) {
+  sort_events(fl.opens);
+  sort_events(fl.closes);
+  sort_events(fl.commits);
+  const auto by_time = [](const Access& a, const Access& b) { return a.t < b.t; };
+  if (!std::is_sorted(fl.accesses.begin(), fl.accesses.end(), by_time)) {
+    std::stable_sort(fl.accesses.begin(), fl.accesses.end(), by_time);
+  }
+
+  Rank max_rank = -1;
+  for (const auto& a : fl.accesses) {
+    require(a.rank >= 0, "access without a rank");
+    max_rank = std::max(max_rank, a.rank);
+  }
+  if (by_rank_.size() < static_cast<std::size_t>(max_rank) + 1) {
+    by_rank_.resize(static_cast<std::size_t>(max_rank) + 1);
+  }
+  // Ranks past the last accessing rank have nothing to annotate.
+  const auto slot = [&](Rank r) {
+    return r >= 0 && r <= max_rank ? &by_rank_[static_cast<std::size_t>(r)]
+                                   : nullptr;
+  };
+  for (const auto& [r, v] : fl.opens) {
+    if (RankEvents* s = slot(r)) s->opens = {v};
+  }
+  for (const auto& [r, v] : fl.commits) {
+    if (RankEvents* s = slot(r)) s->commits = {v};
+  }
+  for (const auto& [r, v] : fl.closes) {
+    if (RankEvents* s = slot(r)) s->closes = {v};
+  }
+
+  // Accesses are in time order, so each rank's cursors only move forward.
   for (auto& a : fl.accesses) {
-    if (auto it = fl.opens.find(a.rank); it != fl.opens.end()) {
-      auto ub = std::upper_bound(it->second.begin(), it->second.end(), a.t);
-      a.t_open = ub == it->second.begin() ? 0 : *std::prev(ub);
+    RankEvents& ev = by_rank_[static_cast<std::size_t>(a.rank)];
+    ev.opens.skip_through(a.t);
+    ev.commits.skip_through(a.t);
+    ev.closes.skip_through(a.t);
+    a.t_open = ev.opens.last();
+    a.t_commit = ev.commits.next();
+    a.t_close = ev.closes.next();
+  }
+
+  // Leave the table empty for the next file.
+  for (const EventTable* table : {&fl.opens, &fl.commits, &fl.closes}) {
+    for (const auto& [r, v] : *table) {
+      if (RankEvents* s = slot(r)) *s = {};
     }
-    auto first_after = [&](const std::map<Rank, std::vector<SimTime>>& m) {
-      auto it = m.find(a.rank);
-      if (it == m.end()) return kTimeNever;
-      auto ub = std::upper_bound(it->second.begin(), it->second.end(), a.t);
-      return ub == it->second.end() ? kTimeNever : *ub;
-    };
-    a.t_commit = first_after(fl.commits);
-    a.t_close = first_after(fl.closes);
   }
 }
 
 void annotate_accesses(AccessLog& log) {
-  for (auto& fl : log.files) annotate_file(fl);
+  Annotator annotator;
+  for (auto& fl : log.files) annotator.annotate_file(fl);
 }
 
 }  // namespace detail

@@ -1,7 +1,8 @@
 #include "pfsem/core/pattern.hpp"
 
 #include <algorithm>
-#include <map>
+#include <bit>
+#include <numeric>
 #include <set>
 
 #include "pfsem/exec/pool.hpp"
@@ -20,7 +21,13 @@ const char* to_string(FileLayout l) {
 
 namespace {
 
-void count_transitions(TransitionMix& mix, const std::vector<const Access*>& seq) {
+using AccessSeq = std::span<const Access* const>;
+
+// The sequence predicates below take an AccessSeq or a RankSeq: anything
+// with size() and operator[] yielding `const Access*`.
+
+template <class Seq>
+void count_transitions(TransitionMix& mix, const Seq& seq) {
   for (std::size_t i = 1; i < seq.size(); ++i) {
     const Offset prev_end = seq[i - 1]->ext.end;
     const Offset begin = seq[i]->ext.begin;
@@ -61,7 +68,8 @@ std::vector<const Access*> data_accesses(const FileLog& file,
 
 /// True if every adjacent transition moves forward by at most `gap` bytes
 /// (interspersed metadata is allowed to fill small gaps).
-bool is_consecutive(const std::vector<const Access*>& seq, Offset gap = 0) {
+template <class Seq>
+bool is_consecutive(const Seq& seq, Offset gap = 0) {
   for (std::size_t i = 1; i < seq.size(); ++i) {
     const Offset begin = seq[i]->ext.begin;
     const Offset prev_end = seq[i - 1]->ext.end;
@@ -70,7 +78,8 @@ bool is_consecutive(const std::vector<const Access*>& seq, Offset gap = 0) {
   return true;
 }
 
-bool is_monotonic(const std::vector<const Access*>& seq) {
+template <class Seq>
+bool is_monotonic(const Seq& seq) {
   for (std::size_t i = 1; i < seq.size(); ++i) {
     if (seq[i]->ext.begin < seq[i - 1]->ext.end) return false;
   }
@@ -79,7 +88,8 @@ bool is_monotonic(const std::vector<const Access*>& seq) {
 
 /// All gaps between successive accesses equal (arithmetic progression of
 /// starts with constant stride >= access size).
-bool is_arithmetic(const std::vector<const Access*>& seq) {
+template <class Seq>
+bool is_arithmetic(const Seq& seq) {
   if (seq.size() < 2) return false;
   const auto stride = static_cast<std::int64_t>(seq[1]->ext.begin) -
                       static_cast<std::int64_t>(seq[0]->ext.begin);
@@ -92,11 +102,98 @@ bool is_arithmetic(const std::vector<const Access*>& seq) {
   return true;
 }
 
+/// One rank's accesses in time order: seq[idx[0]], seq[idx[1]], ...
+struct RankSeq {
+  AccessSeq seq;
+  std::span<const std::uint32_t> idx;
+
+  [[nodiscard]] std::size_t size() const { return idx.size(); }
+  [[nodiscard]] const Access* operator[](std::size_t k) const {
+    return seq[idx[k]];
+  }
+};
+
+/// A time-ordered access sequence grouped by rank: `order` indexes the
+/// input, ranks ascending and time order kept within each rank; run r
+/// (one rank) is order[starts[r], starts[r+1]).
+struct RankRuns {
+  std::vector<std::uint32_t> order;
+  std::vector<std::size_t> starts;
+
+  [[nodiscard]] std::size_t runs() const { return starts.size() - 1; }
+  /// Run `r` over the sequence that was grouped.
+  [[nodiscard]] RankSeq run(AccessSeq seq, std::size_t r) const {
+    return {seq,
+            std::span(order).subspan(starts[r], starts[r + 1] - starts[r])};
+  }
+};
+
+/// Stable grouping by rank: an LSD radix sort on rank minus the file's
+/// lowest rank. Each pass is a counting sort on a digit no wider than
+/// the access count, so a pass costs O(n) however sparse the file's
+/// ranks are; a dense file (rank range within the access count, up to
+/// 2^16 ranks) takes one pass.
+RankRuns group_by_rank(AccessSeq seq) {
+  RankRuns g;
+  const std::size_t n = seq.size();
+  g.order.resize(n);
+  std::iota(g.order.begin(), g.order.end(), 0u);
+  g.starts.push_back(0);
+  if (n == 0) return g;
+  const auto [lo, hi] = std::minmax_element(
+      seq.begin(), seq.end(),
+      [](const Access* a, const Access* b) { return a->rank < b->rank; });
+  const Rank base = (*lo)->rank;
+  const auto key = [&](std::uint32_t i) {
+    return static_cast<std::uint32_t>(static_cast<std::int64_t>(seq[i]->rank) -
+                                      base);
+  };
+  const int key_bits = std::bit_width(static_cast<std::uint32_t>(
+      static_cast<std::int64_t>((*hi)->rank) - base));
+  const int digit_bits =
+      std::min(key_bits, std::clamp<int>(std::bit_width(n), 8, 16));
+  // Each pass reads the previous pass's order (the identity before the
+  // first) and scatters into g.order.
+  std::vector<std::uint32_t> from, at;
+  for (int shift = 0; shift < key_bits; shift += digit_bits) {
+    const std::uint32_t mask = (1u << digit_bits) - 1;
+    const auto src = [&](std::size_t k) {
+      return from.empty() ? static_cast<std::uint32_t>(k) : from[k];
+    };
+    const auto digit = [&](std::uint32_t i) {
+      return (key(i) >> shift) & mask;
+    };
+    at.assign(std::size_t{mask} + 2, 0);
+    for (std::size_t k = 0; k < n; ++k) ++at[digit(src(k)) + 1];
+    std::partial_sum(at.begin(), at.end(), at.begin());
+    for (std::size_t k = 0; k < n; ++k) g.order[at[digit(src(k))]++] = src(k);
+    if (shift + digit_bits < key_bits) from = g.order;
+  }
+  for (std::size_t k = 1; k < n; ++k) {
+    if (seq[g.order[k]]->rank != seq[g.order[k - 1]]->rank) {
+      g.starts.push_back(k);
+    }
+  }
+  g.starts.push_back(n);
+  return g;
+}
+
+/// Pointers to every access of `file`, in time order.
+std::vector<const Access*> all_accesses(const FileLog& file) {
+  std::vector<const Access*> seq;
+  seq.reserve(file.accesses.size());
+  for (const auto& a : file.accesses) seq.push_back(&a);
+  return seq;
+}
+
 /// Offsets of one "round" (one access per rank), sorted by rank, equally
 /// spaced — the paper's "process i accesses offset a*i+b" phase shape.
 /// Returns the stride a, or 0 when the round is not affine.
-std::int64_t round_stride(std::vector<std::pair<Rank, Offset>> round) {
-  if (round.size() < 2) return 0;
+std::int64_t round_stride(AccessSeq accesses) {
+  if (accesses.size() < 2) return 0;
+  std::vector<std::pair<Rank, Offset>> round;
+  round.reserve(accesses.size());
+  for (const Access* a : accesses) round.emplace_back(a->rank, a->ext.begin);
   std::sort(round.begin(), round.end());
   const auto stride = static_cast<std::int64_t>(round[1].second) -
                       static_cast<std::int64_t>(round[0].second);
@@ -132,18 +229,17 @@ TransitionMix sum_per_file(const AccessLog& log, int threads,
 
 TransitionMix local_transitions(const FileLog& file) {
   TransitionMix mix;
-  std::map<Rank, std::vector<const Access*>> per_rank;
-  for (const auto& a : file.accesses) per_rank[a.rank].push_back(&a);
-  for (const auto& [rank, seq] : per_rank) count_transitions(mix, seq);
+  const auto seq = all_accesses(file);
+  const RankRuns g = group_by_rank(seq);
+  for (std::size_t r = 0; r < g.runs(); ++r) {
+    count_transitions(mix, g.run(seq, r));
+  }
   return mix;
 }
 
 TransitionMix global_transitions(const FileLog& file) {
   TransitionMix mix;
-  std::vector<const Access*> seq;
-  seq.reserve(file.accesses.size());
-  for (const auto& a : file.accesses) seq.push_back(&a);  // time order
-  count_transitions(mix, seq);
+  count_transitions(mix, all_accesses(file));  // time order
   return mix;
 }
 
@@ -159,23 +255,28 @@ FileLayout classify_file_layout(const FileLog& file, PatternOptions opts) {
   const auto data = data_accesses(file, opts);
   if (data.size() < 2) return FileLayout::Consecutive;
 
-  std::map<Rank, std::vector<const Access*>> per_rank;
-  for (const auto* a : data) per_rank[a->rank].push_back(a);
+  const RankRuns g = group_by_rank(data);
+  const auto each_rank = [&](auto&& pred) {
+    for (std::size_t r = 0; r < g.runs(); ++r) {
+      if (!pred(g.run(data, r))) return false;
+    }
+    return true;
+  };
 
   // Rule 1: every rank's own stream is consecutive (small metadata-fill
   // gaps tolerated). A single writer, or every rank covering the same
   // range, is the paper's "consecutive" class; per-process segments at
   // offset a*i+b (tiled or gapped) are its "strided" class.
   const Offset gap_tol = opts.consecutive_gap_tolerance;
-  const bool all_rank_consecutive = std::all_of(
-      per_rank.begin(), per_rank.end(),
-      [gap_tol](const auto& kv) { return is_consecutive(kv.second, gap_tol); });
-  if (all_rank_consecutive) {
-    if (per_rank.size() == 1) return FileLayout::Consecutive;
+  if (each_rank([gap_tol](const RankSeq& seq) {
+        return is_consecutive(seq, gap_tol);
+      })) {
+    if (g.runs() == 1) return FileLayout::Consecutive;
     // Per-rank overall segments.
     std::vector<Extent> segs;
-    for (const auto& [rank, seq] : per_rank) {
-      segs.push_back({seq.front()->ext.begin, seq.back()->ext.end});
+    for (std::size_t r = 0; r < g.runs(); ++r) {
+      const RankSeq seq = g.run(data, r);
+      segs.push_back({seq[0]->ext.begin, seq[seq.size() - 1]->ext.end});
     }
     std::sort(segs.begin(), segs.end(),
               [](const Extent& a, const Extent& b) { return a.begin < b.begin; });
@@ -197,24 +298,35 @@ FileLayout classify_file_layout(const FileLog& file, PatternOptions opts) {
   // collective-I/O "strided cyclic" shape, a single affine round is
   // "strided".
   {
-    std::vector<std::vector<std::pair<Rank, Offset>>> rounds;
-    std::set<Rank> seen;
-    rounds.emplace_back();
-    for (const auto* a : data) {
-      if (seen.contains(a->rank)) {
-        rounds.emplace_back();
-        seen.clear();
+    // Rank run of each access (time order), and the last round each run
+    // joined: a repeat within the current round opens the next one, so
+    // rounds are contiguous stretches of the time-ordered stream.
+    std::vector<std::uint32_t> run_of(data.size());
+    for (std::size_t r = 0; r < g.runs(); ++r) {
+      for (std::size_t k = g.starts[r]; k < g.starts[r + 1]; ++k) {
+        run_of[g.order[k]] = static_cast<std::uint32_t>(r);
       }
-      seen.insert(a->rank);
-      rounds.back().emplace_back(a->rank, a->ext.begin);
     }
+    // Round k is data[round_starts[k], round_starts[k+1]).
+    constexpr std::size_t kNone = ~std::size_t{0};
+    std::vector<std::size_t> last_round(g.runs(), kNone);
+    std::vector<std::size_t> round_starts{0};
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      std::size_t& last = last_round[run_of[i]];
+      if (last == round_starts.size() - 1) round_starts.push_back(i);
+      last = round_starts.size() - 1;
+    }
+    round_starts.push_back(data.size());
+    const std::size_t nrounds = round_starts.size() - 1;
     std::size_t multi = 0, affine = 0;
     std::int64_t common_stride = 0;
     bool strides_agree = true;
-    for (auto& r : rounds) {
-      if (r.size() < 2) continue;
+    for (std::size_t k = 0; k < nrounds; ++k) {
+      const AccessSeq round = AccessSeq(data).subspan(
+          round_starts[k], round_starts[k + 1] - round_starts[k]);
+      if (round.size() < 2) continue;
       ++multi;
-      const std::int64_t stride = round_stride(r);
+      const std::int64_t stride = round_stride(round);
       if (stride > 0) {
         ++affine;
         if (common_stride == 0) {
@@ -227,21 +339,19 @@ FileLayout classify_file_layout(const FileLog& file, PatternOptions opts) {
     if (multi >= 2 && strides_agree && affine * 5 >= multi * 4) {
       return FileLayout::StridedCyclic;
     }
-    if (multi == 1 && affine == 1 && rounds.size() <= 2) return FileLayout::Strided;
+    if (multi == 1 && affine == 1 && nrounds <= 2) return FileLayout::Strided;
   }
 
   // Rule 3: per-rank arithmetic progressions (array-of-structs striding).
-  if (std::all_of(per_rank.begin(), per_rank.end(), [](const auto& kv) {
-        return kv.second.size() < 2 || is_arithmetic(kv.second) ||
-               is_consecutive(kv.second);
+  if (each_rank([](const RankSeq& seq) {
+        return seq.size() < 2 || is_arithmetic(seq) || is_consecutive(seq);
       })) {
     return FileLayout::Strided;
   }
 
   // Rule 4: per-rank monotonic forward progress with irregular gaps
   // (independent-I/O FLASH), still "strided" in the paper's loose sense.
-  if (std::all_of(per_rank.begin(), per_rank.end(),
-                  [](const auto& kv) { return is_monotonic(kv.second); })) {
+  if (each_rank([](const RankSeq& seq) { return is_monotonic(seq); })) {
     return FileLayout::Strided;
   }
 
@@ -252,14 +362,18 @@ FileFamilyStats file_family_stats(const FileLog& file,
                                   const PatternOptions& opts) {
   const auto data = data_accesses(file, opts);
   FileFamilyStats s;
-  std::set<Rank> writers, io_ranks;
-  for (const auto* a : data) {
-    s.bytes += a->ext.size();
-    io_ranks.insert(a->rank);
-    if (a->type == AccessType::Write) writers.insert(a->rank);
+  for (const auto* a : data) s.bytes += a->ext.size();
+  const RankRuns g = group_by_rank(data);
+  for (std::size_t r = 0; r < g.runs(); ++r) {
+    const auto first =
+        g.order.begin() + static_cast<std::ptrdiff_t>(g.starts[r]);
+    const auto last =
+        g.order.begin() + static_cast<std::ptrdiff_t>(g.starts[r + 1]);
+    s.io_ranks.push_back(data[*first]->rank);
+    s.writers += std::any_of(first, last, [&](std::uint32_t i) {
+      return data[i]->type == AccessType::Write;
+    });
   }
-  s.io_ranks.assign(io_ranks.begin(), io_ranks.end());
-  s.writers = writers.size();
   return s;
 }
 

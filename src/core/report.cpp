@@ -5,6 +5,7 @@
 #include <ostream>
 #include <span>
 
+#include "pfsem/core/window.hpp"
 #include "pfsem/exec/pool.hpp"
 #include "pfsem/util/table.hpp"
 
@@ -92,51 +93,26 @@ RunReport build_report(const trace::TraceBundle& bundle, const AccessLog& log,
 RunReport assemble_report(RecordStats stats, std::uint64_t records,
                           int nranks, const AccessLog& log,
                           const ConflictReport& conflicts, int threads) {
-  RunReport rep;
-  rep.nranks = nranks;
-  rep.records = records;
-  const int nthreads = exec::resolve_threads(threads);
-  rep.function_counts = std::move(stats.function_counts);
-  rep.layer_counts = std::move(stats.layer_counts);
-  rep.read_sizes = stats.read_sizes;
-  rep.write_sizes = stats.write_sizes;
-  rep.span = rep.records > 0 ? stats.hi - stats.lo : 0;
-
   // Per-file summaries are independent; compute into FileId-indexed
-  // slots and insert into the (path-sorted, user-facing) map afterwards.
+  // slots, then fold them exactly as the windowed path does.
+  std::vector<FileWindowSummary> summaries(log.files.size());
   const std::vector<FileId> ids = log.active_ids();
-  std::vector<FileReport> file_parts(ids.size());
-  exec::parallel_for(nthreads, ids.size(), [&](std::size_t f) {
-    const FileLog& fl = log.files[ids[f]];
-    FileReport fr;
-    fr.path = std::string(log.path(ids[f]));
-    for (const auto& a : fl.accesses) {
-      if (a.type == AccessType::Read) {
-        ++fr.reads;
-        fr.read_bytes += a.ext.size();
-      } else {
-        ++fr.writes;
-        fr.write_bytes += a.ext.size();
-      }
-    }
-    fr.layout = classify_file_layout(fl);
-    file_parts[f] = std::move(fr);
-  });
-  std::vector<FileReport*> by_id(log.files.size(), nullptr);
-  for (std::size_t f = 0; f < file_parts.size(); ++f) {
-    FileReport& slot = rep.files[file_parts[f].path];
-    slot = std::move(file_parts[f]);
-    by_id[ids[f]] = &slot;
-  }
+  exec::parallel_for(exec::resolve_threads(threads), ids.size(),
+                     [&](std::size_t f) {
+                       const FileId id = ids[f];
+                       summaries[id] = summarize_file_pattern(
+                           id, log.path(id), log.files[id], {});
+                     });
   for (const auto& c : conflicts.conflicts) {
-    if (c.file == kNoFile || c.file >= by_id.size() || !by_id[c.file]) continue;
-    by_id[c.file]->session_conflicts += c.under_session ? 1 : 0;
-    by_id[c.file]->commit_conflicts += c.under_commit ? 1 : 0;
+    if (c.file >= summaries.size() || summaries[c.file].file == kNoFile) {
+      continue;
+    }
+    FileReport& fr = summaries[c.file].report;
+    fr.session_conflicts += c.under_session ? 1 : 0;
+    fr.commit_conflicts += c.under_commit ? 1 : 0;
   }
-  rep.pattern = classify_high_level(log, nranks);
-  rep.local = local_pattern(log, threads);
-  rep.global = global_pattern(log, threads);
-  return rep;
+  return assemble_windowed_report(std::move(stats), records, nranks,
+                                  summaries);
 }
 
 void print_report(const RunReport& rep, std::ostream& os) {

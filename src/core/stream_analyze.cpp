@@ -35,6 +35,7 @@ StreamAnalyzer::StreamAnalyzer(int nranks, trace::PathTable paths,
                                     std::min(hints.size(),
                                              out_.log.files.size())));
   stepper_ = std::make_unique<detail::OffsetStepper>(out_.log, opts);
+  annotator_ = std::make_unique<detail::Annotator>();
 
   const auto n = static_cast<std::size_t>(nranks);
   last_tstart_.assign(n, 0);
@@ -66,7 +67,16 @@ void StreamAnalyzer::feed(const trace::Record& rec) {
   last_tstart_[r] = rec.tstart;
   if (remaining_[r] != kUnknownBudget) --remaining_[r];
   if (remaining_[r] > 0) frontier_.push({rec.tstart, rec.rank});
-  buffer_.push({rec.tstart, seq, rec});
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.push_back(rec);
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[slot] = rec;
+  }
+  buffer_.push({rec.tstart, seq, slot});
   peak_buffered_ = std::max(peak_buffered_, buffer_.size());
   release_ready();
 }
@@ -88,21 +98,25 @@ void StreamAnalyzer::enable_window(WindowAnalysisOptions opts,
   summaries_.assign(n, {});
 }
 
-void StreamAnalyzer::step_record(const Pending& p) {
+void StreamAnalyzer::step_top() {
+  const Pending p = buffer_.top();
+  buffer_.pop();
+  const trace::Record& rec = slab_[p.slot];
   // First touch of a file carries rec.file (fds only exist via open
   // records, which require it), so reserving here pre-sizes the column
   // before any access lands in it — but only for files that actually
   // go live, keeping windowed-mode allocation bounded by the window.
-  const FileId f = p.rec.file;
+  const FileId f = rec.file;
   if (f != kNoFile && f < hints_.size() && hints_[f] > 0) {
     out_.log.files[f].accesses.reserve(hints_[f]);
     hints_[f] = 0;
   }
-  stepper_->step(p.rec, static_cast<std::size_t>(p.seq));
+  stepper_->step(rec, static_cast<std::size_t>(p.seq));
   if (windowed_) {
-    last_release_t_ = p.rec.tstart;
-    note_stepped(p.rec);
+    last_release_t_ = rec.tstart;
+    note_stepped(rec);
   }
+  free_slots_.push_back(p.slot);
 }
 
 void StreamAnalyzer::note_stepped(const trace::Record& rec) {
@@ -136,7 +150,7 @@ void StreamAnalyzer::finalize_file(FileId f) {
   // They still retire through the callback: observers (ledger
   // condensation) hold per-file state for meta-only paths too.
   if (fl.active()) {
-    detail::annotate_file(fl);
+    annotator_->annotate_file(fl);
     summaries_[f] = summarize_file(f, out_.log.paths.view(f), fl, window_opts_);
     retired_accesses_ += fl.accesses.size();
     FileLog fresh;
@@ -168,19 +182,13 @@ void StreamAnalyzer::release_ready() {
     // Releasing at tstart == frontier is safe on ties: any future record
     // with the same tstart carries a larger seq, and the stable sort the
     // materialized path runs orders equal tstarts by seq.
-    const Pending& p = buffer_.top();
-    step_record(p);
-    buffer_.pop();
+    step_top();
   }
 }
 
 StreamAnalyzer::Result StreamAnalyzer::finish() {
   require(!windowed_, "finish() on a windowed analyzer; use finish_windowed");
-  while (!buffer_.empty()) {
-    const Pending& p = buffer_.top();
-    step_record(p);
-    buffer_.pop();
-  }
+  while (!buffer_.empty()) step_top();
   detail::annotate_accesses(out_.log);
   out_.records = next_seq_;
   return std::move(out_);
@@ -188,11 +196,7 @@ StreamAnalyzer::Result StreamAnalyzer::finish() {
 
 StreamAnalyzer::WindowedResult StreamAnalyzer::finish_windowed() {
   require(windowed_, "finish_windowed without enable_window");
-  while (!buffer_.empty()) {
-    const Pending& p = buffer_.top();
-    step_record(p);
-    buffer_.pop();
-  }
+  while (!buffer_.empty()) step_top();
   // Final sweep: whatever the frontier could not retire mid-stream —
   // unknown budgets, files a crashed rank left open, zero-count slots.
   for (FileId f = 0; f < out_.log.files.size(); ++f) {

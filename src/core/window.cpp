@@ -7,9 +7,9 @@
 
 namespace pfsem::core {
 
-FileWindowSummary summarize_file(FileId id, std::string_view path,
-                                 const FileLog& fl,
-                                 const WindowAnalysisOptions& w) {
+FileWindowSummary summarize_file_pattern(FileId id, std::string_view path,
+                                         const FileLog& fl,
+                                         const PatternOptions& p) {
   FileWindowSummary s;
   s.file = id;
   s.report.path = std::string(path);
@@ -22,7 +22,17 @@ FileWindowSummary summarize_file(FileId id, std::string_view path,
       s.report.write_bytes += a.ext.size();
     }
   }
-  s.report.layout = classify_file_layout(fl, w.pattern);
+  s.report.layout = classify_file_layout(fl, p);
+  s.local = local_transitions(fl);
+  s.global = global_transitions(fl);
+  s.family = file_family_stats(fl, p);
+  return s;
+}
+
+FileWindowSummary summarize_file(FileId id, std::string_view path,
+                                 const FileLog& fl,
+                                 const WindowAnalysisOptions& w) {
+  FileWindowSummary s = summarize_file_pattern(id, path, fl, w.pattern);
 
   // Pair computation shared by conflict + tuning, exactly as the
   // materialized path shares one detect_file_overlaps result. The
@@ -36,9 +46,6 @@ FileWindowSummary summarize_file(FileId id, std::string_view path,
     s.report.commit_conflicts += c.under_commit ? 1 : 0;
   }
 
-  s.local = local_transitions(fl);
-  s.global = global_transitions(fl);
-  s.family = file_family_stats(fl, w.pattern);
   s.tuning = detail::classify_pairs(fl, pairs);
   s.total_bytes = fl.read_bytes() + fl.write_bytes();
   return s;
@@ -88,8 +95,7 @@ RunReport assemble_windowed_report(
   }
   FileId dominant = kNoFile;
   rep.pattern = classify_families(inputs, nranks, &dominant);
-  // The dominant file's layout was resolved when it retired; substitute
-  // it where the materialized path re-classifies from the AccessLog.
+  // The dominant file's layout was resolved with its summary.
   if (dominant != kNoFile) {
     rep.pattern.layout = summaries[dominant].report.layout;
   }

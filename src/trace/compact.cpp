@@ -78,17 +78,23 @@ CommLog read_comm(ByteReader& in, int nranks) {
   comm.collectives.reserve(std::min(ncoll, kMaxReserve));
   for (std::uint64_t i = 0; i < ncoll; ++i) {
     CollectiveEvent c;
-    c.kind = static_cast<CollectiveKind>(in.varint());
+    const auto kind = in.varint();
+    require(kind < kCollectiveKindCount, "unknown collective kind");
+    c.kind = static_cast<CollectiveKind>(kind);
     c.root = static_cast<Rank>(unzigzag(in.varint()));
     const auto na = in.varint();
     require(na <= static_cast<std::uint64_t>(nranks), "bad arrival count");
     for (std::uint64_t j = 0; j < na; ++j) {
       CollectiveArrival a;
-      a.rank = static_cast<Rank>(in.varint());
+      const auto rank = in.varint();
+      require(rank < static_cast<std::uint64_t>(nranks),
+              "collective arrival rank out of range");
+      a.rank = static_cast<Rank>(rank);
       a.t_enter = unzigzag(in.varint());
       a.t_exit = a.t_enter + unzigzag(in.varint());
       c.arrivals.push_back(a);
     }
+    check_collective(c, nranks);
     comm.collectives.push_back(std::move(c));
   }
   return comm;
@@ -199,6 +205,8 @@ bool CompactReader::next(Record& out) {
   out.tend = out.tstart + unzigzag(in_.varint());
   prev = out.tstart;
   const auto packed = in_.varint();
+  require((packed & 0x7) < kLayerCount && ((packed >> 3) & 0x7) < kLayerCount,
+          "bad layer id in compact trace");
   out.layer = static_cast<Layer>(packed & 0x7);
   out.origin = static_cast<Layer>((packed >> 3) & 0x7);
   const auto func = packed >> 6;

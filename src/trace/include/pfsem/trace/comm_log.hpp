@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "pfsem/util/error.hpp"
 #include "pfsem/util/types.hpp"
 
 namespace pfsem::trace {
@@ -25,6 +26,15 @@ enum class CollectiveKind : std::uint8_t {
   Scatter,
   Alltoall,
 };
+
+inline constexpr std::uint64_t kCollectiveKindCount =
+    static_cast<std::uint64_t>(CollectiveKind::Alltoall) + 1;
+
+/// Kinds whose happens-before edges run through a root rank.
+[[nodiscard]] constexpr bool is_rooted(CollectiveKind k) {
+  return k == CollectiveKind::Bcast || k == CollectiveKind::Scatter ||
+         k == CollectiveKind::Reduce || k == CollectiveKind::Gather;
+}
 
 [[nodiscard]] inline const char* to_string(CollectiveKind k) {
   switch (k) {
@@ -70,6 +80,21 @@ struct CollectiveEvent {
   Rank root = kNoRank;  ///< kNoRank for rootless collectives
   std::vector<CollectiveArrival> arrivals;
 };
+
+/// Throw pfsem::Error unless `c` is a known kind whose arrivals (and
+/// root, for rooted kinds) are ranks in [0, nranks). Decoders run this
+/// on every collective they read, and HappensBefore on every one it
+/// replays, since both index per-rank tables by these ranks.
+inline void check_collective(const CollectiveEvent& c, int nranks) {
+  const auto in_range = [nranks](Rank r) { return r >= 0 && r < nranks; };
+  require(static_cast<std::uint64_t>(c.kind) < kCollectiveKindCount,
+          "unknown collective kind");
+  require(!is_rooted(c.kind) || in_range(c.root),
+          "collective root out of range");
+  for (const auto& a : c.arrivals) {
+    require(in_range(a.rank), "collective arrival rank out of range");
+  }
+}
 
 struct CommLog {
   std::vector<P2PEvent> p2p;

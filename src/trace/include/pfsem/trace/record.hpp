@@ -19,6 +19,7 @@ namespace pfsem::trace {
 /// HDF5 is {layer=Posix, origin=Hdf5} — this is how Figure 3 attributes
 /// metadata operations to MPI / HDF5 / application.
 enum class Layer : std::uint8_t { Posix, MpiIo, Hdf5, NetCdf, Adios, Silo, App };
+inline constexpr std::size_t kLayerCount = static_cast<std::size_t>(Layer::App) + 1;
 
 [[nodiscard]] std::string_view to_string(Layer layer);
 

@@ -68,13 +68,20 @@ void put_record(std::ostream& os, const TraceBundle& bundle, const Record& r) {
   put_path32(os, bundle.path_of(r));
 }
 
+Layer get_layer(std::istream& is) {
+  const auto layer = get<std::uint8_t>(is);
+  require(layer < kLayerCount, "bad layer id in trace stream");
+  return static_cast<Layer>(layer);
+}
+
 Record get_record(std::istream& is, TraceBundle& bundle) {
   Record r;
   r.tstart = get<SimTime>(is);
   r.tend = get<SimTime>(is);
   r.rank = get<Rank>(is);
-  r.layer = static_cast<Layer>(get<std::uint8_t>(is));
-  r.origin = static_cast<Layer>(get<std::uint8_t>(is));
+  require(r.rank >= 0 && r.rank < bundle.nranks, "bad record rank");
+  r.layer = get_layer(is);
+  r.origin = get_layer(is);
   const auto func = get<std::uint16_t>(is);
   require(func < kFuncCount, "bad function id in trace stream");
   r.func = static_cast<Func>(func);
@@ -166,6 +173,7 @@ TraceBundle read_binary(std::istream& is) {
       a.t_exit = get<SimTime>(is);
       c.arrivals.push_back(a);
     }
+    check_collective(c, b.nranks);
     b.comm.collectives.push_back(std::move(c));
   }
   return b;

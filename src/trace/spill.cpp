@@ -199,6 +199,8 @@ bool ChunkReader::next(Record& out) {
   out.tend = out.tstart + unzigzag(in_.varint());
   prev = out.tstart;
   const auto packed = in_.varint();
+  require((packed & 0x7) < kLayerCount && ((packed >> 3) & 0x7) < kLayerCount,
+          "bad layer id in chunk stream");
   out.layer = static_cast<Layer>(packed & 0x7);
   out.origin = static_cast<Layer>((packed >> 3) & 0x7);
   const auto func = packed >> 6;

@@ -658,6 +658,145 @@ TEST(BlockDecoder, ElevenByteVarintRejectedOnBothPaths) {
             std::string::npos);
 }
 
+// --- hostile ranks, layers and collectives -----------------------------
+
+/// A v1 stream with one record (rank `rank`, layer byte `layer`) and one
+/// collective (`kind`, `root`, a single arrival by `arrival`), nranks 2.
+std::string v1_stream(Rank rank, std::uint8_t layer, std::uint8_t kind,
+                      Rank root, Rank arrival) {
+  std::string s("PFSEMTRC", 8);
+  put_le<std::uint32_t>(s, 1);  // version
+  put_le<std::int32_t>(s, 2);   // nranks
+  put_le<std::uint64_t>(s, 1);  // records
+  put_le<SimTime>(s, 10);
+  put_le<SimTime>(s, 20);
+  put_le(s, rank);
+  s.push_back(static_cast<char>(layer));
+  s.push_back(6);  // origin = App
+  put_le<std::uint16_t>(s, static_cast<std::uint16_t>(Func::stat));
+  put_le<std::int32_t>(s, -1);  // fd
+  put_le<std::int64_t>(s, 0);   // ret
+  put_le<std::uint64_t>(s, 0);  // offset
+  put_le<std::uint64_t>(s, 0);  // count
+  put_le<std::int32_t>(s, 0);   // flags
+  put_le<std::uint32_t>(s, 0);  // path
+  put_le<std::uint64_t>(s, 0);  // p2p
+  put_le<std::uint64_t>(s, 1);  // collectives
+  s.push_back(static_cast<char>(kind));
+  put_le(s, root);
+  put_le<std::uint32_t>(s, 1);  // arrivals
+  put_le(s, arrival);
+  put_le<SimTime>(s, 30);
+  put_le<SimTime>(s, 40);
+  return s;
+}
+
+/// The same content as compact v2: one record, one collective.
+std::string v2_stream(std::uint64_t rank, std::uint64_t layer,
+                      std::uint64_t kind, Rank root, std::uint64_t arrival) {
+  std::string s("PFSEMTR2", 8);
+  put_varint(s, 2);  // nranks
+  put_varint(s, 1);  // path table: ""
+  put_varint(s, 0);
+  put_varint(s, 1);  // records
+  put_varint(s, rank);
+  put_varint(s, zz(10));
+  put_varint(s, zz(10));
+  put_varint(s, layer | (6u << 3) |
+                    (static_cast<std::uint64_t>(Func::stat) << 6));
+  put_varint(s, zz(-1));  // fd
+  put_varint(s, zz(0));   // ret
+  put_varint(s, 0);       // offset
+  put_varint(s, 0);       // count
+  put_varint(s, zz(0));   // flags
+  put_varint(s, 0);       // path slot
+  put_varint(s, 0);       // p2p
+  put_varint(s, 1);       // collectives
+  put_varint(s, kind);
+  put_varint(s, zz(root));
+  put_varint(s, 1);  // arrivals
+  put_varint(s, arrival);
+  put_varint(s, zz(30));
+  put_varint(s, zz(10));
+  return s;
+}
+
+TEST(HostileInput, V1RejectsBadRanksLayersAndCollectives) {
+  const auto decode = [](const std::string& bytes) {
+    std::istringstream is(bytes);
+    return read_binary(is);
+  };
+  const auto barrier = static_cast<std::uint8_t>(CollectiveKind::Barrier);
+  const auto bcast = static_cast<std::uint8_t>(CollectiveKind::Bcast);
+  const auto ok = decode(v1_stream(1, 0, bcast, 1, 0));
+  ASSERT_EQ(ok.comm.collectives.size(), 1u);
+  EXPECT_EQ(ok.comm.collectives[0].root, 1);
+  (void)decode(v1_stream(0, 0, barrier, kNoRank, 1));  // rootless: no root
+
+  EXPECT_THROW(decode(v1_stream(2, 0, barrier, kNoRank, 0)), Error);
+  EXPECT_THROW(decode(v1_stream(-1, 0, barrier, kNoRank, 0)), Error);
+  EXPECT_THROW(decode(v1_stream(0, 7, barrier, kNoRank, 0)), Error);
+  EXPECT_THROW(decode(v1_stream(0, 0, barrier, kNoRank, 5)), Error);
+  EXPECT_THROW(decode(v1_stream(0, 0, barrier, kNoRank, -1)), Error);
+  EXPECT_THROW(decode(v1_stream(0, 0, 8, kNoRank, 0)), Error);
+  EXPECT_THROW(decode(v1_stream(0, 0, bcast, 2, 0)), Error);
+  EXPECT_THROW(decode(v1_stream(0, 0, bcast, kNoRank, 0)), Error);
+}
+
+TEST(HostileInput, V2RejectsBadLayersAndCollectives) {
+  const auto decode = [](const std::string& bytes) {
+    std::istringstream is(bytes);
+    return read_compact(is);
+  };
+  const auto barrier = static_cast<std::uint64_t>(CollectiveKind::Barrier);
+  const auto reduce = static_cast<std::uint64_t>(CollectiveKind::Reduce);
+  const auto ok = decode(v2_stream(1, 0, reduce, 0, 1));
+  ASSERT_EQ(ok.comm.collectives.size(), 1u);
+  EXPECT_EQ(ok.comm.collectives[0].kind, CollectiveKind::Reduce);
+  (void)decode(v2_stream(0, 0, barrier, kNoRank, 1));
+
+  EXPECT_THROW(decode(v2_stream(2, 0, barrier, kNoRank, 0)), Error);
+  EXPECT_THROW(decode(v2_stream(0, 7, barrier, kNoRank, 0)), Error);
+  EXPECT_THROW(decode(v2_stream(0, 0, barrier, kNoRank, 5)), Error);
+  EXPECT_THROW(decode(v2_stream(0, 0, barrier, kNoRank,
+                                std::uint64_t{1} << 32)),
+               Error);
+  EXPECT_THROW(decode(v2_stream(0, 0, 8, kNoRank, 0)), Error);
+  EXPECT_THROW(decode(v2_stream(0, 0, std::uint64_t{1} << 33, kNoRank, 0)),
+               Error);
+  EXPECT_THROW(decode(v2_stream(0, 0, reduce, 3, 0)), Error);
+}
+
+TEST(HostileInput, ChunkStreamRejectsBadLayer) {
+  // One chunk of one pathless record, then an empty trailer.
+  const auto stream = [](std::uint64_t layer) {
+    std::string s("PFSEMCK1", 8);
+    put_varint(s, 1);  // nranks
+    s.push_back('C');
+    put_varint(s, 0);  // base seq
+    put_varint(s, 1);  // records
+    put_varint(s, 0);  // rank
+    put_varint(s, zz(10));
+    put_varint(s, zz(10));
+    put_varint(s, layer | (6u << 3) |
+                      (static_cast<std::uint64_t>(Func::stat) << 6));
+    put_varint(s, zz(-1));  // fd
+    put_varint(s, zz(0));   // ret
+    put_varint(s, 0);       // offset
+    put_varint(s, 0);       // count
+    put_varint(s, zz(0));   // flags
+    put_varint(s, 0);       // no file
+    s.push_back('T');
+    put_varint(s, 1);  // records
+    put_varint(s, 0);  // paths
+    put_varint(s, 0);  // p2p
+    put_varint(s, 0);  // collectives
+    return s;
+  };
+  EXPECT_EQ(decode_chunks(stream(0)).records.size(), 1u);
+  EXPECT_THROW((void)decode_chunks(stream(7)), Error);
+}
+
 // --- bounded allocation on hostile counts ------------------------------
 
 /// Bytes requested from operator new while `fn` runs.

@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "pfsem/core/happens_before.hpp"
+#include "pfsem/util/error.hpp"
 
 namespace pfsem::core {
 namespace {
@@ -131,6 +132,35 @@ TEST(HappensBefore, SuccessiveBarriersAccumulate) {
   EXPECT_TRUE(hb.ordered(0, 50, 1, 200));
   EXPECT_TRUE(hb.ordered(0, 200, 1, 400)) << "second barrier orders the gap";
   EXPECT_FALSE(hb.ordered(0, 400, 1, 200));
+}
+
+TEST(HappensBefore, RejectsCollectivesNamingUnknownRanksOrKinds) {
+  // Each of these indexes a per-rank table out of bounds if replayed.
+  const auto build = [](CollectiveEvent ev) {
+    CommLog log;
+    log.collectives.push_back(std::move(ev));
+    return HappensBefore(log, 2);
+  };
+  CollectiveEvent arrival = collective(CollectiveKind::Barrier, kNoRank,
+                                       {{10, 20}, {10, 20}});
+  arrival.arrivals[1].rank = 5;
+  EXPECT_THROW((void)build(arrival), Error);
+  arrival.arrivals[1].rank = -1;
+  EXPECT_THROW((void)build(arrival), Error);
+
+  for (const auto kind : {CollectiveKind::Bcast, CollectiveKind::Scatter,
+                          CollectiveKind::Reduce, CollectiveKind::Gather}) {
+    EXPECT_THROW((void)build(collective(kind, 2, {{10, 20}, {10, 20}})), Error)
+        << trace::to_string(kind);
+    EXPECT_THROW((void)build(collective(kind, kNoRank, {{10, 20}, {10, 20}})),
+                 Error)
+        << trace::to_string(kind);
+  }
+  EXPECT_THROW((void)build(collective(static_cast<CollectiveKind>(42), kNoRank,
+                                      {{10, 20}, {10, 20}})),
+               Error);
+  // Rootless kinds carry no root to check.
+  (void)build(collective(CollectiveKind::Allreduce, 99, {{10, 20}, {10, 20}}));
 }
 
 TEST(RaceCheckIntegration, SynchronizedAndRacyCounted) {

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "../src/core/offset_stepper.hpp"
 #include "pfsem/core/offset_tracker.hpp"
+#include "pfsem/core/stream_analyze.hpp"
 #include "pfsem/util/error.hpp"
 #include "pfsem/util/rng.hpp"
 
@@ -215,6 +217,165 @@ TEST(OffsetTracker, UnknownFdThrows) {
   TraceBuilder tb(1);
   tb.write(0, 9, 10);
   EXPECT_THROW(reconstruct_accesses(tb.bundle()), Error);
+}
+
+TEST(OffsetTracker, FdNumbersReusedAcrossRanksStayApart) {
+  // Rank 0 closes fd 3 and reopens it on another file while rank 1's
+  // fd 3 stays open on the first one.
+  TraceBuilder tb(2);
+  tb.open(0, 3, "a", trace::kCreate)
+      .open(1, 3, "a", 0)
+      .write(0, 3, 10)
+      .close(0, 3)
+      .open(0, 3, "b", trace::kCreate)
+      .write(1, 3, 20)
+      .write(0, 3, 30)
+      .close(1, 3)
+      .close(0, 3);
+  const auto log = reconstruct_accesses(tb.bundle());
+  ASSERT_EQ(log.at("a").accesses.size(), 2u);
+  EXPECT_EQ(log.at("a").accesses[0].rank, 0);
+  EXPECT_EQ(log.at("a").accesses[1].rank, 1);
+  EXPECT_EQ(log.at("a").accesses[1].ext, (Extent{0, 20}));
+  ASSERT_EQ(log.at("b").accesses.size(), 1u);
+  EXPECT_EQ(log.at("b").accesses[0].ext, (Extent{0, 30}));
+}
+
+TEST(OffsetTracker, OpenReplacingAStillOpenFdRetargetsIt) {
+  // A trace that reuses fd 3 without closing it: later ops on fd 3 go
+  // to the newly opened file, from offset 0.
+  TraceBuilder tb(1);
+  tb.open(0, 3, "a", trace::kCreate)
+      .write(0, 3, 10)
+      .open(0, 3, "b", trace::kCreate)
+      .write(0, 3, 20)
+      .close(0, 3);
+  const auto log = reconstruct_accesses(tb.bundle());
+  ASSERT_EQ(log.at("a").accesses.size(), 1u);
+  EXPECT_EQ(log.at("a").accesses[0].t_close, kTimeNever)
+      << "the replaced descriptor was never closed";
+  ASSERT_EQ(log.at("b").accesses.size(), 1u);
+  EXPECT_EQ(log.at("b").accesses[0].ext, (Extent{0, 20}));
+  EXPECT_EQ(log.at("b").accesses[0].t_close, 40);
+
+  // The windowed pipeline, with exact per-file counts, agrees.
+  const auto& b = tb.bundle();
+  std::vector<std::uint64_t> file_counts(b.paths.size(), 0);
+  for (const auto& rec : b.records) {
+    if (rec.file != kNoFile) ++file_counts[rec.file];
+  }
+  StreamAnalyzer sa(b.nranks, b.paths, {b.records.size()});
+  sa.enable_window({}, file_counts);
+  for (const auto& rec : b.records) sa.feed(rec);
+  const auto res = sa.finish_windowed();
+  EXPECT_EQ(res.summaries[b.paths.find("a")].report.writes, 1u);
+  EXPECT_EQ(res.summaries[b.paths.find("b")].report.write_bytes, 20u);
+}
+
+TEST(OffsetTracker, RankHoldingManyOpenFdsKeepsEachOffset) {
+  // One rank opens thousands of descriptors (scattered fd numbers, none
+  // closed until the end), then writes through them in another order:
+  // each fd keeps its own file and offset.
+  constexpr int kFds = 20000;
+  const auto fd_of = [](int i) { return 3 + (i * 7919) % kFds; };
+  TraceBuilder tb(2);
+  for (int i = 0; i < kFds; ++i) {
+    tb.open(0, fd_of(i), "f" + std::to_string(i % 4), trace::kCreate);
+  }
+  for (int i = kFds - 1; i >= 0; --i) tb.write(0, fd_of(i), 10);
+  for (int i = 0; i < kFds; i += 2) tb.close(0, fd_of(i));
+  for (int i = 1; i < kFds; i += 2) tb.write(0, fd_of(i), 5);
+  const auto log = reconstruct_accesses(tb.bundle());
+  std::size_t first_writes = 0, second_writes = 0;
+  for (int k = 0; k < 4; ++k) {
+    for (const auto& a : log.at("f" + std::to_string(k)).accesses) {
+      if (a.ext == Extent{0, 10}) ++first_writes;
+      if (a.ext == Extent{10, 15}) ++second_writes;
+    }
+  }
+  EXPECT_EQ(first_writes, std::size_t{kFds});
+  EXPECT_EQ(second_writes, std::size_t{kFds / 2});
+}
+
+TEST(OffsetTracker, OutOfRangeRecordRankThrows) {
+  for (const Rank bad : {Rank{2}, Rank{-1}}) {
+    TraceBuilder tb(2);
+    tb.open(bad, 3, "f", trace::kCreate);
+    EXPECT_THROW((void)reconstruct_accesses(tb.bundle()), Error) << bad;
+    const auto& b = tb.bundle();
+    StreamAnalyzer sa(b.nranks, b.paths);
+    EXPECT_THROW(sa.feed(b.records[0]), Error) << bad;
+  }
+}
+
+TEST(OffsetTracker, FlatViewAliasesFileColumns) {
+  TraceBuilder tb(2);
+  tb.open(0, 3, "a", trace::kCreate)
+      .open(1, 4, "b", trace::kCreate)
+      .write(0, 3, 10)
+      .write(1, 4, 20);
+  const auto log = reconstruct_accesses(tb.bundle());
+  const auto flat = FlatAccessLog::from(log);
+  ASSERT_EQ(flat.files.size(), log.files.size());
+  for (std::size_t f = 0; f < log.files.size(); ++f) {
+    EXPECT_EQ(flat.files[f].log, &log.files[f]);
+    EXPECT_EQ(flat.accesses(f).data(), log.files[f].accesses.data());
+    EXPECT_EQ(flat.accesses(f).size(), log.files[f].accesses.size());
+  }
+}
+
+TEST(OffsetTracker, AnnotateSortsAnOutOfOrderHandBuiltLog) {
+  // Hand-built columns need not arrive in time order; equal timestamps
+  // keep their column order (a stable sort).
+  FileLog fl;
+  fl.file = 0;
+  const auto add = [&](SimTime t, Rank r, std::size_t index) {
+    Access a;
+    a.t = t;
+    a.rank = r;
+    a.ext = {0, 10};
+    a.record_index = index;
+    fl.accesses.push_back(a);
+  };
+  add(50, 1, 0);
+  add(20, 0, 1);
+  add(50, 0, 2);
+  add(10, 1, 3);
+  add(20, 1, 4);
+  fl.opens[0] = {15, 5};
+  fl.opens[1] = {0};
+  fl.commits[0] = {60, 30};
+  fl.closes[0] = {60};
+  detail::Annotator annotator;
+  annotator.annotate_file(fl);
+  std::vector<std::size_t> order;
+  for (const auto& a : fl.accesses) order.push_back(a.record_index);
+  EXPECT_EQ(order, (std::vector<std::size_t>{3, 1, 4, 0, 2}));
+  EXPECT_EQ(fl.opens.at(0), (std::vector<SimTime>{5, 15}));
+  const Access& r0_early = fl.accesses[1];  // rank 0 at t=20
+  EXPECT_EQ(r0_early.t_open, 15);
+  EXPECT_EQ(r0_early.t_commit, 30);
+  EXPECT_EQ(r0_early.t_close, 60);
+  const Access& r0_late = fl.accesses[4];  // rank 0 at t=50
+  EXPECT_EQ(r0_late.t_commit, 60);
+  const Access& r1 = fl.accesses[3];  // rank 1 at t=50
+  EXPECT_EQ(r1.t_open, 0);
+  EXPECT_EQ(r1.t_commit, kTimeNever);
+  EXPECT_EQ(r1.t_close, kTimeNever);
+
+  // The annotator's rank table is clean for the next file: rank 0 has
+  // no events here, so nothing from the file above may leak in.
+  FileLog next;
+  next.file = 1;
+  Access a;
+  a.t = 100;
+  a.rank = 0;
+  a.ext = {0, 1};
+  next.accesses.push_back(a);
+  annotator.annotate_file(next);
+  EXPECT_EQ(next.accesses[0].t_open, 0);
+  EXPECT_EQ(next.accesses[0].t_commit, kTimeNever);
+  EXPECT_EQ(next.accesses[0].t_close, kTimeNever);
 }
 
 // Property test: a random legal op sequence reconstructs to exactly the

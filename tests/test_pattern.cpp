@@ -3,7 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
+#include <set>
+
 #include "pfsem/core/pattern.hpp"
+#include "pfsem/util/rng.hpp"
 
 namespace pfsem::core {
 namespace {
@@ -301,6 +307,321 @@ TEST(HighLevel, EmptyLogSafe) {
   AccessLog log;
   log.nranks = 4;
   EXPECT_EQ(classify_high_level(log, 4).xy, "0-0");
+}
+
+// --- differential against the tree-grouped classifiers --------------------
+
+// The rank-keyed std::map / std::set versions of classify_file_layout,
+// local_transitions and file_family_stats that the rank-grouped ones
+// replaced, kept verbatim as the oracle.
+namespace oracle {
+
+using Seq = std::vector<const Access*>;
+
+void count_transitions(TransitionMix& mix, const Seq& seq) {
+  for (std::size_t i = 1; i < seq.size(); ++i) {
+    const Offset prev_end = seq[i - 1]->ext.end;
+    const Offset begin = seq[i]->ext.begin;
+    if (begin == prev_end) {
+      ++mix.consecutive;
+    } else if (begin > prev_end) {
+      ++mix.monotonic;
+    } else {
+      ++mix.random;
+    }
+  }
+}
+
+Seq data_accesses(const FileLog& file, const PatternOptions& opts) {
+  std::uint64_t wbytes = 0, rbytes = 0;
+  for (const auto& a : file.accesses) {
+    if (a.ext.size() < opts.min_data_bytes) continue;
+    (a.type == AccessType::Write ? wbytes : rbytes) += a.ext.size();
+  }
+  const AccessType dominant =
+      wbytes >= rbytes ? AccessType::Write : AccessType::Read;
+  Seq out;
+  for (const auto& a : file.accesses) {
+    if (a.ext.size() >= opts.min_data_bytes && a.type == dominant) {
+      out.push_back(&a);
+    }
+  }
+  if (out.empty()) {
+    for (const auto& a : file.accesses) out.push_back(&a);
+  }
+  return out;
+}
+
+bool is_consecutive(const Seq& seq, Offset gap = 0) {
+  for (std::size_t i = 1; i < seq.size(); ++i) {
+    const Offset begin = seq[i]->ext.begin;
+    const Offset prev_end = seq[i - 1]->ext.end;
+    if (begin < prev_end || begin > prev_end + gap) return false;
+  }
+  return true;
+}
+
+bool is_monotonic(const Seq& seq) {
+  for (std::size_t i = 1; i < seq.size(); ++i) {
+    if (seq[i]->ext.begin < seq[i - 1]->ext.end) return false;
+  }
+  return true;
+}
+
+bool is_arithmetic(const Seq& seq) {
+  if (seq.size() < 2) return false;
+  const auto stride = static_cast<std::int64_t>(seq[1]->ext.begin) -
+                      static_cast<std::int64_t>(seq[0]->ext.begin);
+  if (stride <= 0) return false;
+  for (std::size_t i = 1; i < seq.size(); ++i) {
+    const auto d = static_cast<std::int64_t>(seq[i]->ext.begin) -
+                   static_cast<std::int64_t>(seq[i - 1]->ext.begin);
+    if (d != stride) return false;
+  }
+  return true;
+}
+
+std::int64_t round_stride(std::vector<std::pair<Rank, Offset>> round) {
+  if (round.size() < 2) return 0;
+  std::sort(round.begin(), round.end());
+  const auto stride = static_cast<std::int64_t>(round[1].second) -
+                      static_cast<std::int64_t>(round[0].second);
+  if (stride <= 0) return 0;
+  for (std::size_t i = 1; i < round.size(); ++i) {
+    const auto d = static_cast<std::int64_t>(round[i].second) -
+                   static_cast<std::int64_t>(round[i - 1].second);
+    if (d != stride) return 0;
+  }
+  return stride;
+}
+
+TransitionMix local_transitions(const FileLog& file) {
+  TransitionMix mix;
+  std::map<Rank, Seq> per_rank;
+  for (const auto& a : file.accesses) per_rank[a.rank].push_back(&a);
+  for (const auto& [rank, seq] : per_rank) count_transitions(mix, seq);
+  return mix;
+}
+
+FileLayout classify_file_layout(const FileLog& file, PatternOptions opts) {
+  const auto data = data_accesses(file, opts);
+  if (data.size() < 2) return FileLayout::Consecutive;
+
+  std::map<Rank, Seq> per_rank;
+  for (const auto* a : data) per_rank[a->rank].push_back(a);
+
+  const Offset gap_tol = opts.consecutive_gap_tolerance;
+  const bool all_rank_consecutive = std::all_of(
+      per_rank.begin(), per_rank.end(),
+      [gap_tol](const auto& kv) { return is_consecutive(kv.second, gap_tol); });
+  if (all_rank_consecutive) {
+    if (per_rank.size() == 1) return FileLayout::Consecutive;
+    std::vector<Extent> segs;
+    for (const auto& [rank, seq] : per_rank) {
+      segs.push_back({seq.front()->ext.begin, seq.back()->ext.end});
+    }
+    std::sort(segs.begin(), segs.end(),
+              [](const Extent& a, const Extent& b) { return a.begin < b.begin; });
+    const bool identical = std::all_of(
+        segs.begin(), segs.end(), [&](const Extent& e) { return e == segs[0]; });
+    if (identical) return FileLayout::Consecutive;
+    bool disjoint = true;
+    for (std::size_t i = 1; i < segs.size(); ++i) {
+      if (segs[i].begin < segs[i - 1].end) {
+        disjoint = false;
+        break;
+      }
+    }
+    if (disjoint) return FileLayout::Strided;
+  }
+
+  {
+    std::vector<std::vector<std::pair<Rank, Offset>>> rounds;
+    std::set<Rank> seen;
+    rounds.emplace_back();
+    for (const auto* a : data) {
+      if (seen.contains(a->rank)) {
+        rounds.emplace_back();
+        seen.clear();
+      }
+      seen.insert(a->rank);
+      rounds.back().emplace_back(a->rank, a->ext.begin);
+    }
+    std::size_t multi = 0, affine = 0;
+    std::int64_t common_stride = 0;
+    bool strides_agree = true;
+    for (auto& r : rounds) {
+      if (r.size() < 2) continue;
+      ++multi;
+      const std::int64_t stride = round_stride(r);
+      if (stride > 0) {
+        ++affine;
+        if (common_stride == 0) {
+          common_stride = stride;
+        } else if (stride != common_stride) {
+          strides_agree = false;
+        }
+      }
+    }
+    if (multi >= 2 && strides_agree && affine * 5 >= multi * 4) {
+      return FileLayout::StridedCyclic;
+    }
+    if (multi == 1 && affine == 1 && rounds.size() <= 2) return FileLayout::Strided;
+  }
+
+  if (std::all_of(per_rank.begin(), per_rank.end(), [](const auto& kv) {
+        return kv.second.size() < 2 || is_arithmetic(kv.second) ||
+               is_consecutive(kv.second);
+      })) {
+    return FileLayout::Strided;
+  }
+
+  if (std::all_of(per_rank.begin(), per_rank.end(),
+                  [](const auto& kv) { return is_monotonic(kv.second); })) {
+    return FileLayout::Strided;
+  }
+
+  return FileLayout::Random;
+}
+
+FileFamilyStats file_family_stats(const FileLog& file,
+                                  const PatternOptions& opts) {
+  const auto data = data_accesses(file, opts);
+  FileFamilyStats s;
+  std::set<Rank> writers, io_ranks;
+  for (const auto* a : data) {
+    s.bytes += a->ext.size();
+    io_ranks.insert(a->rank);
+    if (a->type == AccessType::Write) writers.insert(a->rank);
+  }
+  s.io_ranks.assign(io_ranks.begin(), io_ranks.end());
+  s.writers = writers.size();
+  return s;
+}
+
+}  // namespace oracle
+
+/// A random single-file log in time order (ties kept in generation
+/// order): a shape (affine rounds, per-rank segments, one rank, or
+/// scattered) over a dense or sparse subset of 1-4096 ranks, with coarse
+/// timestamps so many accesses share one, small metadata-sized accesses,
+/// read-backs and small gaps mixed in.
+FileLog random_file(Rng& rng) {
+  static constexpr std::array<std::uint64_t, 4> kRankCaps = {1, 8, 256, 4096};
+  const auto nranks =
+      static_cast<Rank>(1 + rng.below(kRankCaps[rng.below(kRankCaps.size())]));
+  std::vector<Rank> ranks;
+  const auto want = 1 + rng.below(std::min<std::uint64_t>(nranks, 48));
+  const bool dense = rng.chance(0.5);
+  const auto first = static_cast<Rank>(rng.below(static_cast<std::uint64_t>(nranks)));
+  for (std::uint64_t k = 0; k < want; ++k) {
+    ranks.push_back(dense ? static_cast<Rank>((first + static_cast<Rank>(k)) % nranks)
+                          : static_cast<Rank>(rng.below(static_cast<std::uint64_t>(nranks))));
+  }
+  std::sort(ranks.begin(), ranks.end());
+  ranks.erase(std::unique(ranks.begin(), ranks.end()), ranks.end());
+  const Offset block = rng.chance(0.7) ? 65536 : 1 + rng.below(8192);
+  const SimTime tick = 1 + static_cast<SimTime>(rng.below(3));
+  const std::uint64_t steps = rng.chance(0.1) ? 0 : 1 + rng.below(12);
+  const auto shape = rng.below(4);
+  std::vector<Access> v;
+  const auto push = [&](SimTime t, Rank r, Offset begin, Offset len) {
+    Access a;
+    a.t = t;
+    a.rank = r;
+    a.ext = {begin, begin + len};
+    a.type = rng.chance(0.1) ? AccessType::Read : AccessType::Write;
+    v.push_back(a);
+    if (rng.chance(0.05)) {  // interspersed metadata
+      Access m = a;
+      m.ext = {begin + len, begin + len + 1 + rng.below(512)};
+      v.push_back(m);
+    }
+  };
+  for (std::uint64_t k = 0; k < steps; ++k) {
+    const SimTime t = static_cast<SimTime>(k / tick) * 10;
+    for (std::size_t i = 0; i < ranks.size(); ++i) {
+      const Rank r = ranks[i];
+      const Offset gap = rng.chance(0.1) ? rng.below(2048) : 0;
+      switch (shape) {
+        case 0:  // affine rounds: rank slot i of round k
+          push(t, r, (k * ranks.size() + i) * block + gap, block);
+          break;
+        case 1:  // per-rank segments
+          push(t, r, static_cast<Offset>(i) * steps * block + k * block + gap,
+               block);
+          break;
+        case 2:  // one rank streams
+          if (i == 0) push(t, r, k * block + gap, block);
+          break;
+        default:  // scattered
+          push(t + static_cast<SimTime>(rng.below(3)), r,
+               rng.below(64) * block, block);
+          break;
+      }
+    }
+  }
+  std::stable_sort(v.begin(), v.end(),
+                   [](const Access& a, const Access& b) { return a.t < b.t; });
+  FileLog fl;
+  fl.accesses = std::move(v);
+  return fl;
+}
+
+/// Compare the three rank-grouping classifiers with the oracle on one
+/// file under two option sets; returns each set's layout.
+std::array<FileLayout, 2> expect_matches_oracle(const FileLog& fl,
+                                                std::uint64_t seed) {
+  const std::array<PatternOptions, 2> options = {
+      PatternOptions{},
+      PatternOptions{.min_data_bytes = 0, .consecutive_gap_tolerance = 0}};
+  std::array<FileLayout, 2> layouts{};
+  for (std::size_t o = 0; o < options.size(); ++o) {
+    const PatternOptions& opts = options[o];
+    layouts[o] = classify_file_layout(fl, opts);
+    EXPECT_EQ(layouts[o], oracle::classify_file_layout(fl, opts))
+        << "seed " << seed;
+    const FileFamilyStats fam = file_family_stats(fl, opts);
+    const FileFamilyStats want = oracle::file_family_stats(fl, opts);
+    EXPECT_EQ(fam.bytes, want.bytes) << "seed " << seed;
+    EXPECT_EQ(fam.io_ranks, want.io_ranks) << "seed " << seed;
+    EXPECT_EQ(fam.writers, want.writers) << "seed " << seed;
+  }
+  const TransitionMix mix = local_transitions(fl);
+  const TransitionMix want = oracle::local_transitions(fl);
+  EXPECT_EQ(mix.consecutive, want.consecutive) << "seed " << seed;
+  EXPECT_EQ(mix.monotonic, want.monotonic) << "seed " << seed;
+  EXPECT_EQ(mix.random, want.random) << "seed " << seed;
+  return layouts;
+}
+
+TEST(PatternDifferential, RankGroupingMatchesTreeOracle) {
+  std::array<int, 4> layouts{};
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    for (const FileLayout l : expect_matches_oracle(random_file(rng), seed)) {
+      ++layouts[static_cast<std::size_t>(l)];
+    }
+  }
+  // The generator reaches every layout class, so each rule was compared.
+  for (std::size_t l = 0; l < layouts.size(); ++l) {
+    EXPECT_GT(layouts[l], 0) << to_string(static_cast<FileLayout>(l));
+  }
+}
+
+TEST(PatternDifferential, RanksSpreadOverTheWholeIntRangeMatchTreeOracle) {
+  // Hand-built logs may carry any int rank. An odd multiplier maps the
+  // generator's ranks one-to-one onto values across the whole int range,
+  // negative ones included, so the grouping needs several radix passes.
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    Rng rng(seed);
+    FileLog fl = random_file(rng);
+    for (Access& a : fl.accesses) {
+      a.rank = static_cast<Rank>(static_cast<std::uint32_t>(a.rank) *
+                                 2654435761u);
+    }
+    (void)expect_matches_oracle(fl, seed);
+  }
 }
 
 }  // namespace
