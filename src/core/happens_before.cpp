@@ -60,8 +60,7 @@ HappensBefore::HappensBefore(const trace::CommLog& comm, int nranks)
   for (const auto& ev : events) {
     if (ev.is_p2p) {
       const auto& p = comm.p2p[ev.index];
-      require(p.src >= 0 && p.src < nranks && p.dst >= 0 && p.dst < nranks,
-              "p2p event rank out of range");
+      trace::check_p2p(p, nranks);
       push_node(p.src, p.t_send_start, p.t_send_end);
       join(p.dst, cur[static_cast<std::size_t>(p.src)]);
       push_node(p.dst, p.t_recv_start, p.t_recv_end);

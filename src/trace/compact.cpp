@@ -33,77 +33,96 @@ using detail::zigzag;
 
 namespace detail {
 
-void write_comm(const CommLog& comm, std::string& out) {
-  put_varint(out, comm.p2p.size());
-  for (const auto& e : comm.p2p) {
-    put_varint(out, static_cast<std::uint64_t>(e.src));
-    put_varint(out, static_cast<std::uint64_t>(e.dst));
-    put_varint(out, zigzag(e.tag));
-    put_varint(out, e.bytes);
-    put_varint(out, zigzag(e.t_send_start));
-    put_varint(out, zigzag(e.t_send_end - e.t_send_start));
-    put_varint(out, zigzag(e.t_recv_start - e.t_send_start));
-    put_varint(out, zigzag(e.t_recv_end - e.t_recv_start));
-  }
-  put_varint(out, comm.collectives.size());
-  for (const auto& c : comm.collectives) {
-    put_varint(out, static_cast<std::uint64_t>(c.kind));
-    put_varint(out, zigzag(c.root));
-    put_varint(out, c.arrivals.size());
-    for (const auto& a : c.arrivals) {
-      put_varint(out, static_cast<std::uint64_t>(a.rank));
-      put_varint(out, zigzag(a.t_enter));
-      put_varint(out, zigzag(a.t_exit - a.t_enter));
-    }
+void put_p2p(std::string& out, const P2PEvent& e) {
+  put_varint(out, static_cast<std::uint64_t>(e.src));
+  put_varint(out, static_cast<std::uint64_t>(e.dst));
+  put_varint(out, zigzag(e.tag));
+  put_varint(out, e.bytes);
+  put_varint(out, zigzag(e.t_send_start));
+  put_varint(out, zigzag(e.t_send_end - e.t_send_start));
+  put_varint(out, zigzag(e.t_recv_start - e.t_send_start));
+  put_varint(out, zigzag(e.t_recv_end - e.t_recv_start));
+}
+
+void put_collective(std::string& out, const CollectiveEvent& c) {
+  put_varint(out, static_cast<std::uint64_t>(c.kind));
+  put_varint(out, zigzag(c.root));
+  put_varint(out, c.arrivals.size());
+  for (const auto& a : c.arrivals) {
+    put_varint(out, static_cast<std::uint64_t>(a.rank));
+    put_varint(out, zigzag(a.t_enter));
+    put_varint(out, zigzag(a.t_exit - a.t_enter));
   }
 }
 
-CommLog read_comm(ByteReader& in, int nranks) {
-  CommLog comm;
+void get_p2p(ByteReader& in, int nranks, P2PEvent& e) {
+  // src and dst are written as the uint64 of an int32, so they narrow
+  // through int64 like the zig-zag fields do.
+  e.src = to_int32(static_cast<std::int64_t>(in.varint()));
+  e.dst = to_int32(static_cast<std::int64_t>(in.varint()));
+  e.tag = in.zigzag_int32();
+  e.bytes = in.varint();
+  e.t_send_start = unzigzag(in.varint());
+  e.t_send_end = e.t_send_start + unzigzag(in.varint());
+  e.t_recv_start = e.t_send_start + unzigzag(in.varint());
+  e.t_recv_end = e.t_recv_start + unzigzag(in.varint());
+  check_p2p(e, nranks);
+}
+
+void get_collective(ByteReader& in, int nranks, CollectiveEvent& c) {
+  const auto kind = in.varint();
+  require(kind < kCollectiveKindCount, "unknown collective kind");
+  c.kind = static_cast<CollectiveKind>(kind);
+  c.root = in.zigzag_int32();
+  const auto na = in.varint();
+  require(na <= static_cast<std::uint64_t>(nranks), "bad arrival count");
+  c.arrivals.clear();
+  for (std::uint64_t j = 0; j < na; ++j) {
+    CollectiveArrival a;
+    const auto rank = in.varint();
+    require(rank < static_cast<std::uint64_t>(nranks),
+            "collective arrival rank out of range");
+    a.rank = static_cast<Rank>(rank);
+    a.t_enter = unzigzag(in.varint());
+    a.t_exit = a.t_enter + unzigzag(in.varint());
+    c.arrivals.push_back(a);
+  }
+  check_collective(c, nranks);
+}
+
+EncodedCommLog write_comm(const CommLog& comm) {
+  EncodedCommLog out;
+  out.p2p_count = comm.p2p.size();
+  for (const auto& e : comm.p2p) put_p2p(out.p2p, e);
+  out.collective_count = comm.collectives.size();
+  for (const auto& c : comm.collectives) put_collective(out.collectives, c);
+  return out;
+}
+
+void read_comm(ByteReader& in, int nranks, CommLog* out) {
+  // Every event decodes into one scratch event, so a caller that only
+  // validates holds one event (and one arrival array) at a time.
   const auto np2p = in.varint();
-  comm.p2p.reserve(std::min(np2p, kMaxReserve));
+  if (out != nullptr) out->p2p.reserve(std::min(np2p, kMaxReserve));
+  P2PEvent e;
   for (std::uint64_t i = 0; i < np2p; ++i) {
-    P2PEvent e;
-    e.src = static_cast<Rank>(in.varint());
-    e.dst = static_cast<Rank>(in.varint());
-    e.tag = static_cast<std::int32_t>(unzigzag(in.varint()));
-    e.bytes = in.varint();
-    e.t_send_start = unzigzag(in.varint());
-    e.t_send_end = e.t_send_start + unzigzag(in.varint());
-    e.t_recv_start = e.t_send_start + unzigzag(in.varint());
-    e.t_recv_end = e.t_recv_start + unzigzag(in.varint());
-    comm.p2p.push_back(e);
+    get_p2p(in, nranks, e);
+    if (out != nullptr) out->p2p.push_back(e);
   }
   const auto ncoll = in.varint();
-  comm.collectives.reserve(std::min(ncoll, kMaxReserve));
+  if (out != nullptr) out->collectives.reserve(std::min(ncoll, kMaxReserve));
+  CollectiveEvent c;
   for (std::uint64_t i = 0; i < ncoll; ++i) {
-    CollectiveEvent c;
-    const auto kind = in.varint();
-    require(kind < kCollectiveKindCount, "unknown collective kind");
-    c.kind = static_cast<CollectiveKind>(kind);
-    c.root = static_cast<Rank>(unzigzag(in.varint()));
-    const auto na = in.varint();
-    require(na <= static_cast<std::uint64_t>(nranks), "bad arrival count");
-    for (std::uint64_t j = 0; j < na; ++j) {
-      CollectiveArrival a;
-      const auto rank = in.varint();
-      require(rank < static_cast<std::uint64_t>(nranks),
-              "collective arrival rank out of range");
-      a.rank = static_cast<Rank>(rank);
-      a.t_enter = unzigzag(in.varint());
-      a.t_exit = a.t_enter + unzigzag(in.varint());
-      c.arrivals.push_back(a);
-    }
-    check_collective(c, nranks);
-    comm.collectives.push_back(std::move(c));
+    get_collective(in, nranks, c);
+    if (out != nullptr) out->collectives.push_back(c);
   }
-  return comm;
 }
 
 }  // namespace detail
 
 void write_compact_streamed(int nranks, const PathTable& paths,
-                            const CommLog& comm, std::uint64_t record_count,
+                            const EncodedCommLog& comm,
+                            std::uint64_t record_count,
                             const std::function<void(const RecordEmit&)>& scan,
                             std::ostream& os) {
   // Encode into a block buffer and hand the stream whole blocks.
@@ -156,14 +175,18 @@ void write_compact_streamed(int nranks, const PathTable& paths,
   require(emitted == record_count,
           "record scan count mismatch in compact trace write");
 
-  detail::write_comm(comm, buf);
-  os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+  const auto write = [&os](std::string_view bytes) {
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+  write(buf);
+  detail::put_comm(comm, write);
   require(static_cast<bool>(os), "compact trace write failure");
 }
 
 void write_compact(const TraceBundle& bundle, std::ostream& os) {
   write_compact_streamed(
-      bundle.nranks, bundle.paths, bundle.comm, bundle.records.size(),
+      bundle.nranks, bundle.paths, detail::write_comm(bundle.comm),
+      bundle.records.size(),
       [&](const RecordEmit& emit) {
         for (const auto& r : bundle.records) emit(r);
       },
@@ -212,11 +235,11 @@ bool CompactReader::next(Record& out) {
   const auto func = packed >> 6;
   require(func < kFuncCount, "bad function id in compact trace");
   out.func = static_cast<Func>(func);
-  out.fd = static_cast<std::int32_t>(unzigzag(in_.varint()));
+  out.fd = in_.zigzag_int32();
   out.ret = unzigzag(in_.varint());
   out.offset = in_.varint();
   out.count = in_.varint();
-  out.flags = static_cast<std::int32_t>(unzigzag(in_.varint()));
+  out.flags = in_.zigzag_int32();
   const auto pid = in_.varint();
   require(pid < paths_.size(), "bad path id in compact trace");
   const auto id = static_cast<FileId>(pid);
@@ -226,7 +249,9 @@ bool CompactReader::next(Record& out) {
 
 CommLog CompactReader::read_comm() {
   require(read_ == nrec_, "comm log read before records were drained");
-  return detail::read_comm(in_, nranks_);
+  CommLog comm;
+  detail::read_comm(in_, nranks_, &comm);
+  return comm;
 }
 
 TraceBundle read_compact(std::istream& is) {

@@ -4,7 +4,7 @@
 // local clock (applying the configured skew/drift) before storing, because
 // that is all a real tracer ever sees. Matched communication events are
 // appended to the embedded CommLog by pfsem::mpi through the same clock
-// conversion.
+// conversion (when streaming, to an EncodedCommLog instead).
 //
 // Every record is copied exactly once, straight into one vector in global
 // emission order (converted in place), so the bundle needs no merge and
@@ -20,6 +20,7 @@
 #include "pfsem/obs/obs.hpp"
 #include "pfsem/sim/clock.hpp"
 #include "pfsem/trace/bundle.hpp"
+#include "pfsem/trace/serialize.hpp"
 #include "pfsem/trace/stream.hpp"
 #include "pfsem/util/error.hpp"
 
@@ -94,23 +95,35 @@ class Collector {
   }
 
   /// Record a matched point-to-point event (times given in global time).
+  /// When streaming, the event is appended in its trailer encoding.
   void emit_p2p(P2PEvent e) {
     if (obs_ != nullptr) obs_->metrics.add(obs_->mpi_p2p);
     e.t_send_start = local_time(e.src, e.t_send_start);
     e.t_send_end = local_time(e.src, e.t_send_end);
     e.t_recv_start = local_time(e.dst, e.t_recv_start);
     e.t_recv_end = local_time(e.dst, e.t_recv_end);
-    bundle_.comm.p2p.push_back(e);
+    if (stream_sink_ != nullptr) {
+      detail::put_p2p(stream_comm_.p2p, e);
+      ++stream_comm_.p2p_count;
+    } else {
+      bundle_.comm.p2p.push_back(e);
+    }
   }
 
   /// Record a matched collective (arrival times given in global time).
+  /// When streaming, the event is appended in its trailer encoding.
   void emit_collective(CollectiveEvent e) {
     if (obs_ != nullptr) obs_->metrics.add(obs_->mpi_collectives);
     for (auto& a : e.arrivals) {
       a.t_enter = local_time(a.rank, a.t_enter);
       a.t_exit = local_time(a.rank, a.t_exit);
     }
-    bundle_.comm.collectives.push_back(std::move(e));
+    if (stream_sink_ != nullptr) {
+      detail::put_collective(stream_comm_.collectives, e);
+      ++stream_comm_.collective_count;
+    } else {
+      bundle_.comm.collectives.push_back(std::move(e));
+    }
   }
 
   /// Number of records captured so far (streamed-out records included).
@@ -191,6 +204,8 @@ class Collector {
   std::uint64_t stream_consumed_ = 0;
   std::size_t stream_peak_ = 0;
   std::vector<std::uint64_t> rank_posix_counts_;
+  /// The comm log so far (streaming only), in its trailer encoding.
+  EncodedCommLog stream_comm_;
   /// Posix records per FileId (streaming only): windowed retirement
   /// budgets.
   std::vector<std::uint64_t> file_posix_counts_;

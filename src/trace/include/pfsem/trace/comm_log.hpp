@@ -9,6 +9,7 @@
 // vector clocks from exactly this information.
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "pfsem/util/error.hpp"
@@ -81,10 +82,17 @@ struct CollectiveEvent {
   std::vector<CollectiveArrival> arrivals;
 };
 
+/// Throw pfsem::Error unless both ends of `e` are ranks in [0, nranks).
+/// Decoders run this on every message they read, and HappensBefore on
+/// every one it replays, since both index per-rank tables by these ranks.
+inline void check_p2p(const P2PEvent& e, int nranks) {
+  require(e.src >= 0 && e.src < nranks && e.dst >= 0 && e.dst < nranks,
+          "p2p event rank out of range");
+}
+
 /// Throw pfsem::Error unless `c` is a known kind whose arrivals (and
-/// root, for rooted kinds) are ranks in [0, nranks). Decoders run this
-/// on every collective they read, and HappensBefore on every one it
-/// replays, since both index per-rank tables by these ranks.
+/// root, for rooted kinds) are ranks in [0, nranks). Checked at the same
+/// places as check_p2p, for the same reason.
 inline void check_collective(const CollectiveEvent& c, int nranks) {
   const auto in_range = [nranks](Rank r) { return r >= 0 && r < nranks; };
   require(static_cast<std::uint64_t>(c.kind) < kCollectiveKindCount,
@@ -104,6 +112,19 @@ struct CommLog {
     p2p.clear();
     collectives.clear();
   }
+};
+
+/// A comm log in its serialized form: each section's event count and the
+/// concatenated bytes of its events, as detail::put_p2p/put_collective
+/// (serialize.hpp) encode them. A streaming capture builds this instead
+/// of a CommLog, since its comm log only ever travels on to a trailer;
+/// the trailer is varint(p2p_count) p2p varint(collective_count)
+/// collectives.
+struct EncodedCommLog {
+  std::uint64_t p2p_count = 0;
+  std::uint64_t collective_count = 0;
+  std::string p2p;
+  std::string collectives;
 };
 
 }  // namespace pfsem::trace

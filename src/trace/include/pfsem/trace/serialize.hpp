@@ -11,6 +11,7 @@
 #include <iosfwd>
 #include <istream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "pfsem/trace/bundle.hpp"
@@ -45,9 +46,12 @@ void write_compact(const TraceBundle& bundle, std::ostream& os);
 /// with a scan over bundle.records — the two produce identical bytes for
 /// identical inputs, which is what lets a spilled streaming capture
 /// transcode to .trc without the bundle ever existing.
+/// The comm log arrives already encoded (a streaming capture's
+/// StreamMeta::comm) and is copied to `os` as is.
 using RecordEmit = std::function<void(const Record&)>;
 void write_compact_streamed(int nranks, const PathTable& paths,
-                            const CommLog& comm, std::uint64_t record_count,
+                            const EncodedCommLog& comm,
+                            std::uint64_t record_count,
                             const std::function<void(const RecordEmit&)>& scan,
                             std::ostream& os);
 
@@ -82,10 +86,38 @@ class CompactReader {
 };
 
 namespace detail {
-/// Comm-log encoding shared by the compact (v2) trailer and the chunk
-/// spill trailer (spill.cpp) — one definition, formats cannot drift.
-void write_comm(const CommLog& comm, std::string& out);
-[[nodiscard]] CommLog read_comm(ByteReader& in, int nranks);
+/// Per-event comm-log codec. Every comm-log writer and reader goes
+/// through these: write_comm/read_comm below (the compact v2 trailer and
+/// the chunk spill trailer) and a streaming Collector, which encodes
+/// each event as it arrives. One definition, so the formats cannot drift.
+void put_p2p(std::string& out, const P2PEvent& e);
+void put_collective(std::string& out, const CollectiveEvent& c);
+/// Decode one event into `out` and validate it: ranks in [0, nranks),
+/// int32 fields that fit, a known kind, at most nranks arrivals. A
+/// collective reuses out.arrivals' capacity.
+void get_p2p(ByteReader& in, int nranks, P2PEvent& out);
+void get_collective(ByteReader& in, int nranks, CollectiveEvent& out);
+
+/// Encode a whole comm log.
+[[nodiscard]] EncodedCommLog write_comm(const CommLog& comm);
+
+/// Hand `comm`'s trailer bytes to `put` (called with std::string_view
+/// pieces, in order) without concatenating them first.
+template <typename Put>
+void put_comm(const EncodedCommLog& comm, Put&& put) {
+  std::string count;
+  put_varint(count, comm.p2p_count);
+  put(std::string_view(count));
+  put(std::string_view(comm.p2p));
+  count.clear();
+  put_varint(count, comm.collective_count);
+  put(std::string_view(count));
+  put(std::string_view(comm.collectives));
+}
+
+/// Decode and validate a comm-log trailer. The events are kept in `*out`
+/// if it is not null; otherwise each is checked and dropped.
+void read_comm(ByteReader& in, int nranks, CommLog* out);
 }  // namespace detail
 
 }  // namespace pfsem::trace

@@ -38,14 +38,18 @@
 
 namespace pfsem::trace {
 
-/// Append-only byte store with a memory ceiling: bytes live in one
-/// in-memory buffer until the ceiling is crossed, then the buffer (and
+/// Append-only byte store with a memory ceiling: bytes live in memory
+/// until the ceiling is crossed, then everything stored so far (and
 /// everything after it) spills to a private temp file that is removed on
 /// destruction. This is the only place the streaming pipeline's memory
-/// can grow with run length, and it is capped here.
+/// can grow with run length, and it is capped here. In memory, bytes
+/// fill fixed-size blocks one after another, so an append never moves
+/// what is already stored.
 class SpillStore {
  public:
   static constexpr std::size_t kDefaultCeiling = std::size_t{64} << 20;
+  /// In-memory block size (smaller when the ceiling is).
+  static constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
 
   explicit SpillStore(std::size_t memory_ceiling = kDefaultCeiling);
   ~SpillStore();
@@ -56,20 +60,22 @@ class SpillStore {
 
   /// Total bytes appended so far.
   [[nodiscard]] std::size_t bytes() const { return total_; }
-  /// Peak in-memory buffer size — the store's RSS contribution.
+  /// Peak bytes held in memory — the store's RSS contribution (the last
+  /// block's unwritten tail is never touched).
   [[nodiscard]] std::size_t peak_memory() const { return peak_mem_; }
   [[nodiscard]] bool spilled() const { return !path_.empty(); }
 
   /// Fresh read stream over everything appended so far. The writer side
   /// must be done: appending after open_read() is an error. An unspilled
-  /// store hands out a view of its memory buffer, not a copy, so the
+  /// store hands out a seekable view of its blocks, not a copy, so the
   /// stream must not outlive the store; any number of views may be open
   /// at once.
   [[nodiscard]] std::unique_ptr<std::istream> open_read();
 
  private:
   std::size_t ceiling_;
-  std::string mem_;
+  std::size_t block_;
+  std::vector<std::unique_ptr<char[]>> blocks_;
   std::string path_;
   std::ofstream file_;
   std::size_t total_ = 0;
@@ -87,8 +93,9 @@ class ChunkWriter final : public StreamSink {
   void on_records(std::uint64_t base_seq,
                   std::span<const Record> records) override;
 
-  /// Write the trailer. Must be called exactly once, after the collector's
-  /// take_stream() flushed the final batch.
+  /// Write the trailer: its head, then meta.comm's bytes as they are.
+  /// Must be called exactly once, after the collector's take_stream()
+  /// flushed the final batch.
   void finish(const StreamMeta& meta);
 
  private:
@@ -110,7 +117,6 @@ class ChunkReader {
   struct Trailer {
     std::uint64_t records = 0;
     PathTable paths;
-    CommLog comm;
   };
 
   explicit ChunkReader(std::istream& is);
@@ -122,9 +128,11 @@ class ChunkReader {
   /// Decode the next record; false once the trailer marker is reached.
   bool next(Record& out);
 
-  /// Read and validate the trailer. Only valid after next() returned
+  /// Read and validate the trailer, every comm-log event included. The
+  /// comm log is kept in `*comm` only if the caller passes one; otherwise
+  /// each event is checked and dropped. Only valid after next() returned
   /// false.
-  [[nodiscard]] Trailer read_trailer();
+  [[nodiscard]] Trailer read_trailer(CommLog* comm = nullptr);
 
  private:
   detail::ByteReader in_;

@@ -37,7 +37,10 @@ class StreamSink {
 struct StreamMeta {
   int nranks = 0;
   PathTable paths;
-  CommLog comm;
+  /// The comm log in its trailer encoding: a streaming capture only ever
+  /// copies it on to a trailer (ChunkWriter::finish, or a compact v2
+  /// transcode), so it is never held as structs.
+  EncodedCommLog comm;
   /// Per-FileId op-count hints (same contract as
   /// TraceBundle::file_op_counts — advisory, never serialized).
   std::vector<std::uint32_t> file_op_counts;

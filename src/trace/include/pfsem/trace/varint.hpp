@@ -50,6 +50,15 @@ constexpr std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
+/// Narrow a decoded field that was written from an int32 (fd, flags,
+/// rank, tag). A value outside int32 is malformed input: truncating it
+/// would let 2^32 + 1 pass as 1 and re-encode to different bytes.
+inline std::int32_t to_int32(std::int64_t v) {
+  require(v >= INT32_MIN && v <= INT32_MAX,
+          "int32 field out of range in compact trace");
+  return static_cast<std::int32_t>(v);
+}
+
 /// Buffered decoder over an istream's streambuf. It refills a fixed
 /// kBlockBytes buffer with sgetn, so it may consume bytes past the end of
 /// the format it decodes: a caller that reuses the stream afterwards must
@@ -98,6 +107,9 @@ class ByteReader {
     }
     return varint_checked();
   }
+
+  /// Zig-zag varint that must fit int32 (see to_int32).
+  std::int32_t zigzag_int32() { return to_int32(unzigzag(varint())); }
 
   /// varint length, then that many bytes. The string grows only by bytes
   /// actually read, never by the length the input claims.

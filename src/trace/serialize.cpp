@@ -156,6 +156,7 @@ TraceBundle read_binary(std::istream& is) {
     e.t_send_end = get<SimTime>(is);
     e.t_recv_start = get<SimTime>(is);
     e.t_recv_end = get<SimTime>(is);
+    check_p2p(e, b.nranks);
     b.comm.p2p.push_back(e);
   }
   const auto ncoll = get<std::uint64_t>(is);

@@ -2,7 +2,9 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <streambuf>
 #include <utility>
@@ -31,45 +33,84 @@ std::string fresh_spill_path() {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-/// Read-only, seekable istream over bytes owned by someone else: replays
-/// an unspilled store without copying it.
-class ViewStream final : public std::istream {
+/// Read-only, seekable istream over a store's blocks: replays an
+/// unspilled store without copying it. Each block in turn is the get
+/// area, so reads run on the streambuf's own fast path.
+class BlockStream final : public std::istream {
  public:
-  explicit ViewStream(std::string_view bytes) : std::istream(nullptr) {
-    char* const begin = const_cast<char*>(bytes.data());
-    buf_.view(begin, begin + bytes.size());
+  BlockStream(const std::vector<std::unique_ptr<char[]>>& blocks,
+              std::size_t block, std::size_t size)
+      : std::istream(nullptr), buf_(blocks, block, size) {
     rdbuf(&buf_);
   }
 
  private:
-  struct ViewBuf final : std::streambuf {
-    void view(char* begin, char* end) { setg(begin, begin, end); }
+  class BlockBuf final : public std::streambuf {
+   public:
+    BlockBuf(const std::vector<std::unique_ptr<char[]>>& blocks,
+             std::size_t block, std::size_t size)
+        : blocks_(blocks), block_(block), size_(size) {
+      load(0);
+    }
+
+   protected:
+    int_type underflow() override {
+      if (gptr() == egptr()) {
+        const auto next = base_ + static_cast<std::size_t>(egptr() - eback());
+        if (next >= size_) return traits_type::eof();
+        load(next);
+      }
+      return traits_type::to_int_type(*gptr());
+    }
 
     pos_type seekoff(off_type off, std::ios_base::seekdir dir,
                      std::ios_base::openmode which) override {
-      const off_type size = egptr() - eback();
-      const off_type base = dir == std::ios_base::beg   ? 0
-                            : dir == std::ios_base::cur ? gptr() - eback()
-                                                        : size;
+      const auto size = static_cast<off_type>(size_);
+      const off_type base =
+          dir == std::ios_base::beg   ? 0
+          : dir == std::ios_base::cur ? static_cast<off_type>(base_) +
+                                            (gptr() - eback())
+                                      : size;
       const off_type to = base + off;
       if (!(which & std::ios_base::in) || to < 0 || to > size) {
         return pos_type(off_type(-1));
       }
-      setg(eback(), eback() + to, egptr());
+      load(static_cast<std::size_t>(to));
       return pos_type(to);
     }
 
     pos_type seekpos(pos_type pos, std::ios_base::openmode which) override {
       return seekoff(off_type(pos), std::ios_base::beg, which);
     }
+
+   private:
+    /// Make the block holding byte `at` the get area, positioned at `at`.
+    /// At the end of the store the get area is empty.
+    void load(std::size_t at) {
+      if (at >= size_) {
+        base_ = size_;
+        setg(nullptr, nullptr, nullptr);
+        return;
+      }
+      const std::size_t i = at / block_;
+      base_ = i * block_;
+      char* const b = blocks_[i].get();
+      setg(b, b + (at - base_), b + std::min(block_, size_ - base_));
+    }
+
+    const std::vector<std::unique_ptr<char[]>>& blocks_;
+    std::size_t block_;
+    std::size_t size_;
+    std::size_t base_ = 0;  ///< store offset of eback()
   };
-  ViewBuf buf_;
+  BlockBuf buf_;
 };
 
 }  // namespace
 
 SpillStore::SpillStore(std::size_t memory_ceiling)
-    : ceiling_(memory_ceiling) {}
+    : ceiling_(memory_ceiling),
+      block_(std::clamp(memory_ceiling, std::size_t{1}, kBlockBytes)) {}
 
 SpillStore::~SpillStore() {
   if (!path_.empty()) {
@@ -80,29 +121,44 @@ SpillStore::~SpillStore() {
 }
 
 void SpillStore::append(std::string_view bytes) {
-  // Readers view mem_ or read the file in place: both must stay frozen.
+  // Readers view the blocks or read the file in place: both must stay
+  // frozen.
   require(!reading_, "SpillStore::append after open_read");
-  if (path_.empty() && mem_.size() + bytes.size() > ceiling_) {
+  if (path_.empty() && total_ + bytes.size() > ceiling_) {
     path_ = fresh_spill_path();
     file_.open(path_, std::ios::binary | std::ios::trunc);
     require(static_cast<bool>(file_), "cannot open spill file " + path_);
-    file_.write(mem_.data(), static_cast<std::streamsize>(mem_.size()));
-    mem_.clear();
-    mem_.shrink_to_fit();
+    for (std::size_t i = 0; i < blocks_.size(); ++i) {
+      file_.write(blocks_[i].get(), static_cast<std::streamsize>(std::min(
+                                        block_, total_ - i * block_)));
+    }
+    blocks_.clear();
+    blocks_.shrink_to_fit();
   }
-  if (path_.empty()) {
-    mem_.append(bytes);
-    peak_mem_ = std::max(peak_mem_, mem_.size());
-  } else {
+  if (!path_.empty()) {
     file_.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     require(static_cast<bool>(file_), "spill file write failure");
+    total_ += bytes.size();
+    return;
   }
-  total_ += bytes.size();
+  while (!bytes.empty()) {
+    if (total_ == blocks_.size() * block_) {
+      blocks_.push_back(std::make_unique_for_overwrite<char[]>(block_));
+    }
+    const std::size_t at = total_ - (blocks_.size() - 1) * block_;
+    const std::size_t n = std::min(bytes.size(), block_ - at);
+    std::memcpy(blocks_.back().get() + at, bytes.data(), n);
+    bytes.remove_prefix(n);
+    total_ += n;
+  }
+  peak_mem_ = std::max(peak_mem_, total_);
 }
 
 std::unique_ptr<std::istream> SpillStore::open_read() {
   reading_ = true;
-  if (path_.empty()) return std::make_unique<ViewStream>(mem_);
+  if (path_.empty()) {
+    return std::make_unique<BlockStream>(blocks_, block_, total_);
+  }
   file_.flush();
   auto in = std::make_unique<std::ifstream>(path_, std::ios::binary);
   require(static_cast<bool>(*in), "cannot reopen spill file " + path_);
@@ -160,8 +216,10 @@ void ChunkWriter::finish(const StreamMeta& meta) {
   for (std::size_t i = 0; i < meta.paths.size(); ++i) {
     detail::put_string(buf_, meta.paths.view(static_cast<FileId>(i)));
   }
-  detail::write_comm(meta.comm, buf_);
   store_.append(buf_);
+  detail::put_comm(meta.comm,
+                   [this](std::string_view bytes) { store_.append(bytes); });
+  std::string().swap(buf_);  // no more chunks: give the buffer back
 }
 
 ChunkReader::ChunkReader(std::istream& is) : in_(is) {
@@ -206,11 +264,11 @@ bool ChunkReader::next(Record& out) {
   const auto func = packed >> 6;
   require(func < kFuncCount, "bad function id in chunk stream");
   out.func = static_cast<Func>(func);
-  out.fd = static_cast<std::int32_t>(unzigzag(in_.varint()));
+  out.fd = in_.zigzag_int32();
   out.ret = unzigzag(in_.varint());
   out.offset = in_.varint();
   out.count = in_.varint();
-  out.flags = static_cast<std::int32_t>(unzigzag(in_.varint()));
+  out.flags = in_.zigzag_int32();
   const auto fid = in_.varint();
   if (fid == 0) {
     out.file = kNoFile;
@@ -222,7 +280,7 @@ bool ChunkReader::next(Record& out) {
   return true;
 }
 
-ChunkReader::Trailer ChunkReader::read_trailer() {
+ChunkReader::Trailer ChunkReader::read_trailer(CommLog* comm) {
   require(at_trailer_, "trailer read before the record stream was drained");
   Trailer t;
   t.records = in_.varint();
@@ -236,7 +294,7 @@ ChunkReader::Trailer ChunkReader::read_trailer() {
   }
   require(!any_file_seen_ || max_file_seen_ < t.paths.size(),
           "bad path id in chunk stream");
-  t.comm = detail::read_comm(in_, nranks_);
+  detail::read_comm(in_, nranks_, comm);
   return t;
 }
 

@@ -425,9 +425,8 @@ TraceBundle decode_chunks(std::istream& is) {
   b.nranks = reader.nranks();
   Record rec;
   while (reader.next(rec)) b.records.push_back(rec);
-  auto trailer = reader.read_trailer();
+  auto trailer = reader.read_trailer(&b.comm);
   b.paths = std::move(trailer.paths);
-  b.comm = std::move(trailer.comm);
   return b;
 }
 
@@ -514,6 +513,157 @@ TEST(ChunkStream, TrailerRecordCountMismatchRejected) {
   put_varint(bad, 9);  // stream carried 6
   bad += s.substr(t + 2);
   EXPECT_THROW((void)decode_chunks(bad), Error);
+}
+
+/// A chunk stream with no records and a trailer holding one collective
+/// (`kind`, `root`, one arrival by `arrival`), nranks 2.
+std::string chunk_trailer_with_collective(std::uint64_t kind, Rank root,
+                                          std::uint64_t arrival) {
+  std::string s("PFSEMCK1", 8);
+  put_varint(s, 2);  // nranks
+  s.push_back('T');
+  put_varint(s, 0);  // records
+  put_varint(s, 0);  // paths
+  put_varint(s, 0);  // p2p
+  put_varint(s, 1);  // collectives
+  put_varint(s, kind);
+  put_varint(s, zz(root));
+  put_varint(s, 1);  // arrivals
+  put_varint(s, arrival);
+  put_varint(s, zz(30));
+  put_varint(s, zz(10));
+  return s;
+}
+
+TEST(ChunkStream, TrailerWithBadCollectiveThrowsWhetherKeptOrNot) {
+  // read_trailer() validates every comm event even when the caller keeps
+  // none of them.
+  const auto read = [](const std::string& bytes, CommLog* keep) {
+    std::istringstream is(bytes);
+    ChunkReader reader(is);
+    Record rec;
+    EXPECT_FALSE(reader.next(rec));
+    (void)reader.read_trailer(keep);
+  };
+  const auto bcast = static_cast<std::uint64_t>(CollectiveKind::Bcast);
+  CommLog kept;
+  read(chunk_trailer_with_collective(bcast, 1, 0), &kept);
+  ASSERT_EQ(kept.collectives.size(), 1u);
+  EXPECT_EQ(kept.collectives[0].root, 1);
+  EXPECT_EQ(kept.collectives[0].arrivals.at(0).t_exit, 40);
+  read(chunk_trailer_with_collective(bcast, 1, 0), nullptr);
+  for (CommLog* keep : {&kept, static_cast<CommLog*>(nullptr)}) {
+    EXPECT_THROW(read(chunk_trailer_with_collective(8, 1, 0), keep), Error);
+    EXPECT_THROW(read(chunk_trailer_with_collective(bcast, 2, 0), keep),
+                 Error);
+    EXPECT_THROW(read(chunk_trailer_with_collective(bcast, 1, 2), keep),
+                 Error);
+  }
+}
+
+// --- block spill store ----------------------------------------------------
+
+/// `n` bytes whose value at each offset differs from its neighbours' and
+/// from the same offset in the next block (period 251 is prime).
+std::string patterned(std::size_t n) {
+  std::string s(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) s[i] = static_cast<char>(i % 251);
+  return s;
+}
+
+/// Append `bytes` to `store` in pieces of uneven sizes, so pieces start
+/// and end on both sides of every block edge.
+void append_unevenly(SpillStore& store, std::string_view bytes) {
+  constexpr std::size_t kSizes[] = {1, 7, 4093, 65537, 300001, 2};
+  for (std::size_t i = 0; !bytes.empty(); ++i) {
+    const auto n = std::min(bytes.size(), kSizes[i % std::size(kSizes)]);
+    store.append(bytes.substr(0, n));
+    bytes.remove_prefix(n);
+  }
+}
+
+TEST(SpillStoreBlocks, AppendsAcrossBlockEdgesReplayAndSeekExactly) {
+  constexpr std::size_t kBlock = SpillStore::kBlockBytes;
+  const std::string want = patterned(3 * kBlock + kBlock / 2);
+  SpillStore store(4 * kBlock);
+  append_unevenly(store, want);
+  ASSERT_FALSE(store.spilled());
+  EXPECT_EQ(store.bytes(), want.size());
+  EXPECT_EQ(store.peak_memory(), want.size());
+
+  // Several views at once, read interleaved: by sgetn in one call, by
+  // single characters, and a third one seeking around.
+  const auto a = store.open_read();
+  const auto b = store.open_read();
+  const auto c = store.open_read();
+  EXPECT_THROW(store.append("x"), Error);
+  std::string head(kBlock + 3, '\0');
+  ASSERT_TRUE(b->read(head.data(), static_cast<std::streamsize>(head.size())));
+  std::string all(want.size(), '\0');
+  ASSERT_TRUE(a->read(all.data(), static_cast<std::streamsize>(all.size())));
+  EXPECT_TRUE(all == want);
+  EXPECT_EQ(a->get(), std::char_traits<char>::eof());
+  const std::string tail(std::istreambuf_iterator<char>(*b), {});
+  EXPECT_TRUE(head + tail == want);
+
+  for (const std::size_t at :
+       {std::size_t{0}, kBlock - 1, kBlock, kBlock + 12345, 2 * kBlock,
+        3 * kBlock + 1, want.size() - 1, want.size()}) {
+    c->clear();
+    c->seekg(static_cast<std::streamoff>(at));
+    ASSERT_EQ(c->tellg(), static_cast<std::streamoff>(at)) << at;
+    const std::string rest(std::istreambuf_iterator<char>(*c), {});
+    EXPECT_TRUE(rest == want.substr(at)) << "seek to " << at;
+  }
+  c->clear();
+  c->seekg(-5, std::ios_base::end);
+  EXPECT_EQ(c->tellg(), static_cast<std::streamoff>(want.size() - 5));
+  c->seekg(-static_cast<std::streamoff>(kBlock), std::ios_base::cur);
+  EXPECT_EQ(c->tellg(), static_cast<std::streamoff>(want.size() - 5 - kBlock));
+  EXPECT_EQ(c->get(),
+            static_cast<unsigned char>(want[want.size() - 5 - kBlock]));
+  c->seekg(1, std::ios_base::end);  // past the end: the seek fails
+  EXPECT_TRUE(c->fail());
+}
+
+TEST(SpillStoreBlocks, SpillAfterSeveralBlocksWritesTheSameBytes) {
+  constexpr std::size_t kBlock = SpillStore::kBlockBytes;
+  const std::string want = patterned(3 * kBlock + kBlock / 2);
+  SpillStore store(3 * kBlock + 5);
+  append_unevenly(store, want);
+  ASSERT_TRUE(store.spilled());
+  EXPECT_GT(store.peak_memory(), 2 * kBlock);  // spilled from several blocks
+  EXPECT_LE(store.peak_memory(), 3 * kBlock + 5);
+  EXPECT_EQ(store.bytes(), want.size());
+  const auto in = store.open_read();
+  const std::string got(std::istreambuf_iterator<char>(*in), {});
+  EXPECT_TRUE(got == want);
+}
+
+TEST(SpillStoreBlocks, ChunkStreamOverSeveralBlocksDecodes) {
+  // The chunk reader's block refills (sgetn) cross the store's block
+  // edges at unrelated offsets.
+  std::vector<Record> in;
+  for (std::size_t i = 0; i < 200000; ++i) {
+    in.push_back(make_record(static_cast<Rank>(i % 3),
+                             static_cast<SimTime>(i * 10),
+                             static_cast<SimTime>(i * 10 + 5), Func::pwrite,
+                             3, 4096, i * 4096, 4096, 0, kNoFile));
+  }
+  SpillStore store;
+  ChunkWriter writer(store, 3);
+  for (std::size_t at = 0; at < in.size(); at += 4096) {
+    const auto n = std::min<std::size_t>(4096, in.size() - at);
+    writer.on_records(at, std::span<const Record>(in).subspan(at, n));
+  }
+  StreamMeta meta;
+  meta.nranks = 3;
+  meta.records = in.size();
+  writer.finish(meta);
+  ASSERT_FALSE(store.spilled());
+  ASSERT_GT(store.bytes(), 2 * SpillStore::kBlockBytes);
+  const auto is = store.open_read();
+  EXPECT_TRUE(decode_chunks(*is).records == in);
 }
 
 // --- block decoder: short reads, block edges, varint limits -----------
@@ -795,6 +945,171 @@ TEST(HostileInput, ChunkStreamRejectsBadLayer) {
   };
   EXPECT_EQ(decode_chunks(stream(0)).records.size(), 1u);
   EXPECT_THROW((void)decode_chunks(stream(7)), Error);
+}
+
+/// Raw varints of every int32 field a v2 stream or a chunk stream carries:
+/// one record's fd and flags, one p2p message's src, dst and tag, and a
+/// bcast's root. The defaults decode (nranks 2).
+struct Int32Fields {
+  std::uint64_t fd = zz(3);
+  std::uint64_t flags = zz(0);
+  std::uint64_t src = 0;
+  std::uint64_t dst = 1;
+  std::uint64_t tag = zz(-7);
+  std::uint64_t root = zz(1);
+};
+
+/// 2^32 + 1: a plain cast to int32 reads it as 1, a valid rank.
+constexpr std::int64_t kWrapsToOne = (std::int64_t{1} << 32) + 1;
+
+/// Every way to set one Int32Fields field to a value that does not fit
+/// int32, or (src/dst) to a rank outside [0, 2).
+std::vector<std::pair<const char*, Int32Fields>> int32_misfits() {
+  std::vector<std::pair<const char*, Int32Fields>> out;
+  const auto add = [&](const char* what, std::uint64_t Int32Fields::*field,
+                       std::uint64_t v) {
+    Int32Fields f;
+    f.*field = v;
+    out.emplace_back(what, f);
+  };
+  for (const std::int64_t v : {kWrapsToOne, -kWrapsToOne,
+                               std::int64_t{INT32_MAX} + 1,
+                               std::int64_t{INT32_MIN} - 1}) {
+    add("fd", &Int32Fields::fd, zz(v));
+    add("flags", &Int32Fields::flags, zz(v));
+    add("tag", &Int32Fields::tag, zz(v));
+    add("root", &Int32Fields::root, zz(v));
+  }
+  add("src", &Int32Fields::src, static_cast<std::uint64_t>(kWrapsToOne));
+  add("dst", &Int32Fields::dst, static_cast<std::uint64_t>(kWrapsToOne));
+  add("src", &Int32Fields::src, 2);
+  add("dst", &Int32Fields::dst, 2);
+  add("src", &Int32Fields::src, static_cast<std::uint64_t>(-1));
+  return out;
+}
+
+/// One pathless stat record with `f`'s fd and flags, compact-v2 style.
+void put_int32_record(std::string& s, const Int32Fields& f) {
+  put_varint(s, 0);  // rank
+  put_varint(s, zz(10));
+  put_varint(s, zz(10));
+  put_varint(s, 0 | (6u << 3) | (static_cast<std::uint64_t>(Func::stat) << 6));
+  put_varint(s, f.fd);
+  put_varint(s, zz(0));  // ret
+  put_varint(s, 0);      // offset
+  put_varint(s, 0);      // count
+  put_varint(s, f.flags);
+}
+
+/// The comm log: one p2p message and one bcast with `f`'s fields.
+void put_int32_comm(std::string& s, const Int32Fields& f) {
+  put_varint(s, 1);  // p2p
+  put_varint(s, f.src);
+  put_varint(s, f.dst);
+  put_varint(s, f.tag);
+  put_varint(s, 64);  // bytes
+  put_varint(s, zz(5));
+  put_varint(s, zz(1));
+  put_varint(s, zz(0));
+  put_varint(s, zz(2));
+  put_varint(s, 1);  // collectives
+  put_varint(s, static_cast<std::uint64_t>(CollectiveKind::Bcast));
+  put_varint(s, f.root);
+  put_varint(s, 2);  // arrivals
+  for (std::uint64_t r = 0; r < 2; ++r) {
+    put_varint(s, r);
+    put_varint(s, zz(30));
+    put_varint(s, zz(10));
+  }
+}
+
+std::string v2_int32_stream(const Int32Fields& f) {
+  std::string s("PFSEMTR2", 8);
+  put_varint(s, 2);  // nranks
+  put_varint(s, 1);  // path table: ""
+  put_varint(s, 0);
+  put_varint(s, 1);  // records
+  put_int32_record(s, f);
+  put_varint(s, 0);  // path slot
+  put_int32_comm(s, f);
+  return s;
+}
+
+std::string chunk_int32_stream(const Int32Fields& f) {
+  std::string s("PFSEMCK1", 8);
+  put_varint(s, 2);  // nranks
+  s.push_back('C');
+  put_varint(s, 0);  // base seq
+  put_varint(s, 1);  // records
+  put_int32_record(s, f);
+  put_varint(s, 0);  // no file
+  s.push_back('T');
+  put_varint(s, 1);  // records
+  put_varint(s, 0);  // paths
+  put_int32_comm(s, f);
+  return s;
+}
+
+TEST(HostileInput, V2RejectsInt32FieldsThatDoNotFit) {
+  const auto decode = [](const std::string& bytes) {
+    std::istringstream is(bytes);
+    return read_compact(is);
+  };
+  const auto ok = decode(v2_int32_stream({}));
+  EXPECT_EQ(ok.records.at(0).fd, 3);
+  ASSERT_EQ(ok.comm.p2p.size(), 1u);
+  EXPECT_EQ(ok.comm.p2p[0].tag, -7);
+  EXPECT_EQ(ok.comm.collectives.at(0).root, 1);
+  for (const auto& [what, f] : int32_misfits()) {
+    EXPECT_THROW((void)decode(v2_int32_stream(f)), Error) << what;
+  }
+}
+
+TEST(HostileInput, ChunkRecordsAndTrailerRejectInt32FieldsThatDoNotFit) {
+  const auto ok = decode_chunks(chunk_int32_stream({}));
+  EXPECT_EQ(ok.records.at(0).fd, 3);
+  ASSERT_EQ(ok.comm.p2p.size(), 1u);
+  EXPECT_EQ(ok.comm.p2p[0].dst, 1);
+  for (const auto& [what, f] : int32_misfits()) {
+    // Record fields throw from next(), comm fields from read_trailer(),
+    // whether or not the caller keeps the comm log.
+    EXPECT_THROW((void)decode_chunks(chunk_int32_stream(f)), Error) << what;
+    std::istringstream is(chunk_int32_stream(f));
+    EXPECT_THROW(
+        {
+          ChunkReader reader(is);
+          Record rec;
+          while (reader.next(rec)) {
+          }
+          (void)reader.read_trailer();
+        },
+        Error)
+        << what;
+  }
+}
+
+TEST(HostileInput, V1RejectsP2PRanksOutOfRange) {
+  const auto stream = [](Rank src, Rank dst) {
+    std::string s("PFSEMTRC", 8);
+    put_le<std::uint32_t>(s, 1);  // version
+    put_le<std::int32_t>(s, 2);   // nranks
+    put_le<std::uint64_t>(s, 0);  // records
+    put_le<std::uint64_t>(s, 1);  // p2p
+    put_le(s, src);
+    put_le(s, dst);
+    put_le<std::int32_t>(s, 7);   // tag
+    put_le<std::uint64_t>(s, 64);  // bytes
+    for (const SimTime t : {5, 6, 5, 8}) put_le(s, t);
+    put_le<std::uint64_t>(s, 0);  // collectives
+    return s;
+  };
+  const auto decode = [](const std::string& bytes) {
+    std::istringstream is(bytes);
+    return read_binary(is);
+  };
+  EXPECT_EQ(decode(stream(1, 0)).comm.p2p.at(0).src, 1);
+  EXPECT_THROW((void)decode(stream(2, 0)), Error);
+  EXPECT_THROW((void)decode(stream(0, -1)), Error);
 }
 
 // --- bounded allocation on hostile counts ------------------------------

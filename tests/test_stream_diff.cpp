@@ -23,6 +23,7 @@
 #include "pfsem/core/report.hpp"
 #include "pfsem/core/stream_analyze.hpp"
 #include "pfsem/fault/plan.hpp"
+#include "pfsem/trace/collector.hpp"
 #include "pfsem/trace/serialize.hpp"
 #include "pfsem/trace/spill.hpp"
 #include "pfsem/util/error.hpp"
@@ -181,6 +182,67 @@ TEST(StreamDiff, TransientFaultsMatchMaterialized) {
   const auto stream = stream_run(info, cfg, 64, 16u << 10, 1, {}, &setup);
   ASSERT_EQ(stream.compact, compact_bytes(bundle));
   ASSERT_EQ(stream.report, report_text(bundle));
+}
+
+TEST(StreamDiff, EveryAppStreamsTheMaterializedCommLogBytes) {
+  // A streaming collector encodes each comm event as it arrives; the
+  // result must be exactly the encoding of the materialized CommLog,
+  // including the clock conversion and events that faults reshape.
+  apps::FaultSetup setup;
+  setup.plan = fault::FaultPlan::parse(
+      "eio:p=0.03,ops=data; slow:factor=6,from=0,to=4ms;"
+      "drop:p=0.1,timeout=500us");
+  setup.seed = 11;
+  setup.retry.max_attempts = 4;
+  const auto cfg = base_cfg(8);
+  const auto clocks = sim::make_skewed_clocks(8, 20'000, 100.0, 7);
+  std::uint64_t collectives = 0;
+  for (const auto& info : apps::registry()) {
+    const auto bundle = apps::run_app(info, cfg, {}, clocks, &setup);
+    const auto want = trace::detail::write_comm(bundle.comm);
+    trace::SpillStore store;
+    trace::ChunkWriter writer(store, cfg.nranks);
+    auto scfg = cfg;
+    scfg.stream_chunk_records = 64;
+    const auto meta =
+        apps::run_app_stream(info, writer, scfg, {}, clocks, &setup);
+    EXPECT_EQ(meta.comm.p2p_count, want.p2p_count) << info.name;
+    EXPECT_EQ(meta.comm.collective_count, want.collective_count) << info.name;
+    EXPECT_EQ(meta.comm.p2p, want.p2p) << info.name;
+    EXPECT_EQ(meta.comm.collectives, want.collectives) << info.name;
+    collectives += meta.comm.collective_count;
+  }
+  EXPECT_GT(collectives, 0u);
+}
+
+TEST(StreamDiff, StreamingCollectorEncodesCommEventsAsMaterialized) {
+  // No registered app sends point-to-point messages, so drive both event
+  // kinds through a streaming and a materializing collector directly.
+  const auto clocks = sim::make_skewed_clocks(4, 20'000, 100.0, 3);
+  trace::Collector mat(4, clocks);
+  trace::Collector str(4, clocks);
+  trace::SpillStore store;
+  trace::ChunkWriter writer(store, 4);
+  str.enable_streaming(&writer, 16);
+  for (trace::Collector* c : {&mat, &str}) {
+    c->emit_p2p({0, 3, -7, 4096, 1'000, 1'500, 1'200, 2'000});
+    c->emit_collective({trace::CollectiveKind::Bcast, 2,
+                        {{0, 3'000, 3'400}, {2, 2'900, 3'100},
+                         {1, 3'050, 3'600}}});
+    c->emit_p2p({3, 1, 1 << 30, 0, 4'000, 4'010, 3'990, 4'500});
+    c->emit_collective(
+        {trace::CollectiveKind::Allreduce, kNoRank,
+         {{0, 5'000, 5'300}, {1, 5'000, 5'300}, {2, 5'010, 5'300},
+          {3, 5'020, 5'300}}});
+  }
+  const auto want = trace::detail::write_comm(mat.take().comm);
+  const auto meta = str.take_stream();
+  EXPECT_EQ(meta.comm.p2p_count, 2u);
+  EXPECT_EQ(meta.comm.collective_count, 2u);
+  EXPECT_EQ(meta.comm.p2p_count, want.p2p_count);
+  EXPECT_EQ(meta.comm.collective_count, want.collective_count);
+  EXPECT_EQ(meta.comm.p2p, want.p2p);
+  EXPECT_EQ(meta.comm.collectives, want.collectives);
 }
 
 TEST(StreamDiff, ClusterMdsFailoverMatchesMaterialized) {
