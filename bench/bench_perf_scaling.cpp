@@ -22,21 +22,23 @@
 //                  two bundles must be byte-identical);
 //   run_to_report  a registered app (FLASH-fbs) driven end to end —
 //                  capture + full report — at ranks 64/256/1024, on both
-//                  the materialized and the chunked streaming pipeline,
-//                  with peak RSS per pipeline measured in a fresh
-//                  subprocess each (--scale64k appends a 65536-rank
-//                  streaming-only point; materializing it would need the
-//                  whole record array in memory at once, and a
-//                  131072-rank windowed pF3D-IO point that must complete
-//                  under the 65536-rank point's RSS — twice the ranks in
-//                  less memory).
+//                  the materialized and the chunked streaming pipeline
+//                  (the apps::spill_app/drain_spill driver behind
+//                  `pfsem report --stream`), with peak RSS per pipeline
+//                  measured in a fresh subprocess each (--scale64k
+//                  appends a 65536-rank streaming-only point;
+//                  materializing it would need the whole record array in
+//                  memory at once, and a 131072-rank pF3D-IO streaming
+//                  point that must complete under the 65536-rank point's
+//                  RSS — twice the ranks in less memory).
 //   memory_scaling full-log vs windowed analysis peak RSS on a synthetic
 //                  phased N-N checkpoint trace fed straight into the
-//                  analyzer, at ranks 1024/4096/16384 in fresh
-//                  subprocesses — windowed memory must be bounded by the
-//                  live window, not the trace (>=2x below full-log at
-//                  16384 ranks, enforced at record time; --scale64k adds
-//                  131072-rank windowed under 65536-rank full-log).
+//                  analyzer (full-log = no per-file budgets, so nothing
+//                  retires before finish), at ranks 1024/4096/16384 in
+//                  fresh subprocesses — windowed memory must be bounded
+//                  by the live window, not the trace (>=2x below full-log
+//                  at 16384 ranks, enforced at record time; --scale64k
+//                  adds 131072-rank windowed under 65536-rank full-log).
 //   cluster_failover  a read-heavy app (LBANN) on the multi-server
 //                  PfsCluster, healthy vs one crashed MDS + one crashed
 //                  OST: wall throughput, simulated time-to-recover
@@ -50,11 +52,12 @@
 //
 // Subprocess mode (used internally for RSS measurement, and by the
 // stream_rss_bounded ctest entry):
-//   bench_perf_scaling --rss-probe stream|materialize|windowed RANKS
-//                  run the FLASH-fbs run->report pipeline once in the
-//                  given mode and print one line of key=value pairs
-//                  including this process's getrusage peak RSS
-//                  (windowed = streaming with per-file retirement).
+//   bench_perf_scaling --rss-probe stream|materialize RANKS [APP]
+//                  run the FLASH-fbs (or APP) run->report pipeline once
+//                  in the given mode and print one line of key=value
+//                  pairs including this process's getrusage peak RSS
+//   bench_perf_scaling --rss-probe phased|phased-windowed RANKS
+//                  the memory_scaling analysis, full-log or windowed.
 
 #include <sys/resource.h>
 #include <unistd.h>
@@ -74,13 +77,13 @@
 
 #include "capture_kernel.hpp"
 
+#include "pfsem/apps/driver.hpp"
 #include "pfsem/apps/registry.hpp"
 #include "pfsem/core/conflict.hpp"
 #include "pfsem/core/report.hpp"
 #include "pfsem/core/stream_analyze.hpp"
 #include "pfsem/trace/record.hpp"
 #include "pfsem/trace/serialize.hpp"
-#include "pfsem/trace/spill.hpp"
 #include "pfsem/core/offset_tracker.hpp"
 #include "pfsem/core/overlap.hpp"
 #include "pfsem/exec/pool.hpp"
@@ -281,9 +284,8 @@ struct RunToReportPoint {
   long stream_rss_kb = 0;
   long materialized_rss_kb = 0;
   bool streaming_only = false;
-  // Windowed streaming point (per-file retirement): RSS bounded by the
-  // live window, so ranks can keep doubling past the full-log ceiling.
-  bool windowed = false;
+  // The streaming analysis's live window: RSS bounded by it, so ranks can
+  // keep doubling past the full-log ceiling.
   std::uint64_t live_peak = 0;
   std::uint64_t retired = 0;
 };
@@ -306,101 +308,45 @@ std::string materialized_report_text(const trace::TraceBundle& bundle) {
   return os.str();
 }
 
-/// The streaming run→report pipeline, timed phase by phase: capture
-/// spills chunks into a 64 MiB-ceiling store, the harness dies, then one
-/// replay pass drives the incremental analysis and the report.
+/// The streaming run→report pipeline, timed phase by phase through the
+/// driver `pfsem report --stream` runs: the spill half (capture into a
+/// 64 MiB-ceiling store, harness destroyed) is the capture, the windowed
+/// drain plus the report the analysis.
 struct StreamRun {
   std::uint64_t records = 0;
   double capture_seconds = 0;
   double analysis_seconds = 0;
   std::uint64_t spill_bytes = 0;
   std::uint64_t peak_buffered = 0;
-  std::uint64_t live_peak = 0;  ///< windowed mode: live-window high-water
-  std::uint64_t retired = 0;    ///< windowed mode: accesses freed mid-stream
+  std::uint64_t live_peak = 0;  ///< live-window high-water (files)
+  std::uint64_t retired = 0;    ///< accesses freed mid-stream
   std::string report;
 };
+
+/// Fill `out`'s analysis fields from a finished windowed analysis.
+void take_windowed(core::StreamAnalyzer::WindowedResult res, StreamRun& out) {
+  out.records = res.records;
+  out.peak_buffered = res.peak_buffered;
+  out.live_peak = res.peak_live_files;
+  out.retired = res.retired_accesses;
+  const auto rep = core::assemble_windowed_report(
+      std::move(res.stats), res.records, res.nranks, res.summaries);
+  std::ostringstream os;
+  core::print_report(rep, os);
+  out.report = std::move(os).str();  // no second copy of a per-file table
+}
 
 StreamRun stream_run_to_report(const apps::AppInfo& info, int ranks) {
   StreamRun out;
   apps::AppConfig cfg;
   cfg.nranks = ranks;
   cfg.ranks_per_node = std::max(1, ranks / 8);
-  trace::SpillStore store(64u << 20);
-  trace::StreamMeta meta;
   double t0 = now_seconds();
-  {
-    trace::ChunkWriter writer(store, ranks);
-    meta = apps::run_app_stream(info, writer, cfg);
-    writer.finish(meta);
-  }
+  auto run = apps::spill_app(info, cfg, trace::SpillStore::kDefaultCeiling);
   out.capture_seconds = now_seconds() - t0;
-  out.spill_bytes = store.bytes();
+  out.spill_bytes = run.store->bytes();
   t0 = now_seconds();
-  core::StreamAnalyzer analyzer(meta.nranks, std::move(meta.paths),
-                                std::move(meta.rank_posix_counts),
-                                meta.file_op_counts);
-  {
-    const auto in = store.open_read();
-    trace::ChunkReader reader(*in);
-    trace::Record rec;
-    while (reader.next(rec)) analyzer.feed(rec);
-    (void)reader.read_trailer();
-  }
-  out.peak_buffered = analyzer.peak_buffered();
-  auto res = analyzer.finish();
-  out.records = res.records;
-  const auto pairs = core::detect_file_overlaps(res.log);
-  const auto conflicts = core::detect_conflicts(res.log, pairs, {});
-  const auto rep = core::assemble_report(std::move(res.stats), res.records,
-                                         res.log.nranks, res.log, conflicts);
-  std::ostringstream os;
-  core::print_report(rep, os);
-  out.report = os.str();
-  out.analysis_seconds = now_seconds() - t0;
-  return out;
-}
-
-/// The windowed streaming pipeline on the same workload: identical spill
-/// and replay, but per-file analysis retires at the stream frontier, so
-/// the resident set tracks the live window instead of the trace.
-StreamRun stream_windowed_to_report(const apps::AppInfo& info, int ranks) {
-  StreamRun out;
-  apps::AppConfig cfg;
-  cfg.nranks = ranks;
-  cfg.ranks_per_node = std::max(1, ranks / 8);
-  trace::SpillStore store(64u << 20);
-  trace::StreamMeta meta;
-  double t0 = now_seconds();
-  {
-    trace::ChunkWriter writer(store, ranks);
-    meta = apps::run_app_stream(info, writer, cfg);
-    writer.finish(meta);
-  }
-  out.capture_seconds = now_seconds() - t0;
-  out.spill_bytes = store.bytes();
-  t0 = now_seconds();
-  core::StreamAnalyzer analyzer(meta.nranks, std::move(meta.paths),
-                                std::move(meta.rank_posix_counts),
-                                meta.file_op_counts);
-  analyzer.enable_window({}, std::move(meta.file_posix_counts));
-  {
-    const auto in = store.open_read();
-    trace::ChunkReader reader(*in);
-    trace::Record rec;
-    while (reader.next(rec)) analyzer.feed(rec);
-    (void)reader.read_trailer();
-  }
-  out.peak_buffered = analyzer.peak_buffered();
-  auto res = analyzer.finish_windowed();
-  out.records = res.records;
-  out.live_peak = res.peak_live_files;
-  out.retired = res.retired_accesses;
-  const auto rep = core::assemble_windowed_report(std::move(res.stats),
-                                                  res.records, res.nranks,
-                                                  res.summaries);
-  std::ostringstream os;
-  core::print_report(rep, os);
-  out.report = os.str();
+  take_windowed(apps::drain_spill(run), out);
   out.analysis_seconds = now_seconds() - t0;
   return out;
 }
@@ -466,8 +412,10 @@ std::uint64_t phased_records(int ranks, Fn&& emit) {
   return n;
 }
 
-/// Feed the phased trace through the streaming analyzer, full-log or
-/// windowed, and report what the probes need.
+/// Feed the phased trace through the streaming analyzer and report what
+/// the probes need. The full-log arm gives the analyzer no per-file
+/// budgets, so nothing retires before finish and it holds the whole log;
+/// the windowed arm gives it the exact budgets.
 StreamRun phased_analysis(int ranks, bool windowed) {
   StreamRun out;
   const std::size_t nfiles =
@@ -483,26 +431,9 @@ StreamRun phased_analysis(int ranks, bool windowed) {
     analyzer.enable_window({},
                            std::vector<std::uint64_t>(nfiles, kPhasedOps));
   }
-  out.records = phased_records(
+  (void)phased_records(
       ranks, [&](const trace::Record& rec) { analyzer.feed(rec); });
-  out.peak_buffered = analyzer.peak_buffered();
-  std::ostringstream os;
-  if (windowed) {
-    auto res = analyzer.finish_windowed();
-    out.live_peak = res.peak_live_files;
-    out.retired = res.retired_accesses;
-    const auto rep = core::assemble_windowed_report(
-        std::move(res.stats), res.records, res.nranks, res.summaries);
-    core::print_report(rep, os);
-  } else {
-    auto res = analyzer.finish();
-    const auto pairs = core::detect_file_overlaps(res.log);
-    const auto conflicts = core::detect_conflicts(res.log, pairs, {});
-    const auto rep = core::assemble_report(std::move(res.stats), res.records,
-                                           res.log.nranks, res.log, conflicts);
-    core::print_report(rep, os);
-  }
-  out.report = os.str();
+  take_windowed(analyzer.finish_windowed(), out);
   out.analysis_seconds = now_seconds() - t0;
   return out;
 }
@@ -524,15 +455,6 @@ int rss_probe_main(const std::string& mode, int ranks,
   if (flash == nullptr) return 1;
   if (mode == "stream") {
     const auto s = stream_run_to_report(*flash, ranks);
-    std::cout << "records=" << s.records << " rss_kb=" << current_rss_kb()
-              << " spill_bytes=" << s.spill_bytes
-              << " peak_buffered=" << s.peak_buffered
-              << " capture_seconds=" << s.capture_seconds
-              << " analysis_seconds=" << s.analysis_seconds << "\n";
-    return s.report.empty() ? 1 : 0;
-  }
-  if (mode == "windowed") {
-    const auto s = stream_windowed_to_report(*flash, ranks);
     std::cout << "records=" << s.records << " rss_kb=" << current_rss_kb()
               << " spill_bytes=" << s.spill_bytes
               << " peak_buffered=" << s.peak_buffered
@@ -558,7 +480,7 @@ int rss_probe_main(const std::string& mode, int ranks,
     return text.empty() ? 1 : 0;
   }
   std::cerr << "usage: bench_perf_scaling --rss-probe "
-               "stream|materialize|windowed|phased|phased-windowed RANKS "
+               "stream|materialize|phased|phased-windowed RANKS "
                "[APP]\n";
   return 2;
 }
@@ -668,6 +590,8 @@ RunToReportPoint run_to_report(const apps::AppInfo& info, int ranks,
   pt.stream_analysis_seconds = stream.analysis_seconds;
   pt.spill_bytes = stream.spill_bytes;
   pt.stream_peak_buffered = stream.peak_buffered;
+  pt.live_peak = stream.live_peak;
+  pt.retired = stream.retired;
   return pt;
 }
 
@@ -855,6 +779,8 @@ int run(bool check, bool scale64k, const std::string& out_path,
     pt.stream_peak_buffered = sp.peak_buffered;
     pt.stream_rss_kb = sp.rss_kb;
     pt.streaming_only = true;
+    pt.live_peak = sp.live_peak;
+    pt.retired = sp.retired;
     std::cout << "run_to_report FLASH-fbs ranks=" << pt.ranks << "  records="
               << pt.records << "  stream capture " << pt.stream_capture_seconds
               << " s + analysis " << pt.stream_analysis_seconds
@@ -862,24 +788,24 @@ int run(bool check, bool scale64k, const std::string& out_path,
               << pt.stream_rss_kb << " KiB)\n";
     r2r.push_back(pt);
 
-    // Twice the ranks in less memory: a windowed end-to-end run at 131072
-    // ranks must fit under the RSS the 65536-rank point above needed.
+    // Twice the ranks in less memory: an end-to-end run at 131072 ranks
+    // must fit under the RSS the 65536-rank point above needed.
     // FLASH's RSS at this scale is collective-state, not log (its POSIX
     // I/O funnels through 6 aggregators), so the point uses pF3D-IO —
     // file-per-process POSIX, the paper's N-N checkpoint kernel — whose
     // trace grows with every rank. Enforced here, not just recorded.
     const int huge = 131'072;
     std::cout << "run_to_report pF3D-IO ranks=" << huge
-              << " (windowed, subprocess)...\n";
-    const auto wp = probe_pipeline("windowed", huge, "pF3D-IO");
+              << " (streaming-only, subprocess)...\n";
+    const auto wp = probe_pipeline("stream", huge, "pF3D-IO");
     if (!wp.ok) {
-      std::cerr << "FAIL: 131072-rank windowed probe did not complete\n";
+      std::cerr << "FAIL: 131072-rank streaming probe did not complete\n";
       return 1;
     }
     if (wp.rss_kb >= sp.rss_kb) {
-      std::cerr << "FAIL: windowed RSS at " << huge << " ranks (" << wp.rss_kb
-                << " KiB) not below the full-log stream RSS at " << big
-                << " ranks (" << sp.rss_kb << " KiB)\n";
+      std::cerr << "FAIL: pF3D-IO stream RSS at " << huge << " ranks ("
+                << wp.rss_kb << " KiB) not below the FLASH-fbs stream RSS at "
+                << big << " ranks (" << sp.rss_kb << " KiB)\n";
       return 1;
     }
     RunToReportPoint wpt;
@@ -892,11 +818,10 @@ int run(bool check, bool scale64k, const std::string& out_path,
     wpt.stream_peak_buffered = wp.peak_buffered;
     wpt.stream_rss_kb = wp.rss_kb;
     wpt.streaming_only = true;
-    wpt.windowed = true;
     wpt.live_peak = wp.live_peak;
     wpt.retired = wp.retired;
     std::cout << "run_to_report " << wpt.app << " ranks=" << wpt.ranks
-              << "  records=" << wpt.records << "  windowed capture "
+              << "  records=" << wpt.records << "  stream capture "
               << wpt.stream_capture_seconds << " s + analysis "
               << wpt.stream_analysis_seconds << " s (spill " << wpt.spill_bytes
               << " B, rss " << wpt.stream_rss_kb << " KiB, live peak "
@@ -1230,8 +1155,7 @@ int run(bool check, bool scale64k, const std::string& out_path,
     os << (i ? ", " : "") << "{\"app\": \"" << pt.app
        << "\", \"ranks\": " << pt.ranks
        << ", \"records\": " << pt.records
-       << ", \"streaming_only\": " << (pt.streaming_only ? "true" : "false")
-       << ", \"windowed\": " << (pt.windowed ? "true" : "false");
+       << ", \"streaming_only\": " << (pt.streaming_only ? "true" : "false");
     if (!pt.streaming_only) {
       os << ", \"capture_seconds\": " << pt.capture_seconds
          << ", \"analysis_seconds\": " << pt.analysis_seconds;
@@ -1244,11 +1168,8 @@ int run(bool check, bool scale64k, const std::string& out_path,
     if (!pt.streaming_only) {
       os << ", \"materialized_rss_kb\": " << pt.materialized_rss_kb;
     }
-    if (pt.windowed) {
-      os << ", \"live_peak_files\": " << pt.live_peak
-         << ", \"retired_accesses\": " << pt.retired;
-    }
-    os << "}";
+    os << ", \"live_peak_files\": " << pt.live_peak
+       << ", \"retired_accesses\": " << pt.retired << "}";
   }
   os << "]\n"
      << "  },\n"
@@ -1352,7 +1273,8 @@ int main(int argc, char** argv) {
     } else {
       std::cerr << "usage: bench_perf_scaling [--check] [--scale64k] "
                    "[--out FILE] [--sha SHA] [--timestamp TS] [--host NAME] "
-                   "| --rss-probe stream|materialize|windowed RANKS\n";
+                   "| --rss-probe stream|materialize|phased|phased-windowed "
+                   "RANKS [APP]\n";
       return 2;
     }
   }

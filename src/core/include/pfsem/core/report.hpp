@@ -117,18 +117,6 @@ struct RunReport {
                                      const ConflictReport& conflicts,
                                      int threads = 1);
 
-/// The record-independent second half of build_report: given finished
-/// record counters (however they were accumulated — chunked scan or
-/// streaming feed), derive the per-file summaries, conflict counts, and
-/// pattern classifications. build_report is a record scan plus this; the
-/// streaming pipeline calls it directly, so both paths render identical
-/// reports from identical inputs.
-[[nodiscard]] RunReport assemble_report(RecordStats stats,
-                                        std::uint64_t records, int nranks,
-                                        const AccessLog& log,
-                                        const ConflictReport& conflicts,
-                                        int threads = 1);
-
 /// Render as human-readable text.
 void print_report(const RunReport& report, std::ostream& os);
 

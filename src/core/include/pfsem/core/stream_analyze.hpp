@@ -18,7 +18,7 @@
 // pinning the frontier, so compute-only ranks and M:1 writer sets cost
 // nothing; without budgets (unknown counts) the buffer degrades
 // gracefully — it grows toward the Posix record count, never past it —
-// and drains at finish().
+// and drains at finish_windowed().
 
 #include <cstdint>
 #include <memory>
@@ -41,12 +41,6 @@ class Annotator;
 
 class StreamAnalyzer {
  public:
-  struct Result {
-    AccessLog log;
-    RecordStats stats;
-    std::uint64_t records = 0;  ///< all layers, not just Posix
-  };
-
   /// What finish_windowed() hands over instead of an AccessLog: record
   /// counters plus one condensed FileWindowSummary per path slot. Peak
   /// memory during the run was bounded by the live window (files with
@@ -60,7 +54,8 @@ class StreamAnalyzer {
     /// file == kNoFile and contribute nothing to the report.
     std::vector<FileWindowSummary> summaries;
     std::size_t peak_live_files = 0;     ///< live-window high-water mark
-    std::uint64_t retired_accesses = 0;  ///< accesses freed mid-stream
+    std::uint64_t retired_accesses = 0;  ///< freed as files retired
+    std::size_t peak_buffered = 0;       ///< see peak_buffered()
   };
 
   /// `paths` is the run's final intern table (streaming analysis is the
@@ -80,15 +75,12 @@ class StreamAnalyzer {
   /// number of records fed before it).
   void feed(const trace::Record& rec);
 
-  /// Drain the reorder buffer, annotate, and hand over the results.
-  [[nodiscard]] Result finish();
-
-  /// Switch this analyzer to windowed mode (call before the first feed):
-  /// as the release frontier retires a file's last record, run the full
-  /// per-file analysis (annotate, overlap, conflict, layout, transition
-  /// mixes, family stats, tuning flags), condense it into a
-  /// FileWindowSummary, and free the file's accesses — so memory is
-  /// bounded by the live window, not the trace. `file_posix_counts` is
+  /// Give the window its per-file budgets (call before the first feed).
+  /// As the release frontier retires a file's last record, the analyzer
+  /// runs the full per-file analysis (annotate, overlap, conflict,
+  /// layout, transition mixes, family stats, tuning flags), condenses it
+  /// into a FileWindowSummary, and frees the file's accesses — so memory
+  /// is bounded by the live window, not the trace. `file_posix_counts` is
   /// the exact per-FileId count of Posix records tagged with that file
   /// (StreamMeta::file_posix_counts); a record is retired-counted after
   /// it steps, and a file finalizes when its count hits zero AND no fd
@@ -97,16 +89,17 @@ class StreamAnalyzer {
   /// into a FileLog goes through rec.file or an fd, and fds only exist
   /// via counted open records). Empty counts = unknown: nothing retires
   /// mid-stream and everything finalizes at finish_windowed() — the
-  /// safe fallback, same results, full-log memory.
+  /// safe fallback, same results, full-log memory. An analyzer never
+  /// given budgets behaves exactly like one given empty counts.
   void enable_window(WindowAnalysisOptions opts,
                      std::vector<std::uint64_t> file_posix_counts);
 
-  /// Windowed-mode finish: drain the buffer, finalize every remaining
-  /// file (crashed ranks' still-open files, unknown-budget runs), and
-  /// hand over the rolling summaries. The analyzer is spent afterwards.
+  /// Drain the buffer, finalize every remaining file (crashed ranks'
+  /// still-open files, unknown-budget runs), and hand over the rolling
+  /// summaries. The analyzer is spent afterwards.
   [[nodiscard]] WindowedResult finish_windowed();
 
-  /// Live-window instrumentation (windowed mode; zero otherwise).
+  /// Live-window instrumentation.
   [[nodiscard]] std::size_t live_files() const { return live_files_; }
   [[nodiscard]] std::size_t peak_live_files() const {
     return peak_live_files_;
@@ -117,7 +110,7 @@ class StreamAnalyzer {
 
   /// Reorder-buffer high-water mark (records buffered at once) — the
   /// streaming analyzer's only run-length-dependent memory besides the
-  /// log itself; tests assert it stays small when budgets are known.
+  /// live window; tests assert it stays small when budgets are known.
   [[nodiscard]] std::size_t peak_buffered() const { return peak_buffered_; }
 
  private:
@@ -145,7 +138,8 @@ class StreamAnalyzer {
   void note_stepped(const trace::Record& rec);
   void finalize_file(FileId f);
 
-  Result out_;
+  AccessLog log_;
+  RecordStats stats_;
   std::unique_ptr<detail::OffsetStepper> stepper_;
   std::unique_ptr<detail::Annotator> annotator_;
   std::priority_queue<Pending, std::vector<Pending>, Later> buffer_;
@@ -171,10 +165,9 @@ class StreamAnalyzer {
   /// whole intern table (see ctor comment).
   std::vector<std::uint32_t> hints_;
 
-  // Windowed mode (enable_window).
-  bool windowed_ = false;
+  // Live window (budgets from enable_window; unknown until then).
   WindowAnalysisOptions window_opts_;
-  /// Posix records still owed per FileId (kUnknownBudget = no bound).
+  /// Posix records still owed per FileId (empty = unknown budgets).
   std::vector<std::uint64_t> file_remaining_;
   std::vector<char> file_finalized_;
   std::vector<char> file_live_;

@@ -56,15 +56,16 @@ struct WindowAnalysisOptions {
   PatternOptions pattern;
   /// Invoked after each file retires (summary shipped, per-file state
   /// freed): (file, live files still open, frontier sim time of the last
-  /// released record). Keeps the core obs-free — the CLI hangs ledger
-  /// condensation and the window.live_files counter track off it.
+  /// released record). Keeps the core obs-free — the streaming driver
+  /// (apps/driver.hpp) hangs ledger condensation and the
+  /// window.live_files counter track off it.
   std::function<void(FileId, std::size_t, SimTime)> on_retire;
 };
 
 /// The per-file half both report paths share: the report row's op/byte
 /// counters and layout, the transition mixes and the family stats of one
 /// annotated FileLog. summarize_file adds the conflict counts and tuning
-/// flags; assemble_report adds the conflict counts of its whole-log pass.
+/// flags; build_report adds the conflict counts of its whole-log pass.
 [[nodiscard]] FileWindowSummary summarize_file_pattern(
     FileId id, std::string_view path, const FileLog& fl,
     const PatternOptions& p);
@@ -80,7 +81,7 @@ struct WindowAnalysisOptions {
 
 /// Assemble the run report from per-file summaries: files and family
 /// inputs in path order, transition-mix sums, the family classification
-/// and the dominant file's layout as its summary holds it. assemble_report
+/// and the dominant file's layout as its summary holds it. build_report
 /// ends here too, so both paths share one cross-file policy. `summaries`
 /// is indexed by FileId; inactive slots carry file == kNoFile.
 [[nodiscard]] RunReport assemble_windowed_report(

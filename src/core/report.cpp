@@ -86,23 +86,15 @@ RunReport build_report(const trace::TraceBundle& bundle, const AccessLog& log,
     });
     for (auto& p : parts) stats.merge(p);
   }
-  return assemble_report(std::move(stats), bundle.records.size(),
-                         bundle.nranks, log, conflicts, threads);
-}
-
-RunReport assemble_report(RecordStats stats, std::uint64_t records,
-                          int nranks, const AccessLog& log,
-                          const ConflictReport& conflicts, int threads) {
   // Per-file summaries are independent; compute into FileId-indexed
   // slots, then fold them exactly as the windowed path does.
   std::vector<FileWindowSummary> summaries(log.files.size());
   const std::vector<FileId> ids = log.active_ids();
-  exec::parallel_for(exec::resolve_threads(threads), ids.size(),
-                     [&](std::size_t f) {
-                       const FileId id = ids[f];
-                       summaries[id] = summarize_file_pattern(
-                           id, log.path(id), log.files[id], {});
-                     });
+  exec::parallel_for(nthreads, ids.size(), [&](std::size_t f) {
+    const FileId id = ids[f];
+    summaries[id] =
+        summarize_file_pattern(id, log.path(id), log.files[id], {});
+  });
   for (const auto& c : conflicts.conflicts) {
     if (c.file >= summaries.size() || summaries[c.file].file == kNoFile) {
       continue;
@@ -111,8 +103,8 @@ RunReport assemble_report(RecordStats stats, std::uint64_t records,
     fr.session_conflicts += c.under_session ? 1 : 0;
     fr.commit_conflicts += c.under_commit ? 1 : 0;
   }
-  return assemble_windowed_report(std::move(stats), records, nranks,
-                                  summaries);
+  return assemble_windowed_report(std::move(stats), bundle.records.size(),
+                                  bundle.nranks, summaries);
 }
 
 void print_report(const RunReport& rep, std::ostream& os) {

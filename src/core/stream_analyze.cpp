@@ -22,19 +22,19 @@ StreamAnalyzer::StreamAnalyzer(int nranks, trace::PathTable paths,
   require(rank_posix_counts.empty() ||
               std::ssize(rank_posix_counts) == nranks,
           "rank posix counts must match rank count");
-  out_.log.nranks = nranks;
-  out_.log.paths = std::move(paths);
-  out_.log.files.resize(out_.log.paths.size());
+  log_.nranks = nranks;
+  log_.paths = std::move(paths);
+  const std::size_t nfiles = log_.paths.size();
+  log_.files.resize(nfiles);
   // Column pre-size hints are applied lazily, at a file's first stepped
   // record, not here: reserving every column up front would cost
   // O(trace) before a single record streams, which is exactly the bound
-  // windowed mode exists to avoid. Deferring is purely an allocation-
+  // the live window exists to avoid. Deferring is purely an allocation-
   // timing change — the logs are identical with or without the hints.
   hints_.assign(hints.begin(),
                 hints.begin() + static_cast<std::ptrdiff_t>(
-                                    std::min(hints.size(),
-                                             out_.log.files.size())));
-  stepper_ = std::make_unique<detail::OffsetStepper>(out_.log, opts);
+                                    std::min(hints.size(), nfiles)));
+  stepper_ = std::make_unique<detail::OffsetStepper>(log_, opts);
   annotator_ = std::make_unique<detail::Annotator>();
 
   const auto n = static_cast<std::size_t>(nranks);
@@ -48,15 +48,20 @@ StreamAnalyzer::StreamAnalyzer(int nranks, trace::PathTable paths,
     unseen_active_ = 0;
     for (const auto c : remaining_) unseen_active_ += c > 0 ? 1 : 0;
   }
+  // Per-file budgets stay unknown (file_remaining_ empty) unless
+  // enable_window() supplies them.
+  file_finalized_.assign(nfiles, 0);
+  file_live_.assign(nfiles, 0);
+  summaries_.assign(nfiles, {});
 }
 
 StreamAnalyzer::~StreamAnalyzer() = default;
 
 void StreamAnalyzer::feed(const trace::Record& rec) {
-  out_.stats.feed(rec);
+  stats_.feed(rec);
   const std::uint64_t seq = next_seq_++;
   if (rec.layer != trace::Layer::Posix) return;
-  require(rec.rank >= 0 && rec.rank < out_.log.nranks,
+  require(rec.rank >= 0 && rec.rank < log_.nranks,
           "record rank out of range in stream");
   const auto r = static_cast<std::size_t>(rec.rank);
   require(remaining_[r] > 0, "rank posix count mismatch in stream");
@@ -84,18 +89,10 @@ void StreamAnalyzer::feed(const trace::Record& rec) {
 void StreamAnalyzer::enable_window(WindowAnalysisOptions opts,
                                    std::vector<std::uint64_t> file_posix_counts) {
   require(next_seq_ == 0, "enable_window after records were fed");
-  windowed_ = true;
-  window_opts_ = opts;
-  const std::size_t n = out_.log.paths.size();
-  if (file_posix_counts.empty()) {
-    file_remaining_.assign(n, kUnknownBudget);
-  } else {
-    file_remaining_ = std::move(file_posix_counts);
-    file_remaining_.resize(n, 0);
-  }
-  file_finalized_.assign(n, 0);
-  file_live_.assign(n, 0);
-  summaries_.assign(n, {});
+  window_opts_ = std::move(opts);
+  if (file_posix_counts.empty()) return;
+  file_posix_counts.resize(file_live_.size(), 0);
+  file_remaining_ = std::move(file_posix_counts);
 }
 
 void StreamAnalyzer::step_top() {
@@ -105,24 +102,22 @@ void StreamAnalyzer::step_top() {
   // First touch of a file carries rec.file (fds only exist via open
   // records, which require it), so reserving here pre-sizes the column
   // before any access lands in it — but only for files that actually
-  // go live, keeping windowed-mode allocation bounded by the window.
+  // go live, keeping allocation bounded by the window.
   const FileId f = rec.file;
   if (f != kNoFile && f < hints_.size() && hints_[f] > 0) {
-    out_.log.files[f].accesses.reserve(hints_[f]);
+    log_.files[f].accesses.reserve(hints_[f]);
     hints_[f] = 0;
   }
   stepper_->step(rec, static_cast<std::size_t>(p.seq));
-  if (windowed_) {
-    last_release_t_ = rec.tstart;
-    note_stepped(rec);
-  }
+  last_release_t_ = rec.tstart;
+  note_stepped(rec);
   free_slots_.push_back(p.slot);
 }
 
 void StreamAnalyzer::note_stepped(const trace::Record& rec) {
   const FileId f = rec.file;
   if (f == kNoFile) return;
-  require(f < file_remaining_.size(), "record file out of range in stream");
+  require(f < file_live_.size(), "record file out of range in stream");
   // A record reaching a finalized file means the advertised per-file
   // counts were wrong and a summary already shipped without it.
   require(!file_finalized_[f], "file posix count mismatch in stream");
@@ -131,7 +126,7 @@ void StreamAnalyzer::note_stepped(const trace::Record& rec) {
     ++live_files_;
     peak_live_files_ = std::max(peak_live_files_, live_files_);
   }
-  if (file_remaining_[f] == kUnknownBudget) return;
+  if (file_remaining_.empty()) return;  // unknown: the final sweep finalizes
   require(file_remaining_[f] > 0, "file posix count mismatch in stream");
   if (--file_remaining_[f] == 0 && stepper_->open_fds(f) == 0) {
     finalize_file(f);
@@ -144,14 +139,14 @@ void StreamAnalyzer::finalize_file(FileId f) {
     file_live_[f] = 0;
     --live_files_;
   }
-  FileLog& fl = out_.log.files[f];
+  FileLog& fl = log_.files[f];
   // Slots the replay never activated (e.g. a path only stat-ed) have no
   // per-file state to analyze; their summary slot stays file == kNoFile.
   // They still retire through the callback: observers (ledger
   // condensation) hold per-file state for meta-only paths too.
   if (fl.active()) {
     annotator_->annotate_file(fl);
-    summaries_[f] = summarize_file(f, out_.log.paths.view(f), fl, window_opts_);
+    summaries_[f] = summarize_file(f, log_.paths.view(f), fl, window_opts_);
     retired_accesses_ += fl.accesses.size();
     FileLog fresh;
     fresh.file = fl.file;
@@ -186,30 +181,22 @@ void StreamAnalyzer::release_ready() {
   }
 }
 
-StreamAnalyzer::Result StreamAnalyzer::finish() {
-  require(!windowed_, "finish() on a windowed analyzer; use finish_windowed");
-  while (!buffer_.empty()) step_top();
-  detail::annotate_accesses(out_.log);
-  out_.records = next_seq_;
-  return std::move(out_);
-}
-
 StreamAnalyzer::WindowedResult StreamAnalyzer::finish_windowed() {
-  require(windowed_, "finish_windowed without enable_window");
   while (!buffer_.empty()) step_top();
   // Final sweep: whatever the frontier could not retire mid-stream —
   // unknown budgets, files a crashed rank left open, zero-count slots.
-  for (FileId f = 0; f < out_.log.files.size(); ++f) {
+  for (FileId f = 0; f < log_.files.size(); ++f) {
     if (!file_finalized_[f]) finalize_file(f);
   }
   WindowedResult res;
-  res.stats = std::move(out_.stats);
+  res.stats = std::move(stats_);
   res.records = next_seq_;
-  res.nranks = out_.log.nranks;
-  res.paths = std::move(out_.log.paths);
+  res.nranks = log_.nranks;
+  res.paths = std::move(log_.paths);
   res.summaries = std::move(summaries_);
   res.peak_live_files = peak_live_files_;
   res.retired_accesses = retired_accesses_;
+  res.peak_buffered = peak_buffered_;
   return res;
 }
 

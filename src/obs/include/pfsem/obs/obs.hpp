@@ -99,10 +99,10 @@ struct Run {
   Gauge vfs_ost_bytes;         ///< bytes transferred across all OSTs (stable)
   Gauge vfs_compacted_writes;  ///< writes folded into base extent maps (stable)
   Gauge vfs_compaction_passes;  ///< compaction passes that folded writes (stable)
-  // core::StreamAnalyzer windowed mode (analysis-side; the materialized
+  // core::StreamAnalyzer live window (analysis-side; the materialized
   // oracle never sets them, so they must stay out of the stable dump)
   Gauge window_live_files;        ///< peak files live in the window (volatile)
-  Gauge window_retired_accesses;  ///< accesses freed before finish() (volatile)
+  Gauge window_retired_accesses;  ///< accesses freed as files retired (volatile)
   // fault::Injector
   Counter fault_transient;    ///< transient errors injected (stable)
   Counter fault_eio;          ///< ... of which EIO (stable)

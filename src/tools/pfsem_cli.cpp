@@ -32,18 +32,15 @@
 //                    captured and the analysis consumes them
 //                    incrementally, so peak memory stays flat in rank
 //                    count. Output is byte-identical to the default
-//                    materialized path (see docs/performance.md).
-//   --window         with --stream (default on): windowed analysis —
-//                    per-file overlap/conflict/pattern/tuning run the
-//                    moment the stream frontier retires a file, and its
-//                    accesses are freed, so memory is bounded by the
-//                    *live* file window rather than the whole log.
-//                    Output stays byte-identical.
-//   --no-window      with --stream: keep the full log until finish
-//                    (the pre-windowing streaming pipeline)
+//                    materialized path (see docs/performance.md). The
+//                    analysis is windowed: per-file overlap/conflict/
+//                    pattern/tuning run the moment the stream frontier
+//                    retires a file, and its accesses are freed, so
+//                    memory is bounded by the *live* file window rather
+//                    than the whole log.
 //   --chunk-records N  streaming chunk size in records (default 65536)
 //   --spill-mem MB   in-memory spill ceiling before chunks go to a temp
-//                    file (default 64)
+//                    file (default 64; at most SIZE_MAX >> 20)
 //   --obs            observability: print the run's metrics summary
 //   --obs-out FILE   write the stable metrics dump (byte-identical across
 //                    --threads; see docs/observability.md)
@@ -58,6 +55,7 @@
 // Every obs output flag accepts `-` for stdout, and file destinations
 // are opened (and thus validated) before the simulation starts.
 
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -71,6 +69,7 @@
 #include "pfsem/obs/export.hpp"
 #include "pfsem/obs/obs.hpp"
 
+#include "pfsem/apps/driver.hpp"
 #include "pfsem/apps/registry.hpp"
 #include "pfsem/core/advisor.hpp"
 #include "pfsem/core/conflict.hpp"
@@ -81,10 +80,8 @@
 #include "pfsem/core/pattern.hpp"
 #include "pfsem/core/remedy.hpp"
 #include "pfsem/core/report.hpp"
-#include "pfsem/core/stream_analyze.hpp"
 #include "pfsem/core/tuning.hpp"
 #include "pfsem/trace/serialize.hpp"
-#include "pfsem/trace/spill.hpp"
 #include "pfsem/util/table.hpp"
 
 // Short commit hash baked in by src/tools/CMakeLists.txt for the JSON
@@ -115,7 +112,6 @@ struct Options {
   int threads = 0;  // analysis threads (0 = all hardware threads)
   // Chunked streaming pipeline (--stream; report, trace, and tune).
   bool stream = false;
-  bool window = true;  // windowed analysis under --stream (--no-window)
   std::size_t chunk_records = std::size_t{1} << 16;
   std::size_t spill_mem_mb = 64;
   // Observability (--obs / --obs-out / --obs-trace / --obs-ledger /
@@ -159,10 +155,11 @@ int usage() {
                "stdout),\n"
                "                --mds N --ost M --stripe K (multi-server "
                "cluster backend)\n"
-               "report/trace/tune: --stream [--no-window] [--chunk-records N]\n"
-               "                [--spill-mem MB] (chunked streaming pipeline,\n"
-               "                windowed analysis by default; output is "
-               "byte-identical)\n";
+               "report/trace/tune: --stream [--chunk-records N] "
+               "[--spill-mem MB]\n"
+               "                (chunked streaming pipeline with windowed "
+               "analysis;\n"
+               "                output is byte-identical)\n";
   return 2;
 }
 
@@ -250,8 +247,6 @@ Options parse_options(int argc, char** argv, int first) {
       }
     }
     else if (a == "--stream") opt.stream = true;
-    else if (a == "--window") opt.window = true;
-    else if (a == "--no-window") opt.window = false;
     else if (a == "--chunk-records") {
       const long long v = std::stoll(next());
       if (v < 1) {
@@ -265,6 +260,12 @@ Options parse_options(int argc, char** argv, int first) {
       if (v < 1) {
         throw Error("--spill-mem wants a positive MiB ceiling, got " +
                     std::to_string(v));
+      }
+      // The ceiling is kept in bytes; a larger MiB count would wrap.
+      if (static_cast<unsigned long long>(v) > (SIZE_MAX >> 20)) {
+        throw Error("--spill-mem " + std::to_string(v) +
+                    " MiB does not fit in a byte count (at most " +
+                    std::to_string(SIZE_MAX >> 20) + ")");
       }
       opt.spill_mem_mb = static_cast<std::size_t>(v);
     }
@@ -317,7 +318,7 @@ obs::Manifest make_manifest(const Options& opt) {
   m.emplace_back("seed", std::to_string(opt.seed));
   m.emplace_back("threads", std::to_string(opt.threads));
   m.emplace_back("stream", opt.stream ? "1" : "0");
-  m.emplace_back("window", opt.stream && opt.window ? "1" : "0");
+  m.emplace_back("window", opt.stream ? "1" : "0");
   m.emplace_back("faults", opt.faults);
   if (opt.cluster) {
     m.emplace_back("mds", std::to_string(opt.mds));
@@ -421,162 +422,28 @@ trace::TraceBundle obtain(const std::string& what, Options& opt) {
   return trace::read_binary(is);
 }
 
-/// Simulate a named config in streaming mode: records flow into `sink`
-/// chunk by chunk and only the StreamMeta survives the harness.
-trace::StreamMeta stream_config(const apps::AppInfo& info, Options& opt,
-                                trace::StreamSink& sink) {
+/// Spill a named config's records through the streaming driver. The
+/// harness (and the simulated file system) is gone when this returns, so
+/// capture and analysis memory never coexist.
+apps::SpilledRun spill_config(const apps::AppInfo& info, Options& opt) {
   SimSetup s = make_setup(opt);
-  const apps::FaultSetup* setup_ptr = s.has_faults ? &s.setup : nullptr;
-  if (opt.cluster) {
-    return apps::run_app_cluster_stream(info, sink, s.cfg,
-                                        make_cluster_config(opt),
-                                        std::move(s.clocks), setup_ptr,
-                                        &opt.fault_stats);
+  const vfs::ClusterConfig ccfg = make_cluster_config(opt);
+  return apps::spill_app(info, s.cfg, opt.spill_mem_mb << 20,
+                         opt.cluster ? &ccfg : nullptr, std::move(s.clocks),
+                         s.has_faults ? &s.setup : nullptr, &opt.fault_stats);
+}
+
+/// `report|tune <subject> --stream`: windowed streaming analysis of a
+/// named config (spilled, then drained) or of a compact-v2 trace file.
+core::StreamAnalyzer::WindowedResult stream_windowed(const std::string& what,
+                                                     Options& opt) {
+  if (const auto* info = apps::find_app(what)) {
+    auto run = spill_config(*info, opt);
+    return apps::drain_spill(run);
   }
-  return apps::run_app_stream(info, sink, s.cfg, {}, std::move(s.clocks),
-                              setup_ptr, &opt.fault_stats);
-}
-
-/// StreamSink shim for --obs-trace runs: forwards each batch to the
-/// chunk writer, then samples the spill store's occupancy as a Perfetto
-/// counter track (time axis = the batch's last record, sim time).
-class SpillCounterSink final : public trace::StreamSink {
- public:
-  SpillCounterSink(trace::StreamSink& inner, const trace::SpillStore& store,
-                   obs::Run* run)
-      : inner_(inner), store_(store), run_(run) {}
-
-  void on_records(std::uint64_t base_seq,
-                  std::span<const trace::Record> records) override {
-    inner_.on_records(base_seq, records);
-    if (!records.empty()) {
-      run_->tracer.counter({obs::kPidStream, 0}, "spill.bytes",
-                           records.back().tstart,
-                           static_cast<std::int64_t>(store_.bytes()));
-    }
-  }
-
- private:
-  trace::StreamSink& inner_;
-  const trace::SpillStore& store_;
-  obs::Run* run_;
-};
-
-/// Spill a named config's records to a bounded store, then drain them.
-/// The harness (and the simulated file system) is destroyed before
-/// `drain` runs, so capture and analysis memory never coexist.
-template <typename Drain>
-auto spill_and_drain(const apps::AppInfo& info, Options& opt, Drain drain) {
-  trace::SpillStore store(opt.spill_mem_mb << 20);
-  trace::StreamMeta meta;
-  {
-    trace::ChunkWriter writer(store, opt.ranks);
-    if (opt.obs_run != nullptr && opt.obs_run->tracing()) {
-      SpillCounterSink counting(writer, store, opt.obs_run.get());
-      meta = stream_config(info, opt, counting);
-    } else {
-      meta = stream_config(info, opt, writer);
-    }
-    writer.finish(meta);
-  }
-  const auto in = store.open_read();
-  trace::ChunkReader reader(*in);
-  return drain(std::move(meta), reader);
-}
-
-/// Publish the windowed analyzer's live-window gauges. Volatile by
-/// registration (wall-clock-free but analysis-path-specific: the
-/// materialized oracle never sets them, so the stable dump must not
-/// carry them).
-void note_window_obs(const Options& opt, const core::StreamAnalyzer& an) {
-  if (opt.obs_run == nullptr) return;
-  opt.obs_run->metrics.set(
-      opt.obs_run->window_live_files,
-      static_cast<std::int64_t>(an.peak_live_files()));
-  opt.obs_run->metrics.set(
-      opt.obs_run->window_retired_accesses,
-      static_cast<std::int64_t>(an.retired_accesses()));
-}
-
-/// Window-retirement observers: condense the ledger's per-rank rows the
-/// moment a file leaves the live window (so ledger memory is bounded by
-/// the window, like everything else), and sample the live-file count as
-/// a Perfetto counter track. Both reductions are order-independent, so
-/// retire-time condensation is byte-identical to export-time.
-core::WindowAnalysisOptions window_opts_for(const Options& opt) {
-  core::WindowAnalysisOptions wopts;
-  obs::Run* const run = opt.obs_run.get();
-  if (run == nullptr) return wopts;
-  const bool ledger = run->ledger_on();
-  const bool tracing = run->tracing();
-  if (!ledger && !tracing) return wopts;
-  wopts.on_retire = [run, ledger, tracing](FileId f, std::size_t live,
-                                           SimTime t) {
-    if (ledger) run->ledger.condense(f);
-    if (tracing) {
-      run->tracer.counter({obs::kPidStream, 0}, "window.live_files", t,
-                          static_cast<std::int64_t>(live));
-    }
-  };
-  return wopts;
-}
-
-/// Windowed streaming drain of a simulated config — the core shared by
-/// `report --stream` and `tune --stream`: every record flows through a
-/// window-enabled analyzer, files retire (and free their accesses) at
-/// the frontier, and only the rolling summaries survive.
-core::StreamAnalyzer::WindowedResult stream_windowed_config(
-    const apps::AppInfo& info, Options& opt) {
-  return spill_and_drain(
-      info, opt, [&](trace::StreamMeta meta, trace::ChunkReader& reader) {
-        core::StreamAnalyzer analyzer(meta.nranks, std::move(meta.paths),
-                                      std::move(meta.rank_posix_counts),
-                                      meta.file_op_counts);
-        analyzer.enable_window(window_opts_for(opt),
-                               std::move(meta.file_posix_counts));
-        trace::Record rec;
-        while (reader.next(rec)) analyzer.feed(rec);
-        (void)reader.read_trailer();  // validates the framing end to end
-        auto res = analyzer.finish_windowed();
-        note_window_obs(opt, analyzer);
-        return res;
-      });
-}
-
-/// `pfsem report <config> --stream --no-window`: full report without
-/// ever holding the record array; byte-identical to the materialized
-/// path.
-core::RunReport stream_report_config(const apps::AppInfo& info, Options& opt) {
-  if (opt.window) {
-    auto res = stream_windowed_config(info, opt);
-    return core::assemble_windowed_report(std::move(res.stats), res.records,
-                                          res.nranks, res.summaries);
-  }
-  return spill_and_drain(
-      info, opt, [&](trace::StreamMeta meta, trace::ChunkReader& reader) {
-        core::StreamAnalyzer analyzer(meta.nranks, std::move(meta.paths),
-                                      std::move(meta.rank_posix_counts),
-                                      meta.file_op_counts);
-        trace::Record rec;
-        while (reader.next(rec)) analyzer.feed(rec);
-        (void)reader.read_trailer();  // validates the framing end to end
-        auto res = analyzer.finish();
-        const auto pairs = core::detect_file_overlaps(res.log, {}, opt.threads);
-        const auto conflicts =
-            core::detect_conflicts(res.log, pairs, {.threads = opt.threads});
-        return core::assemble_report(std::move(res.stats), res.records,
-                                     res.log.nranks, res.log, conflicts,
-                                     opt.threads);
-      });
-}
-
-/// Open `path` as a compact-v2 trace for streaming analysis, validating
-/// the format and rejecting simulation-only flags.
-std::ifstream open_compact_stream(const std::string& path,
-                                  const Options& opt) {
-  std::ifstream is(path, std::ios::binary);
+  std::ifstream is(what, std::ios::binary);
   if (!is) {
-    throw Error("'" + path +
+    throw Error("'" + what +
                 "' is neither a known config nor a readable trace file");
   }
   char magic[8] = {};
@@ -591,73 +458,7 @@ std::ifstream open_compact_stream(const std::string& path,
   require(!opt.cluster,
           "--mds/--ost/--stripe need a named config to simulate, not a "
           "saved trace");
-  return is;
-}
-
-/// First pass over a compact trace: exact per-rank and per-file POSIX
-/// budgets, so the analyzer can retire finished ranks from the reorder
-/// buffer and finished files from the window. Rewinds the stream.
-void count_budgets(std::ifstream& is, std::vector<std::uint64_t>& rank_counts,
-                   std::vector<std::uint64_t>& file_counts) {
-  trace::CompactReader pass1(is);
-  rank_counts.assign(static_cast<std::size_t>(pass1.nranks()), 0);
-  trace::Record rec;
-  while (pass1.next(rec)) {
-    if (rec.layer != trace::Layer::Posix) continue;
-    ++rank_counts[static_cast<std::size_t>(rec.rank)];
-    if (rec.file != kNoFile) {
-      if (rec.file >= file_counts.size()) file_counts.resize(rec.file + 1, 0);
-      ++file_counts[rec.file];
-    }
-  }
-  is.clear();
-  is.seekg(0);
-}
-
-/// Windowed streaming drain of a compact trace file (see
-/// stream_windowed_config).
-core::StreamAnalyzer::WindowedResult stream_windowed_file(
-    const std::string& path, Options& opt) {
-  std::ifstream is = open_compact_stream(path, opt);
-  std::vector<std::uint64_t> posix_counts, file_counts;
-  count_budgets(is, posix_counts, file_counts);
-  trace::CompactReader reader(is);
-  core::StreamAnalyzer analyzer(reader.nranks(), reader.paths(),
-                                std::move(posix_counts));
-  analyzer.enable_window(window_opts_for(opt), std::move(file_counts));
-  trace::Record rec;
-  while (reader.next(rec)) analyzer.feed(rec);
-  (void)reader.read_comm();  // validates the tail of the file
-  auto res = analyzer.finish_windowed();
-  note_window_obs(opt, analyzer);
-  return res;
-}
-
-/// `pfsem report <trace.trc> --stream`: analyze a compact-v2 trace file
-/// incrementally. Two passes: the first counts POSIX budgets so the
-/// analyzer can retire ranks and (windowed) files.
-core::RunReport stream_report_file(const std::string& path, Options& opt) {
-  if (opt.window) {
-    auto res = stream_windowed_file(path, opt);
-    return core::assemble_windowed_report(std::move(res.stats), res.records,
-                                          res.nranks, res.summaries);
-  }
-  std::ifstream is = open_compact_stream(path, opt);
-  std::vector<std::uint64_t> posix_counts, file_counts;
-  count_budgets(is, posix_counts, file_counts);
-  trace::CompactReader reader(is);
-  core::StreamAnalyzer analyzer(reader.nranks(), reader.paths(),
-                                std::move(posix_counts));
-  trace::Record rec;
-  while (reader.next(rec)) analyzer.feed(rec);
-  (void)reader.read_comm();  // validates the tail of the file
-  auto res = analyzer.finish();
-  const auto pairs = core::detect_file_overlaps(res.log, {}, opt.threads);
-  const auto conflicts =
-      core::detect_conflicts(res.log, pairs, {.threads = opt.threads});
-  return core::assemble_report(std::move(res.stats), res.records,
-                               res.log.nranks, res.log, conflicts,
-                               opt.threads);
+  return apps::drain_compact(is, opt.obs_run.get());
 }
 
 void print_report(const trace::TraceBundle& bundle, int threads) {
@@ -790,20 +591,10 @@ int main(int argc, char** argv) {
         require(info != nullptr,
                 "trace --stream simulates a named config (got '" +
                     std::string(argv[2]) + "')");
+        const auto run = spill_config(*info, opt);
         std::ofstream os(argv[3], std::ios::binary);
-        spill_and_drain(
-            *info, opt, [&](trace::StreamMeta meta, trace::ChunkReader& rd) {
-              trace::write_compact_streamed(
-                  meta.nranks, meta.paths, meta.comm, meta.records,
-                  [&](const trace::RecordEmit& emit) {
-                    trace::Record rec;
-                    while (rd.next(rec)) emit(rec);
-                    (void)rd.read_trailer();
-                  },
-                  os);
-              records = meta.records;
-              return 0;
-            });
+        apps::write_compact(run, os);
+        records = run.meta.records;
         if (!os) throw Error(std::string("cannot write ") + argv[3]);
       } else {
         const auto bundle = obtain(argv[2], opt);
@@ -835,9 +626,9 @@ int main(int argc, char** argv) {
       auto opt = parse_options(argc, argv, 3);
       core::RunReport rep;
       if (opt.stream) {
-        const auto* info = apps::find_app(argv[2]);
-        rep = info != nullptr ? stream_report_config(*info, opt)
-                              : stream_report_file(argv[2], opt);
+        auto res = stream_windowed(argv[2], opt);
+        rep = core::assemble_windowed_report(std::move(res.stats), res.records,
+                                             res.nranks, res.summaries);
       } else {
         const auto bundle = obtain(argv[2], opt);
         const auto log = core::reconstruct_accesses(bundle);
@@ -875,11 +666,7 @@ int main(int argc, char** argv) {
     if (cmd == "tune" && argc >= 3) {
       auto opt = parse_options(argc, argv, 3);
       if (opt.stream) {
-        require(opt.window,
-                "tune --stream is the windowed pipeline; drop --no-window");
-        const auto* info = apps::find_app(argv[2]);
-        const auto res = info != nullptr ? stream_windowed_config(*info, opt)
-                                         : stream_windowed_file(argv[2], opt);
+        const auto res = stream_windowed(argv[2], opt);
         print_tuning(core::assemble_windowed_tuning(res.summaries));
       } else {
         const auto bundle = obtain(argv[2], opt);

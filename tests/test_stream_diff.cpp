@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "pfsem/apps/driver.hpp"
 #include "pfsem/apps/harness.hpp"
 #include "pfsem/apps/registry.hpp"
 #include "pfsem/core/conflict.hpp"
@@ -55,6 +56,14 @@ std::string report_text(const trace::TraceBundle& bundle, int threads = 1) {
   return os.str();
 }
 
+std::string windowed_text(core::StreamAnalyzer::WindowedResult res) {
+  const auto rep = core::assemble_windowed_report(
+      std::move(res.stats), res.records, res.nranks, res.summaries);
+  std::ostringstream os;
+  core::print_report(rep, os);
+  return os.str();
+}
+
 struct StreamResult {
   std::string compact;  ///< compact-v2 bytes, re-encoded from the chunks
   std::string report;   ///< full report text from the streaming analysis
@@ -62,58 +71,36 @@ struct StreamResult {
   bool spilled = false;
 };
 
-/// The whole streaming pipeline end to end: capture spills chunks into a
-/// bounded store, the harness dies, then one replay pass feeds both the
-/// compact re-encoder and the incremental analyzer.
+/// The whole streaming pipeline end to end through the driver: capture
+/// spills chunks into a bounded store, the harness dies, the spill is
+/// transcoded to compact v2 (as `pfsem trace --stream` does) and then
+/// drained through the windowed analysis (as `pfsem report --stream`).
 StreamResult stream_run(const apps::AppInfo& info, apps::AppConfig cfg,
                         std::size_t chunk, std::size_t ceiling,
-                        int threads = 1,
                         std::vector<sim::ClockModel> clocks = {},
                         const apps::FaultSetup* faults = nullptr,
                         const vfs::ClusterConfig* ccfg = nullptr) {
-  trace::SpillStore store(ceiling);
   cfg.stream_chunk_records = chunk;
-  trace::StreamMeta meta;
-  {
-    trace::ChunkWriter writer(store, cfg.nranks);
-    meta = ccfg != nullptr
-               ? apps::run_app_cluster_stream(info, writer, cfg, *ccfg,
-                                              std::move(clocks), faults)
-               : apps::run_app_stream(info, writer, cfg, {},
-                                      std::move(clocks), faults);
-    writer.finish(meta);
-  }
+  auto run =
+      apps::spill_app(info, cfg, ceiling, ccfg, std::move(clocks), faults);
   StreamResult out;
-  out.records = meta.records;
-  out.spilled = store.spilled();
-  core::StreamAnalyzer analyzer(meta.nranks, meta.paths,
-                                meta.rank_posix_counts, meta.file_op_counts);
+  out.records = run.meta.records;
+  out.spilled = run.store->spilled();
   std::ostringstream cb(std::ios::binary);
-  trace::write_compact_streamed(
-      meta.nranks, meta.paths, meta.comm, meta.records,
-      [&](const trace::RecordEmit& emit) {
-        const auto in = store.open_read();
-        trace::ChunkReader reader(*in);
-        trace::Record rec;
-        while (reader.next(rec)) {
-          analyzer.feed(rec);
-          emit(rec);
-        }
-        (void)reader.read_trailer();
-      },
-      cb);
+  apps::write_compact(run, cb);
   out.compact = cb.str();
-  auto res = analyzer.finish();
-  const auto pairs = core::detect_file_overlaps(res.log, {}, threads);
-  const auto conflicts =
-      core::detect_conflicts(res.log, pairs, {.threads = threads});
-  const auto rep = core::assemble_report(std::move(res.stats), res.records,
-                                         res.log.nranks, res.log, conflicts,
-                                         threads);
-  std::ostringstream ro;
-  core::print_report(rep, ro);
-  out.report = ro.str();
+  out.report = windowed_text(apps::drain_spill(run));
   return out;
+}
+
+/// Replay a spilled run's records into a hand-configured analyzer, for
+/// the tests that look inside the analyzer itself.
+void feed_all(const apps::SpilledRun& run, core::StreamAnalyzer& an) {
+  const auto in = run.store->open_read();
+  trace::ChunkReader reader(*in);
+  trace::Record rec;
+  while (reader.next(rec)) an.feed(rec);
+  (void)reader.read_trailer();
 }
 
 TEST(StreamDiff, EveryAppStreamingMatchesMaterialized) {
@@ -148,12 +135,14 @@ TEST(StreamDiff, HeapSchedulerMatchesMaterialized) {
 }
 
 TEST(StreamDiff, ThreadCountsAllByteIdentical) {
+  // The streaming analysis is single-pass; the materialized oracle must
+  // agree with it at every thread count.
   const auto& info = *apps::find_app("FLASH-fbs");
   const auto cfg = base_cfg(64);
   const auto bundle = apps::run_app(info, cfg);
+  const auto stream = stream_run(info, cfg, 256, 32u << 10);
+  ASSERT_EQ(stream.compact, compact_bytes(bundle));
   for (const int threads : {1, 2, 4}) {
-    const auto stream = stream_run(info, cfg, 256, 32u << 10, threads);
-    ASSERT_EQ(stream.compact, compact_bytes(bundle)) << "threads=" << threads;
     ASSERT_EQ(stream.report, report_text(bundle, threads))
         << "threads=" << threads;
   }
@@ -164,7 +153,7 @@ TEST(StreamDiff, SkewedClocksMatchMaterialized) {
   const auto cfg = base_cfg(64);
   const auto clocks = sim::make_skewed_clocks(64, 20'000, 100.0, 7);
   const auto bundle = apps::run_app(info, cfg, {}, clocks);
-  const auto stream = stream_run(info, cfg, 256, 32u << 10, 1, clocks);
+  const auto stream = stream_run(info, cfg, 256, 32u << 10, clocks);
   ASSERT_EQ(stream.compact, compact_bytes(bundle));
   ASSERT_EQ(stream.report, report_text(bundle));
 }
@@ -179,7 +168,7 @@ TEST(StreamDiff, TransientFaultsMatchMaterialized) {
   setup.retry.max_attempts = 4;
   const auto cfg = base_cfg(8);
   const auto bundle = apps::run_app(info, cfg, {}, {}, &setup);
-  const auto stream = stream_run(info, cfg, 64, 16u << 10, 1, {}, &setup);
+  const auto stream = stream_run(info, cfg, 64, 16u << 10, {}, &setup);
   ASSERT_EQ(stream.compact, compact_bytes(bundle));
   ASSERT_EQ(stream.report, report_text(bundle));
 }
@@ -200,12 +189,12 @@ TEST(StreamDiff, EveryAppStreamsTheMaterializedCommLogBytes) {
   for (const auto& info : apps::registry()) {
     const auto bundle = apps::run_app(info, cfg, {}, clocks, &setup);
     const auto want = trace::detail::write_comm(bundle.comm);
-    trace::SpillStore store;
-    trace::ChunkWriter writer(store, cfg.nranks);
     auto scfg = cfg;
     scfg.stream_chunk_records = 64;
-    const auto meta =
-        apps::run_app_stream(info, writer, scfg, {}, clocks, &setup);
+    const auto run = apps::spill_app(info, scfg,
+                                     trace::SpillStore::kDefaultCeiling,
+                                     nullptr, clocks, &setup);
+    const auto& meta = run.meta;
     EXPECT_EQ(meta.comm.p2p_count, want.p2p_count) << info.name;
     EXPECT_EQ(meta.comm.collective_count, want.collective_count) << info.name;
     EXPECT_EQ(meta.comm.p2p, want.p2p) << info.name;
@@ -255,8 +244,7 @@ TEST(StreamDiff, ClusterMdsFailoverMatchesMaterialized) {
   ccfg.ost_count = 4;
   const auto cfg = base_cfg(8);
   const auto bundle = apps::run_app_cluster(info, cfg, ccfg, {}, &setup);
-  const auto stream =
-      stream_run(info, cfg, 64, 16u << 10, 1, {}, &setup, &ccfg);
+  const auto stream = stream_run(info, cfg, 64, 16u << 10, {}, &setup, &ccfg);
   ASSERT_EQ(stream.compact, compact_bytes(bundle));
   ASSERT_EQ(stream.report, report_text(bundle));
 }
@@ -284,96 +272,65 @@ TEST(StreamDiff, RankBudgetsShrinkReorderBuffer) {
   // still correct — just buffered more conservatively.
   const auto& info = *apps::find_app("FLASH-fbs");
   const auto cfg = base_cfg(64);
-  trace::SpillStore store(1u << 20);
-  trace::StreamMeta meta;
-  {
-    trace::ChunkWriter writer(store, cfg.nranks);
-    auto streamed = cfg;
-    streamed.stream_chunk_records = 256;
-    meta = apps::run_app_stream(info, writer, streamed);
-    writer.finish(meta);
-  }
-  auto drain = [&](core::StreamAnalyzer& an) {
-    const auto in = store.open_read();
-    trace::ChunkReader reader(*in);
-    trace::Record rec;
-    while (reader.next(rec)) an.feed(rec);
-    (void)reader.read_trailer();
-    return an.finish();
-  };
+  auto streamed = cfg;
+  streamed.stream_chunk_records = 256;
+  const auto run = apps::spill_app(info, streamed, 1u << 20);
+  const auto& meta = run.meta;
   core::StreamAnalyzer with(meta.nranks, meta.paths, meta.rank_posix_counts,
                             meta.file_op_counts);
   core::StreamAnalyzer without(meta.nranks, meta.paths, {},
                                meta.file_op_counts);
-  const auto res_with = drain(with);
-  const auto res_without = drain(without);
+  feed_all(run, with);
+  feed_all(run, without);
   // Identical analysis either way...
-  const auto text = [](const core::StreamAnalyzer::Result& r, int nranks) {
-    const auto pairs = core::detect_file_overlaps(r.log);
-    const auto conflicts = core::detect_conflicts(r.log, pairs, {});
-    const auto rep = core::assemble_report(r.stats, r.records, nranks, r.log,
-                                           conflicts);
-    std::ostringstream os;
-    core::print_report(rep, os);
-    return os.str();
-  };
-  ASSERT_EQ(text(res_with, meta.nranks), text(res_without, meta.nranks));
-  ASSERT_EQ(text(res_with, meta.nranks),
-            report_text(apps::run_app(info, cfg)));
+  const auto text_with = windowed_text(with.finish_windowed());
+  ASSERT_EQ(text_with, windowed_text(without.finish_windowed()));
+  ASSERT_EQ(text_with, report_text(apps::run_app(info, cfg)));
   // ...but budgets must never buffer more than the budget-free analyzer.
   EXPECT_LE(with.peak_buffered(), without.peak_buffered());
   EXPECT_GT(without.peak_buffered(), 0u);
 }
 
-TEST(StreamDiff, UnknownBudgetsStayByteIdenticalWindowedOrNot) {
+TEST(StreamDiff, UnknownBudgetsStayByteIdentical) {
   // Both budget vectors empty at once — the analyzer knows nothing about
   // per-rank or per-file totals. The reorder buffer degrades to
   // finish-time draining and the window to a finish-time sweep, but the
   // report must still match the materialized oracle byte for byte.
   const auto& info = *apps::find_app("GTC");
   const auto cfg = base_cfg(8);
-  trace::SpillStore store(1u << 20);
-  trace::StreamMeta meta;
-  {
-    trace::ChunkWriter writer(store, cfg.nranks);
-    auto streamed = cfg;
-    streamed.stream_chunk_records = 64;
-    meta = apps::run_app_stream(info, writer, streamed);
-    writer.finish(meta);
-  }
-  const auto oracle = report_text(apps::run_app(info, cfg));
-  auto feed_all = [&](core::StreamAnalyzer& an) {
-    const auto in = store.open_read();
-    trace::ChunkReader reader(*in);
-    trace::Record rec;
-    while (reader.next(rec)) an.feed(rec);
-    (void)reader.read_trailer();
-  };
-  {
-    core::StreamAnalyzer an(meta.nranks, meta.paths, {}, meta.file_op_counts);
-    feed_all(an);
-    const auto res = an.finish();
-    const auto pairs = core::detect_file_overlaps(res.log);
-    const auto conflicts = core::detect_conflicts(res.log, pairs, {});
-    const auto rep = core::assemble_report(res.stats, res.records,
-                                           res.log.nranks, res.log, conflicts);
-    std::ostringstream os;
-    core::print_report(rep, os);
-    ASSERT_EQ(os.str(), oracle);
-  }
-  {
-    core::StreamAnalyzer an(meta.nranks, meta.paths, {}, meta.file_op_counts);
-    an.enable_window({}, {});
-    feed_all(an);
-    EXPECT_EQ(an.retired_accesses(), 0u)
-        << "unknown budgets must never retire a file mid-stream";
-    auto res = an.finish_windowed();
-    const auto rep = core::assemble_windowed_report(
-        std::move(res.stats), res.records, res.nranks, res.summaries);
-    std::ostringstream os;
-    core::print_report(rep, os);
-    ASSERT_EQ(os.str(), oracle);
-  }
+  auto streamed = cfg;
+  streamed.stream_chunk_records = 64;
+  const auto run = apps::spill_app(info, streamed, 1u << 20);
+  core::StreamAnalyzer an(run.meta.nranks, run.meta.paths, {},
+                          run.meta.file_op_counts);
+  an.enable_window({}, {});
+  feed_all(run, an);
+  EXPECT_EQ(an.retired_accesses(), 0u)
+      << "unknown budgets must never retire a file mid-stream";
+  ASSERT_EQ(windowed_text(an.finish_windowed()),
+            report_text(apps::run_app(info, cfg)));
+}
+
+TEST(StreamDiff, DriverSpillsToDiskAndReleasesCommLog) {
+  // A ceiling far below the run's spill forces the temp-file path; the
+  // report must still match the oracle, and the drain must free the
+  // encoded comm log (already copied into the trailer) for real, not
+  // just empty it and keep its capacity.
+  const auto& info = *apps::find_app("FLASH-fbs");
+  auto cfg = base_cfg(8);
+  cfg.stream_chunk_records = 64;
+  auto run = apps::spill_app(info, cfg, /*spill_ceiling=*/4u << 10);
+  ASSERT_TRUE(run.store->spilled());
+  ASSERT_GT(run.meta.comm.collectives.size(), 0u);
+  const auto report = windowed_text(apps::drain_spill(run));
+  EXPECT_EQ(report, report_text(apps::run_app(info, base_cfg(8))));
+  const std::size_t empty_capacity = std::string().capacity();
+  EXPECT_EQ(run.meta.comm.collective_count, 0u);
+  EXPECT_EQ(run.meta.comm.p2p_count, 0u);
+  EXPECT_TRUE(run.meta.comm.collectives.empty());
+  EXPECT_TRUE(run.meta.comm.p2p.empty());
+  EXPECT_EQ(run.meta.comm.collectives.capacity(), empty_capacity);
+  EXPECT_EQ(run.meta.comm.p2p.capacity(), empty_capacity);
 }
 
 TEST(StreamDiff, SpillStoreSpillsAndRoundTrips) {

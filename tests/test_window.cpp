@@ -11,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "pfsem/apps/driver.hpp"
 #include "pfsem/apps/harness.hpp"
 #include "pfsem/apps/registry.hpp"
 #include "pfsem/core/conflict.hpp"
@@ -57,28 +59,13 @@ struct WindowRun {
   std::string report;            ///< report text from rolling summaries
   core::TuningReport tuning;     ///< from assemble_windowed_tuning
   std::size_t peak_live_files = 0;
-  std::uint64_t retired_mid_stream = 0;  ///< before the final sweep
-  std::size_t active_files = 0;          ///< summaries with file != kNoFile
+  std::size_t active_files = 0;  ///< summaries with file != kNoFile
 };
 
-/// Replay a spilled capture through the analyzer in windowed mode.
-/// `file_counts` defaults to the exact per-file budgets; pass an empty
-/// vector explicitly to exercise the unknown-budget fallback.
-WindowRun windowed_replay(trace::SpillStore& store, trace::StreamMeta meta,
-                          std::vector<std::uint64_t> file_counts) {
-  core::StreamAnalyzer analyzer(meta.nranks, meta.paths,
-                                meta.rank_posix_counts, meta.file_op_counts);
-  analyzer.enable_window({}, std::move(file_counts));
-  {
-    const auto in = store.open_read();
-    trace::ChunkReader reader(*in);
-    trace::Record rec;
-    while (reader.next(rec)) analyzer.feed(rec);
-    (void)reader.read_trailer();
-  }
+/// Drain a spilled capture through the driver's windowed analysis.
+WindowRun windowed_drain(apps::SpilledRun& run) {
+  auto res = apps::drain_spill(run);
   WindowRun out;
-  out.retired_mid_stream = analyzer.retired_accesses();
-  auto res = analyzer.finish_windowed();
   out.peak_live_files = res.peak_live_files;
   for (const auto& s : res.summaries) {
     out.active_files += s.file != kNoFile ? 1 : 0;
@@ -96,20 +83,10 @@ WindowRun windowed_run(const apps::AppInfo& info, apps::AppConfig cfg,
                        std::vector<sim::ClockModel> clocks = {},
                        const apps::FaultSetup* faults = nullptr,
                        const vfs::ClusterConfig* ccfg = nullptr) {
-  trace::SpillStore store(16u << 10);
   cfg.stream_chunk_records = 64;
-  trace::StreamMeta meta;
-  {
-    trace::ChunkWriter writer(store, cfg.nranks);
-    meta = ccfg != nullptr
-               ? apps::run_app_cluster_stream(info, writer, cfg, *ccfg,
-                                              std::move(clocks), faults)
-               : apps::run_app_stream(info, writer, cfg, {},
-                                      std::move(clocks), faults);
-    writer.finish(meta);
-  }
-  auto counts = meta.file_posix_counts;
-  return windowed_replay(store, std::move(meta), std::move(counts));
+  auto run =
+      apps::spill_app(info, cfg, 16u << 10, ccfg, std::move(clocks), faults);
+  return windowed_drain(run);
 }
 
 void expect_tuning_eq(const core::TuningReport& got,
@@ -130,17 +107,18 @@ void expect_tuning_eq(const core::TuningReport& got,
 }
 
 TEST(WindowDiff, EveryAppWindowedMatchesMaterialized) {
-  std::uint64_t retired = 0;
+  int bounded = 0;
   for (const auto& info : apps::registry()) {
     const auto cfg = base_cfg(8);
     const auto bundle = apps::run_app(info, cfg);
     const auto win = windowed_run(info, cfg);
     ASSERT_EQ(win.report, report_text(bundle)) << info.name;
     expect_tuning_eq(win.tuning, materialized_tuning(bundle));
-    retired += win.retired_mid_stream;
+    bounded += win.peak_live_files < win.active_files ? 1 : 0;
   }
-  EXPECT_GT(retired, 0u) << "no app retired a single file mid-stream; "
-                            "the window never closed over anything";
+  EXPECT_GT(bounded, 0) << "no app retired a file before its last file "
+                           "went live; the window never closed over "
+                           "anything";
 }
 
 TEST(WindowDiff, ThreadCountsAllByteIdentical) {
@@ -213,27 +191,30 @@ auto run_phased(apps::AppConfig cfg, const apps::FaultSetup* faults,
   return capture(h);
 }
 
+/// Spill the phased workload the way the driver spills a registered app
+/// (the workload is not one, so the harness is driven here).
+apps::SpilledRun spill_phased(apps::AppConfig cfg,
+                              const apps::FaultSetup* faults) {
+  apps::SpilledRun run;
+  run.store = std::make_unique<trace::SpillStore>(1u << 20);
+  trace::ChunkWriter writer(*run.store, cfg.nranks);
+  cfg.stream_sink = &writer;
+  cfg.stream_chunk_records = 64;
+  run.meta = run_phased(cfg, faults,
+                        [](apps::Harness& h) { return h.finish_stream(); });
+  writer.finish(run.meta);
+  return run;
+}
+
 TEST(WindowDiff, PhasedWorkloadBoundsLiveWindow) {
   // The phased workload touches 32 files but never more than one phase
-  // at a time; the live window must stay well below the file count, and
-  // the retired accesses must be freed mid-stream, not at finish.
-  trace::SpillStore store(1u << 20);
+  // at a time; the live window must stay well below the file count, so
+  // files retire mid-stream, not at finish.
   auto cfg = base_cfg(8);
-  trace::StreamMeta meta;
-  {
-    trace::ChunkWriter writer(store, cfg.nranks);
-    auto streamed = cfg;
-    streamed.stream_sink = &writer;
-    streamed.stream_chunk_records = 64;
-    meta = run_phased(streamed, nullptr,
-                      [](apps::Harness& h) { return h.finish_stream(); });
-    writer.finish(meta);
-  }
-  auto counts = meta.file_posix_counts;
-  const auto win = windowed_replay(store, std::move(meta), std::move(counts));
+  auto run = spill_phased(cfg, nullptr);
+  const auto win = windowed_drain(run);
   EXPECT_EQ(win.active_files, 32u);
   EXPECT_LT(win.peak_live_files, win.active_files);
-  EXPECT_GT(win.retired_mid_stream, 0u);
   // And the oracle: the same workload materialized.
   const auto bundle = run_phased(
       cfg, nullptr, [](apps::Harness& h) { return h.collector().take(); });
@@ -248,20 +229,9 @@ TEST(WindowDiff, CrashedRankOpenFdsDeferToFinalSweep) {
   apps::FaultSetup setup;
   setup.plan = fault::FaultPlan::parse("crash:rank=3,t=2ms");
   setup.seed = 11;
-  trace::SpillStore store(1u << 20);
   auto cfg = base_cfg(8);
-  trace::StreamMeta meta;
-  {
-    trace::ChunkWriter writer(store, cfg.nranks);
-    auto streamed = cfg;
-    streamed.stream_sink = &writer;
-    streamed.stream_chunk_records = 64;
-    meta = run_phased(streamed, &setup,
-                      [](apps::Harness& h) { return h.finish_stream(); });
-    writer.finish(meta);
-  }
-  auto counts = meta.file_posix_counts;
-  const auto win = windowed_replay(store, std::move(meta), std::move(counts));
+  auto run = spill_phased(cfg, &setup);
+  const auto win = windowed_drain(run);
   const auto bundle = run_phased(
       cfg, &setup, [](apps::Harness& h) { return h.collector().take(); });
   ASSERT_LT(bundle.records.size(), 8u * 4u * 18u)
@@ -269,26 +239,20 @@ TEST(WindowDiff, CrashedRankOpenFdsDeferToFinalSweep) {
   ASSERT_EQ(win.report, report_text(bundle));
   expect_tuning_eq(win.tuning, materialized_tuning(bundle));
   // Surviving ranks' files still retire mid-stream around the crash.
-  EXPECT_GT(win.retired_mid_stream, 0u);
+  EXPECT_LT(win.peak_live_files, win.active_files);
 }
 
 TEST(WindowDiff, UnknownFileBudgetsFallBackSafely) {
   // Empty per-file counts = unknown: nothing may retire mid-stream, and
   // the final sweep must still produce the identical report.
   const auto& info = *apps::find_app("FLASH-fbs");
-  const auto cfg = base_cfg(8);
-  trace::SpillStore store(1u << 20);
-  trace::StreamMeta meta;
-  {
-    trace::ChunkWriter writer(store, cfg.nranks);
-    auto streamed = cfg;
-    streamed.stream_chunk_records = 64;
-    meta = apps::run_app_stream(info, writer, streamed);
-    writer.finish(meta);
-  }
-  const auto win = windowed_replay(store, std::move(meta), /*file_counts=*/{});
-  EXPECT_EQ(win.retired_mid_stream, 0u);
-  ASSERT_EQ(win.report, report_text(apps::run_app(info, cfg)));
+  auto cfg = base_cfg(8);
+  cfg.stream_chunk_records = 64;
+  auto run = apps::spill_app(info, cfg, 1u << 20);
+  run.meta.file_posix_counts.clear();
+  const auto win = windowed_drain(run);
+  EXPECT_EQ(win.peak_live_files, win.active_files);
+  ASSERT_EQ(win.report, report_text(apps::run_app(info, base_cfg(8))));
 }
 
 }  // namespace
