@@ -52,7 +52,8 @@ inline Analysis analyze_app(const apps::AppInfo& info,
   a.local = core::local_pattern(a.log, threads);
   a.global = core::global_pattern(a.log, threads);
   a.census = core::census_metadata(a.bundle);
-  core::HappensBefore hb(a.bundle.comm, cfg.nranks);
+  const core::HappensBefore hb(trace::decode_comm(a.bundle.comm, cfg.nranks),
+                               cfg.nranks);
   a.races = core::validate_synchronization(a.report, hb, threads);
   a.advice = core::advise(a.report, &hb, threads);
   return a;

@@ -26,7 +26,8 @@ int main() {
   for (const auto& info : apps::registry()) {
     const auto cfg = bench::paper_scale();
     const auto bundle = apps::run_app(info, cfg);
-    core::HappensBefore hb(bundle.comm, cfg.nranks);
+    const core::HappensBefore hb(trace::decode_comm(bundle.comm, cfg.nranks),
+                                 cfg.nranks);
     const auto rep = core::detect_metadata_dependencies(bundle, &hb);
     t.add_row({info.name, std::to_string(rep.cross_process),
                std::to_string(rep.hard_cross_process),

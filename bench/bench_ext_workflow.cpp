@@ -28,7 +28,8 @@ WorkflowResult run(bool pipelined) {
   const auto bundle = h.finish();
   WorkflowResult out;
   out.data = core::detect_conflicts(core::reconstruct_accesses(bundle));
-  core::HappensBefore hb(bundle.comm, cfg.nranks);
+  const core::HappensBefore hb(trace::decode_comm(bundle.comm, cfg.nranks),
+                               cfg.nranks);
   out.meta = core::detect_metadata_dependencies(bundle, &hb);
   return out;
 }

@@ -143,18 +143,20 @@ BENCHMARK(BM_CommitCondition_BinarySearchPerPair)->Arg(4)->Arg(64)->Arg(1024);
 
 void BM_HappensBeforeBuild_Flash(benchmark::State& state) {
   const auto& bundle = flash_bundle();
+  const auto comm = trace::decode_comm(bundle.comm, bundle.nranks);
   for (auto _ : state) {
-    core::HappensBefore hb(bundle.comm, bundle.nranks);
+    const core::HappensBefore hb(comm, bundle.nranks);
     benchmark::DoNotOptimize(&hb);
   }
   state.counters["collectives"] =
-      static_cast<double>(bundle.comm.collectives.size());
+      static_cast<double>(bundle.comm.collective_count);
 }
 BENCHMARK(BM_HappensBeforeBuild_Flash);
 
 void BM_HappensBeforeQuery_Flash(benchmark::State& state) {
   const auto& bundle = flash_bundle();
-  core::HappensBefore hb(bundle.comm, bundle.nranks);
+  const core::HappensBefore hb(trace::decode_comm(bundle.comm, bundle.nranks),
+                               bundle.nranks);
   const auto log = core::reconstruct_accesses(bundle);
   const auto report = core::detect_conflicts(log);
   for (auto _ : state) {

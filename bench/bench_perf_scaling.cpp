@@ -56,6 +56,8 @@
 //                  run the FLASH-fbs (or APP) run->report pipeline once
 //                  in the given mode and print one line of key=value
 //                  pairs including this process's getrusage peak RSS
+//                  (rss_kb) and that peak when capture ended
+//                  (capture_peak_kb)
 //   bench_perf_scaling --rss-probe phased|phased-windowed RANKS
 //                  the memory_scaling analysis, full-log or windowed.
 
@@ -320,6 +322,7 @@ struct StreamRun {
   std::uint64_t peak_buffered = 0;
   std::uint64_t live_peak = 0;  ///< live-window high-water (files)
   std::uint64_t retired = 0;    ///< accesses freed mid-stream
+  long capture_peak_kb = 0;     ///< peak RSS when the spill half returned
   std::string report;
 };
 
@@ -344,6 +347,7 @@ StreamRun stream_run_to_report(const apps::AppInfo& info, int ranks) {
   double t0 = now_seconds();
   auto run = apps::spill_app(info, cfg, trace::SpillStore::kDefaultCeiling);
   out.capture_seconds = now_seconds() - t0;
+  out.capture_peak_kb = current_rss_kb();
   out.spill_bytes = run.store->bytes();
   t0 = now_seconds();
   take_windowed(apps::drain_spill(run), out);
@@ -439,7 +443,10 @@ StreamRun phased_analysis(int ranks, bool windowed) {
 }
 
 /// Child mode for --rss-probe: one pipeline run, one line of key=value
-/// output including this process's peak RSS.
+/// output including this process's peak RSS, and for stream|materialize
+/// its peak when capture ended (capture_peak_kb: the stream_rss_bounded
+/// test takes the last "rss_kb=" on the line, so no other key may
+/// contain it).
 int rss_probe_main(const std::string& mode, int ranks,
                    const std::string& app) {
   if (mode == "phased" || mode == "phased-windowed") {
@@ -456,6 +463,7 @@ int rss_probe_main(const std::string& mode, int ranks,
   if (mode == "stream") {
     const auto s = stream_run_to_report(*flash, ranks);
     std::cout << "records=" << s.records << " rss_kb=" << current_rss_kb()
+              << " capture_peak_kb=" << s.capture_peak_kb
               << " spill_bytes=" << s.spill_bytes
               << " peak_buffered=" << s.peak_buffered
               << " live_peak=" << s.live_peak << " retired=" << s.retired
@@ -470,11 +478,13 @@ int rss_probe_main(const std::string& mode, int ranks,
     double t0 = now_seconds();
     const auto bundle = apps::run_app(*flash, cfg);
     const double cap = now_seconds() - t0;
+    const long capture_peak_kb = current_rss_kb();
     t0 = now_seconds();
     const auto text = materialized_report_text(bundle);
     const double ana = now_seconds() - t0;
     std::cout << "records=" << bundle.records.size()
               << " rss_kb=" << current_rss_kb()
+              << " capture_peak_kb=" << capture_peak_kb
               << " spill_bytes=0 peak_buffered=0 capture_seconds=" << cap
               << " analysis_seconds=" << ana << "\n";
     return text.empty() ? 1 : 0;

@@ -39,7 +39,8 @@ void advise_one(const apps::AppInfo& info, Table& table) {
   const auto bundle = apps::run_app(info, cfg);
   const auto log = core::reconstruct_accesses(bundle);
   const auto report = core::detect_conflicts(log);
-  core::HappensBefore hb(bundle.comm, cfg.nranks);
+  const core::HappensBefore hb(trace::decode_comm(bundle.comm, cfg.nranks),
+                               cfg.nranks);
   const auto advice = core::advise(report, &hb);
   table.add_row({info.name, vfs::to_string(advice.weakest),
                  filesystems_for(advice.weakest)});

@@ -54,12 +54,13 @@ int main() {
   const trace::TraceBundle bundle = collector.take();
   const core::AccessLog log = core::reconstruct_accesses(bundle);
   const core::ConflictReport report = core::detect_conflicts(log);
-  core::HappensBefore hb(bundle.comm, bundle.nranks);
+  const core::HappensBefore hb(trace::decode_comm(bundle.comm, bundle.nranks),
+                               bundle.nranks);
   const core::Advice advice = core::advise(report, &hb);
 
   std::cout << "trace records: " << bundle.records.size()
             << ", matched comm events: "
-            << bundle.comm.collectives.size() + bundle.comm.p2p.size() << "\n";
+            << bundle.comm.collective_count + bundle.comm.p2p_count << "\n";
   std::cout << "overlapping write-involved pairs: " << report.potential_pairs
             << "\n";
   std::cout << "conflicts under session semantics: "

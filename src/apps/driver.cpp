@@ -56,8 +56,8 @@ core::WindowAnalysisOptions window_opts_for(obs::Run* run) {
   return wopts;
 }
 
-void validate_tail(trace::ChunkReader& reader) { (void)reader.read_trailer(); }
-void validate_tail(trace::CompactReader& reader) { (void)reader.read_comm(); }
+void validate_tail(trace::ChunkReader& reader) { reader.read_trailer(); }
+void validate_tail(trace::CompactReader& reader) { reader.read_comm(); }
 
 /// The step both drains share: feed every record `reader` yields into a
 /// window-enabled analyzer, validate the stream's tail, finalize, and
@@ -162,7 +162,7 @@ void write_compact(const SpilledRun& run, std::ostream& os) {
         trace::ChunkReader reader(*in);
         trace::Record rec;
         while (reader.next(rec)) emit(rec);
-        (void)reader.read_trailer();
+        reader.read_trailer();
       },
       os);
 }

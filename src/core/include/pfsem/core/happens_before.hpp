@@ -4,7 +4,8 @@
 // The paper validates its timestamp-based ordering by matching sends to
 // receives and collective invocations and checking that conflicting I/O
 // operations are ordered by the program's synchronization. We rebuild the
-// same partial order with vector clocks over the matched CommLog events:
+// same partial order with vector clocks over the matched CommLog events
+// (trace::decode_comm of a bundle's encoded comm log):
 //
 //   * program order within a rank;
 //   * P2P: send start -> receive completion;

@@ -54,7 +54,9 @@ class StreamAnalyzer {
     /// file == kNoFile and contribute nothing to the report.
     std::vector<FileWindowSummary> summaries;
     std::size_t peak_live_files = 0;     ///< live-window high-water mark
-    std::uint64_t retired_accesses = 0;  ///< freed as files retired
+    /// Accesses freed as files retired mid-stream; the final sweep of
+    /// finish_windowed() is not counted.
+    std::uint64_t retired_accesses = 0;
     std::size_t peak_buffered = 0;       ///< see peak_buffered()
   };
 
@@ -104,6 +106,7 @@ class StreamAnalyzer {
   [[nodiscard]] std::size_t peak_live_files() const {
     return peak_live_files_;
   }
+  /// Accesses freed by mid-stream retirements so far.
   [[nodiscard]] std::uint64_t retired_accesses() const {
     return retired_accesses_;
   }
@@ -136,7 +139,8 @@ class StreamAnalyzer {
   /// Step the buffer's earliest record and free its slab slot.
   void step_top();
   void note_stepped(const trace::Record& rec);
-  void finalize_file(FileId f);
+  /// Analyze and retire `f`; returns the accesses it freed.
+  std::size_t finalize_file(FileId f);
 
   AccessLog log_;
   RecordStats stats_;

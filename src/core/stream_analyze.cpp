@@ -129,17 +129,18 @@ void StreamAnalyzer::note_stepped(const trace::Record& rec) {
   if (file_remaining_.empty()) return;  // unknown: the final sweep finalizes
   require(file_remaining_[f] > 0, "file posix count mismatch in stream");
   if (--file_remaining_[f] == 0 && stepper_->open_fds(f) == 0) {
-    finalize_file(f);
+    retired_accesses_ += finalize_file(f);
   }
 }
 
-void StreamAnalyzer::finalize_file(FileId f) {
+std::size_t StreamAnalyzer::finalize_file(FileId f) {
   file_finalized_[f] = 1;
   if (file_live_[f]) {
     file_live_[f] = 0;
     --live_files_;
   }
   FileLog& fl = log_.files[f];
+  std::size_t freed = 0;
   // Slots the replay never activated (e.g. a path only stat-ed) have no
   // per-file state to analyze; their summary slot stays file == kNoFile.
   // They still retire through the callback: observers (ledger
@@ -147,7 +148,7 @@ void StreamAnalyzer::finalize_file(FileId f) {
   if (fl.active()) {
     annotator_->annotate_file(fl);
     summaries_[f] = summarize_file(f, log_.paths.view(f), fl, window_opts_);
-    retired_accesses_ += fl.accesses.size();
+    freed = fl.accesses.size();
     FileLog fresh;
     fresh.file = fl.file;
     fl = std::move(fresh);
@@ -155,6 +156,7 @@ void StreamAnalyzer::finalize_file(FileId f) {
   if (window_opts_.on_retire) {
     window_opts_.on_retire(f, live_files_, last_release_t_);
   }
+  return freed;
 }
 
 void StreamAnalyzer::release_ready() {
@@ -186,7 +188,7 @@ StreamAnalyzer::WindowedResult StreamAnalyzer::finish_windowed() {
   // Final sweep: whatever the frontier could not retire mid-stream —
   // unknown budgets, files a crashed rank left open, zero-count slots.
   for (FileId f = 0; f < log_.files.size(); ++f) {
-    if (!file_finalized_[f]) finalize_file(f);
+    if (!file_finalized_[f]) (void)finalize_file(f);
   }
   WindowedResult res;
   res.stats = std::move(stats_);

@@ -9,10 +9,10 @@
 // with a simple latency/bandwidth cost model and deterministic per-rank
 // completion jitter, so that per-rank timestamps spread realistically.
 //
-// Every matched operation is appended to the trace CommLog; the
-// happens-before checker (core/happens_before.hpp) consumes those events
-// to validate that conflicting I/O is synchronized, as in Section 5.2 of
-// the paper.
+// Every matched operation is appended to the trace's comm log (encoded
+// as it completes); the happens-before checker (core/happens_before.hpp)
+// consumes those events, decoded, to validate that conflicting I/O is
+// synchronized, as in Section 5.2 of the paper.
 
 #include <cstdint>
 #include <deque>

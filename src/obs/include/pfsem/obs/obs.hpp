@@ -102,7 +102,7 @@ struct Run {
   // core::StreamAnalyzer live window (analysis-side; the materialized
   // oracle never sets them, so they must stay out of the stable dump)
   Gauge window_live_files;        ///< peak files live in the window (volatile)
-  Gauge window_retired_accesses;  ///< accesses freed as files retired (volatile)
+  Gauge window_retired_accesses;  ///< accesses freed mid-stream (volatile)
   // fault::Injector
   Counter fault_transient;    ///< transient errors injected (stable)
   Counter fault_eio;          ///< ... of which EIO (stable)

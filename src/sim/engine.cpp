@@ -1,6 +1,9 @@
 #include "pfsem/sim/engine.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <string>
+#include <utility>
 
 #include "pfsem/util/error.hpp"
 
@@ -36,12 +39,9 @@ Engine::Bucket* Engine::ring_front() {
   return &ring_[(base + static_cast<unsigned>(d)) & (kRingWindow - 1)];
 }
 
-Engine::Detached Engine::run_root(Task<void> task, int label) {
+Engine::Root Engine::run_root(Task<void> task, std::size_t slot) {
   // Hold the task in this frame so its coroutine outlives every suspension.
-  ++live_roots_;
-  live_labels_.insert(label);
   try {
-    co_await delay(0);  // defer the program body to the event loop
     co_await std::move(task);
   } catch (const TaskKilled&) {
     // Fail-stop crash: the task unwound cleanly (its nested coroutine
@@ -53,13 +53,33 @@ Engine::Detached Engine::run_root(Task<void> task, int label) {
     if (!first_error_) first_error_ = std::current_exception();
   }
   --live_roots_;
-  live_labels_.erase(live_labels_.find(label));
+  roots_[slot] = nullptr;
 }
 
 void Engine::spawn(Task<void> task, int label) {
   require(task.valid(), "spawn() needs a valid task");
   if (obs_ != nullptr) obs_->metrics.add(obs_->sim_roots);
-  run_root(std::move(task), label);
+  const auto h = run_root(std::move(task), roots_.size()).handle;
+  h.promise().label = label;
+  roots_.push_back(h);
+  ++live_roots_;
+  schedule(now_, h);  // defer the program body to the event loop
+}
+
+void Engine::destroy_roots() {
+  // Destroying a root destroys the task it awaits, and with it every
+  // nested frame. Handles parked in wait queues elsewhere die with them.
+  for (auto& h : roots_) {
+    if (h) std::exchange(h, nullptr).destroy();
+  }
+  roots_.clear();
+  live_roots_ = 0;
+  for (Bucket& b : ring_) {
+    b.head = 0;
+    b.entries.clear();
+  }
+  ring_mask_ = 0;
+  queue_ = {};
 }
 
 void Engine::note_dispatch(bool ring) {
@@ -140,8 +160,9 @@ void Engine::run() {
     obs_->metrics.set(obs_->sim_end_time, now_);
   }
   if (first_error_) {
-    // Drain remaining events without running them is not possible for
-    // coroutines parked in wait queues; report the root cause instead.
+    // Roots parked in wait queues can never run again: free them, then
+    // report the root cause.
+    destroy_roots();
     auto err = first_error_;
     first_error_ = nullptr;
     std::rethrow_exception(err);
@@ -149,18 +170,26 @@ void Engine::run() {
   if (live_roots_ != 0) {
     // Name the blocked roots (labelled spawns carry the rank id) and the
     // simulated time — fault-induced deadlocks are hard to debug blind.
+    std::vector<int> labels;
+    for (const auto& h : roots_) {
+      if (h && h.promise().label >= 0) labels.push_back(h.promise().label);
+    }
+    std::sort(labels.begin(), labels.end());
     std::string ids;
-    for (const int label : live_labels_) {
-      if (label < 0) continue;
+    for (const int label : labels) {
       if (!ids.empty()) ids += ", ";
       ids += std::to_string(label);
     }
+    const int blocked = live_roots_;
+    destroy_roots();
     throw Error("simulation deadlock at t=" + std::to_string(now_) +
-                " ns: event queue drained with " + std::to_string(live_roots_) +
+                " ns: event queue drained with " + std::to_string(blocked) +
                 " root task(s) still blocked" +
                 (ids.empty() ? std::string{}
                              : " (blocked ranks: " + ids + ")"));
   }
+  // Every root has finished.
+  roots_.clear();
 }
 
 }  // namespace pfsem::sim

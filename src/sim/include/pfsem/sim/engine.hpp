@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <exception>
 #include <queue>
-#include <set>
 #include <vector>
 
 #include "pfsem/obs/obs.hpp"
@@ -94,7 +93,10 @@ class Engine {
   /// from any root task, or pfsem::Error if roots are still blocked when the
   /// queue empties (deadlock, e.g. a barrier some rank never reaches); the
   /// deadlock message lists the blocked ranks' labels and the simulated
-  /// time. A root that exits via TaskKilled is absorbed (see killed_roots).
+  /// time. Before either throw, every root still suspended is destroyed
+  /// (with the frames it awaits) and the event queue is cleared, so a
+  /// failed run leaks nothing. A root that exits via TaskKilled is
+  /// absorbed (see killed_roots).
   void run();
 
   /// Number of root tasks that have not yet finished.
@@ -137,17 +139,28 @@ class Engine {
     [[nodiscard]] bool empty() const { return head == entries.size(); }
   };
 
-  // Fire-and-forget wrapper that owns a root Task for its whole run.
-  struct Detached {
+  // Wrapper that owns a root Task for its whole run. It starts suspended
+  // (spawn() schedules it), frees itself when the task ends, and is
+  // destroyed by destroy_roots() if the run fails first.
+  struct Root {
     struct promise_type {
-      Detached get_return_object() { return {}; }
-      std::suspend_never initial_suspend() noexcept { return {}; }
+      int label = -1;  ///< spawn() label, for deadlock diagnostics
+      Root get_return_object() {
+        return {std::coroutine_handle<promise_type>::from_promise(*this)};
+      }
+      std::suspend_always initial_suspend() noexcept { return {}; }
       std::suspend_never final_suspend() noexcept { return {}; }
       void return_void() noexcept {}
       void unhandled_exception() noexcept { std::terminate(); }  // run_root catches
     };
+    std::coroutine_handle<promise_type> handle;
   };
-  Detached run_root(Task<void> task, int label);
+  /// `slot` is the root's index in roots_, cleared when the task ends.
+  Root run_root(Task<void> task, std::size_t slot);
+
+  /// Destroy every root still suspended and drop every pending event:
+  /// the failed run's cleanup.
+  void destroy_roots();
 
   /// Earliest-time non-empty ring bucket, or nullptr when the ring is
   /// empty. All ring events lie in [now, now + kRingWindow), so the
@@ -172,7 +185,8 @@ class Engine {
   std::uint64_t dispatched_ = 0;
   int live_roots_ = 0;
   int killed_roots_ = 0;
-  std::multiset<int> live_labels_;
+  /// One handle per spawned root, null once it has finished.
+  std::vector<std::coroutine_handle<Root::promise_type>> roots_;
   std::exception_ptr first_error_;
 
   /// Observability (off = nullptr; one branch per hot-path site).

@@ -470,7 +470,8 @@ void print_report(const trace::TraceBundle& bundle, int threads) {
   const auto local = core::local_pattern(log, threads);
   const auto global = core::global_pattern(log, threads);
   const auto census = core::census_metadata(bundle);
-  core::HappensBefore hb(bundle.comm, bundle.nranks);
+  const core::HappensBefore hb(trace::decode_comm(bundle.comm, bundle.nranks),
+                               bundle.nranks);
   const auto advice = core::advise(report, &hb, threads);
   const auto meta =
       core::detect_metadata_dependencies(bundle, &hb, {.threads = threads});
@@ -656,7 +657,8 @@ int main(int argc, char** argv) {
       const auto log = core::reconstruct_accesses(bundle);
       const auto report = core::detect_conflicts(
           log, core::ConflictOptions{.threads = opt.threads});
-      core::HappensBefore hb(bundle.comm, bundle.nranks);
+      const core::HappensBefore hb(
+          trace::decode_comm(bundle.comm, bundle.nranks), bundle.nranks);
       const auto advice = core::advise(report, &hb, opt.threads);
       std::cout << vfs::to_string(advice.weakest) << "\n" << advice.rationale
                 << "\n";

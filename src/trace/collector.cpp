@@ -22,8 +22,7 @@ void Collector::reserve(int nranks, std::size_t per_rank_hint) {
 void Collector::enable_streaming(StreamSink* sink, std::size_t chunk_records) {
   require(sink != nullptr, "enable_streaming needs a sink");
   require(chunk_records > 0, "enable_streaming needs a positive chunk size");
-  require(size() == 0 && bundle_.comm.p2p.empty() &&
-              bundle_.comm.collectives.empty(),
+  require(size() == 0 && bundle_.comm == EncodedCommLog{},
           "enable_streaming must be called before capture starts");
   stream_sink_ = sink;
   stream_chunk_ = chunk_records;
@@ -73,7 +72,7 @@ StreamMeta Collector::take_stream() {
   meta.file_posix_counts = std::move(file_posix_counts_);
   file_posix_counts_ = {};
   meta.paths = std::move(bundle_.paths);
-  meta.comm = std::exchange(stream_comm_, {});
+  meta.comm = std::move(bundle_.comm);
   const int nranks = bundle_.nranks;
   bundle_ = TraceBundle{};
   bundle_.nranks = nranks;

@@ -12,6 +12,7 @@
 #include <istream>
 #include <ostream>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "pfsem/trace/serialize.hpp"
@@ -27,6 +28,8 @@ constexpr char kMagic2[8] = {'P', 'F', 'S', 'E', 'M', 'T', 'R', '2'};
 using detail::put_string;
 using detail::put_varint;
 using detail::unzigzag;
+using detail::wrap_add;
+using detail::wrap_sub;
 using detail::zigzag;
 
 }  // namespace
@@ -39,9 +42,9 @@ void put_p2p(std::string& out, const P2PEvent& e) {
   put_varint(out, zigzag(e.tag));
   put_varint(out, e.bytes);
   put_varint(out, zigzag(e.t_send_start));
-  put_varint(out, zigzag(e.t_send_end - e.t_send_start));
-  put_varint(out, zigzag(e.t_recv_start - e.t_send_start));
-  put_varint(out, zigzag(e.t_recv_end - e.t_recv_start));
+  put_varint(out, zigzag(wrap_sub(e.t_send_end, e.t_send_start)));
+  put_varint(out, zigzag(wrap_sub(e.t_recv_start, e.t_send_start)));
+  put_varint(out, zigzag(wrap_sub(e.t_recv_end, e.t_recv_start)));
 }
 
 void put_collective(std::string& out, const CollectiveEvent& c) {
@@ -51,7 +54,7 @@ void put_collective(std::string& out, const CollectiveEvent& c) {
   for (const auto& a : c.arrivals) {
     put_varint(out, static_cast<std::uint64_t>(a.rank));
     put_varint(out, zigzag(a.t_enter));
-    put_varint(out, zigzag(a.t_exit - a.t_enter));
+    put_varint(out, zigzag(wrap_sub(a.t_exit, a.t_enter)));
   }
 }
 
@@ -63,9 +66,9 @@ void get_p2p(ByteReader& in, int nranks, P2PEvent& e) {
   e.tag = in.zigzag_int32();
   e.bytes = in.varint();
   e.t_send_start = unzigzag(in.varint());
-  e.t_send_end = e.t_send_start + unzigzag(in.varint());
-  e.t_recv_start = e.t_send_start + unzigzag(in.varint());
-  e.t_recv_end = e.t_recv_start + unzigzag(in.varint());
+  e.t_send_end = wrap_add(e.t_send_start, unzigzag(in.varint()));
+  e.t_recv_start = wrap_add(e.t_send_start, unzigzag(in.varint()));
+  e.t_recv_end = wrap_add(e.t_recv_start, unzigzag(in.varint()));
   check_p2p(e, nranks);
 }
 
@@ -84,41 +87,59 @@ void get_collective(ByteReader& in, int nranks, CollectiveEvent& c) {
             "collective arrival rank out of range");
     a.rank = static_cast<Rank>(rank);
     a.t_enter = unzigzag(in.varint());
-    a.t_exit = a.t_enter + unzigzag(in.varint());
+    a.t_exit = wrap_add(a.t_enter, unzigzag(in.varint()));
     c.arrivals.push_back(a);
   }
   check_collective(c, nranks);
 }
 
-EncodedCommLog write_comm(const CommLog& comm) {
-  EncodedCommLog out;
-  out.p2p_count = comm.p2p.size();
-  for (const auto& e : comm.p2p) put_p2p(out.p2p, e);
-  out.collective_count = comm.collectives.size();
-  for (const auto& c : comm.collectives) put_collective(out.collectives, c);
-  return out;
-}
-
-void read_comm(ByteReader& in, int nranks, CommLog* out) {
+void read_comm(ByteReader& in, int nranks, EncodedCommLog* out) {
   // Every event decodes into one scratch event, so a caller that only
-  // validates holds one event (and one arrival array) at a time.
-  const auto np2p = in.varint();
-  if (out != nullptr) out->p2p.reserve(std::min(np2p, kMaxReserve));
+  // validates holds one event (and one arrival array) at a time. Kept
+  // bytes are the canonical re-encoding of what was read.
+  EncodedCommLog kept;
+  kept.p2p_count = in.varint();
   P2PEvent e;
-  for (std::uint64_t i = 0; i < np2p; ++i) {
+  for (std::uint64_t i = 0; i < kept.p2p_count; ++i) {
     get_p2p(in, nranks, e);
-    if (out != nullptr) out->p2p.push_back(e);
+    if (out != nullptr) put_p2p(kept.p2p, e);
   }
-  const auto ncoll = in.varint();
-  if (out != nullptr) out->collectives.reserve(std::min(ncoll, kMaxReserve));
+  kept.collective_count = in.varint();
   CollectiveEvent c;
-  for (std::uint64_t i = 0; i < ncoll; ++i) {
+  for (std::uint64_t i = 0; i < kept.collective_count; ++i) {
     get_collective(in, nranks, c);
-    if (out != nullptr) out->collectives.push_back(c);
+    if (out != nullptr) put_collective(kept.collectives, c);
   }
+  if (out != nullptr) *out = std::move(kept);
 }
 
 }  // namespace detail
+
+EncodedCommLog write_comm(const CommLog& comm) {
+  EncodedCommLog out;
+  out.p2p_count = comm.p2p.size();
+  for (const auto& e : comm.p2p) detail::put_p2p(out.p2p, e);
+  out.collective_count = comm.collectives.size();
+  for (const auto& c : comm.collectives) {
+    detail::put_collective(out.collectives, c);
+  }
+  return out;
+}
+
+CommLog decode_comm(const EncodedCommLog& comm, int nranks) {
+  CommLog out;
+  // Every event takes at least one byte, so the sections bound what the
+  // counts may reserve.
+  out.p2p.reserve(std::min<std::uint64_t>(comm.p2p_count, comm.p2p.size()));
+  out.collectives.reserve(std::min<std::uint64_t>(comm.collective_count,
+                                                  comm.collectives.size()));
+  detail::visit_p2p(comm, nranks,
+                    [&](const P2PEvent& e) { out.p2p.push_back(e); });
+  detail::visit_collectives(comm, nranks, [&](const CollectiveEvent& c) {
+    out.collectives.push_back(c);
+  });
+  return out;
+}
 
 void write_compact_streamed(int nranks, const PathTable& paths,
                             const EncodedCommLog& comm,
@@ -185,7 +206,7 @@ void write_compact_streamed(int nranks, const PathTable& paths,
 
 void write_compact(const TraceBundle& bundle, std::ostream& os) {
   write_compact_streamed(
-      bundle.nranks, bundle.paths, detail::write_comm(bundle.comm),
+      bundle.nranks, bundle.paths, bundle.comm,
       bundle.records.size(),
       [&](const RecordEmit& emit) {
         for (const auto& r : bundle.records) emit(r);
@@ -247,11 +268,9 @@ bool CompactReader::next(Record& out) {
   return true;
 }
 
-CommLog CompactReader::read_comm() {
+void CompactReader::read_comm(EncodedCommLog* keep) {
   require(read_ == nrec_, "comm log read before records were drained");
-  CommLog comm;
-  detail::read_comm(in_, nranks_, &comm);
-  return comm;
+  detail::read_comm(in_, nranks_, keep);
 }
 
 TraceBundle read_compact(std::istream& is) {
@@ -262,7 +281,7 @@ TraceBundle read_compact(std::istream& is) {
   b.records.reserve(std::min(reader.record_count(), detail::kMaxReserve));
   Record r;
   while (reader.next(r)) b.records.push_back(r);
-  b.comm = reader.read_comm();
+  reader.read_comm(&b.comm);
   return b;
 }
 

@@ -20,7 +20,9 @@ struct TraceBundle {
   PathTable paths;
   /// All records, in emission order (monotone in global simulated time).
   std::vector<Record> records;
-  CommLog comm;
+  /// The matched communication events in their trailer encoding (see
+  /// EncodedCommLog); decode_comm() builds the CommLog HappensBefore reads.
+  EncodedCommLog comm;
   /// Per-FileId record counts tallied during capture (column hints for
   /// TraceStore construction). Purely a capacity hint, NOT part of the
   /// serialized formats: empty for deserialized or hand-built bundles,

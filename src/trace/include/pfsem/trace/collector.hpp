@@ -2,9 +2,10 @@
 // Trace capture. The simulated I/O stack calls Collector::emit with global
 // simulated timestamps; the collector converts them to the emitting rank's
 // local clock (applying the configured skew/drift) before storing, because
-// that is all a real tracer ever sees. Matched communication events are
-// appended to the embedded CommLog by pfsem::mpi through the same clock
-// conversion (when streaming, to an EncodedCommLog instead).
+// that is all a real tracer ever sees. Matched communication events from
+// pfsem::mpi go through the same clock conversion and are appended to the
+// bundle's EncodedCommLog in their trailer encoding, materialized or
+// streaming alike.
 //
 // Every record is copied exactly once, straight into one vector in global
 // emission order (converted in place), so the bundle needs no merge and
@@ -94,36 +95,28 @@ class Collector {
     if (stream_sink_ != nullptr) note_stream(r);
   }
 
-  /// Record a matched point-to-point event (times given in global time).
-  /// When streaming, the event is appended in its trailer encoding.
+  /// Record a matched point-to-point event (times given in global time),
+  /// appended in its trailer encoding.
   void emit_p2p(P2PEvent e) {
     if (obs_ != nullptr) obs_->metrics.add(obs_->mpi_p2p);
     e.t_send_start = local_time(e.src, e.t_send_start);
     e.t_send_end = local_time(e.src, e.t_send_end);
     e.t_recv_start = local_time(e.dst, e.t_recv_start);
     e.t_recv_end = local_time(e.dst, e.t_recv_end);
-    if (stream_sink_ != nullptr) {
-      detail::put_p2p(stream_comm_.p2p, e);
-      ++stream_comm_.p2p_count;
-    } else {
-      bundle_.comm.p2p.push_back(e);
-    }
+    detail::put_p2p(bundle_.comm.p2p, e);
+    ++bundle_.comm.p2p_count;
   }
 
-  /// Record a matched collective (arrival times given in global time).
-  /// When streaming, the event is appended in its trailer encoding.
+  /// Record a matched collective (arrival times given in global time),
+  /// appended in its trailer encoding.
   void emit_collective(CollectiveEvent e) {
     if (obs_ != nullptr) obs_->metrics.add(obs_->mpi_collectives);
     for (auto& a : e.arrivals) {
       a.t_enter = local_time(a.rank, a.t_enter);
       a.t_exit = local_time(a.rank, a.t_exit);
     }
-    if (stream_sink_ != nullptr) {
-      detail::put_collective(stream_comm_.collectives, e);
-      ++stream_comm_.collective_count;
-    } else {
-      bundle_.comm.collectives.push_back(std::move(e));
-    }
+    detail::put_collective(bundle_.comm.collectives, e);
+    ++bundle_.comm.collective_count;
   }
 
   /// Number of records captured so far (streamed-out records included).
@@ -148,8 +141,8 @@ class Collector {
   [[nodiscard]] bool streaming() const { return stream_sink_ != nullptr; }
 
   /// Finish a streaming capture: flush the final partial batch to the
-  /// sink and hand over everything except the records. The collector is
-  /// empty afterwards.
+  /// sink and hand over everything except the records, the comm log
+  /// moved out as take() moves it. The collector is empty afterwards.
   [[nodiscard]] StreamMeta take_stream();
 
   /// Largest pending-record batch handed to the sink in one flush — the
@@ -204,8 +197,6 @@ class Collector {
   std::uint64_t stream_consumed_ = 0;
   std::size_t stream_peak_ = 0;
   std::vector<std::uint64_t> rank_posix_counts_;
-  /// The comm log so far (streaming only), in its trailer encoding.
-  EncodedCommLog stream_comm_;
   /// Posix records per FileId (streaming only): windowed retirement
   /// budgets.
   std::vector<std::uint64_t> file_posix_counts_;

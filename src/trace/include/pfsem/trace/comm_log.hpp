@@ -6,7 +6,9 @@
 // operations is enforced by the program's synchronization. We store matched
 // events: point-to-point sends/receives and collectives with per-rank
 // enter/exit times. The happens-before checker in pfsem::core rebuilds
-// vector clocks from exactly this information.
+// vector clocks from exactly this information. Captured logs travel as
+// bytes (EncodedCommLog); decode_comm() turns them into the structs below
+// for that checker.
 
 #include <cstdint>
 #include <string>
@@ -104,27 +106,36 @@ inline void check_collective(const CollectiveEvent& c, int nranks) {
   }
 }
 
+/// A decoded comm log: the input of core::HappensBefore.
 struct CommLog {
   std::vector<P2PEvent> p2p;
   std::vector<CollectiveEvent> collectives;
-
-  void clear() {
-    p2p.clear();
-    collectives.clear();
-  }
 };
 
 /// A comm log in its serialized form: each section's event count and the
 /// concatenated bytes of its events, as detail::put_p2p/put_collective
-/// (serialize.hpp) encode them. A streaming capture builds this instead
-/// of a CommLog, since its comm log only ever travels on to a trailer;
-/// the trailer is varint(p2p_count) p2p varint(collective_count)
-/// collectives.
+/// (serialize.hpp) encode them. This is the one form a comm log takes from
+/// capture to disk: the collector appends each event's bytes as it
+/// completes, TraceBundle and StreamMeta carry them, and the compact v2
+/// and chunk trailers are varint(p2p_count) p2p varint(collective_count)
+/// collectives (v1 converts at its edge). Only decode_comm() turns it
+/// back into a CommLog.
 struct EncodedCommLog {
   std::uint64_t p2p_count = 0;
   std::uint64_t collective_count = 0;
   std::string p2p;
   std::string collectives;
+
+  bool operator==(const EncodedCommLog&) const = default;
 };
+
+/// Encode every event of `comm`, in order.
+[[nodiscard]] EncodedCommLog write_comm(const CommLog& comm);
+
+/// Decode `comm` into events, validating each one against `nranks` (the
+/// checks of the trace decoders). Throws pfsem::Error on malformed bytes,
+/// a count that does not match its section, or trailing bytes. The input
+/// of core::HappensBefore is the one place a CommLog is needed.
+[[nodiscard]] CommLog decode_comm(const EncodedCommLog& comm, int nranks);
 
 }  // namespace pfsem::trace

@@ -46,7 +46,7 @@ void write_compact(const TraceBundle& bundle, std::ostream& os);
 /// with a scan over bundle.records — the two produce identical bytes for
 /// identical inputs, which is what lets a spilled streaming capture
 /// transcode to .trc without the bundle ever existing.
-/// The comm log arrives already encoded (a streaming capture's
+/// The comm log arrives already encoded (TraceBundle::comm or
 /// StreamMeta::comm) and is copied to `os` as is.
 using RecordEmit = std::function<void(const Record&)>;
 void write_compact_streamed(int nranks, const PathTable& paths,
@@ -73,8 +73,10 @@ class CompactReader {
   /// Decode the next record; false once all records are consumed.
   bool next(Record& out);
 
-  /// Read the trailing comm log. Only valid after next() returned false.
-  [[nodiscard]] CommLog read_comm();
+  /// Read and validate the trailing comm log, every event included. Its
+  /// bytes are kept in `*keep` only if the caller passes one. Only valid
+  /// after next() returned false.
+  void read_comm(EncodedCommLog* keep = nullptr);
 
  private:
   detail::ByteReader in_;
@@ -87,9 +89,10 @@ class CompactReader {
 
 namespace detail {
 /// Per-event comm-log codec. Every comm-log writer and reader goes
-/// through these: write_comm/read_comm below (the compact v2 trailer and
-/// the chunk spill trailer) and a streaming Collector, which encodes
-/// each event as it arrives. One definition, so the formats cannot drift.
+/// through these: the collector (which encodes each event as it
+/// arrives), write_comm/decode_comm, the v1 edge conversion and the
+/// compact v2 and chunk trailers. One definition, so the formats cannot
+/// drift.
 void put_p2p(std::string& out, const P2PEvent& e);
 void put_collective(std::string& out, const CollectiveEvent& c);
 /// Decode one event into `out` and validate it: ranks in [0, nranks),
@@ -98,8 +101,30 @@ void put_collective(std::string& out, const CollectiveEvent& c);
 void get_p2p(ByteReader& in, int nranks, P2PEvent& out);
 void get_collective(ByteReader& in, int nranks, CollectiveEvent& out);
 
-/// Encode a whole comm log.
-[[nodiscard]] EncodedCommLog write_comm(const CommLog& comm);
+/// Decode `comm`'s p2p (visit_p2p) or collective (visit_collectives)
+/// section in order, each event into one scratch event that `fn` sees
+/// before the next overwrites it. Throws pfsem::Error as decode_comm does.
+template <typename Fn>
+void visit_p2p(const EncodedCommLog& comm, int nranks, Fn&& fn) {
+  ByteReader in(comm.p2p);
+  P2PEvent e;
+  for (std::uint64_t i = 0; i < comm.p2p_count; ++i) {
+    get_p2p(in, nranks, e);
+    fn(e);
+  }
+  require(in.exhausted(), "trailing bytes in comm log");
+}
+
+template <typename Fn>
+void visit_collectives(const EncodedCommLog& comm, int nranks, Fn&& fn) {
+  ByteReader in(comm.collectives);
+  CollectiveEvent c;
+  for (std::uint64_t i = 0; i < comm.collective_count; ++i) {
+    get_collective(in, nranks, c);
+    fn(c);
+  }
+  require(in.exhausted(), "trailing bytes in comm log");
+}
 
 /// Hand `comm`'s trailer bytes to `put` (called with std::string_view
 /// pieces, in order) without concatenating them first.
@@ -115,9 +140,10 @@ void put_comm(const EncodedCommLog& comm, Put&& put) {
   put(std::string_view(comm.collectives));
 }
 
-/// Decode and validate a comm-log trailer. The events are kept in `*out`
-/// if it is not null; otherwise each is checked and dropped.
-void read_comm(ByteReader& in, int nranks, CommLog* out);
+/// Decode and validate a comm-log trailer, one scratch event at a time.
+/// The bytes are kept in `*out` (replacing its contents) if it is not
+/// null; otherwise each event is checked and dropped.
+void read_comm(ByteReader& in, int nranks, EncodedCommLog* out);
 }  // namespace detail
 
 }  // namespace pfsem::trace

@@ -114,11 +114,6 @@ class ChunkWriter final : public StreamSink {
 /// seekg() it first.
 class ChunkReader {
  public:
-  struct Trailer {
-    std::uint64_t records = 0;
-    PathTable paths;
-  };
-
   explicit ChunkReader(std::istream& is);
 
   [[nodiscard]] int nranks() const { return nranks_; }
@@ -128,11 +123,14 @@ class ChunkReader {
   /// Decode the next record; false once the trailer marker is reached.
   bool next(Record& out);
 
-  /// Read and validate the trailer, every comm-log event included. The
-  /// comm log is kept in `*comm` only if the caller passes one; otherwise
-  /// each event is checked and dropped. Only valid after next() returned
-  /// false.
-  [[nodiscard]] Trailer read_trailer(CommLog* comm = nullptr);
+  /// Read and validate the trailer: the record count, the path table
+  /// (no duplicate, and every file id seen in range) and every comm-log
+  /// event. The comm log's bytes are kept in `*comm`, and the path table
+  /// is built into `*paths`, only for a caller that passes them;
+  /// otherwise both are checked and dropped. Only valid after next()
+  /// returned false.
+  void read_trailer(EncodedCommLog* comm = nullptr,
+                    PathTable* paths = nullptr);
 
  private:
   detail::ByteReader in_;

@@ -37,9 +37,9 @@ class StreamSink {
 struct StreamMeta {
   int nranks = 0;
   PathTable paths;
-  /// The comm log in its trailer encoding: a streaming capture only ever
-  /// copies it on to a trailer (ChunkWriter::finish, or a compact v2
-  /// transcode), so it is never held as structs.
+  /// The comm log in its trailer encoding, the same bytes a materialized
+  /// capture's TraceBundle::comm holds. ChunkWriter::finish and the
+  /// compact v2 transcode copy it on as is.
   EncodedCommLog comm;
   /// Per-FileId op-count hints (same contract as
   /// TraceBundle::file_op_counts — advisory, never serialized).

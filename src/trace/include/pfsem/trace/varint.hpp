@@ -50,6 +50,19 @@ constexpr std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
+/// a - b and a + b modulo 2^64. Comm-event times are stored as deltas,
+/// and the v1 reader re-encodes whatever int64 times its input holds: a
+/// wrapping delta cannot overflow, and wrapping back restores the value.
+constexpr std::int64_t wrap_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+
+constexpr std::int64_t wrap_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+
 /// Narrow a decoded field that was written from an int32 (fd, flags,
 /// rank, tag). A value outside int32 is malformed input: truncating it
 /// would let 2^32 + 1 pass as 1 and re-encode to different bytes.
@@ -63,12 +76,19 @@ inline std::int32_t to_int32(std::int64_t v) {
 /// kBlockBytes buffer with sgetn, so it may consume bytes past the end of
 /// the format it decodes: a caller that reuses the stream afterwards must
 /// reposition it (clear() + seekg()). The stream's state flags are not
-/// touched; every failure is a pfsem::Error.
+/// touched; every failure is a pfsem::Error. A reader over bytes already
+/// in memory walks them in place.
 class ByteReader {
  public:
   explicit ByteReader(std::istream& is)
       : sb_(is.rdbuf()),
         buf_(std::make_unique_for_overwrite<char[]>(kBlockBytes)) {}
+
+  /// Decode `bytes` in place; they must outlive the reader.
+  explicit ByteReader(std::string_view bytes)
+      : sb_(nullptr),
+        cur_(bytes.data()),
+        end_(bytes.data() + bytes.size()) {}
 
   /// Next byte as unsigned char, or EOF.
   int get() {
@@ -114,18 +134,26 @@ class ByteReader {
   /// varint length, then that many bytes. The string grows only by bytes
   /// actually read, never by the length the input claims.
   std::string string() {
+    std::string s;
+    append_string(s);
+    return s;
+  }
+
+  /// string(), appended to `out`.
+  void append_string(std::string& out) {
     const auto n = varint();
     require(n <= (1u << 20), "implausible string length in compact trace");
-    std::string s;
     for (auto left = static_cast<std::size_t>(n); left > 0;) {
       require(cur_ != end_ || refill(), "truncated compact trace");
       const auto k = std::min(left, static_cast<std::size_t>(end_ - cur_));
-      s.append(cur_, k);
+      out.append(cur_, k);
       cur_ += k;
       left -= k;
     }
-    return s;
   }
+
+  /// True once every byte of the input has been consumed.
+  [[nodiscard]] bool exhausted() { return cur_ == end_ && !refill(); }
 
  private:
   static constexpr std::ptrdiff_t kMaxVarintBytes = 10;  // ceil(64 / 7)
@@ -142,13 +170,12 @@ class ByteReader {
   }
 
   /// Only called with the buffer drained. A short read is fine; zero
-  /// bytes means end of stream.
+  /// bytes means end of stream (always, for a reader over memory).
   bool refill() {
+    if (sb_ == nullptr) return false;
     cur_ = buf_.get();
-    end_ = cur_ + (sb_ != nullptr
-                       ? sb_->sgetn(buf_.get(),
-                                    static_cast<std::streamsize>(kBlockBytes))
-                       : 0);
+    end_ = cur_ + sb_->sgetn(buf_.get(),
+                             static_cast<std::streamsize>(kBlockBytes));
     return cur_ != end_;
   }
 

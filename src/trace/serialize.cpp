@@ -103,8 +103,10 @@ void write_binary(const TraceBundle& bundle, std::ostream& os) {
   put<std::int32_t>(os, bundle.nranks);
   put<std::uint64_t>(os, bundle.records.size());
   for (const auto& r : bundle.records) put_record(os, bundle, r);
-  put<std::uint64_t>(os, bundle.comm.p2p.size());
-  for (const auto& e : bundle.comm.p2p) {
+  // The bundle keeps its comm log encoded; v1 stores fixed-width events,
+  // so they are decoded one at a time on the way out.
+  put<std::uint64_t>(os, bundle.comm.p2p_count);
+  detail::visit_p2p(bundle.comm, bundle.nranks, [&os](const P2PEvent& e) {
     put(os, e.src);
     put(os, e.dst);
     put(os, e.tag);
@@ -113,18 +115,19 @@ void write_binary(const TraceBundle& bundle, std::ostream& os) {
     put(os, e.t_send_end);
     put(os, e.t_recv_start);
     put(os, e.t_recv_end);
-  }
-  put<std::uint64_t>(os, bundle.comm.collectives.size());
-  for (const auto& c : bundle.comm.collectives) {
-    put(os, static_cast<std::uint8_t>(c.kind));
-    put(os, c.root);
-    put<std::uint32_t>(os, static_cast<std::uint32_t>(c.arrivals.size()));
-    for (const auto& a : c.arrivals) {
-      put(os, a.rank);
-      put(os, a.t_enter);
-      put(os, a.t_exit);
-    }
-  }
+  });
+  put<std::uint64_t>(os, bundle.comm.collective_count);
+  detail::visit_collectives(
+      bundle.comm, bundle.nranks, [&os](const CollectiveEvent& c) {
+        put(os, static_cast<std::uint8_t>(c.kind));
+        put(os, c.root);
+        put<std::uint32_t>(os, static_cast<std::uint32_t>(c.arrivals.size()));
+        for (const auto& a : c.arrivals) {
+          put(os, a.rank);
+          put(os, a.t_enter);
+          put(os, a.t_exit);
+        }
+      });
   require(static_cast<bool>(os), "trace stream write failure");
 }
 
@@ -144,10 +147,11 @@ TraceBundle read_binary(std::istream& is) {
   for (std::uint64_t i = 0; i < nrec; ++i) {
     b.records.push_back(get_record(is, b));
   }
-  const auto np2p = get<std::uint64_t>(is);
-  b.comm.p2p.reserve(std::min(np2p, detail::kMaxReserve));
-  for (std::uint64_t i = 0; i < np2p; ++i) {
-    P2PEvent e;
+  // Events are validated into one scratch event each and kept in the
+  // bundle's encoding.
+  b.comm.p2p_count = get<std::uint64_t>(is);
+  P2PEvent e;
+  for (std::uint64_t i = 0; i < b.comm.p2p_count; ++i) {
     e.src = get<Rank>(is);
     e.dst = get<Rank>(is);
     e.tag = get<std::int32_t>(is);
@@ -157,16 +161,18 @@ TraceBundle read_binary(std::istream& is) {
     e.t_recv_start = get<SimTime>(is);
     e.t_recv_end = get<SimTime>(is);
     check_p2p(e, b.nranks);
-    b.comm.p2p.push_back(e);
+    detail::put_p2p(b.comm.p2p, e);
   }
-  const auto ncoll = get<std::uint64_t>(is);
-  b.comm.collectives.reserve(std::min(ncoll, detail::kMaxReserve));
-  for (std::uint64_t i = 0; i < ncoll; ++i) {
-    CollectiveEvent c;
+  b.comm.collective_count = get<std::uint64_t>(is);
+  CollectiveEvent c;
+  for (std::uint64_t i = 0; i < b.comm.collective_count; ++i) {
     c.kind = static_cast<CollectiveKind>(get<std::uint8_t>(is));
     c.root = get<Rank>(is);
     const auto na = get<std::uint32_t>(is);
-    c.arrivals.reserve(std::min<std::uint64_t>(na, detail::kMaxReserve));
+    // The same bound the compact decoders apply: a group has at most
+    // nranks members.
+    require(na <= static_cast<std::uint32_t>(b.nranks), "bad arrival count");
+    c.arrivals.clear();
     for (std::uint32_t j = 0; j < na; ++j) {
       CollectiveArrival a;
       a.rank = get<Rank>(is);
@@ -175,15 +181,15 @@ TraceBundle read_binary(std::istream& is) {
       c.arrivals.push_back(a);
     }
     check_collective(c, b.nranks);
-    b.comm.collectives.push_back(std::move(c));
+    detail::put_collective(b.comm.collectives, c);
   }
   return b;
 }
 
 void write_text(const TraceBundle& bundle, std::ostream& os) {
   os << "# nranks=" << bundle.nranks << " records=" << bundle.records.size()
-     << " p2p=" << bundle.comm.p2p.size()
-     << " collectives=" << bundle.comm.collectives.size() << "\n";
+     << " p2p=" << bundle.comm.p2p_count
+     << " collectives=" << bundle.comm.collective_count << "\n";
   for (const auto& r : bundle.records) {
     os << r.tstart << ' ' << r.tend << " r" << r.rank << ' ' << to_string(r.layer)
        << '/' << to_string(r.origin) << ' ' << to_string(r.func);

@@ -7,7 +7,10 @@
 #include <cstring>
 #include <filesystem>
 #include <streambuf>
+#include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "pfsem/trace/serialize.hpp"
 #include "pfsem/trace/varint.hpp"
@@ -280,22 +283,38 @@ bool ChunkReader::next(Record& out) {
   return true;
 }
 
-ChunkReader::Trailer ChunkReader::read_trailer(CommLog* comm) {
+void ChunkReader::read_trailer(EncodedCommLog* comm, PathTable* paths) {
   require(at_trailer_, "trailer read before the record stream was drained");
-  Trailer t;
-  t.records = in_.varint();
-  require(t.records == seen_, "record count mismatch in chunk stream");
+  require(in_.varint() == seen_, "record count mismatch in chunk stream");
   const auto npaths = in_.varint();
   require(npaths <= (1u << 24), "implausible path-table size");
+  // The table's strings, back to back in one buffer, checked for
+  // duplicates by sorting views of them: no PathTable unless the caller
+  // asks for one.
+  std::string bytes;
+  std::vector<std::size_t> ends;
+  ends.reserve(std::min(npaths, detail::kMaxReserve));
   for (std::uint64_t i = 0; i < npaths; ++i) {
-    const std::string s = in_.string();
-    const FileId id = t.paths.intern(s);
-    require(id == static_cast<FileId>(i), "duplicate path in chunk table");
+    in_.append_string(bytes);
+    ends.push_back(bytes.size());
   }
-  require(!any_file_seen_ || max_file_seen_ < t.paths.size(),
+  std::vector<std::string_view> views;
+  views.reserve(ends.size());
+  std::size_t begin = 0;
+  for (const std::size_t end : ends) {
+    views.emplace_back(bytes.data() + begin, end - begin);
+    begin = end;
+  }
+  if (paths != nullptr) {
+    *paths = PathTable{};
+    for (const auto v : views) (void)paths->intern(v);
+  }
+  std::sort(views.begin(), views.end());
+  require(std::adjacent_find(views.begin(), views.end()) == views.end(),
+          "duplicate path in chunk table");
+  require(!any_file_seen_ || max_file_seen_ < npaths,
           "bad path id in chunk stream");
   detail::read_comm(in_, nranks_, comm);
-  return t;
 }
 
 }  // namespace pfsem::trace

@@ -39,7 +39,8 @@ RunResult analyze(const apps::AppInfo& info, apps::AppConfig cfg) {
   RunResult r;
   r.report = core::detect_conflicts(log);
   r.pattern = core::classify_high_level(log, cfg.nranks);
-  core::HappensBefore hb(bundle.comm, cfg.nranks);
+  const core::HappensBefore hb(trace::decode_comm(bundle.comm, cfg.nranks),
+                               cfg.nranks);
   r.races = core::validate_synchronization(r.report, hb);
   r.advice = core::advise(r.report, &hb);
   return r;

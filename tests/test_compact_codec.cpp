@@ -267,8 +267,7 @@ TEST(CompactCodec, EmptyBundleRoundTrips) {
   const auto copy = read_compact(ss);
   EXPECT_EQ(copy.nranks, 4);
   EXPECT_TRUE(copy.records.empty());
-  EXPECT_TRUE(copy.comm.p2p.empty());
-  EXPECT_TRUE(copy.comm.collectives.empty());
+  EXPECT_EQ(copy.comm, EncodedCommLog{});
 }
 
 // --- pre-refactor on-disk compatibility --------------------------------
@@ -425,8 +424,7 @@ TraceBundle decode_chunks(std::istream& is) {
   b.nranks = reader.nranks();
   Record rec;
   while (reader.next(rec)) b.records.push_back(rec);
-  auto trailer = reader.read_trailer(&b.comm);
-  b.paths = std::move(trailer.paths);
+  reader.read_trailer(&b.comm, &b.paths);
   return b;
 }
 
@@ -538,26 +536,106 @@ std::string chunk_trailer_with_collective(std::uint64_t kind, Rank root,
 TEST(ChunkStream, TrailerWithBadCollectiveThrowsWhetherKeptOrNot) {
   // read_trailer() validates every comm event even when the caller keeps
   // none of them.
-  const auto read = [](const std::string& bytes, CommLog* keep) {
+  const auto read = [](const std::string& bytes, EncodedCommLog* keep) {
     std::istringstream is(bytes);
     ChunkReader reader(is);
     Record rec;
     EXPECT_FALSE(reader.next(rec));
-    (void)reader.read_trailer(keep);
+    reader.read_trailer(keep);
   };
   const auto bcast = static_cast<std::uint64_t>(CollectiveKind::Bcast);
-  CommLog kept;
+  EncodedCommLog kept;
   read(chunk_trailer_with_collective(bcast, 1, 0), &kept);
-  ASSERT_EQ(kept.collectives.size(), 1u);
-  EXPECT_EQ(kept.collectives[0].root, 1);
-  EXPECT_EQ(kept.collectives[0].arrivals.at(0).t_exit, 40);
+  const auto comm = decode_comm(kept, 2);
+  ASSERT_EQ(comm.collectives.size(), 1u);
+  EXPECT_EQ(comm.collectives[0].root, 1);
+  EXPECT_EQ(comm.collectives[0].arrivals.at(0).t_exit, 40);
   read(chunk_trailer_with_collective(bcast, 1, 0), nullptr);
-  for (CommLog* keep : {&kept, static_cast<CommLog*>(nullptr)}) {
+  for (EncodedCommLog* keep :
+       {&kept, static_cast<EncodedCommLog*>(nullptr)}) {
     EXPECT_THROW(read(chunk_trailer_with_collective(8, 1, 0), keep), Error);
     EXPECT_THROW(read(chunk_trailer_with_collective(bcast, 2, 0), keep),
                  Error);
     EXPECT_THROW(read(chunk_trailer_with_collective(bcast, 1, 2), keep),
                  Error);
+  }
+}
+
+/// The message of the pfsem::Error `fn` throws, or "" if it throws none.
+std::string error_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// A one-rank chunk stream: one record on `file_plus_1` (0 = no file),
+/// then a trailer naming `paths` and an empty comm log.
+std::string chunk_stream_with_paths(std::uint64_t file_plus_1,
+                                    const std::vector<std::string>& paths) {
+  std::string s("PFSEMCK1", 8);
+  put_varint(s, 1);  // nranks
+  s.push_back('C');
+  put_varint(s, 0);  // base seq
+  put_varint(s, 1);  // records
+  put_varint(s, 0);  // rank
+  put_varint(s, zz(10));
+  put_varint(s, zz(5));
+  put_varint(s, static_cast<std::uint64_t>(Func::open) << 6);  // Posix/Posix
+  put_varint(s, zz(3));  // fd
+  put_varint(s, zz(3));  // ret
+  put_varint(s, 0);      // offset
+  put_varint(s, 0);      // count
+  put_varint(s, zz(0));  // flags
+  put_varint(s, file_plus_1);
+  s.push_back('T');
+  put_varint(s, 1);  // records
+  put_varint(s, paths.size());
+  for (const auto& p : paths) {
+    put_varint(s, p.size());
+    s += p;
+  }
+  put_varint(s, 0);  // p2p
+  put_varint(s, 0);  // collectives
+  return s;
+}
+
+TEST(ChunkStream, TrailerPathTableIsCheckedWithoutBuildingOne) {
+  // Production callers drop the trailer's path table, so read_trailer()
+  // builds one only on request; the checks and messages are the same
+  // either way.
+  const auto read = [](const std::string& bytes, PathTable* keep) {
+    std::istringstream is(bytes);
+    ChunkReader reader(is);
+    Record rec;
+    while (reader.next(rec)) {
+    }
+    reader.read_trailer(nullptr, keep);
+  };
+  const auto message = [&](const std::string& bytes, PathTable* keep) {
+    const auto what = error_of([&] { read(bytes, keep); });
+    const auto colon = what.rfind(": ");
+    return colon == std::string::npos ? what : what.substr(colon + 2);
+  };
+  const auto good = chunk_stream_with_paths(2, {"a", "b", "c"});
+  PathTable kept;
+  read(good, &kept);
+  ASSERT_EQ(kept.size(), 3u);
+  EXPECT_EQ(kept.view(1), "b");
+  EXPECT_EQ(kept.find("c"), FileId{2});
+  for (PathTable* keep : {&kept, static_cast<PathTable*>(nullptr)}) {
+    EXPECT_EQ(message(good, keep), "");
+    EXPECT_EQ(message(chunk_stream_with_paths(0, {}), keep), "");
+    EXPECT_EQ(message(chunk_stream_with_paths(1, {"b", "a", "b"}), keep),
+              "duplicate path in chunk table");
+    EXPECT_EQ(message(chunk_stream_with_paths(1, {"", "x", ""}), keep),
+              "duplicate path in chunk table");
+    EXPECT_EQ(message(chunk_stream_with_paths(4, {"a", "b", "c"}), keep),
+              "bad path id in chunk stream");
+    EXPECT_EQ(message(chunk_stream_with_paths(1, {}), keep),
+              "bad path id in chunk stream");
   }
 }
 
@@ -702,16 +780,6 @@ class TrickleBuf final : public std::streambuf {
   std::size_t k_;
   std::size_t pos_ = 0;
 };
-
-/// The message of the pfsem::Error `fn` throws, or "" if it throws none.
-std::string error_of(const std::function<void()>& fn) {
-  try {
-    fn();
-  } catch (const Error& e) {
-    return e.what();
-  }
-  return "";
-}
 
 TEST(BlockDecoder, PinnedFixturesDecodeIdenticallyUnderShortReads) {
   std::istringstream whole_chunks(chunk_fixture());
@@ -878,9 +946,9 @@ TEST(HostileInput, V1RejectsBadRanksLayersAndCollectives) {
   };
   const auto barrier = static_cast<std::uint8_t>(CollectiveKind::Barrier);
   const auto bcast = static_cast<std::uint8_t>(CollectiveKind::Bcast);
-  const auto ok = decode(v1_stream(1, 0, bcast, 1, 0));
-  ASSERT_EQ(ok.comm.collectives.size(), 1u);
-  EXPECT_EQ(ok.comm.collectives[0].root, 1);
+  const auto ok = decode_comm(decode(v1_stream(1, 0, bcast, 1, 0)).comm, 2);
+  ASSERT_EQ(ok.collectives.size(), 1u);
+  EXPECT_EQ(ok.collectives[0].root, 1);
   (void)decode(v1_stream(0, 0, barrier, kNoRank, 1));  // rootless: no root
 
   EXPECT_THROW(decode(v1_stream(2, 0, barrier, kNoRank, 0)), Error);
@@ -891,6 +959,17 @@ TEST(HostileInput, V1RejectsBadRanksLayersAndCollectives) {
   EXPECT_THROW(decode(v1_stream(0, 0, 8, kNoRank, 0)), Error);
   EXPECT_THROW(decode(v1_stream(0, 0, bcast, 2, 0)), Error);
   EXPECT_THROW(decode(v1_stream(0, 0, bcast, kNoRank, 0)), Error);
+  // Three arrivals in a two-rank job: v1 applies the arrival-count bound
+  // of the compact decoders too.
+  auto crowded = v1_stream(0, 0, barrier, kNoRank, 0);
+  const std::size_t arrival_bytes = sizeof(Rank) + 2 * sizeof(SimTime);
+  crowded[crowded.size() - arrival_bytes - sizeof(std::uint32_t)] = 3;
+  for (const Rank r : {1, 0}) {
+    put_le(crowded, r);
+    put_le<SimTime>(crowded, 30);
+    put_le<SimTime>(crowded, 40);
+  }
+  EXPECT_THROW(decode(crowded), Error);
 }
 
 TEST(HostileInput, V2RejectsBadLayersAndCollectives) {
@@ -900,9 +979,9 @@ TEST(HostileInput, V2RejectsBadLayersAndCollectives) {
   };
   const auto barrier = static_cast<std::uint64_t>(CollectiveKind::Barrier);
   const auto reduce = static_cast<std::uint64_t>(CollectiveKind::Reduce);
-  const auto ok = decode(v2_stream(1, 0, reduce, 0, 1));
-  ASSERT_EQ(ok.comm.collectives.size(), 1u);
-  EXPECT_EQ(ok.comm.collectives[0].kind, CollectiveKind::Reduce);
+  const auto ok = decode_comm(decode(v2_stream(1, 0, reduce, 0, 1)).comm, 2);
+  ASSERT_EQ(ok.collectives.size(), 1u);
+  EXPECT_EQ(ok.collectives[0].kind, CollectiveKind::Reduce);
   (void)decode(v2_stream(0, 0, barrier, kNoRank, 1));
 
   EXPECT_THROW(decode(v2_stream(2, 0, barrier, kNoRank, 0)), Error);
@@ -1057,9 +1136,10 @@ TEST(HostileInput, V2RejectsInt32FieldsThatDoNotFit) {
   };
   const auto ok = decode(v2_int32_stream({}));
   EXPECT_EQ(ok.records.at(0).fd, 3);
-  ASSERT_EQ(ok.comm.p2p.size(), 1u);
-  EXPECT_EQ(ok.comm.p2p[0].tag, -7);
-  EXPECT_EQ(ok.comm.collectives.at(0).root, 1);
+  const auto comm = decode_comm(ok.comm, ok.nranks);
+  ASSERT_EQ(comm.p2p.size(), 1u);
+  EXPECT_EQ(comm.p2p[0].tag, -7);
+  EXPECT_EQ(comm.collectives.at(0).root, 1);
   for (const auto& [what, f] : int32_misfits()) {
     EXPECT_THROW((void)decode(v2_int32_stream(f)), Error) << what;
   }
@@ -1068,8 +1148,9 @@ TEST(HostileInput, V2RejectsInt32FieldsThatDoNotFit) {
 TEST(HostileInput, ChunkRecordsAndTrailerRejectInt32FieldsThatDoNotFit) {
   const auto ok = decode_chunks(chunk_int32_stream({}));
   EXPECT_EQ(ok.records.at(0).fd, 3);
-  ASSERT_EQ(ok.comm.p2p.size(), 1u);
-  EXPECT_EQ(ok.comm.p2p[0].dst, 1);
+  const auto comm = decode_comm(ok.comm, ok.nranks);
+  ASSERT_EQ(comm.p2p.size(), 1u);
+  EXPECT_EQ(comm.p2p[0].dst, 1);
   for (const auto& [what, f] : int32_misfits()) {
     // Record fields throw from next(), comm fields from read_trailer(),
     // whether or not the caller keeps the comm log.
@@ -1081,7 +1162,7 @@ TEST(HostileInput, ChunkRecordsAndTrailerRejectInt32FieldsThatDoNotFit) {
           Record rec;
           while (reader.next(rec)) {
           }
-          (void)reader.read_trailer();
+          reader.read_trailer();
         },
         Error)
         << what;
@@ -1107,7 +1188,7 @@ TEST(HostileInput, V1RejectsP2PRanksOutOfRange) {
     std::istringstream is(bytes);
     return read_binary(is);
   };
-  EXPECT_EQ(decode(stream(1, 0)).comm.p2p.at(0).src, 1);
+  EXPECT_EQ(decode_comm(decode(stream(1, 0)).comm, 2).p2p.at(0).src, 1);
   EXPECT_THROW((void)decode(stream(2, 0)), Error);
   EXPECT_THROW((void)decode(stream(0, -1)), Error);
 }

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "pfsem/core/metadata_conflict.hpp"
+#include "pfsem/trace/serialize.hpp"
 
 namespace pfsem::core {
 namespace {
@@ -48,7 +49,8 @@ class NsTraceBuilder {
       ev.arrivals.push_back({r, t_, t_ + 5});
     }
     t_ += 10;
-    bundle_.comm.collectives.push_back(std::move(ev));
+    trace::detail::put_collective(bundle_.comm.collectives, ev);
+    ++bundle_.comm.collective_count;
     return *this;
   }
 
@@ -153,7 +155,7 @@ TEST(MetadataDeps, UnlinkIsAMutation) {
 TEST(MetadataDeps, BarrierMakesDependencySynchronized) {
   NsTraceBuilder tb(2);
   tb.create(0, "f").barrier_all().open_existing(1, "f");
-  core::HappensBefore hb(tb.bundle().comm, 2);
+  const core::HappensBefore hb(trace::decode_comm(tb.bundle().comm, 2), 2);
   const auto rep = detect_metadata_dependencies(tb.bundle(), &hb);
   EXPECT_EQ(rep.cross_process, 1u);
   EXPECT_EQ(rep.unsynchronized, 0u);
@@ -163,7 +165,7 @@ TEST(MetadataDeps, BarrierMakesDependencySynchronized) {
 TEST(MetadataDeps, NoBarrierMeansUnsynchronized) {
   NsTraceBuilder tb(2);
   tb.create(0, "f").open_existing(1, "f");
-  core::HappensBefore hb(tb.bundle().comm, 2);
+  const core::HappensBefore hb(trace::decode_comm(tb.bundle().comm, 2), 2);
   const auto rep = detect_metadata_dependencies(tb.bundle(), &hb);
   EXPECT_EQ(rep.hard_unsynchronized, 1u);
   EXPECT_FALSE(rep.lazy_metadata_safe());

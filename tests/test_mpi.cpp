@@ -21,6 +21,10 @@ struct Fixture {
     cfg.nranks = nranks;
     world.emplace(engine, collector, cfg);
   }
+  /// The captured comm log, decoded.
+  [[nodiscard]] trace::CommLog comm() const {
+    return trace::decode_comm(collector.bundle().comm, collector.nranks());
+  }
   sim::Engine engine;
   trace::Collector collector;
   std::optional<World> world;
@@ -39,8 +43,9 @@ TEST(Barrier, NobodyLeavesBeforeLastArrives) {
   for (Rank r = 0; r < 8; ++r) f.engine.spawn(prog(r));
   f.engine.run();
   EXPECT_GE(first_exit, last_enter);
-  ASSERT_EQ(f.collector.bundle().comm.collectives.size(), 1u);
-  const auto& ev = f.collector.bundle().comm.collectives[0];
+  const auto comm = f.comm();
+  ASSERT_EQ(comm.collectives.size(), 1u);
+  const auto& ev = comm.collectives[0];
   EXPECT_EQ(ev.kind, trace::CollectiveKind::Barrier);
   EXPECT_EQ(ev.arrivals.size(), 8u);
 }
@@ -79,7 +84,7 @@ TEST(Barrier, BackToBackBarriersDoNotMixEpochs) {
   // All epoch-1 exits precede all epoch-2 exits.
   for (int i = 0; i < 4; ++i) EXPECT_EQ(exits[static_cast<std::size_t>(i)], 1);
   for (int i = 4; i < 8; ++i) EXPECT_EQ(exits[static_cast<std::size_t>(i)], 2);
-  EXPECT_EQ(f.collector.bundle().comm.collectives.size(), 2u);
+  EXPECT_EQ(f.collector.bundle().comm.collective_count, 2u);
 }
 
 TEST(P2P, SendThenRecvMatches) {
@@ -94,8 +99,9 @@ TEST(P2P, SendThenRecvMatches) {
   f.engine.spawn(receiver());
   f.engine.run();
   EXPECT_EQ(got, 4096u);
-  ASSERT_EQ(f.collector.bundle().comm.p2p.size(), 1u);
-  const auto& ev = f.collector.bundle().comm.p2p[0];
+  const auto comm = f.comm();
+  ASSERT_EQ(comm.p2p.size(), 1u);
+  const auto& ev = comm.p2p[0];
   EXPECT_EQ(ev.src, 0);
   EXPECT_EQ(ev.dst, 1);
   EXPECT_EQ(ev.tag, 5);
@@ -202,7 +208,7 @@ TEST(GroupPos, BarrierOverEveryShapeKeepsExits) {
     for (std::size_t i = 0; i < g.size(); ++i) f.engine.spawn(prog(g[i], i));
     f.engine.run();
     EXPECT_EQ(exits, shape.exits);
-    const auto& log = f.collector.bundle().comm.collectives;
+    const auto log = f.comm().collectives;
     ASSERT_EQ(log.size(), 1u);
     std::vector<Rank> arrived;
     for (const auto& a : log[0].arrivals) {
@@ -227,7 +233,7 @@ TEST(Collectives, EachKindLogsMatchedEvent) {
   };
   for (Rank r = 0; r < 4; ++r) f.engine.spawn(prog(r));
   f.engine.run();
-  const auto& log = f.collector.bundle().comm.collectives;
+  const auto log = f.comm().collectives;
   ASSERT_EQ(log.size(), 7u);
   using K = trace::CollectiveKind;
   EXPECT_EQ(log[0].kind, K::Bcast);
@@ -257,7 +263,8 @@ TEST(Collectives, ExitJitterSpreadsRanks) {
   auto prog = [&](Rank r) -> sim::Task<void> { co_await f.world->barrier(r); };
   for (Rank r = 0; r < 16; ++r) f.engine.spawn(prog(r));
   f.engine.run();
-  const auto& ev = f.collector.bundle().comm.collectives.at(0);
+  const auto comm = f.comm();
+  const auto& ev = comm.collectives.at(0);
   std::set<SimTime> exits;
   for (const auto& a : ev.arrivals) exits.insert(a.t_exit);
   EXPECT_GT(exits.size(), 1u) << "jitter should spread exit times";
@@ -342,8 +349,9 @@ TEST(P2P, HappensBeforeEdgeLoggedForEagerToo) {
   f.engine.spawn(sender());
   f.engine.spawn(receiver());
   f.engine.run();
-  ASSERT_EQ(f.collector.bundle().comm.p2p.size(), 1u);
-  const auto& e = f.collector.bundle().comm.p2p[0];
+  const auto comm = f.comm();
+  ASSERT_EQ(comm.p2p.size(), 1u);
+  const auto& e = comm.p2p[0];
   EXPECT_LT(e.t_send_start, e.t_recv_end);
   EXPECT_GE(e.t_recv_start, 500'000);
 }

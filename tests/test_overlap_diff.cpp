@@ -188,7 +188,8 @@ TEST(PipelineDiff, EveryRegisteredAppReportsByteIdenticalAcrossThreads) {
       const auto rep = core::build_report(bundle, log, conflicts, threads);
       std::ostringstream os;
       core::print_report(rep, os);
-      core::HappensBefore hb(bundle.comm, bundle.nranks);
+      const core::HappensBefore hb(
+          trace::decode_comm(bundle.comm, bundle.nranks), bundle.nranks);
       const auto advice = core::advise(conflicts, &hb, threads);
       os << vfs::to_string(advice.weakest) << '|'
          << vfs::to_string(advice.weakest_strict) << '|' << advice.race_free

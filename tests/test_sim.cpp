@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "pfsem/sim/clock.hpp"
@@ -105,6 +106,58 @@ TEST(Engine, DeadlockDetected) {
   auto stuck = [](WaitQueue* q) -> Task<void> { co_await q->wait(); };
   e.spawn(stuck(&wq));
   EXPECT_THROW(e.run(), Error);  // queue drains with a live blocked root
+}
+
+TEST(Engine, FailedRunDestroysSuspendedRoots) {
+  // A run that throws, on a root's error or on a deadlock, destroys the
+  // roots still suspended and every frame they await: their locals'
+  // destructors run, and the deadlock message still names the ranks.
+  struct Flag {
+    int* destroyed;
+    ~Flag() { ++*destroyed; }
+  };
+  auto parked = [](WaitQueue* q, int* destroyed) -> Task<void> {
+    const Flag flag{destroyed};
+    co_await q->wait();
+  };
+  auto nested = [parked](WaitQueue* q, int* destroyed) -> Task<void> {
+    const Flag flag{destroyed};
+    co_await parked(q, destroyed);
+  };
+  {
+    Engine e;
+    WaitQueue wq(e);
+    int destroyed = 0;
+    e.spawn(nested(&wq, &destroyed), 5);
+    e.spawn(parked(&wq, &destroyed), 2);
+    e.spawn(parked(&wq, &destroyed));
+    try {
+      e.run();
+      ADD_FAILURE() << "deadlock not detected";
+    } catch (const Error& err) {
+      EXPECT_NE(std::string(err.what()).find("3 root task(s) still blocked "
+                                             "(blocked ranks: 2, 5)"),
+                std::string::npos)
+          << err.what();
+    }
+    EXPECT_EQ(destroyed, 4);
+    EXPECT_EQ(e.live_roots(), 0);
+  }
+  {
+    Engine e;
+    WaitQueue wq(e);
+    int destroyed = 0;
+    auto bad = [](Engine* eng) -> Task<void> {
+      co_await eng->delay(10);
+      throw Error("simulated failure");
+    };
+    e.spawn(nested(&wq, &destroyed), 0);
+    e.spawn(bad(&e), 1);
+    e.spawn(parked(&wq, &destroyed), 2);
+    EXPECT_THROW(e.run(), Error);
+    EXPECT_EQ(destroyed, 3);
+    EXPECT_EQ(e.live_roots(), 0);
+  }
 }
 
 TEST(Engine, SchedulingInPastRejected) {

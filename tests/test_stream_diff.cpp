@@ -100,7 +100,7 @@ void feed_all(const apps::SpilledRun& run, core::StreamAnalyzer& an) {
   trace::ChunkReader reader(*in);
   trace::Record rec;
   while (reader.next(rec)) an.feed(rec);
-  (void)reader.read_trailer();
+  reader.read_trailer();
 }
 
 TEST(StreamDiff, EveryAppStreamingMatchesMaterialized) {
@@ -174,32 +174,30 @@ TEST(StreamDiff, TransientFaultsMatchMaterialized) {
 }
 
 TEST(StreamDiff, EveryAppStreamsTheMaterializedCommLogBytes) {
-  // A streaming collector encodes each comm event as it arrives; the
-  // result must be exactly the encoding of the materialized CommLog,
-  // including the clock conversion and events that faults reshape.
+  // Both captures keep the comm log in one encoding; a streamed run must
+  // hand over exactly the bytes a materialized run keeps, including the
+  // clock conversion and events that faults reshape, at a small and a
+  // larger rank count.
   apps::FaultSetup setup;
   setup.plan = fault::FaultPlan::parse(
       "eio:p=0.03,ops=data; slow:factor=6,from=0,to=4ms;"
       "drop:p=0.1,timeout=500us");
   setup.seed = 11;
   setup.retry.max_attempts = 4;
-  const auto cfg = base_cfg(8);
-  const auto clocks = sim::make_skewed_clocks(8, 20'000, 100.0, 7);
   std::uint64_t collectives = 0;
-  for (const auto& info : apps::registry()) {
-    const auto bundle = apps::run_app(info, cfg, {}, clocks, &setup);
-    const auto want = trace::detail::write_comm(bundle.comm);
-    auto scfg = cfg;
-    scfg.stream_chunk_records = 64;
-    const auto run = apps::spill_app(info, scfg,
-                                     trace::SpillStore::kDefaultCeiling,
-                                     nullptr, clocks, &setup);
-    const auto& meta = run.meta;
-    EXPECT_EQ(meta.comm.p2p_count, want.p2p_count) << info.name;
-    EXPECT_EQ(meta.comm.collective_count, want.collective_count) << info.name;
-    EXPECT_EQ(meta.comm.p2p, want.p2p) << info.name;
-    EXPECT_EQ(meta.comm.collectives, want.collectives) << info.name;
-    collectives += meta.comm.collective_count;
+  for (const int nranks : {8, 64}) {
+    const auto cfg = base_cfg(nranks);
+    const auto clocks = sim::make_skewed_clocks(nranks, 20'000, 100.0, 7);
+    for (const auto& info : apps::registry()) {
+      const auto bundle = apps::run_app(info, cfg, {}, clocks, &setup);
+      auto scfg = cfg;
+      scfg.stream_chunk_records = 64;
+      const auto run = apps::spill_app(info, scfg,
+                                       trace::SpillStore::kDefaultCeiling,
+                                       nullptr, clocks, &setup);
+      EXPECT_EQ(run.meta.comm, bundle.comm) << info.name << " @" << nranks;
+      collectives += run.meta.comm.collective_count;
+    }
   }
   EXPECT_GT(collectives, 0u);
 }
@@ -213,25 +211,46 @@ TEST(StreamDiff, StreamingCollectorEncodesCommEventsAsMaterialized) {
   trace::SpillStore store;
   trace::ChunkWriter writer(store, 4);
   str.enable_streaming(&writer, 16);
+  trace::CommLog sent;
+  sent.p2p = {{0, 3, -7, 4096, 1'000, 1'500, 1'200, 2'000},
+              {3, 1, 1 << 30, 0, 4'000, 4'010, 3'990, 4'500}};
+  sent.collectives = {
+      {trace::CollectiveKind::Bcast, 2,
+       {{0, 3'000, 3'400}, {2, 2'900, 3'100}, {1, 3'050, 3'600}}},
+      {trace::CollectiveKind::Allreduce, kNoRank,
+       {{0, 5'000, 5'300}, {1, 5'000, 5'300}, {2, 5'010, 5'300},
+        {3, 5'020, 5'300}}}};
   for (trace::Collector* c : {&mat, &str}) {
-    c->emit_p2p({0, 3, -7, 4096, 1'000, 1'500, 1'200, 2'000});
-    c->emit_collective({trace::CollectiveKind::Bcast, 2,
-                        {{0, 3'000, 3'400}, {2, 2'900, 3'100},
-                         {1, 3'050, 3'600}}});
-    c->emit_p2p({3, 1, 1 << 30, 0, 4'000, 4'010, 3'990, 4'500});
-    c->emit_collective(
-        {trace::CollectiveKind::Allreduce, kNoRank,
-         {{0, 5'000, 5'300}, {1, 5'000, 5'300}, {2, 5'010, 5'300},
-          {3, 5'020, 5'300}}});
+    for (std::size_t i = 0; i < 2; ++i) {
+      c->emit_p2p(sent.p2p[i]);
+      c->emit_collective(sent.collectives[i]);
+    }
   }
-  const auto want = trace::detail::write_comm(mat.take().comm);
+  const auto kept = mat.take().comm;
   const auto meta = str.take_stream();
   EXPECT_EQ(meta.comm.p2p_count, 2u);
   EXPECT_EQ(meta.comm.collective_count, 2u);
-  EXPECT_EQ(meta.comm.p2p_count, want.p2p_count);
-  EXPECT_EQ(meta.comm.collective_count, want.collective_count);
-  EXPECT_EQ(meta.comm.p2p, want.p2p);
-  EXPECT_EQ(meta.comm.collectives, want.collectives);
+  EXPECT_EQ(meta.comm, kept);
+  // What was kept is each event on its ranks' local clocks.
+  const auto got = trace::decode_comm(kept, 4);
+  ASSERT_EQ(got.p2p.size(), 2u);
+  ASSERT_EQ(got.collectives.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const auto& e = sent.p2p[i];
+    EXPECT_EQ(got.p2p[i].t_send_start,
+              clocks[static_cast<std::size_t>(e.src)].local_time(
+                  e.t_send_start));
+    EXPECT_EQ(got.p2p[i].t_recv_end,
+              clocks[static_cast<std::size_t>(e.dst)].local_time(
+                  e.t_recv_end));
+    const auto& arrivals = sent.collectives[i].arrivals;
+    ASSERT_EQ(got.collectives[i].arrivals.size(), arrivals.size());
+    for (std::size_t j = 0; j < arrivals.size(); ++j) {
+      const auto& clock = clocks[static_cast<std::size_t>(arrivals[j].rank)];
+      EXPECT_EQ(got.collectives[i].arrivals[j].t_exit,
+                clock.local_time(arrivals[j].t_exit));
+    }
+  }
 }
 
 TEST(StreamDiff, ClusterMdsFailoverMatchesMaterialized) {
@@ -321,7 +340,7 @@ TEST(StreamDiff, DriverSpillsToDiskAndReleasesCommLog) {
   cfg.stream_chunk_records = 64;
   auto run = apps::spill_app(info, cfg, /*spill_ceiling=*/4u << 10);
   ASSERT_TRUE(run.store->spilled());
-  ASSERT_GT(run.meta.comm.collectives.size(), 0u);
+  ASSERT_GT(run.meta.comm.collective_count, 0u);
   const auto report = windowed_text(apps::drain_spill(run));
   EXPECT_EQ(report, report_text(apps::run_app(info, base_cfg(8))));
   const std::size_t empty_capacity = std::string().capacity();

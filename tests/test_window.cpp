@@ -60,6 +60,7 @@ struct WindowRun {
   core::TuningReport tuning;     ///< from assemble_windowed_tuning
   std::size_t peak_live_files = 0;
   std::size_t active_files = 0;  ///< summaries with file != kNoFile
+  std::uint64_t retired_accesses = 0;
 };
 
 /// Drain a spilled capture through the driver's windowed analysis.
@@ -67,6 +68,7 @@ WindowRun windowed_drain(apps::SpilledRun& run) {
   auto res = apps::drain_spill(run);
   WindowRun out;
   out.peak_live_files = res.peak_live_files;
+  out.retired_accesses = res.retired_accesses;
   for (const auto& s : res.summaries) {
     out.active_files += s.file != kNoFile ? 1 : 0;
   }
@@ -252,7 +254,20 @@ TEST(WindowDiff, UnknownFileBudgetsFallBackSafely) {
   run.meta.file_posix_counts.clear();
   const auto win = windowed_drain(run);
   EXPECT_EQ(win.peak_live_files, win.active_files);
+  EXPECT_EQ(win.retired_accesses, 0u);
   ASSERT_EQ(win.report, report_text(apps::run_app(info, base_cfg(8))));
+}
+
+TEST(WindowDiff, RetiredAccessesCountOnlyMidStreamRetirements) {
+  // The final sweep frees every file still in the window, but only
+  // retirements the budgets drive count: none without per-file budgets,
+  // the early phases' accesses with the exact ones.
+  const auto cfg = base_cfg(8);
+  auto unknown = spill_phased(cfg, nullptr);
+  unknown.meta.file_posix_counts.clear();
+  EXPECT_EQ(windowed_drain(unknown).retired_accesses, 0u);
+  auto exact = spill_phased(cfg, nullptr);
+  EXPECT_GT(windowed_drain(exact).retired_accesses, 0u);
 }
 
 }  // namespace

@@ -30,7 +30,8 @@ WorkflowRun run_workflow_case(bool pipelined, int nranks = 16) {
   WorkflowRun out;
   out.data = core::detect_conflicts(core::reconstruct_accesses(
       bundle, {.validate_against_ground_truth = true}));
-  core::HappensBefore hb(bundle.comm, cfg.nranks);
+  const core::HappensBefore hb(trace::decode_comm(bundle.comm, cfg.nranks),
+                               cfg.nranks);
   out.meta = core::detect_metadata_dependencies(bundle, &hb);
   out.advice = core::advise(out.data);
   return out;
