@@ -66,14 +66,14 @@ vfs::PfsCluster& Harness::cluster() {
   return *concrete_cluster_;
 }
 
-sim::Task<void> Harness::compute(Rank r, SimDuration base) {
+sim::Engine::Delay Harness::compute(Rank r, SimDuration base) {
   // Operation-boundary crash check: a crashed rank never starts another
   // time step (iolib and mpi enforce the same at their entry points).
   if (injector_ != nullptr && injector_->crashed(r)) throw sim::TaskKilled(r);
   auto& rng = rank_rngs_[static_cast<std::size_t>(r)];
   const auto jitter =
       static_cast<SimDuration>(rng.below(static_cast<std::uint64_t>(base / 4 + 1)));
-  co_await engine_.delay(base + jitter);
+  return engine_.delay(base + jitter);
 }
 
 void Harness::set_faults(const fault::FaultPlan& plan,
@@ -132,10 +132,13 @@ void Harness::run(const std::function<sim::Task<void>(Rank)>& program) {
       }
     }
   }
+  // Every root points at the one program: it outlives engine_.run(),
+  // and a failed run destroys the roots before run() rethrows.
   for (Rank r = 0; r < cfg_.nranks; ++r) {
     engine_.spawn(
         [](Harness* h, Rank rank,
-           std::function<sim::Task<void>(Rank)> body) -> sim::Task<void> {
+           const std::function<sim::Task<void>(Rank)>* body)
+            -> sim::Task<void> {
           // The paper's methodology: a startup barrier defines time zero and
           // bounds clock skew before any traced I/O happens.
           co_await h->world().barrier(rank);
@@ -144,7 +147,7 @@ void Harness::run(const std::function<sim::Task<void>(Rank)>& program) {
           // Span even for crashed ranks: note the kill, emit, rethrow
           // (the emit is synchronous, so no co_await inside the catch).
           try {
-            co_await body(rank);
+            co_await (*body)(rank);
           } catch (const sim::TaskKilled&) {
             if (orun != nullptr && orun->tracing()) {
               orun->tracer.complete({obs::kPidHarness, rank}, "rank-program",
@@ -156,7 +159,7 @@ void Harness::run(const std::function<sim::Task<void>(Rank)>& program) {
             orun->tracer.complete({obs::kPidHarness, rank}, "rank-program", t0,
                                   h->engine_.now() - t0);
           }
-        }(this, r, program),
+        }(this, r, &program),
         /*label=*/r);
   }
   engine_.run();

@@ -43,7 +43,9 @@ struct AppConfig {
   /// run with finish_stream() instead of finish(); registry.hpp's
   /// run_app_stream wires both ends. Non-owning.
   trace::StreamSink* stream_sink = nullptr;
-  std::size_t stream_chunk_records = std::size_t{1} << 16;
+  /// 4096 records (256 KiB pending) keep chunk framing below measurement
+  /// noise (docs/performance.md, "Chunk-size guidance").
+  std::size_t stream_chunk_records = 4096;
   /// Observability context (nullptr = off, the default). Non-owning: the
   /// driver (CLI, test) owns the Run; the harness wires it into the
   /// engine, collector, injector, and every façade built from ctx(),
@@ -97,8 +99,9 @@ class Harness {
   }
 
   /// A compute phase: `base` plus a small deterministic per-rank jitter,
-  /// so ranks drift apart the way real time steps do.
-  [[nodiscard]] sim::Task<void> compute(Rank r, SimDuration base);
+  /// so ranks drift apart the way real time steps do. Checks for a crash
+  /// and draws the jitter at the call, so co_await the result directly.
+  [[nodiscard]] sim::Engine::Delay compute(Rank r, SimDuration base);
 
   /// Deterministic per-rank value in [lo, hi] for workload shaping
   /// (irregular block sizes etc.); depends only on (seed, salt, r).

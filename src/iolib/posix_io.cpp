@@ -1,6 +1,9 @@
 #include "pfsem/iolib/posix_io.hpp"
 
+#include <coroutine>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "pfsem/fault/injector.hpp"
 #include "pfsem/util/error.hpp"
@@ -47,7 +50,7 @@ class LedgerScope {
         on_(ctx.obs != nullptr && ctx.obs->ledger_on()),
         t0_(ctx.engine->now()) {}
 
-  /// Cost accumulator for with_retry, nullptr when the ledger is off.
+  /// Cost accumulator for Retry, nullptr when the ledger is off.
   [[nodiscard]] CallCosts* costs() { return on_ ? &costs_ : nullptr; }
 
   /// Bracket one synchronous vfs call on the no-retry paths (close,
@@ -82,27 +85,25 @@ class LedgerScope {
   CallCosts costs_;
 };
 
-/// Issue `op` (a callable taking the current simulated time and returning
-/// a vfs result struct), awaiting its cost; while the result carries a
-/// retryable simulated errno, back off in simulated time and re-issue.
-/// Exhausting the budget — or a non-retryable errno such as EROFS from a
-/// laminated file — throws pfsem::Error; the degraded-mode stats count it
-/// as a give-up. Retries are invisible to callers: the returned result is
-/// the first successful attempt's.
+/// One synchronous attempt of `op` at `now`, bracketing the vfs counter
+/// snapshot when ledger attribution is on (costs != nullptr).
 template <class Op>
-auto with_retry(IoContext& ctx, Rank r, Op op, CallCosts* costs = nullptr)
-    -> sim::Task<decltype(op(SimTime{}))> {
-  // Issue one synchronous attempt, bracketing the vfs counter snapshot
-  // when ledger attribution is on (costs != nullptr).
-  auto issue = [&](SimTime now) {
-    if (costs == nullptr) return op(now);
-    const vfs::CostSnapshot before = ctx.pfs->cost_snapshot();
-    auto res = op(now);
-    costs->accumulate(before, ctx.pfs->cost_snapshot());
-    return res;
-  };
-  check_crash(ctx, r);
-  auto res = issue(ctx.engine->now());
+auto issue(IoContext& ctx, Op& op, CallCosts* costs, SimTime now) {
+  if (costs == nullptr) return op(now);
+  const vfs::CostSnapshot before = ctx.pfs->cost_snapshot();
+  auto res = op(now);
+  costs->accumulate(before, ctx.pfs->cost_snapshot());
+  return res;
+}
+
+/// The retry path of Retry: await the failed first attempt's cost
+/// `res`, then, while the result carries a retryable simulated errno,
+/// back off in simulated time and re-issue. Exhausting the budget — or a
+/// non-retryable errno such as EROFS from a laminated file — throws
+/// pfsem::Error; the degraded-mode stats count it as a give-up.
+template <class Op, class Result>
+sim::Task<Result> retry_loop(IoContext& ctx, Rank r, Op& op, CallCosts* costs,
+                             Result res) {
   co_await ctx.engine->delay(res.cost);
   int failovers = 0;
   for (int attempt = 1; res.err != 0;) {
@@ -133,7 +134,7 @@ auto with_retry(IoContext& ctx, Rank r, Op op, CallCosts* costs = nullptr)
       }
       co_await ctx.engine->delay(ctx.retry.failover_backoff);
       check_crash(ctx, r);
-      res = issue(ctx.engine->now());
+      res = issue(ctx, op, costs, ctx.engine->now());
       co_await ctx.engine->delay(res.cost);
       continue;
     }
@@ -157,12 +158,57 @@ auto with_retry(IoContext& ctx, Rank r, Op op, CallCosts* costs = nullptr)
     }
     co_await ctx.engine->delay(ctx.retry.backoff_for(attempt));
     check_crash(ctx, r);
-    res = issue(ctx.engine->now());
+    res = issue(ctx, op, costs, ctx.engine->now());
     co_await ctx.engine->delay(res.cost);
     ++attempt;
   }
   co_return res;
 }
+
+/// Awaitable for one façade call's vfs operation. Construction runs the
+/// first attempt (crash check, then `op` — a callable taking the current
+/// simulated time and returning a vfs result struct) in the caller's
+/// frame. Awaiting it then waits out the attempt's cost; only a result
+/// that carries an errno starts retry_loop, the one coroutine frame on
+/// this path. Retries are invisible to callers: the awaited result is the
+/// first successful attempt's. Either way the first wake-up is scheduled
+/// at the same time and sequence number, so fault-free and faulted runs
+/// replay event for event.
+template <class Op>
+class Retry {
+ public:
+  using Result = std::invoke_result_t<Op&, SimTime>;
+
+  Retry(IoContext& ctx, Rank r, Op op, CallCosts* costs)
+      : ctx_(ctx), r_(r), op_(std::move(op)), costs_(costs) {
+    check_crash(ctx_, r_);
+    res_ = issue(ctx_, op_, costs_, ctx_.engine->now());
+  }
+
+  bool await_ready() const noexcept { return false; }
+
+  std::coroutine_handle<> await_suspend(std::coroutine_handle<> h) {
+    if (res_.err == 0) {
+      ctx_.engine->delay(res_.cost).await_suspend(h);
+      return std::noop_coroutine();
+    }
+    loop_ = retry_loop(ctx_, r_, op_, costs_, std::move(res_));
+    return std::move(loop_).operator co_await().await_suspend(h);
+  }
+
+  Result await_resume() {
+    if (!loop_.valid()) return std::move(res_);
+    return std::move(loop_).operator co_await().await_resume();
+  }
+
+ private:
+  IoContext& ctx_;
+  Rank r_;
+  Op op_;
+  CallCosts* costs_;
+  Result res_;
+  sim::Task<Result> loop_;
+};
 
 }  // namespace
 
@@ -201,7 +247,7 @@ FileId PosixIo::file_of(Rank r, int fd) const {
 sim::Task<int> PosixIo::open(Rank r, std::string path, int flags) {
   LedgerScope led(ctx_, r, obs::OpClass::Open);
   const SimTime t0 = ctx_.engine->now();
-  auto res = co_await with_retry(
+  auto res = co_await Retry(
       ctx_, r,
       [&](SimTime now) { return ctx_.pfs->open(r, path, flags, now); },
       led.costs());
@@ -232,7 +278,7 @@ sim::Task<void> PosixIo::close(Rank r, int fd) {
 sim::Task<std::uint64_t> PosixIo::write(Rank r, int fd, std::uint64_t count) {
   LedgerScope led(ctx_, r, obs::OpClass::Write);
   const SimTime t0 = ctx_.engine->now();
-  auto res = co_await with_retry(
+  auto res = co_await Retry(
       ctx_, r, [&](SimTime now) { return ctx_.pfs->write(r, fd, count, now); },
       led.costs());
   // res.offset is ground truth for validating offset reconstruction only.
@@ -245,10 +291,10 @@ sim::Task<std::uint64_t> PosixIo::write(Rank r, int fd, std::uint64_t count) {
 sim::Task<std::uint64_t> PosixIo::read(Rank r, int fd, std::uint64_t count) {
   LedgerScope led(ctx_, r, obs::OpClass::Read);
   const SimTime t0 = ctx_.engine->now();
-  auto res = co_await with_retry(
+  auto res = co_await Retry(
       ctx_, r, [&](SimTime now) { return ctx_.pfs->read(r, fd, count, now); },
       led.costs());
-  last_read_ = res.extents;
+  last_read_ = std::move(res.extents);
   emit(r, trace::Func::read, t0, ctx_.engine->now(), fd,
        static_cast<std::int64_t>(res.bytes), res.offset, count, 0,
        file_of(r, fd));
@@ -260,7 +306,7 @@ sim::Task<std::uint64_t> PosixIo::pwrite(Rank r, int fd, Offset off,
                                          std::uint64_t count) {
   LedgerScope led(ctx_, r, obs::OpClass::Write);
   const SimTime t0 = ctx_.engine->now();
-  auto res = co_await with_retry(
+  auto res = co_await Retry(
       ctx_, r,
       [&](SimTime now) { return ctx_.pfs->pwrite(r, fd, off, count, now); },
       led.costs());
@@ -275,11 +321,11 @@ sim::Task<std::uint64_t> PosixIo::pread(Rank r, int fd, Offset off,
                                         std::uint64_t count) {
   LedgerScope led(ctx_, r, obs::OpClass::Read);
   const SimTime t0 = ctx_.engine->now();
-  auto res = co_await with_retry(
+  auto res = co_await Retry(
       ctx_, r,
       [&](SimTime now) { return ctx_.pfs->pread(r, fd, off, count, now); },
       led.costs());
-  last_read_ = res.extents;
+  last_read_ = std::move(res.extents);
   emit(r, trace::Func::pread, t0, ctx_.engine->now(), fd,
        static_cast<std::int64_t>(res.bytes), off, count, 0, file_of(r, fd));
   led.record(file_of(r, fd), res.bytes);
@@ -303,7 +349,7 @@ sim::Task<std::int64_t> PosixIo::lseek(Rank r, int fd, std::int64_t offset,
 sim::Task<void> PosixIo::fsync(Rank r, int fd) {
   LedgerScope led(ctx_, r, obs::OpClass::Sync);
   const SimTime t0 = ctx_.engine->now();
-  auto res = co_await with_retry(
+  auto res = co_await Retry(
       ctx_, r, [&](SimTime now) { return ctx_.pfs->fsync(r, fd, now); },
       led.costs());
   emit(r, trace::Func::fsync, t0, ctx_.engine->now(), fd, res.ret, 0, 0, 0,
@@ -314,7 +360,7 @@ sim::Task<void> PosixIo::fsync(Rank r, int fd) {
 sim::Task<void> PosixIo::fdatasync(Rank r, int fd) {
   LedgerScope led(ctx_, r, obs::OpClass::Sync);
   const SimTime t0 = ctx_.engine->now();
-  auto res = co_await with_retry(
+  auto res = co_await Retry(
       ctx_, r, [&](SimTime now) { return ctx_.pfs->fsync(r, fd, now); },
       led.costs());
   emit(r, trace::Func::fdatasync, t0, ctx_.engine->now(), fd, res.ret, 0, 0, 0,
@@ -325,7 +371,7 @@ sim::Task<void> PosixIo::fdatasync(Rank r, int fd) {
 sim::Task<void> PosixIo::ftruncate(Rank r, int fd, Offset length) {
   LedgerScope led(ctx_, r, obs::OpClass::Meta);
   const SimTime t0 = ctx_.engine->now();
-  auto res = co_await with_retry(
+  auto res = co_await Retry(
       ctx_, r,
       [&](SimTime now) { return ctx_.pfs->ftruncate(r, fd, length, now); },
       led.costs());
@@ -347,7 +393,7 @@ sim::Task<void> PosixIo::meta_call(Rank r, trace::Func f, FileId file,
 sim::Task<std::int64_t> PosixIo::stat(Rank r, std::string path) {
   LedgerScope led(ctx_, r, obs::OpClass::Meta);
   const SimTime t0 = ctx_.engine->now();
-  auto res = co_await with_retry(
+  auto res = co_await Retry(
       ctx_, r, [&](SimTime now) { return ctx_.pfs->stat(path, now); },
       led.costs());
   const FileId file = ctx_.collector->intern(path);
@@ -360,7 +406,7 @@ sim::Task<std::int64_t> PosixIo::stat(Rank r, std::string path) {
 sim::Task<std::int64_t> PosixIo::lstat(Rank r, std::string path) {
   LedgerScope led(ctx_, r, obs::OpClass::Meta);
   const SimTime t0 = ctx_.engine->now();
-  auto res = co_await with_retry(
+  auto res = co_await Retry(
       ctx_, r, [&](SimTime now) { return ctx_.pfs->stat(path, now); },
       led.costs());
   const FileId file = ctx_.collector->intern(path);
@@ -374,7 +420,7 @@ sim::Task<std::int64_t> PosixIo::fstat(Rank r, int fd) {
   LedgerScope led(ctx_, r, obs::OpClass::Meta);
   const SimTime t0 = ctx_.engine->now();
   const FileId file = file_of(r, fd);
-  auto res = co_await with_retry(
+  auto res = co_await Retry(
       ctx_, r,
       [&](SimTime now) {
         return ctx_.pfs->stat(std::string(ctx_.collector->path_view(file)),
@@ -390,7 +436,7 @@ sim::Task<std::int64_t> PosixIo::fstat(Rank r, int fd) {
 sim::Task<std::int64_t> PosixIo::access(Rank r, std::string path) {
   LedgerScope led(ctx_, r, obs::OpClass::Meta);
   const SimTime t0 = ctx_.engine->now();
-  auto res = co_await with_retry(
+  auto res = co_await Retry(
       ctx_, r, [&](SimTime now) { return ctx_.pfs->access(path, now); },
       led.costs());
   const FileId file = ctx_.collector->intern(path);
@@ -403,7 +449,7 @@ sim::Task<std::int64_t> PosixIo::access(Rank r, std::string path) {
 sim::Task<std::int64_t> PosixIo::unlink(Rank r, std::string path) {
   LedgerScope led(ctx_, r, obs::OpClass::Meta);
   const SimTime t0 = ctx_.engine->now();
-  auto res = co_await with_retry(
+  auto res = co_await Retry(
       ctx_, r, [&](SimTime now) { return ctx_.pfs->unlink(path, now); },
       led.costs());
   const FileId file = ctx_.collector->intern(path);
@@ -416,7 +462,7 @@ sim::Task<std::int64_t> PosixIo::unlink(Rank r, std::string path) {
 sim::Task<std::int64_t> PosixIo::mkdir(Rank r, std::string path) {
   LedgerScope led(ctx_, r, obs::OpClass::Meta);
   const SimTime t0 = ctx_.engine->now();
-  auto res = co_await with_retry(
+  auto res = co_await Retry(
       ctx_, r, [&](SimTime now) { return ctx_.pfs->mkdir(path, now); },
       led.costs());
   const FileId file = ctx_.collector->intern(path);
@@ -430,7 +476,7 @@ sim::Task<std::int64_t> PosixIo::rename(Rank r, std::string from,
                                         std::string to) {
   LedgerScope led(ctx_, r, obs::OpClass::Meta);
   const SimTime t0 = ctx_.engine->now();
-  auto res = co_await with_retry(
+  auto res = co_await Retry(
       ctx_, r, [&](SimTime now) { return ctx_.pfs->rename(from, to, now); },
       led.costs());
   // The record carries the source path's id; on success the destination

@@ -67,21 +67,23 @@ class Engine {
   /// Schedule a coroutine to resume at absolute time `t` (>= now).
   void schedule(SimTime t, std::coroutine_handle<> h);
 
-  /// Awaitable that suspends the caller for `d` simulated nanoseconds.
-  /// delay(0) still round-trips through the event queue, which gives every
-  /// runnable coroutine a fair, deterministic turn.
-  [[nodiscard]] auto delay(SimDuration d) {
-    struct Awaiter {
-      Engine* engine;
-      SimDuration dur;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        engine->schedule(engine->now_ + dur, h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{this, d};
-  }
+  /// Awaitable that suspends the caller for `dur` simulated nanoseconds.
+  /// It lives in the awaiting frame, so a function that only waits can
+  /// return one instead of being a coroutine with a frame of its own.
+  struct Delay {
+    Engine* engine;
+    SimDuration dur;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      engine->schedule(engine->now_ + dur, h);
+    }
+    void await_resume() const noexcept {}
+  };
+
+  /// Suspend the caller for `d` simulated nanoseconds. delay(0) still
+  /// round-trips through the event queue, which gives every runnable
+  /// coroutine a fair, deterministic turn.
+  [[nodiscard]] Delay delay(SimDuration d) { return {this, d}; }
 
   /// Launch a root task (e.g. one simulated rank's program). The engine
   /// owns it; it starts when run() reaches time 0. `label` identifies the

@@ -38,7 +38,7 @@
 //                    retires a file, and its accesses are freed, so
 //                    memory is bounded by the *live* file window rather
 //                    than the whole log.
-//   --chunk-records N  streaming chunk size in records (default 65536)
+//   --chunk-records N  streaming chunk size in records (default 4096)
 //   --spill-mem MB   in-memory spill ceiling before chunks go to a temp
 //                    file (default 64; at most SIZE_MAX >> 20)
 //   --obs            observability: print the run's metrics summary
@@ -112,7 +112,7 @@ struct Options {
   int threads = 0;  // analysis threads (0 = all hardware threads)
   // Chunked streaming pipeline (--stream; report, trace, and tune).
   bool stream = false;
-  std::size_t chunk_records = std::size_t{1} << 16;
+  std::size_t chunk_records = apps::AppConfig{}.stream_chunk_records;
   std::size_t spill_mem_mb = 64;
   // Observability (--obs / --obs-out / --obs-trace / --obs-ledger /
   // --obs-json).

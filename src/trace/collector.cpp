@@ -8,15 +8,12 @@ namespace pfsem::trace {
 void Collector::reserve(int nranks, std::size_t per_rank_hint) {
   require(nranks == bundle_.nranks,
           "reserve(): rank count does not match this collector");
-  if (stream_sink_ != nullptr) {
-    // A streaming collector never holds more than one chunk of pending
-    // records, so cap the pre-size: a 64K-rank streaming run must not
-    // reserve a whole bundle's worth of capacity up front.
-    per_rank_hint = std::min(
-        per_rank_hint,
-        stream_chunk_ / static_cast<std::size_t>(nranks) + 1);
-  }
-  bundle_.records.reserve(static_cast<std::size_t>(nranks) * per_rank_hint);
+  std::size_t total = static_cast<std::size_t>(nranks) * per_rank_hint;
+  // A streaming collector never holds more than one chunk of pending
+  // records, so cap the pre-size at exactly one: a 64K-rank streaming run
+  // must not reserve a whole bundle's worth of capacity up front.
+  if (stream_sink_ != nullptr) total = std::min(total, stream_chunk_);
+  bundle_.records.reserve(total);
 }
 
 void Collector::enable_streaming(StreamSink* sink, std::size_t chunk_records) {

@@ -177,8 +177,8 @@ void write_compact_streamed(int nranks, const PathTable& paths,
   scan([&](const Record& r) {
     auto& prev = last_t[static_cast<std::size_t>(r.rank)];
     put_varint(buf, static_cast<std::uint64_t>(r.rank));
-    put_varint(buf, zigzag(r.tstart - prev));  // per-rank delta
-    put_varint(buf, zigzag(r.tend - r.tstart));
+    put_varint(buf, zigzag(wrap_sub(r.tstart, prev)));  // per-rank delta
+    put_varint(buf, zigzag(wrap_sub(r.tend, r.tstart)));
     prev = r.tstart;
     put_varint(buf, static_cast<std::uint64_t>(r.layer) |
                         (static_cast<std::uint64_t>(r.origin) << 3) |
@@ -245,8 +245,8 @@ bool CompactReader::next(Record& out) {
   require(rank < static_cast<std::uint64_t>(nranks_), "bad record rank");
   out.rank = static_cast<Rank>(rank);
   auto& prev = last_t_[rank];
-  out.tstart = prev + unzigzag(in_.varint());
-  out.tend = out.tstart + unzigzag(in_.varint());
+  out.tstart = wrap_add(prev, unzigzag(in_.varint()));
+  out.tend = wrap_add(out.tstart, unzigzag(in_.varint()));
   prev = out.tstart;
   const auto packed = in_.varint();
   require((packed & 0x7) < kLayerCount && ((packed >> 3) & 0x7) < kLayerCount,

@@ -43,7 +43,7 @@ class Collector {
   /// Capacity hint from the run harness: expect about `per_rank_hint`
   /// records from each of `nranks` ranks. Purely an optimization — the
   /// record vector grows past the hint freely; when streaming, the
-  /// reservation is capped at about one chunk.
+  /// reservation is capped at one chunk in total.
   void reserve(int nranks, std::size_t per_rank_hint);
 
   /// Local timestamp rank `r` would record for global time `t`.

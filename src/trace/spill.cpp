@@ -26,6 +26,8 @@ constexpr char kTrailerMarker = 'T';
 
 using detail::put_varint;
 using detail::unzigzag;
+using detail::wrap_add;
+using detail::wrap_sub;
 using detail::zigzag;
 
 std::string fresh_spill_path() {
@@ -188,8 +190,10 @@ void ChunkWriter::on_records(std::uint64_t base_seq,
   for (const auto& r : records) {
     auto& prev = last_t_[static_cast<std::size_t>(r.rank)];
     put_varint(buf_, static_cast<std::uint64_t>(r.rank));
-    put_varint(buf_, zigzag(r.tstart - prev));  // delta chain spans chunks
-    put_varint(buf_, zigzag(r.tend - r.tstart));
+    // Wrapping deltas: legal times never wrap, and hostile ones decode
+    // without overflow. The delta chain spans chunks.
+    put_varint(buf_, zigzag(wrap_sub(r.tstart, prev)));
+    put_varint(buf_, zigzag(wrap_sub(r.tend, r.tstart)));
     prev = r.tstart;
     put_varint(buf_, static_cast<std::uint64_t>(r.layer) |
                          (static_cast<std::uint64_t>(r.origin) << 3) |
@@ -256,8 +260,8 @@ bool ChunkReader::next(Record& out) {
   require(rank < static_cast<std::uint64_t>(nranks_), "bad record rank");
   out.rank = static_cast<Rank>(rank);
   auto& prev = last_t_[rank];
-  out.tstart = prev + unzigzag(in_.varint());
-  out.tend = out.tstart + unzigzag(in_.varint());
+  out.tstart = wrap_add(prev, unzigzag(in_.varint()));
+  out.tend = wrap_add(out.tstart, unzigzag(in_.varint()));
   prev = out.tstart;
   const auto packed = in_.varint();
   require((packed & 0x7) < kLayerCount && ((packed >> 3) & 0x7) < kLayerCount,

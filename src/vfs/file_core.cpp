@@ -170,6 +170,97 @@ bool write_durable(const WriteRecord& w, const ResolveEnv& env, SimTime now) {
   return true;
 }
 
+bool LockHolders::contains(Rank r) const {
+  if (bitmap_) {
+    const auto u = static_cast<std::uint32_t>(r);
+    const std::size_t w = u / kWordBits;
+    return w < data_.size() && ((data_[w] >> (u % kWordBits)) & 1u) != 0;
+  }
+  if (size_ == 1) return solo_ == r;
+  return std::binary_search(data_.begin(), data_.end(),
+                            static_cast<std::uint32_t>(r));
+}
+
+void LockHolders::insert(Rank r) {
+  const auto u = static_cast<std::uint32_t>(r);
+  if (!bitmap_) {
+    if (size_ == 0) {
+      solo_ = r;
+      size_ = 1;
+      return;
+    }
+    if (size_ == 1) {
+      if (solo_ == r) return;
+      const auto s = static_cast<std::uint32_t>(solo_);
+      data_ = {std::min(s, u), std::max(s, u)};
+      size_ = 2;
+      return;
+    }
+    const auto it = std::lower_bound(data_.begin(), data_.end(), u);
+    if (it != data_.end() && *it == u) return;
+    if (size_ < kListMax) {
+      data_.insert(it, u);
+      ++size_;
+      return;
+    }
+    // Past kListMax: rewrite the sorted ranks as a bitmap.
+    std::vector<std::uint32_t> bits(std::max(data_.back(), u) / kWordBits + 1);
+    for (const std::uint32_t x : data_) {
+      bits[x / kWordBits] |= 1u << (x % kWordBits);
+    }
+    data_ = std::move(bits);
+    bitmap_ = true;
+  }
+  const std::size_t w = u / kWordBits;
+  if (w >= data_.size()) data_.resize(w + 1);
+  const std::uint32_t bit = 1u << (u % kWordBits);
+  if ((data_[w] & bit) != 0) return;
+  data_[w] |= bit;
+  ++size_;
+}
+
+void LockHolders::erase(Rank r) {
+  if (!contains(r)) return;
+  --size_;
+  const auto u = static_cast<std::uint32_t>(r);
+  if (bitmap_) {
+    data_[u / kWordBits] &= ~(1u << (u % kWordBits));
+  } else if (size_ == 0) {
+    solo_ = kNoRank;
+  } else {
+    data_.erase(std::lower_bound(data_.begin(), data_.end(), u));
+    if (size_ == 1) {
+      solo_ = static_cast<Rank>(data_.front());
+      data_ = {};
+    }
+  }
+}
+
+void LockHolders::clear() {
+  data_ = {};
+  size_ = 0;
+  solo_ = kNoRank;
+  bitmap_ = false;
+}
+
+LockBlock& LockTable::at(Offset block) {
+  if (blocks_.empty() || blocks_.back().block < block) {
+    return blocks_.emplace_back(LockBlock{.block = block});
+  }
+  const auto it = std::lower_bound(
+      blocks_.begin(), blocks_.end(), block,
+      [](const LockBlock& b, Offset key) { return b.block < key; });
+  if (it->block == block) return *it;
+  return *blocks_.insert(it, LockBlock{.block = block});
+}
+
+LockBlock* LockTable::find(Offset block) {
+  const auto it = std::lower_bound(
+      blocks_.begin(), blocks_.end(), block,
+      [](const LockBlock& b, Offset key) { return b.block < key; });
+  return it != blocks_.end() && it->block == block ? &*it : nullptr;
+}
+
 SimDuration charge_locks(FileCore& f, Rank r, Extent ext, bool exclusive,
                          const LockParams& p, LockStats& stats,
                          std::vector<Offset>& locked) {
@@ -178,7 +269,7 @@ SimDuration charge_locks(FileCore& f, Rank r, Extent ext, bool exclusive,
   const Offset first = ext.begin / p.lock_block;
   const Offset last = (ext.end - 1) / p.lock_block;
   for (Offset b = first; b <= last; ++b) {
-    LockBlock& blk = f.locks[b];
+    LockBlock& blk = f.locks.at(b);
     // An exclusive request is satisfied only by a sole exclusive hold; a
     // shared request is satisfied by any existing hold of ours (a sole
     // exclusive hold also permits reading).
@@ -202,7 +293,8 @@ SimDuration charge_locks(FileCore& f, Rank r, Extent ext, bool exclusive,
     }
     if (!blk.holders.contains(r)) locked.push_back(b);
     if (exclusive) {
-      blk.holders = {r};
+      blk.holders.clear();
+      blk.holders.insert(r);
       blk.exclusive = true;
     } else {
       if (blk.exclusive) blk.holders.clear();
@@ -217,9 +309,7 @@ void release_locks(FileCore& f, FdTable& fds, Rank r) {
   fds.for_rank(r, [&](OpenFile& of) {
     if (of.file.get() != &f) return;
     for (const Offset b : of.locked) {
-      if (auto it = f.locks.find(b); it != f.locks.end()) {
-        it->second.holders.erase(r);
-      }
+      if (LockBlock* blk = f.locks.find(b)) blk->holders.erase(r);
     }
     of.locked.clear();
   });
@@ -245,7 +335,7 @@ std::vector<VersionTag> apply_rank_crash(
         f->size = size;
       }
     }
-    for (auto& [blk, lock] : f->locks) lock.holders.erase(r);
+    for (LockBlock& blk : f->locks) blk.holders.erase(r);
   }
   std::sort(lost.begin(), lost.end());
   return lost;

@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -37,9 +36,58 @@ struct WriteRecord {
   SimTime t_publish = kTimeNever;
 };
 
+/// The ranks holding one lock block, with no heap node per holder. One
+/// holder sits inline; up to kListMax sit in a sorted vector; past that
+/// the set becomes a bitmap indexed by rank. So insert, contains and
+/// erase cost O(kListMax) at worst and O(1) amortized in bitmap form,
+/// even for 131072 holders arriving in shuffled order.
+class LockHolders {
+ public:
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool contains(Rank r) const;
+  /// Add `r` (no-op if present).
+  void insert(Rank r);
+  /// Remove `r` (no-op if absent).
+  void erase(Rank r);
+  /// Drop every holder and give back any heap storage.
+  void clear();
+
+  /// Largest sorted-vector form; one more holder switches to the bitmap.
+  static constexpr std::size_t kListMax = 64;
+
+ private:
+  static constexpr unsigned kWordBits = 32;
+  /// Ranks held (list form) or bit words (bitmap form).
+  std::vector<std::uint32_t> data_;
+  std::uint32_t size_ = 0;
+  /// The holder while size_ == 1 in list form (data_ is then empty).
+  Rank solo_ = kNoRank;
+  bool bitmap_ = false;
+};
+
+/// One block of a file's lock table: the block index, whether the hold
+/// is exclusive, and its holders.
 struct LockBlock {
+  Offset block = 0;
   bool exclusive = false;
-  std::set<Rank> holders;
+  LockHolders holders{};
+};
+
+/// A file's distributed-lock table: its lock blocks in one vector sorted
+/// by block index. Blocks are created on first touch and never removed;
+/// a file's blocks are usually touched in ascending order, which appends.
+class LockTable {
+ public:
+  /// The entry for `block`, created with no holders if absent.
+  LockBlock& at(Offset block);
+  /// The entry for `block`, or nullptr.
+  [[nodiscard]] LockBlock* find(Offset block);
+  [[nodiscard]] std::size_t size() const { return blocks_.size(); }
+  [[nodiscard]] auto begin() { return blocks_.begin(); }
+  [[nodiscard]] auto end() { return blocks_.end(); }
+
+ private:
+  std::vector<LockBlock> blocks_;
 };
 
 /// Piece of a resolved read range: [begin, end) carries version v by w.
@@ -64,7 +112,7 @@ struct FileCore {
   std::vector<WriteRecord> writes;
   Offset size = 0;
   bool laminated = false;
-  std::map<Offset, LockBlock> locks;  // keyed by block index
+  LockTable locks;
   /// Block index over `writes` (4 MiB buckets): resolve_view() only scans
   /// writes overlapping the read's blocks instead of the whole history.
   static constexpr Offset kIndexBlock = 4u << 20;

@@ -1169,6 +1169,84 @@ TEST(HostileInput, ChunkRecordsAndTrailerRejectInt32FieldsThatDoNotFit) {
   }
 }
 
+/// One pathless stat record of rank 0 whose two time deltas are the raw
+/// varints `dstart` (from the rank's previous tstart) and `dlen`.
+void put_delta_record(std::string& s, std::uint64_t dstart,
+                      std::uint64_t dlen) {
+  put_varint(s, 0);  // rank
+  put_varint(s, dstart);
+  put_varint(s, dlen);
+  put_varint(s, static_cast<std::uint64_t>(Func::stat) << 6);
+  put_varint(s, zz(-1));  // fd
+  put_varint(s, zz(0));   // ret
+  put_varint(s, 0);       // offset
+  put_varint(s, 0);       // count
+  put_varint(s, zz(0));   // flags
+}
+
+TEST(HostileInput, RecordTimeDeltasThatOverflowDecodeWithoutUB) {
+  // Two records whose start and duration deltas are both INT64_MAX: every
+  // sum overflows int64. Decoders and writers wrap modulo 2^64 (the
+  // sanitizer job turns a signed overflow into a failure), so the times
+  // decode to the wrapped values and re-encode to the same bytes.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const auto records = [](std::string& s) {
+    for (int i = 0; i < 2; ++i) {
+      put_delta_record(s, zz(kMax), zz(kMax));
+      put_varint(s, 0);  // chunk: no file; v2: path slot 0 (the "")
+    }
+  };
+  std::string chunk("PFSEMCK1", 8);
+  put_varint(chunk, 1);  // nranks
+  chunk.push_back('C');
+  put_varint(chunk, 0);  // base seq
+  put_varint(chunk, 2);  // records
+  records(chunk);
+  chunk.push_back('T');
+  put_varint(chunk, 2);  // records
+  put_varint(chunk, 0);  // paths
+  put_varint(chunk, 0);  // p2p
+  put_varint(chunk, 0);  // collectives
+  std::string v2("PFSEMTR2", 8);
+  put_varint(v2, 1);  // nranks
+  put_varint(v2, 1);  // path table: ""
+  put_varint(v2, 0);
+  put_varint(v2, 2);  // records
+  records(v2);
+  put_varint(v2, 0);  // p2p
+  put_varint(v2, 0);  // collectives
+
+  const auto expect_wrapped = [&](const TraceBundle& b) {
+    ASSERT_EQ(b.records.size(), 2u);
+    EXPECT_EQ(b.records[0].tstart, kMax);
+    EXPECT_EQ(b.records[0].tend, -2);
+    EXPECT_EQ(b.records[1].tstart, -2);
+    EXPECT_EQ(b.records[1].tend, kMax - 2);
+    EXPECT_EQ(b.records[1].file, kNoFile);
+  };
+
+  const TraceBundle from_chunks = decode_chunks(chunk);
+  expect_wrapped(from_chunks);
+  SpillStore store(1u << 20);
+  {
+    ChunkWriter writer(store, from_chunks.nranks);
+    writer.on_records(0, from_chunks.records);
+    StreamMeta meta;
+    meta.nranks = from_chunks.nranks;
+    meta.records = from_chunks.records.size();
+    writer.finish(meta);
+  }
+  const auto in = store.open_read();
+  EXPECT_EQ(std::string(std::istreambuf_iterator<char>(*in), {}), chunk);
+
+  std::istringstream is(v2);
+  const TraceBundle from_v2 = read_compact(is);
+  expect_wrapped(from_v2);
+  std::ostringstream os;
+  write_compact(from_v2, os);
+  EXPECT_EQ(os.str(), v2);
+}
+
 TEST(HostileInput, V1RejectsP2PRanksOutOfRange) {
   const auto stream = [](Rank src, Rank dst) {
     std::string s("PFSEMTRC", 8);
