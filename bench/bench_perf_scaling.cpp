@@ -971,7 +971,7 @@ int run(bool check, bool scale64k, const std::string& out_path,
   };
   trace::TraceBundle cl_healthy;
   const double cl_healthy_s = best_of(
-      reps, [&] { cl_healthy = apps::run_app_cluster(*lbann, cl_cfg, cl_topo); });
+      reps, [&] { cl_healthy = apps::run_app(*lbann, cl_cfg, cl_topo); });
   apps::FaultSetup cl_setup;
   cl_setup.plan =
       fault::FaultPlan::parse("crash_mds:id=0,t=1ms; crash_ost:id=1,t=1ms");
@@ -979,8 +979,8 @@ int run(bool check, bool scale64k, const std::string& out_path,
   fault::FaultStats cl_stats;
   trace::TraceBundle cl_degraded;
   const double cl_degraded_s = best_of(reps, [&] {
-    cl_degraded = apps::run_app_cluster(*lbann, cl_cfg, cl_topo, {}, &cl_setup,
-                                        &cl_stats);
+    cl_degraded =
+        apps::run_app(*lbann, cl_cfg, cl_topo, {}, &cl_setup, &cl_stats);
   });
   const SimTime cl_recover =
       sim_end(cl_degraded) - sim_end(cl_healthy);

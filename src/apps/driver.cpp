@@ -96,8 +96,7 @@ void release(trace::EncodedCommLog& comm) {
 }  // namespace
 
 SpilledRun spill_app(const AppInfo& info, AppConfig cfg,
-                     std::size_t spill_ceiling,
-                     const vfs::ClusterConfig* cluster,
+                     std::size_t spill_ceiling, Backend backend,
                      std::vector<sim::ClockModel> clocks,
                      const FaultSetup* faults, fault::FaultStats* stats_out) {
   SpilledRun run;
@@ -109,11 +108,8 @@ SpilledRun spill_app(const AppInfo& info, AppConfig cfg,
   if (cfg.obs != nullptr && cfg.obs->tracing()) {
     sink = &counting.emplace(writer, *run.store, *cfg.obs);
   }
-  run.meta = cluster != nullptr
-                 ? run_app_cluster_stream(info, *sink, cfg, *cluster,
-                                          std::move(clocks), faults, stats_out)
-                 : run_app_stream(info, *sink, cfg, {}, std::move(clocks),
-                                  faults, stats_out);
+  run.meta = run_app_stream(info, *sink, cfg, std::move(backend),
+                            std::move(clocks), faults, stats_out);
   writer.finish(run.meta);
   return run;
 }

@@ -6,19 +6,18 @@
 
 namespace pfsem::apps {
 
-Harness::Harness(AppConfig cfg, vfs::PfsConfig pfs_cfg,
+Harness::Harness(AppConfig cfg, Backend backend,
                  std::vector<sim::ClockModel> clocks)
-    : Harness(cfg, std::make_unique<vfs::Pfs>(pfs_cfg), std::move(clocks)) {
-  concrete_pfs_ = static_cast<vfs::Pfs*>(fs_.get());
-  if (cfg_.obs != nullptr) concrete_pfs_->set_observer(cfg_.obs);
-}
-
-Harness::Harness(AppConfig cfg, vfs::ClusterConfig cluster_cfg,
-                 std::vector<sim::ClockModel> clocks)
-    : Harness(cfg, std::make_unique<vfs::PfsCluster>(cluster_cfg),
+    : Harness(cfg,
+              std::visit(
+                  [](const auto& c) {
+                    return std::make_unique<vfs::PfsCluster>(c);
+                  },
+                  backend),
               std::move(clocks)) {
-  concrete_cluster_ = static_cast<vfs::PfsCluster*>(fs_.get());
-  if (cfg_.obs != nullptr) concrete_cluster_->set_observer(cfg_.obs);
+  pfs_ = static_cast<vfs::PfsCluster*>(fs_.get());
+  servers_ = std::holds_alternative<vfs::ClusterConfig>(backend);
+  if (cfg_.obs != nullptr) pfs_->set_observer(cfg_.obs);
 }
 
 Harness::Harness(AppConfig cfg, std::unique_ptr<vfs::FileSystem> fs,
@@ -54,16 +53,9 @@ Harness::Harness(AppConfig cfg, std::unique_ptr<vfs::FileSystem> fs,
   }
 }
 
-vfs::Pfs& Harness::pfs() {
-  require(concrete_pfs_ != nullptr,
-          "pfs(): a custom file-system backend is in use");
-  return *concrete_pfs_;
-}
-
-vfs::PfsCluster& Harness::cluster() {
-  require(concrete_cluster_ != nullptr,
-          "cluster(): the backend is not a PfsCluster");
-  return *concrete_cluster_;
+vfs::PfsCluster& Harness::pfs() {
+  require(pfs_ != nullptr, "pfs(): a custom file-system backend is in use");
+  return *pfs_;
 }
 
 sim::Engine::Delay Harness::compute(Rank r, SimDuration base) {
@@ -78,11 +70,11 @@ sim::Engine::Delay Harness::compute(Rank r, SimDuration base) {
 
 void Harness::set_faults(const fault::FaultPlan& plan,
                          std::uint64_t fault_seed) {
-  // Server events need a matching multi-server topology; fail loudly at
-  // arm time rather than silently dropping an event mid-run.
-  if (concrete_cluster_ != nullptr) {
-    plan.validate_topology(concrete_cluster_->config().mds_count,
-                           concrete_cluster_->config().ost_count);
+  // Server events need a named topology; fail loudly at arm time rather
+  // than silently dropping an event mid-run.
+  if (servers_) {
+    plan.validate_topology(pfs_->config().mds_count,
+                           pfs_->config().ost_count);
   } else {
     plan.validate_topology(0, 0);
   }
@@ -121,15 +113,14 @@ void Harness::run(const std::function<sim::Task<void>(Rank)>& program) {
     }
     // One root per planned server crash/restart: fault domains flip state
     // at their simulated instants, in deterministic DES order (the
-    // schedule is pre-sorted, and spawn order breaks time ties).
-    if (concrete_cluster_ != nullptr) {
-      for (const fault::ServerEvent& ev : injector_->server_schedule()) {
-        engine_.spawn(
-            [](Harness* h, fault::ServerEvent e) -> sim::Task<void> {
-              co_await h->engine_.delay(e.t);
-              h->concrete_cluster_->apply_server_event(e, h->engine_.now());
-            }(this, ev));
-      }
+    // schedule is pre-sorted, and spawn order breaks time ties). Empty
+    // unless servers_: set_faults rejected the events otherwise.
+    for (const fault::ServerEvent& ev : injector_->server_schedule()) {
+      engine_.spawn(
+          [](Harness* h, fault::ServerEvent e) -> sim::Task<void> {
+            co_await h->engine_.delay(e.t);
+            h->pfs_->apply_server_event(e, h->engine_.now());
+          }(this, ev));
     }
   }
   // Every root points at the one program: it outlives engine_.run(),
@@ -163,36 +154,27 @@ void Harness::run(const std::function<sim::Task<void>(Rank)>& program) {
         /*label=*/r);
   }
   engine_.run();
-  if (cfg_.obs != nullptr &&
-      (concrete_pfs_ != nullptr || concrete_cluster_ != nullptr)) {
+  if (cfg_.obs != nullptr && pfs_ != nullptr) {
     // Publish the backend's introspection counters as gauges. Stable:
     // lock/OST traffic is a pure function of the simulated op sequence.
     auto& m = cfg_.obs->metrics;
-    const vfs::LockStats& ls = concrete_pfs_ != nullptr
-                                   ? concrete_pfs_->lock_stats()
-                                   : concrete_cluster_->lock_stats();
-    const vfs::OstStats& os = concrete_pfs_ != nullptr
-                                  ? concrete_pfs_->ost_stats()
-                                  : concrete_cluster_->ost_stats();
+    const vfs::LockStats& ls = pfs_->lock_stats();
+    const vfs::OstStats& os = pfs_->ost_stats();
     m.set(cfg_.obs->vfs_lock_requests, static_cast<std::int64_t>(ls.requests));
     m.set(cfg_.obs->vfs_lock_revocations,
           static_cast<std::int64_t>(ls.revocations));
     m.set(cfg_.obs->vfs_meta_ops, static_cast<std::int64_t>(ls.meta_ops));
-    std::uint64_t ost_bytes = 0;
-    for (const std::uint64_t b : os.bytes) ost_bytes += b;
-    m.set(cfg_.obs->vfs_ost_bytes, static_cast<std::int64_t>(ost_bytes));
-    const vfs::CompactionStats& cs = concrete_pfs_ != nullptr
-                                         ? concrete_pfs_->compaction_stats()
-                                         : concrete_cluster_->compaction_stats();
+    m.set(cfg_.obs->vfs_ost_bytes, static_cast<std::int64_t>(os.total_bytes));
+    const vfs::CompactionStats& cs = pfs_->compaction_stats();
     m.set(cfg_.obs->vfs_compacted_writes,
           static_cast<std::int64_t>(cs.folded_writes));
     m.set(cfg_.obs->vfs_compaction_passes,
           static_cast<std::int64_t>(cs.passes));
-    if (concrete_cluster_ != nullptr) {
+    if (servers_) {
       // Per-server gauges, registered dynamically (topology is a run
       // parameter, not part of the static catalogue). Stable: per-shard
       // routing and striping are pure functions of the op sequence.
-      const auto& mds = concrete_cluster_->mds_states();
+      const auto& mds = pfs_->mds_states();
       for (std::size_t i = 0; i < mds.size(); ++i) {
         const std::string base = "vfs.mds" + std::to_string(i);
         m.set(m.gauge(base + ".meta_ops"),
@@ -206,7 +188,7 @@ void Harness::run(const std::function<sim::Task<void>(Rank)>& program) {
         m.set(m.gauge(base + ".bytes"),
               static_cast<std::int64_t>(os.bytes[i]));
         m.set(m.gauge(base + ".up"),
-              concrete_cluster_->ost_states()[i].up ? 1 : 0);
+              pfs_->ost_states()[i].up ? 1 : 0);
       }
     }
   }

@@ -33,15 +33,14 @@ struct SpilledRun {
   obs::Run* obs = nullptr;  ///< the capture's AppConfig::obs
 };
 
-/// Spill half: simulate `info` on a Pfs, or on a PfsCluster when
-/// `cluster` is given, streaming its records in chunks of
-/// cfg.stream_chunk_records through a ChunkWriter into a SpillStore whose
-/// in-memory ceiling is `spill_ceiling` bytes (past it the store moves to
-/// a temp file). The trailer is written and the harness destroyed before
+/// Spill half: simulate `info` on `backend`, streaming its records in
+/// chunks of cfg.stream_chunk_records through a ChunkWriter into a
+/// SpillStore whose in-memory ceiling is `spill_ceiling` bytes (past it
+/// the store moves to a temp file). The trailer is written and the harness destroyed before
 /// this returns. `clocks`, `faults` and `stats_out` as for run_app.
 [[nodiscard]] SpilledRun spill_app(const AppInfo& info, AppConfig cfg,
                                    std::size_t spill_ceiling,
-                                   const vfs::ClusterConfig* cluster = nullptr,
+                                   Backend backend = {},
                                    std::vector<sim::ClockModel> clocks = {},
                                    const FaultSetup* faults = nullptr,
                                    fault::FaultStats* stats_out = nullptr);

@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "pfsem/core/report.hpp"
@@ -16,7 +17,6 @@
 #include "pfsem/sim/engine.hpp"
 #include "pfsem/trace/collector.hpp"
 #include "pfsem/util/rng.hpp"
-#include "pfsem/vfs/cluster.hpp"
 #include "pfsem/vfs/filesystem.hpp"
 #include "pfsem/vfs/pfs.hpp"
 
@@ -53,14 +53,16 @@ struct AppConfig {
   obs::Run* obs = nullptr;
 };
 
+/// The simulated PFS a run uses, always a vfs::PfsCluster. A PfsConfig
+/// selects the single-server preset (vfs::Pfs): server events in a fault
+/// plan are rejected and no per-server gauges are published. A
+/// ClusterConfig names the topology (docs/topology.md) and enables both.
+using Backend = std::variant<vfs::PfsConfig, vfs::ClusterConfig>;
+
 class Harness {
  public:
-  explicit Harness(AppConfig cfg, vfs::PfsConfig pfs_cfg = {},
+  explicit Harness(AppConfig cfg, Backend backend = {},
                    std::vector<sim::ClockModel> clocks = {});
-  /// Run against a multi-server PfsCluster backend (docs/topology.md);
-  /// enables server fault-domain events in the fault plan.
-  Harness(AppConfig cfg, vfs::ClusterConfig cluster_cfg,
-          std::vector<sim::ClockModel> clocks = {});
   /// Run against a custom file-system backend (e.g. vfs::BurstBufferPfs).
   Harness(AppConfig cfg, std::unique_ptr<vfs::FileSystem> fs,
           std::vector<sim::ClockModel> clocks = {});
@@ -70,12 +72,8 @@ class Harness {
   [[nodiscard]] mpi::World& world() { return world_; }
   /// The file system under test.
   [[nodiscard]] vfs::FileSystem& fs() { return *fs_; }
-  /// The default Pfs backend (throws if a custom backend was supplied).
-  [[nodiscard]] vfs::Pfs& pfs();
-  /// The PfsCluster backend (throws unless built with a ClusterConfig).
-  [[nodiscard]] vfs::PfsCluster& cluster();
-  /// The PfsCluster backend, or nullptr when another backend is in use.
-  [[nodiscard]] vfs::PfsCluster* cluster_or_null() { return concrete_cluster_; }
+  /// The PFS backend (throws if a custom backend was supplied).
+  [[nodiscard]] vfs::PfsCluster& pfs();
   [[nodiscard]] trace::Collector& collector() { return collector_; }
   [[nodiscard]] iolib::IoContext ctx() {
     return {&engine_, &world_, fs_.get(), &collector_, injector_.get(),
@@ -126,8 +124,8 @@ class Harness {
   trace::Collector collector_;
   sim::Engine engine_;
   std::unique_ptr<vfs::FileSystem> fs_;
-  vfs::Pfs* concrete_pfs_ = nullptr;  // set when the default backend is used
-  vfs::PfsCluster* concrete_cluster_ = nullptr;  // set for ClusterConfig runs
+  vfs::PfsCluster* pfs_ = nullptr;  // nullptr for a custom backend
+  bool servers_ = false;  // built from a ClusterConfig (see Backend)
   mpi::World world_;
   std::vector<Rng> rank_rngs_;
   std::unique_ptr<fault::Injector> injector_;

@@ -55,23 +55,16 @@ struct FaultSetup {
   iolib::RetryPolicy retry;
 };
 
-/// Convenience: build a harness, run the configuration, return its trace.
-/// Pass `faults` to run under fault injection; `stats_out` (optional)
-/// receives the degraded-mode statistics after the run.
+/// Convenience: build a harness on `backend`, run the configuration,
+/// return its trace. Pass `faults` to run under fault injection;
+/// `stats_out` (optional) receives the degraded-mode statistics after the
+/// run. With no faults the bundle is byte-identical for every topology
+/// (the topology oracle, tests/test_cluster.cpp).
 [[nodiscard]] trace::TraceBundle run_app(const AppInfo& info, AppConfig cfg = {},
-                                         vfs::PfsConfig pfs_cfg = {},
+                                         Backend backend = {},
                                          std::vector<sim::ClockModel> clocks = {},
                                          const FaultSetup* faults = nullptr,
                                          fault::FaultStats* stats_out = nullptr);
-
-/// run_app against a multi-server PfsCluster backend. With no faults the
-/// returned bundle is byte-identical to run_app's for any topology (the
-/// cluster's differential oracle, tests/test_cluster.cpp).
-[[nodiscard]] trace::TraceBundle run_app_cluster(
-    const AppInfo& info, AppConfig cfg, vfs::ClusterConfig cluster_cfg,
-    std::vector<sim::ClockModel> clocks = {},
-    const FaultSetup* faults = nullptr,
-    fault::FaultStats* stats_out = nullptr);
 
 /// Streaming counterpart of run_app: records stream into `sink` in
 /// chunks of cfg.stream_chunk_records as the run progresses, and only
@@ -81,14 +74,7 @@ struct FaultSetup {
 /// (ChunkWriter::finish(meta) for the spill framing).
 [[nodiscard]] trace::StreamMeta run_app_stream(
     const AppInfo& info, trace::StreamSink& sink, AppConfig cfg = {},
-    vfs::PfsConfig pfs_cfg = {}, std::vector<sim::ClockModel> clocks = {},
-    const FaultSetup* faults = nullptr,
-    fault::FaultStats* stats_out = nullptr);
-
-/// run_app_stream against a multi-server PfsCluster backend.
-[[nodiscard]] trace::StreamMeta run_app_cluster_stream(
-    const AppInfo& info, trace::StreamSink& sink, AppConfig cfg,
-    vfs::ClusterConfig cluster_cfg, std::vector<sim::ClockModel> clocks = {},
+    Backend backend = {}, std::vector<sim::ClockModel> clocks = {},
     const FaultSetup* faults = nullptr,
     fault::FaultStats* stats_out = nullptr);
 

@@ -180,43 +180,21 @@ trace::TraceBundle run_on(Harness& h, const AppInfo& info,
 
 }  // namespace
 
-trace::TraceBundle run_app(const AppInfo& info, AppConfig cfg,
-                           vfs::PfsConfig pfs_cfg,
+trace::TraceBundle run_app(const AppInfo& info, AppConfig cfg, Backend backend,
                            std::vector<sim::ClockModel> clocks,
                            const FaultSetup* faults,
                            fault::FaultStats* stats_out) {
-  Harness h(cfg, pfs_cfg, std::move(clocks));
-  return run_on(h, info, faults, stats_out);
-}
-
-trace::TraceBundle run_app_cluster(const AppInfo& info, AppConfig cfg,
-                                   vfs::ClusterConfig cluster_cfg,
-                                   std::vector<sim::ClockModel> clocks,
-                                   const FaultSetup* faults,
-                                   fault::FaultStats* stats_out) {
-  Harness h(cfg, cluster_cfg, std::move(clocks));
+  Harness h(cfg, std::move(backend), std::move(clocks));
   return run_on(h, info, faults, stats_out);
 }
 
 trace::StreamMeta run_app_stream(const AppInfo& info, trace::StreamSink& sink,
-                                 AppConfig cfg, vfs::PfsConfig pfs_cfg,
+                                 AppConfig cfg, Backend backend,
                                  std::vector<sim::ClockModel> clocks,
                                  const FaultSetup* faults,
                                  fault::FaultStats* stats_out) {
   cfg.stream_sink = &sink;
-  Harness h(cfg, pfs_cfg, std::move(clocks));
-  arm_and_run(h, info, faults, stats_out);
-  return h.finish_stream();
-}
-
-trace::StreamMeta run_app_cluster_stream(const AppInfo& info,
-                                         trace::StreamSink& sink, AppConfig cfg,
-                                         vfs::ClusterConfig cluster_cfg,
-                                         std::vector<sim::ClockModel> clocks,
-                                         const FaultSetup* faults,
-                                         fault::FaultStats* stats_out) {
-  cfg.stream_sink = &sink;
-  Harness h(cfg, cluster_cfg, std::move(clocks));
+  Harness h(cfg, std::move(backend), std::move(clocks));
   arm_and_run(h, info, faults, stats_out);
   return h.finish_stream();
 }

@@ -8,7 +8,7 @@
 
 #include "pfsem/core/conflict.hpp"
 #include "pfsem/core/happens_before.hpp"
-#include "pfsem/vfs/pfs.hpp"
+#include "pfsem/vfs/pfs_types.hpp"
 
 namespace pfsem::core {
 

@@ -16,7 +16,7 @@
 
 #include "pfsem/core/conflict.hpp"
 #include "pfsem/core/overlap.hpp"
-#include "pfsem/vfs/pfs.hpp"
+#include "pfsem/vfs/pfs_types.hpp"
 
 namespace pfsem::core {
 

@@ -147,8 +147,8 @@ struct FaultPlan {
 
   /// Check every server event against a concrete cluster topology;
   /// throws pfsem::Error on a server id >= the configured server count.
-  /// A single-server backend passes (0, 0): any server event is an error
-  /// there (the plan needs a PfsCluster, i.e. --mds/--ost).
+  /// A single-server preset passes (0, 0): any server event is an error
+  /// there (the plan needs a named topology, i.e. --mds/--ost).
   void validate_topology(int mds_count, int ost_count) const;
 };
 

@@ -92,7 +92,7 @@ struct Run {
   // mpi (fed from the collector's matched-event stream)
   Counter mpi_p2p;          ///< matched point-to-point events (stable)
   Counter mpi_collectives;  ///< matched collectives (stable)
-  // vfs::Pfs (published by the harness after the run)
+  // vfs::PfsCluster (published by the harness after the run)
   Gauge vfs_lock_requests;     ///< MDS lock acquisitions (stable)
   Gauge vfs_lock_revocations;  ///< conflicting holders called back (stable)
   Gauge vfs_meta_ops;          ///< metadata-server round trips (stable)

@@ -102,8 +102,9 @@ struct Options {
   bool compact = false;  // trace: write the compact format
   std::string faults;    // fault plan spec ("" = fault-free)
   std::uint64_t fault_seed = 1;
-  // Multi-server topology (--mds/--ost/--stripe); any flag selects the
-  // PfsCluster backend (fault-free output is byte-identical to Pfs).
+  // Multi-server topology (--mds/--ost/--stripe); any flag names a
+  // topology instead of the single-server preset (fault-free output is
+  // byte-identical either way).
   bool cluster = false;
   int mds = 1;
   int ost = 1;
@@ -386,7 +387,10 @@ SimSetup make_setup(Options& opt) {
   return s;
 }
 
-vfs::ClusterConfig make_cluster_config(const Options& opt) {
+/// The simulated PFS: the single-server preset unless a topology flag
+/// named one.
+apps::Backend make_backend(const Options& opt) {
+  if (!opt.cluster) return vfs::PfsConfig{};
   vfs::ClusterConfig ccfg;
   ccfg.mds_count = opt.mds;
   ccfg.ost_count = opt.ost;
@@ -398,14 +402,8 @@ vfs::ClusterConfig make_cluster_config(const Options& opt) {
 trace::TraceBundle obtain(const std::string& what, Options& opt) {
   if (const auto* info = apps::find_app(what)) {
     SimSetup s = make_setup(opt);
-    const apps::FaultSetup* setup_ptr = s.has_faults ? &s.setup : nullptr;
-    if (opt.cluster) {
-      return apps::run_app_cluster(*info, s.cfg, make_cluster_config(opt),
-                                   std::move(s.clocks), setup_ptr,
-                                   &opt.fault_stats);
-    }
-    return apps::run_app(*info, s.cfg, {}, std::move(s.clocks), setup_ptr,
-                         &opt.fault_stats);
+    return apps::run_app(*info, s.cfg, make_backend(opt), std::move(s.clocks),
+                         s.has_faults ? &s.setup : nullptr, &opt.fault_stats);
   }
   require(opt.faults.empty(),
           "--faults needs a named config to simulate, not a saved trace");
@@ -427,9 +425,8 @@ trace::TraceBundle obtain(const std::string& what, Options& opt) {
 /// capture and analysis memory never coexist.
 apps::SpilledRun spill_config(const apps::AppInfo& info, Options& opt) {
   SimSetup s = make_setup(opt);
-  const vfs::ClusterConfig ccfg = make_cluster_config(opt);
-  return apps::spill_app(info, s.cfg, opt.spill_mem_mb << 20,
-                         opt.cluster ? &ccfg : nullptr, std::move(s.clocks),
+  return apps::spill_app(info, s.cfg, opt.spill_mem_mb << 20, make_backend(opt),
+                         std::move(s.clocks),
                          s.has_faults ? &s.setup : nullptr, &opt.fault_stats);
 }
 

@@ -9,6 +9,16 @@
 
 namespace pfsem::vfs {
 
+const char* to_string(ConsistencyModel m) {
+  switch (m) {
+    case ConsistencyModel::Strong: return "strong";
+    case ConsistencyModel::Commit: return "commit";
+    case ConsistencyModel::Session: return "session";
+    case ConsistencyModel::Eventual: return "eventual";
+  }
+  return "?";
+}
+
 using detail::WriteRecord;
 
 PfsCluster::PfsCluster(ClusterConfig cfg) : cfg_(cfg) {
@@ -27,6 +37,7 @@ PfsCluster::PfsCluster(ClusterConfig cfg) : cfg_(cfg) {
 PfsCluster::~PfsCluster() = default;
 
 int PfsCluster::shard_of(std::string_view path) const {
+  if (cfg_.mds_count == 1) return 0;  // one shard: skip the hash
   // FNV-1a, fixed here (not std::hash) so the shard layout — and with it
   // every per-server counter — is identical on every platform.
   std::uint64_t h = 1469598103934665603ull;
@@ -76,29 +87,37 @@ SimDuration PfsCluster::charge_locks(OpenFile& of, Rank r, Extent ext,
 
 SimDuration PfsCluster::charge_transfer(Extent ext, SimTime now) {
   if (ext.empty()) return 0;
-  const auto n = static_cast<std::size_t>(cfg_.ost_count);
-  // Distribute the extent over the round-robin stripe layout for per-OST
-  // accounting and fault routing. The transfer *time* is client-link
-  // bound (bytes_per_ns is the aggregate bandwidth), so topology never
-  // changes fault-free costs — the differential-oracle invariant.
-  std::vector<Offset> per_ost(n, 0);
-  Offset pos = ext.begin;
-  while (pos < ext.end) {
-    const Offset block = pos / cfg_.stripe;
-    const Offset block_end = (block + 1) * cfg_.stripe;
-    const Offset chunk = std::min(ext.end, block_end) - pos;
-    per_ost[static_cast<std::size_t>(block % n)] += chunk;
-    pos += chunk;
-  }
+  // Per-OST accounting and fault routing follow the round-robin stripe
+  // layout. The transfer *time* is client-link bound (bytes_per_ns is the
+  // aggregate bandwidth), so topology never changes fault-free costs —
+  // the topology invariant.
   double factor = 1.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (per_ost[i] == 0) continue;
-    ++osts_.requests[i];
-    osts_.bytes[i] += per_ost[i];
-    osts_.total_bytes += per_ost[i];
+  auto charge = [&](std::size_t ost, Offset bytes) {
+    ++osts_.requests[ost];
+    osts_.bytes[ost] += bytes;
     if (injector_ != nullptr) {
       factor = std::max(factor,
-                        injector_->transfer_factor(static_cast<int>(i), now));
+                        injector_->transfer_factor(static_cast<int>(ost), now));
+    }
+  };
+  osts_.total_bytes += ext.size();
+  const auto n = static_cast<Offset>(cfg_.ost_count);
+  if (n == 1) {
+    charge(0, ext.size());
+  } else {
+    // Blocks first..last hold the extent; the k-th of them starts the
+    // run of blocks k, k + n, k + 2n, ... on one OST, of which all but a
+    // partial first and last block are whole stripes.
+    const Offset stripe = cfg_.stripe;
+    const Offset first = ext.begin / stripe;
+    const Offset span = (ext.end - 1) / stripe - first;  // blocks - 1
+    const Offset head = ext.begin - first * stripe;
+    const Offset tail = (first + span + 1) * stripe - ext.end;
+    for (Offset k = 0; k <= std::min(span, n - 1); ++k) {
+      Offset bytes = ((span - k) / n + 1) * stripe;
+      if (k == 0) bytes -= head;
+      if (k == span % n) bytes -= tail;
+      charge(static_cast<std::size_t>((first + k) % n), bytes);
     }
   }
   if (factor > 1.0) injector_->note_slowed_transfer();
@@ -438,7 +457,7 @@ MetaResult PfsCluster::rename(const std::string& from, const std::string& to,
   }
   // A rename spans two shards (source and destination directory entries);
   // both must be reachable. One aggregate meta op either way, so the
-  // fault-free cost and counters match the single-server backend.
+  // fault-free cost and counters match the single-server preset.
   if (const int e = mds_route(shard_of(from), now)) {
     return {-1, cfg_.base.meta_latency, e};
   }

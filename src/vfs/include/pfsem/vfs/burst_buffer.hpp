@@ -15,9 +15,10 @@
 //                    otherwise a remote fetch over the interconnect
 //   laminate       : publish everything and freeze (see Pfs::laminate)
 //
-// Visibility bookkeeping is delegated to an inner vfs::Pfs configured
-// with the commit model, so the burst buffer inherits the verified
-// semantics implementation and only layers placement + cost on top.
+// Visibility bookkeeping is delegated to an inner single-server vfs::Pfs
+// (the PfsCluster preset) configured with the commit model, so the burst
+// buffer inherits the verified semantics implementation and only layers
+// placement + cost on top.
 
 #include <memory>
 

@@ -1,6 +1,16 @@
 #pragma once
-// OrangeFS/PVFS2-style multi-server parallel file system with server
-// fault domains (docs/topology.md).
+// The simulated parallel file system: an OrangeFS/PVFS2-style
+// multi-server PFS with pluggable consistency semantics (the four models
+// of pfs_types.hpp) and server fault domains (docs/topology.md). The
+// single-server PFS, vfs::Pfs (pfs.hpp), is its 1-MDS/1-OST preset.
+//
+// The file system is not coroutine-aware: operations take the current
+// simulated time and return a simulated cost which the caller
+// (pfsem::iolib) awaits. Per-file semantics live in the shared
+// detail::FileCore (file_core.hpp). Under the strong model a
+// distributed-lock cost model charges lock acquisition/revocation
+// traffic, the overhead the paper identifies as the price of POSIX
+// semantics (Section 3.1).
 //
 // Topology: N metadata servers shard the namespace by path hash (FNV-1a);
 // M data servers (OSTs) hold file data striped in power-of-two `stripe`
@@ -29,10 +39,10 @@
 //  - Network partitions (fault plan `partition:`) are model-level: the
 //    shared visibility core defers cross-partition keys to the heal time
 //    (file_core.hpp), so split-brain staleness is observable under every
-//    consistency model, on this backend and on single-server Pfs alike.
+//    consistency model and every topology, the single-server preset too.
 //
-// Differential oracle: with no faults, every operation has the same
-// result and the same simulated cost as single-server Pfs regardless of
+// Topology invariant: with no faults, every operation has the same result
+// and the same simulated cost as the (1, 1) preset regardless of
 // (N, M, stripe) — semantics come from the shared file core, metadata
 // ops cost one meta_latency wherever the shard lives, and transfers are
 // client-link-bound (PfsConfig::bytes_per_ns is the aggregate), so trace
@@ -57,8 +67,7 @@ struct Run;
 namespace pfsem::vfs {
 
 struct ClusterConfig {
-  /// Consistency model and cost knobs; stripe_count/stripe_size are
-  /// ignored (the cluster topology below replaces them).
+  /// Consistency model and cost knobs.
   PfsConfig base;
   int mds_count = 1;       ///< metadata servers (namespace shards)
   int ost_count = 1;       ///< data servers
@@ -82,6 +91,9 @@ struct OstState {
 class PfsCluster final : public FileSystem {
  public:
   explicit PfsCluster(ClusterConfig cfg = {});
+  /// The single-server preset (vfs::Pfs): one MDS, one OST.
+  explicit PfsCluster(PfsConfig base)
+      : PfsCluster(ClusterConfig{.base = base}) {}
   ~PfsCluster() override;
   PfsCluster(const PfsCluster&) = delete;
   PfsCluster& operator=(const PfsCluster&) = delete;
@@ -124,8 +136,10 @@ class PfsCluster final : public FileSystem {
   MetaResult fsync(Rank r, int fd, SimTime now) override;
   MetaResult ftruncate(Rank r, int fd, Offset length, SimTime now) override;
 
-  /// UnifyFS-style lamination; a commit point, so it rides a promoted
-  /// replica silently (never fails with EHOSTDOWN).
+  /// UnifyFS-style lamination (Section 3.2): make every write to `path`
+  /// globally visible and the file permanently read-only. Subsequent
+  /// writes fail with EROFS regardless of model. A commit point, so it
+  /// rides a promoted replica silently (never fails with EHOSTDOWN).
   MetaResult laminate(const std::string& path, SimTime now);
 
   // --- namespace / metadata operations ----------------------------------
@@ -136,6 +150,10 @@ class PfsCluster final : public FileSystem {
   MetaResult rename(const std::string& from, const std::string& to,
                     SimTime now) override;
 
+  /// Create `path` with `size` bytes of pre-existing ("genesis") content,
+  /// visible to every process under every consistency model — input files
+  /// staged before the traced job starts (datasets, configuration decks).
+  /// Emits no trace records and no conflicts.
   void preload(const std::string& path, Offset size) override;
 
   // --- fault injection (pfsem::fault) ------------------------------------
@@ -150,6 +168,8 @@ class PfsCluster final : public FileSystem {
   [[nodiscard]] bool exists(const std::string& path) const;
   [[nodiscard]] Offset file_size(const std::string& path) const;
   [[nodiscard]] std::vector<std::string> list_files() const;
+  /// What a POSIX-strong PFS would return for this range right now — the
+  /// oracle tests compare weaker-model reads against to detect staleness.
   [[nodiscard]] std::vector<ReadExtent> strong_view(const std::string& path,
                                                     Offset off,
                                                     std::uint64_t count) const;
@@ -169,6 +189,10 @@ class PfsCluster final : public FileSystem {
   /// points (can_fail = false) ride the new primary silently.
   int mds_route(int shard, SimTime now, bool can_fail = true);
   SimDuration charge_locks(OpenFile& of, Rank r, Extent ext, bool exclusive);
+  /// Charge `ext` to the OSTs its stripe blocks live on (ost_stats) and
+  /// return its transfer time: client-link-bound, stretched by the
+  /// largest active slowdown (fault injection) among the touched OSTs.
+  /// Allocation-free: O(min(blocks, ost_count)).
   SimDuration charge_transfer(Extent ext, SimTime now);
   /// Replace resolved bytes on down-OST stripe blocks with holes; true if
   /// the range touched a down OST.

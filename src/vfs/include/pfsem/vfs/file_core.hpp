@@ -1,12 +1,11 @@
 #pragma once
-// Shared semantic core of the simulated parallel file systems: the
-// per-file write history, the distributed-lock cost model, and the
-// visibility/durability rules of the four consistency models. Extracted
-// from Pfs so the single-server backend and the multi-server PfsCluster
-// (cluster.hpp) resolve reads, charge locks, and decide crash durability
-// with the *same* code — the differential oracle ("fault-free output is
-// byte-identical across topologies", tests/test_cluster.cpp) then holds by
-// construction instead of by parallel maintenance.
+// Semantic core of the simulated parallel file system: the per-file write
+// history, the distributed-lock cost model, and the visibility/durability
+// rules of the four consistency models. PfsCluster (cluster.hpp) resolves
+// reads, charges locks and decides crash durability here, and nothing in
+// it depends on topology — so the topology oracle ("fault-free output is
+// byte-identical across topologies", tests/test_cluster.cpp) holds by
+// construction.
 
 #include <cstdint>
 #include <map>

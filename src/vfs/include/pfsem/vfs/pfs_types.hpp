@@ -1,8 +1,25 @@
 #pragma once
 // Shared value types of the simulated file systems: consistency models,
-// configuration, per-operation results, and traffic counters. Split out of
-// pfs.hpp so the FileSystem interface and alternative backends (burst
-// buffer) can share them.
+// configuration, per-operation results, and traffic counters, shared by
+// the FileSystem interface, the PFS backend (cluster.hpp) and the burst
+// buffer.
+//
+// The four consistency models of Section 3 of the paper:
+//
+//   Strong   — POSIX sequential consistency: a write is visible to every
+//              process the moment it returns (Lustre/GPFS/BeeGFS class).
+//   Commit   — writes become globally visible when the writer executes a
+//              commit (fsync/close) (UnifyFS/BurstFS/SymphonyFS class).
+//   Session  — writes become visible to a reader only if the writer closed
+//              the file before the reader opened it (NFS/Gfarm-BB class).
+//   Eventual — writes propagate after a configurable delay with no
+//              synchronization at all (PLFS/echofs class).
+//
+// Data buffers are never stored: each write gets a unique VersionTag and
+// reads return the tags visible to the reading process, so tests can tell
+// exactly *which* write a read observed and detect stale data. A read that
+// would return different bytes than POSIX-strong semantics is observable
+// staleness — the ground truth the conflict detector predicts.
 
 #include <cstdint>
 #include <string>
@@ -28,20 +45,12 @@ struct PfsConfig {
   SimDuration meta_latency = 30'000;  // 30 us
   /// Per-data-op base latency (client->OSS round trip).
   SimDuration data_latency = 50'000;  // 50 us
-  /// Aggregate data bandwidth (per OST when striping).
+  /// Aggregate (client-link) data bandwidth, whatever the OST count.
   double bytes_per_ns = 5.0;  // 5 GB/s
   /// Extra latency charged per lock message under the strong model.
   SimDuration lock_latency = 10'000;  // 10 us
   /// Byte granularity of distributed locks (strong model only).
   Offset lock_block = 1u << 20;
-  /// Lustre-style striping: files are striped round-robin over
-  /// `stripe_count` object storage targets in `stripe_size` chunks; each
-  /// OST serves `bytes_per_ns` of bandwidth independently, so an access
-  /// costs the *maximum* per-OST transfer, and every OST touched by an
-  /// access is one more RPC. stripe_count == 1 reproduces the unstriped
-  /// model exactly.
-  int stripe_count = 1;
-  Offset stripe_size = 1u << 20;
   /// Fold settled writes into a flat per-file base extent map at commit
   /// points (close/fsync/laminate) and on history growth, bounding
   /// per-file state by live (unsettled or conflicting) writes instead of
@@ -57,8 +66,9 @@ struct CompactionStats {
 };
 
 /// Per-OST traffic counters (requests and bytes served), for the striping
-/// ablation benches. `total_bytes` is the running sum across OSTs, kept so
-/// per-op cost snapshots (CostSnapshot) are O(1) instead of O(stripes).
+/// bench and the per-server gauges. `total_bytes` is the running sum
+/// across OSTs, kept so per-op cost snapshots (CostSnapshot) are O(1)
+/// instead of O(OSTs).
 struct OstStats {
   std::vector<std::uint64_t> requests;
   std::vector<std::uint64_t> bytes;

@@ -128,10 +128,9 @@ TEST(CaptureDiff, ClusterMdsFailoverReplaysIdenticallyAcrossSchedulers) {
   ccfg.ost_count = 4;
   for (const auto& info : apps::registry()) {
     fault::FaultStats stats;
-    const auto bucketed = apps::run_app_cluster(info, bucketed_cfg(8), ccfg,
-                                                {}, &setup, &stats);
-    const auto heap =
-        apps::run_app_cluster(info, heap_cfg(8), ccfg, {}, &setup);
+    const auto bucketed =
+        apps::run_app(info, bucketed_cfg(8), ccfg, {}, &setup, &stats);
+    const auto heap = apps::run_app(info, heap_cfg(8), ccfg, {}, &setup);
     ASSERT_EQ(compact_bytes(bucketed), compact_bytes(heap)) << info.name;
     ASSERT_EQ(report_text(bucketed), report_text(heap)) << info.name;
     ASSERT_EQ(stats.server_crashes, 1u) << info.name;

@@ -1,5 +1,5 @@
-// Multi-server PfsCluster: the differential oracle (fault-free runs are
-// byte-identical to single-server Pfs for any topology), server fault
+// Multi-server PfsCluster: the topology oracle (fault-free runs are
+// byte-identical to the (1, 1) preset for any topology), server fault
 // domains (MDS crash + standby failover, OST crash hole-punching +
 // restart, no-replica loud failure), split-brain visibility under
 // network partitions, and topology validation.
@@ -71,29 +71,38 @@ vfs::VersionTag tag_at(const std::vector<vfs::ReadExtent>& extents,
   return 0;
 }
 
-// --- the differential oracle ----------------------------------------------
+// --- the topology oracle ----------------------------------------------------
 //
-// With no faults, topology is invisible: every registered application's
-// trace bundle AND analysis report must be byte-identical between
-// single-server Pfs and PfsCluster at every (mds, ost, stripe). Bundle
-// identity makes every downstream analysis (advise, tune, remedy)
-// identical by construction; the report text check catches any drift in
-// the report path itself.
+// With no faults, topology is invisible: under every consistency model,
+// every registered application's trace bundle AND analysis report must be
+// byte-identical between the (1, 1) topology and any other (mds, ost,
+// stripe). Bundle identity makes every downstream analysis (advise, tune,
+// remedy) identical by construction; the report text check catches any
+// drift in the report path itself.
 
 TEST(ClusterOracle, EveryAppByteIdenticalAcrossTopologies) {
-  const ClusterConfig topologies[] = {
-      topo(1, 1, 64u << 10), topo(2, 4, 64u << 10), topo(4, 8, 1u << 20)};
-  for (const auto& info : apps::registry()) {
-    const auto base = apps::run_app(info, small_cfg());
-    const std::string base_bytes = compact_bytes(base);
-    const std::string base_report = report_text(base);
-    for (const auto& c : topologies) {
-      const auto bundle = apps::run_app_cluster(info, small_cfg(), c);
-      ASSERT_EQ(compact_bytes(bundle), base_bytes)
-          << info.name << " mds=" << c.mds_count << " ost=" << c.ost_count
-          << " stripe=" << c.stripe;
-      ASSERT_EQ(report_text(bundle), base_report)
-          << info.name << " mds=" << c.mds_count << " ost=" << c.ost_count;
+  const vfs::ConsistencyModel models[] = {
+      vfs::ConsistencyModel::Strong, vfs::ConsistencyModel::Commit,
+      vfs::ConsistencyModel::Session, vfs::ConsistencyModel::Eventual};
+  for (const auto model : models) {
+    ClusterConfig reference = topo(1, 1, 64u << 10);
+    ClusterConfig topologies[] = {topo(2, 4, 64u << 10), topo(4, 8, 1u << 20)};
+    reference.base.model = model;
+    for (auto& c : topologies) c.base.model = model;
+    for (const auto& info : apps::registry()) {
+      const auto base = apps::run_app(info, small_cfg(), reference);
+      const std::string base_bytes = compact_bytes(base);
+      const std::string base_report = report_text(base);
+      for (const auto& c : topologies) {
+        const auto bundle = apps::run_app(info, small_cfg(), c);
+        ASSERT_EQ(compact_bytes(bundle), base_bytes)
+            << info.name << " model=" << vfs::to_string(model)
+            << " mds=" << c.mds_count << " ost=" << c.ost_count
+            << " stripe=" << c.stripe;
+        ASSERT_EQ(report_text(bundle), base_report)
+            << info.name << " model=" << vfs::to_string(model)
+            << " mds=" << c.mds_count << " ost=" << c.ost_count;
+      }
     }
   }
 }
@@ -107,7 +116,7 @@ TEST(ClusterFailover, MdsCrashPromotesStandbyAndRunCompletes) {
   fault::FaultStats stats;
   const auto* info = apps::find_app("FLASH-fbs");
   ASSERT_NE(info, nullptr);
-  const auto bundle = apps::run_app_cluster(*info, small_cfg(),
+  const auto bundle = apps::run_app(*info, small_cfg(),
                                             topo(2, 4, 64u << 10), {}, &setup,
                                             &stats);
   EXPECT_GT(bundle.records.size(), 0u) << "the run must complete degraded";
@@ -185,8 +194,9 @@ TEST(ClusterDegraded, OstCrashPunchesHolesAndRestartHeals) {
 
 // --- network partitions: deterministic split-brain --------------------------
 //
-// A cross-partition write is invisible until the partition heals — on
-// BOTH backends, because the deferral lives in the shared resolve core.
+// A cross-partition write is invisible until the partition heals — on the
+// single-server preset and on a 2-MDS/4-OST topology alike, because the
+// deferral lives in the shared resolve core.
 
 TEST(ClusterPartition, CrossPartitionWriteDeferredUntilHealOnBothBackends) {
   const auto plan = FaultPlan::parse("partition:ranks=0-0,from=0,to=10ms");
@@ -241,7 +251,7 @@ TEST(ClusterRouting, ShardsAreDeterministicAndAccountingIsConserved) {
 // --- lock release and descriptor checks ------------------------------------
 //
 // Counterparts of the single-server Locks.* and Mechanics.* tests in
-// test_vfs.cpp: both backends share the FileCore lock table and FdTable.
+// test_vfs.cpp, on a 2-MDS/4-OST topology.
 
 ClusterConfig strong_small_locks() {
   ClusterConfig c = topo(2, 4, 64u << 10);

@@ -467,7 +467,7 @@ TEST(Determinism, ClusterMdsFailoverReproducesBitIdenticallyAcrossThreads) {
   auto once = [&] {
     fault::FaultStats stats;
     const auto bundle =
-        apps::run_app_cluster(*info, small_cfg(), ccfg, {}, &setup, &stats);
+        apps::run_app(*info, small_cfg(), ccfg, {}, &setup, &stats);
     std::ostringstream os;
     trace::write_binary(bundle, os);
     return std::tuple{os.str(), stats, signature_of(bundle, 8)};
@@ -481,7 +481,7 @@ TEST(Determinism, ClusterMdsFailoverReproducesBitIdenticallyAcrossThreads) {
 
   fault::FaultStats stats;
   const auto bundle =
-      apps::run_app_cluster(*info, small_cfg(), ccfg, {}, &setup, &stats);
+      apps::run_app(*info, small_cfg(), ccfg, {}, &setup, &stats);
   const auto log = core::reconstruct_accesses(bundle);
   auto fingerprint = [&](int threads) {
     const auto pairs = core::detect_file_overlaps(log, {}, threads);

@@ -79,10 +79,10 @@ StreamResult stream_run(const apps::AppInfo& info, apps::AppConfig cfg,
                         std::size_t chunk, std::size_t ceiling,
                         std::vector<sim::ClockModel> clocks = {},
                         const apps::FaultSetup* faults = nullptr,
-                        const vfs::ClusterConfig* ccfg = nullptr) {
+                        apps::Backend backend = {}) {
   cfg.stream_chunk_records = chunk;
-  auto run =
-      apps::spill_app(info, cfg, ceiling, ccfg, std::move(clocks), faults);
+  auto run = apps::spill_app(info, cfg, ceiling, std::move(backend),
+                             std::move(clocks), faults);
   StreamResult out;
   out.records = run.meta.records;
   out.spilled = run.store->spilled();
@@ -194,7 +194,7 @@ TEST(StreamDiff, EveryAppStreamsTheMaterializedCommLogBytes) {
       scfg.stream_chunk_records = 64;
       const auto run = apps::spill_app(info, scfg,
                                        trace::SpillStore::kDefaultCeiling,
-                                       nullptr, clocks, &setup);
+                                       {}, clocks, &setup);
       EXPECT_EQ(run.meta.comm, bundle.comm) << info.name << " @" << nranks;
       collectives += run.meta.comm.collective_count;
     }
@@ -262,8 +262,8 @@ TEST(StreamDiff, ClusterMdsFailoverMatchesMaterialized) {
   ccfg.mds_count = 2;
   ccfg.ost_count = 4;
   const auto cfg = base_cfg(8);
-  const auto bundle = apps::run_app_cluster(info, cfg, ccfg, {}, &setup);
-  const auto stream = stream_run(info, cfg, 64, 16u << 10, {}, &setup, &ccfg);
+  const auto bundle = apps::run_app(info, cfg, ccfg, {}, &setup);
+  const auto stream = stream_run(info, cfg, 64, 16u << 10, {}, &setup, ccfg);
   ASSERT_EQ(stream.compact, compact_bytes(bundle));
   ASSERT_EQ(stream.report, report_text(bundle));
 }

@@ -84,10 +84,10 @@ WindowRun windowed_drain(apps::SpilledRun& run) {
 WindowRun windowed_run(const apps::AppInfo& info, apps::AppConfig cfg,
                        std::vector<sim::ClockModel> clocks = {},
                        const apps::FaultSetup* faults = nullptr,
-                       const vfs::ClusterConfig* ccfg = nullptr) {
+                       apps::Backend backend = {}) {
   cfg.stream_chunk_records = 64;
-  auto run =
-      apps::spill_app(info, cfg, 16u << 10, ccfg, std::move(clocks), faults);
+  auto run = apps::spill_app(info, cfg, 16u << 10, std::move(backend),
+                             std::move(clocks), faults);
   return windowed_drain(run);
 }
 
@@ -154,8 +154,8 @@ TEST(WindowDiff, ClusterMdsFailoverMatchesMaterialized) {
   ccfg.mds_count = 2;
   ccfg.ost_count = 4;
   const auto cfg = base_cfg(8);
-  const auto bundle = apps::run_app_cluster(info, cfg, ccfg, {}, &setup);
-  const auto win = windowed_run(info, cfg, {}, &setup, &ccfg);
+  const auto bundle = apps::run_app(info, cfg, ccfg, {}, &setup);
+  const auto win = windowed_run(info, cfg, {}, &setup, ccfg);
   ASSERT_EQ(win.report, report_text(bundle));
   expect_tuning_eq(win.tuning, materialized_tuning(bundle));
 }
