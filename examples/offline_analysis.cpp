@@ -3,7 +3,8 @@
 // split the paper's tooling uses.
 //
 //   $ ./offline_analysis             # capture to flash.pfsemtrc + analyze
-//   $ ./offline_analysis trace.bin   # analyze an existing trace file
+//   $ ./offline_analysis trace.trc   # analyze an existing trace file
+//                                    # (any format `pfsem trace` wrote)
 
 #include <fstream>
 #include <iostream>
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
     cfg.nranks = 64;
     const auto bundle = apps::run_app(*apps::find_app("FLASH-fbs"), cfg);
     std::ofstream os(path, std::ios::binary);
-    trace::write_binary(bundle, os);
+    trace::write_compact(bundle, os);
     if (!os) {
       std::cerr << "failed to write " << path << "\n";
       return 1;
@@ -40,7 +41,7 @@ int main(int argc, char** argv) {
     std::cerr << "cannot open " << path << "\n";
     return 1;
   }
-  const auto bundle = trace::read_binary(is);
+  const auto bundle = trace::open_trace(is);
   std::cout << "loaded " << bundle.records.size() << " records from "
             << bundle.nranks << " ranks\n\n";
 

@@ -56,43 +56,6 @@ core::WindowAnalysisOptions window_opts_for(obs::Run* run) {
   return wopts;
 }
 
-void validate_tail(trace::ChunkReader& reader) { reader.read_trailer(); }
-void validate_tail(trace::CompactReader& reader) { reader.read_comm(); }
-
-/// The step both drains share: feed every record `reader` yields into a
-/// window-enabled analyzer, validate the stream's tail, finalize, and
-/// publish the live-window gauges. Those are volatile by registration:
-/// the materialized oracle never sets them, so the stable dump must not
-/// carry them.
-template <typename Reader>
-core::StreamAnalyzer::WindowedResult analyze(
-    Reader& reader, trace::PathTable paths,
-    std::vector<std::uint64_t> rank_posix_counts,
-    const std::vector<std::uint32_t>& hints,
-    std::vector<std::uint64_t> file_posix_counts, obs::Run* run) {
-  core::StreamAnalyzer analyzer(reader.nranks(), std::move(paths),
-                                std::move(rank_posix_counts), hints);
-  analyzer.enable_window(window_opts_for(run), std::move(file_posix_counts));
-  trace::Record rec;
-  while (reader.next(rec)) analyzer.feed(rec);
-  validate_tail(reader);
-  auto res = analyzer.finish_windowed();
-  if (run != nullptr) {
-    run->metrics.set(run->window_live_files,
-                     static_cast<std::int64_t>(res.peak_live_files));
-    run->metrics.set(run->window_retired_accesses,
-                     static_cast<std::int64_t>(res.retired_accesses));
-  }
-  return res;
-}
-
-/// Free the log's bytes for real: move-assigning an empty string keeps
-/// the old capacity, swapping hands it to a temporary that dies here.
-void release(trace::EncodedCommLog& comm) {
-  trace::EncodedCommLog gone;
-  std::swap(comm, gone);
-}
-
 }  // namespace
 
 SpilledRun spill_app(const AppInfo& info, AppConfig cfg,
@@ -115,52 +78,35 @@ SpilledRun spill_app(const AppInfo& info, AppConfig cfg,
 }
 
 core::StreamAnalyzer::WindowedResult drain_spill(SpilledRun& run) {
-  release(run.meta.comm);
+  // The spill's trailer carries everything the drain needs; free the
+  // capture's copy (paths, budgets, the encoded comm log) for real
+  // before the first record replays.
+  { trace::StreamMeta gone = std::exchange(run.meta, {}); }
   const auto in = run.store->open_read();
-  trace::ChunkReader reader(*in);
-  return analyze(reader, std::move(run.meta.paths),
-                 std::move(run.meta.rank_posix_counts),
-                 run.meta.file_op_counts,
-                 std::move(run.meta.file_posix_counts), run.obs);
+  return drain(*in, run.obs);
 }
 
-core::StreamAnalyzer::WindowedResult drain_compact(std::istream& is,
-                                                   obs::Run* obs) {
-  const std::streampos start = is.tellg();
-  std::vector<std::uint64_t> rank_counts;
-  std::vector<std::uint64_t> file_counts;
-  {
-    trace::CompactReader pass1(is);
-    rank_counts.assign(static_cast<std::size_t>(pass1.nranks()), 0);
-    trace::Record rec;
-    while (pass1.next(rec)) {
-      if (rec.layer != trace::Layer::Posix) continue;
-      ++rank_counts[static_cast<std::size_t>(rec.rank)];
-      if (rec.file != kNoFile) {
-        if (rec.file >= file_counts.size()) file_counts.resize(rec.file + 1);
-        ++file_counts[rec.file];
-      }
-    }
+core::StreamAnalyzer::WindowedResult drain(std::istream& is, obs::Run* run) {
+  trace::TraceIndex index = trace::read_index(is);
+  trace::ChunkReader reader(is);
+  reader.follow(index);
+  core::StreamAnalyzer analyzer(reader.nranks(), std::move(index.paths),
+                                std::move(index.rank_posix_counts));
+  analyzer.enable_window(window_opts_for(run),
+                         std::move(index.file_posix_counts));
+  trace::Record rec;
+  while (reader.next(rec)) analyzer.feed(rec);
+  auto res = analyzer.finish_windowed();
+  // The live-window gauges are volatile by registration: the
+  // materialized oracle never sets them, so the stable dump must not
+  // carry them.
+  if (run != nullptr) {
+    run->metrics.set(run->window_live_files,
+                     static_cast<std::int64_t>(res.peak_live_files));
+    run->metrics.set(run->window_retired_accesses,
+                     static_cast<std::int64_t>(res.retired_accesses));
   }
-  is.clear();
-  is.seekg(start);
-  trace::CompactReader reader(is);
-  return analyze(reader, reader.paths(), std::move(rank_counts), {},
-                 std::move(file_counts), obs);
-}
-
-void write_compact(const SpilledRun& run, std::ostream& os) {
-  const trace::StreamMeta& meta = run.meta;
-  trace::write_compact_streamed(
-      meta.nranks, meta.paths, meta.comm, meta.records,
-      [&](const trace::RecordEmit& emit) {
-        const auto in = run.store->open_read();
-        trace::ChunkReader reader(*in);
-        trace::Record rec;
-        while (reader.next(rec)) emit(rec);
-        reader.read_trailer();
-      },
-      os);
+  return res;
 }
 
 }  // namespace pfsem::apps

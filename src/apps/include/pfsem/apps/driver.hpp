@@ -8,15 +8,16 @@
 //
 // Splitting at the spill keeps capture memory (simulator, file system)
 // and analysis memory from ever coexisting, and lets a caller time or
-// transcode the spill between the halves. Observability follows
-// AppConfig::obs: the spill-store occupancy counter, retire-time ledger
-// condensation and the live-window gauges are wired whenever the capture
-// had a run context, so no caller installs a hook of its own.
+// save the spill between the halves: its bytes are a saved trace, and
+// drain() analyses a saved trace the way drain_spill() analyses a spill.
+// Observability follows AppConfig::obs: the spill-store occupancy
+// counter, retire-time ledger condensation and the live-window gauges
+// are wired whenever the capture had a run context, so no caller
+// installs a hook of its own.
 
 #include <cstddef>
 #include <istream>
 #include <memory>
-#include <ostream>
 #include <vector>
 
 #include "pfsem/apps/registry.hpp"
@@ -45,24 +46,20 @@ struct SpilledRun {
                                    const FaultSetup* faults = nullptr,
                                    fault::FaultStats* stats_out = nullptr);
 
-/// Drain half: replay the store through a window-enabled StreamAnalyzer
-/// with the run's exact budgets, validate the trailer, and hand over the
-/// rolling summaries. Consumes `run.meta`; its encoded comm log (already
-/// copied into the trailer) is released before the first record replays.
+/// Drain half: replay the store through drain(). Reads nothing from
+/// `run.meta` and releases it (its encoded comm log included) before the
+/// first record replays.
 [[nodiscard]] core::StreamAnalyzer::WindowedResult drain_spill(
     SpilledRun& run);
 
-/// Windowed analysis of a compact-v2 trace (`is` seekable, positioned at
-/// its magic): a first pass counts the exact per-rank and per-file Posix
-/// budgets, then the stream rewinds and the second pass feeds the
-/// analyzer and validates the comm log.
-/// `obs` (nullable) gets the same wiring as a spilled run's.
-[[nodiscard]] core::StreamAnalyzer::WindowedResult drain_compact(
-    std::istream& is, obs::Run* obs);
-
-/// Transcode a spilled run into compact v2, byte-identical to
-/// write_compact of the materialized bundle. Reads `run.meta`, so call it
-/// before drain_spill.
-void write_compact(const SpilledRun& run, std::ostream& os);
+/// Windowed analysis of a chunk stream in one pass (a spill or a saved
+/// trace; `is` seekable, positioned at its magic): read_index() seeks to
+/// the tail and reads the path table and the exact per-rank and per-file
+/// budgets, then every record replays through a window-enabled
+/// StreamAnalyzer. A v1 or v2 trace is rejected (the error names the
+/// command that rewrites it). `obs` (nullable) gets the wiring
+/// spill_app describes.
+[[nodiscard]] core::StreamAnalyzer::WindowedResult drain(std::istream& is,
+                                                         obs::Run* obs);
 
 }  // namespace pfsem::apps

@@ -3,6 +3,8 @@
 //   pfsem list                         list bundled application models
 //   pfsem run <config> [options]       simulate + full analysis report
 //   pfsem trace <config> <out.trc>     simulate and save the trace
+//   pfsem trace <old.trc> <new.trc>    rewrite a v1/v2 trace in the
+//                                      current format
 //   pfsem analyze <trace.trc>          analyze a saved trace
 //   pfsem report <config|trace.trc>    full Recorder-style run report
 //   pfsem advise <config|trace.trc>    weakest-safe-model verdict only
@@ -38,7 +40,9 @@
 //                    retires a file, and its accesses are freed, so
 //                    memory is bounded by the *live* file window rather
 //                    than the whole log.
-//   --chunk-records N  streaming chunk size in records (default 4096)
+//   --chunk-records N  records the capture hands the spill per batch
+//                    (default 4096); the trace's chunks are a fixed size,
+//                    so the bytes written do not depend on it
 //   --spill-mem MB   in-memory spill ceiling before chunks go to a temp
 //                    file (default 64; at most SIZE_MAX >> 20)
 //   --obs            observability: print the run's metrics summary
@@ -99,7 +103,6 @@ struct Options {
   SimDuration skew = 0;
   std::uint64_t seed = 42;
   bool strict = false;   // remedy: include same-process conflicts
-  bool compact = false;  // trace: write the compact format
   std::string faults;    // fault plan spec ("" = fault-free)
   std::uint64_t fault_seed = 1;
   // Multi-server topology (--mds/--ost/--stripe); any flag names a
@@ -143,7 +146,7 @@ int usage() {
                "  pfsem list\n"
                "  pfsem run <config> [--ranks N] [--skew NS] [--seed S]\n"
                "            [--faults SPEC] [--fault-seed S] [--retries N]\n"
-               "  pfsem trace <config> <out.trc> [--compact] [options]\n"
+               "  pfsem trace <config|old.trc> <out.trc> [options]\n"
                "  pfsem analyze <trace.trc>\n"
                "  pfsem report <config|trace.trc> [options]\n"
                "  pfsem advise <config|trace.trc> [options]\n"
@@ -215,7 +218,6 @@ Options parse_options(int argc, char** argv, int first) {
     else if (a == "--skew") opt.skew = std::stoll(next());
     else if (a == "--seed") opt.seed = std::stoull(next());
     else if (a == "--strict") opt.strict = true;
-    else if (a == "--compact") opt.compact = true;
     else if (a == "--faults") opt.faults = next();
     else if (a == "--fault-seed") opt.fault_seed = std::stoull(next());
     else if (a == "--mds") {
@@ -398,13 +400,9 @@ apps::Backend make_backend(const Options& opt) {
   return ccfg;
 }
 
-/// Obtain a trace either by simulating a named config or loading a file.
-trace::TraceBundle obtain(const std::string& what, Options& opt) {
-  if (const auto* info = apps::find_app(what)) {
-    SimSetup s = make_setup(opt);
-    return apps::run_app(*info, s.cfg, make_backend(opt), std::move(s.clocks),
-                         s.has_faults ? &s.setup : nullptr, &opt.fault_stats);
-  }
+/// A saved trace to read: simulation flags are rejected, and so is a
+/// path that does not open.
+std::ifstream open_saved(const std::string& what, const Options& opt) {
   require(opt.faults.empty(),
           "--faults needs a named config to simulate, not a saved trace");
   require(!opt.cluster,
@@ -412,12 +410,18 @@ trace::TraceBundle obtain(const std::string& what, Options& opt) {
           "saved trace");
   std::ifstream is(what, std::ios::binary);
   if (!is) throw Error("'" + what + "' is neither a known config nor a readable trace file");
-  // Auto-detect the format by magic.
-  char magic[8] = {};
-  is.read(magic, sizeof magic);
-  is.seekg(0);
-  if (std::string_view(magic, 8) == "PFSEMTR2") return trace::read_compact(is);
-  return trace::read_binary(is);
+  return is;
+}
+
+/// Obtain a trace either by simulating a named config or loading a file.
+trace::TraceBundle obtain(const std::string& what, Options& opt) {
+  if (const auto* info = apps::find_app(what)) {
+    SimSetup s = make_setup(opt);
+    return apps::run_app(*info, s.cfg, make_backend(opt), std::move(s.clocks),
+                         s.has_faults ? &s.setup : nullptr, &opt.fault_stats);
+  }
+  auto is = open_saved(what, opt);
+  return trace::open_trace(is);
 }
 
 /// Spill a named config's records through the streaming driver. The
@@ -431,31 +435,15 @@ apps::SpilledRun spill_config(const apps::AppInfo& info, Options& opt) {
 }
 
 /// `report|tune <subject> --stream`: windowed streaming analysis of a
-/// named config (spilled, then drained) or of a compact-v2 trace file.
+/// named config (spilled, then drained) or of a saved trace.
 core::StreamAnalyzer::WindowedResult stream_windowed(const std::string& what,
                                                      Options& opt) {
   if (const auto* info = apps::find_app(what)) {
     auto run = spill_config(*info, opt);
     return apps::drain_spill(run);
   }
-  std::ifstream is(what, std::ios::binary);
-  if (!is) {
-    throw Error("'" + what +
-                "' is neither a known config nor a readable trace file");
-  }
-  char magic[8] = {};
-  is.read(magic, sizeof magic);
-  is.clear();
-  is.seekg(0);
-  require(std::string_view(magic, 8) == "PFSEMTR2",
-          "--stream on a trace file needs the compact format "
-          "(pfsem trace <config> <out.trc> --compact)");
-  require(opt.faults.empty(),
-          "--faults needs a named config to simulate, not a saved trace");
-  require(!opt.cluster,
-          "--mds/--ost/--stripe need a named config to simulate, not a "
-          "saved trace");
-  return apps::drain_compact(is, opt.obs_run.get());
+  auto is = open_saved(what, opt);
+  return apps::drain(is, opt.obs_run.get());
 }
 
 void print_report(const trace::TraceBundle& bundle, int threads) {
@@ -581,28 +569,25 @@ int main(int argc, char** argv) {
     }
     if (cmd == "trace" && argc >= 4) {
       auto opt = parse_options(argc, argv, 4);
+      // The file is created only once there is a trace to write.
+      const auto save = [&](const auto& write) {
+        std::ofstream os(argv[3], std::ios::binary);
+        if (os) write(os);
+        if (!os) throw Error(std::string("cannot write ") + argv[3]);
+      };
       std::uint64_t records = 0;
       if (opt.stream) {
-        require(opt.compact,
-                "trace --stream writes the compact format; add --compact");
         const auto* info = apps::find_app(argv[2]);
         require(info != nullptr,
                 "trace --stream simulates a named config (got '" +
                     std::string(argv[2]) + "')");
+        // The spill is the trace: copy its bytes out.
         const auto run = spill_config(*info, opt);
-        std::ofstream os(argv[3], std::ios::binary);
-        apps::write_compact(run, os);
+        save([&](std::ostream& os) { os << run.store->open_read()->rdbuf(); });
         records = run.meta.records;
-        if (!os) throw Error(std::string("cannot write ") + argv[3]);
       } else {
         const auto bundle = obtain(argv[2], opt);
-        std::ofstream os(argv[3], std::ios::binary);
-        if (opt.compact) {
-          trace::write_compact(bundle, os);
-        } else {
-          trace::write_binary(bundle, os);
-        }
-        if (!os) throw Error(std::string("cannot write ") + argv[3]);
+        save([&](std::ostream& os) { trace::write_compact(bundle, os); });
         records = bundle.records.size();
       }
       std::cout << "wrote " << records << " records to " << argv[3] << "\n";

@@ -38,8 +38,8 @@ struct StreamMeta {
   int nranks = 0;
   PathTable paths;
   /// The comm log in its trailer encoding, the same bytes a materialized
-  /// capture's TraceBundle::comm holds. ChunkWriter::finish and the
-  /// compact v2 transcode copy it on as is.
+  /// capture's TraceBundle::comm holds. ChunkWriter::finish copies it on
+  /// as is.
   EncodedCommLog comm;
   /// Per-FileId op-count hints (same contract as
   /// TraceBundle::file_op_counts — advisory, never serialized).
@@ -47,14 +47,15 @@ struct StreamMeta {
   /// Per-rank count of Posix-layer records in the stream. The streaming
   /// reconstructor's reorder buffer uses these to retire ranks that have
   /// no Posix records left, so ranks that never touch the fs (or finish
-  /// early) do not pin the release frontier. Advisory, never serialized.
+  /// early) do not pin the release frontier. The chunk trailer carries
+  /// the same counts (ChunkWriter tallies them as it frames records).
   std::vector<std::uint64_t> rank_posix_counts;
   /// Per-FileId count of Posix-layer records carrying that file id —
   /// exact, because windowed retirement depends on it (file_op_counts
   /// only sizes columns).
   /// Windowed analysis decrements these as records replay; a file whose
   /// count hits zero can never be touched again, so its per-file state
-  /// retires from the window. Advisory, never serialized.
+  /// retires from the window. The chunk trailer carries the same counts.
   std::vector<std::uint64_t> file_posix_counts;
   std::uint64_t records = 0;
 };

@@ -1,6 +1,6 @@
 #pragma once
-// LEB128 varint and zig-zag primitives shared by the compact (v2) codec
-// (compact.cpp) and the chunked spill codec (spill.cpp). There is one
+// LEB128 varint and zig-zag primitives shared by the chunk-stream codec
+// (spill.cpp) and the legacy PFSEMTR2 loader (compact.cpp). There is one
 // encoder and one decoder: writers append to a std::string and hand the
 // stream whole blocks; readers decode through a ByteReader, which pulls
 // the stream's bytes in fixed blocks and walks them with plain pointer
@@ -87,8 +87,15 @@ class ByteReader {
   /// Decode `bytes` in place; they must outlive the reader.
   explicit ByteReader(std::string_view bytes)
       : sb_(nullptr),
+        begin_(bytes.data()),
         cur_(bytes.data()),
         end_(bytes.data() + bytes.size()) {}
+
+  /// Bytes decoded so far: the input offset of the next byte, counted
+  /// from where the reader started.
+  [[nodiscard]] std::uint64_t consumed() const {
+    return pulled_ + static_cast<std::uint64_t>(cur_ - begin_);
+  }
 
   /// Next byte as unsigned char, or EOF.
   int get() {
@@ -131,15 +138,9 @@ class ByteReader {
   /// Zig-zag varint that must fit int32 (see to_int32).
   std::int32_t zigzag_int32() { return to_int32(unzigzag(varint())); }
 
-  /// varint length, then that many bytes. The string grows only by bytes
-  /// actually read, never by the length the input claims.
-  std::string string() {
-    std::string s;
-    append_string(s);
-    return s;
-  }
-
-  /// string(), appended to `out`.
+  /// varint length, then that many bytes, appended to `out`. The string
+  /// grows only by bytes actually read, never by the length the input
+  /// claims.
   void append_string(std::string& out) {
     const auto n = varint();
     require(n <= (1u << 20), "implausible string length in compact trace");
@@ -173,7 +174,8 @@ class ByteReader {
   /// bytes means end of stream (always, for a reader over memory).
   bool refill() {
     if (sb_ == nullptr) return false;
-    cur_ = buf_.get();
+    pulled_ += static_cast<std::uint64_t>(end_ - begin_);
+    begin_ = cur_ = buf_.get();
     end_ = cur_ + sb_->sgetn(buf_.get(),
                              static_cast<std::streamsize>(kBlockBytes));
     return cur_ != end_;
@@ -181,6 +183,9 @@ class ByteReader {
 
   std::streambuf* sb_;
   std::unique_ptr<char[]> buf_;
+  /// Bytes of the input before begin_, the start of the current block.
+  std::uint64_t pulled_ = 0;
+  const char* begin_ = nullptr;
   const char* cur_ = nullptr;
   const char* end_ = nullptr;
 };

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <istream>
-#include <ostream>
+#include <string_view>
 
+#include "pfsem/trace/spill.hpp"
 #include "pfsem/trace/varint.hpp"
 #include "pfsem/util/error.hpp"
 
@@ -15,12 +16,6 @@ constexpr char kMagic[8] = {'P', 'F', 'S', 'E', 'M', 'T', 'R', 'C'};
 constexpr std::uint32_t kVersion = 1;
 
 template <typename T>
-void put(std::ostream& os, T v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  os.write(reinterpret_cast<const char*>(&v), sizeof v);
-}
-
-template <typename T>
 T get(std::istream& is) {
   T v{};
   is.read(reinterpret_cast<char*>(&v), sizeof v);
@@ -29,11 +24,6 @@ T get(std::istream& is) {
 }
 
 // v1 paths: a fixed-width u32 length, then the bytes.
-void put_path32(std::ostream& os, std::string_view s) {
-  put<std::uint32_t>(os, static_cast<std::uint32_t>(s.size()));
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
 std::string get_path32(std::istream& is) {
   const auto n = get<std::uint32_t>(is);
   require(n <= (1u << 20), "implausible string length in trace stream");
@@ -50,24 +40,8 @@ std::string get_path32(std::istream& is) {
   return s;
 }
 
-// The v1 on-disk format predates path interning and stores the path string
-// inline per record; the writer resolves ids against the bundle's table and
-// the reader interns on the way in, so old fixtures load unchanged.
-void put_record(std::ostream& os, const TraceBundle& bundle, const Record& r) {
-  put(os, r.tstart);
-  put(os, r.tend);
-  put(os, r.rank);
-  put(os, static_cast<std::uint8_t>(r.layer));
-  put(os, static_cast<std::uint8_t>(r.origin));
-  put(os, static_cast<std::uint16_t>(r.func));
-  put(os, r.fd);
-  put(os, r.ret);
-  put(os, r.offset);
-  put(os, r.count);
-  put(os, r.flags);
-  put_path32(os, bundle.path_of(r));
-}
-
+// The v1 on-disk format predates path interning and stores the path
+// string inline per record; the loader interns on the way in.
 Layer get_layer(std::istream& is) {
   const auto layer = get<std::uint8_t>(is);
   require(layer < kLayerCount, "bad layer id in trace stream");
@@ -96,40 +70,6 @@ Record get_record(std::istream& is, TraceBundle& bundle) {
 }
 
 }  // namespace
-
-void write_binary(const TraceBundle& bundle, std::ostream& os) {
-  os.write(kMagic, sizeof kMagic);
-  put(os, kVersion);
-  put<std::int32_t>(os, bundle.nranks);
-  put<std::uint64_t>(os, bundle.records.size());
-  for (const auto& r : bundle.records) put_record(os, bundle, r);
-  // The bundle keeps its comm log encoded; v1 stores fixed-width events,
-  // so they are decoded one at a time on the way out.
-  put<std::uint64_t>(os, bundle.comm.p2p_count);
-  detail::visit_p2p(bundle.comm, bundle.nranks, [&os](const P2PEvent& e) {
-    put(os, e.src);
-    put(os, e.dst);
-    put(os, e.tag);
-    put(os, e.bytes);
-    put(os, e.t_send_start);
-    put(os, e.t_send_end);
-    put(os, e.t_recv_start);
-    put(os, e.t_recv_end);
-  });
-  put<std::uint64_t>(os, bundle.comm.collective_count);
-  detail::visit_collectives(
-      bundle.comm, bundle.nranks, [&os](const CollectiveEvent& c) {
-        put(os, static_cast<std::uint8_t>(c.kind));
-        put(os, c.root);
-        put<std::uint32_t>(os, static_cast<std::uint32_t>(c.arrivals.size()));
-        for (const auto& a : c.arrivals) {
-          put(os, a.rank);
-          put(os, a.t_enter);
-          put(os, a.t_exit);
-        }
-      });
-  require(static_cast<bool>(os), "trace stream write failure");
-}
 
 TraceBundle read_binary(std::istream& is) {
   char magic[8];
@@ -186,20 +126,16 @@ TraceBundle read_binary(std::istream& is) {
   return b;
 }
 
-void write_text(const TraceBundle& bundle, std::ostream& os) {
-  os << "# nranks=" << bundle.nranks << " records=" << bundle.records.size()
-     << " p2p=" << bundle.comm.p2p_count
-     << " collectives=" << bundle.comm.collective_count << "\n";
-  for (const auto& r : bundle.records) {
-    os << r.tstart << ' ' << r.tend << " r" << r.rank << ' ' << to_string(r.layer)
-       << '/' << to_string(r.origin) << ' ' << to_string(r.func);
-    if (const auto path = bundle.path_of(r); !path.empty()) {
-      os << " path=" << path;
-    }
-    if (r.fd >= 0) os << " fd=" << r.fd;
-    os << " off=" << r.offset << " cnt=" << r.count << " flags=" << r.flags
-       << " ret=" << r.ret << '\n';
-  }
+TraceBundle open_trace(std::istream& is) {
+  const std::streampos at = is.tellg();
+  char magic[8] = {};
+  is.read(magic, sizeof magic);
+  is.clear();
+  is.seekg(at);
+  const std::string_view m(magic, sizeof magic);
+  if (m == std::string_view(kMagic, sizeof kMagic)) return read_binary(is);
+  if (m == "PFSEMTR2") return read_compact(is);
+  return read_chunks(is);
 }
 
 }  // namespace pfsem::trace

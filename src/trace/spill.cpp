@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstring>
 #include <filesystem>
+#include <ostream>
 #include <streambuf>
 #include <string>
 #include <string_view>
@@ -20,9 +21,10 @@ namespace pfsem::trace {
 
 namespace {
 
-constexpr char kChunkMagic[8] = {'P', 'F', 'S', 'E', 'M', 'C', 'K', '1'};
+constexpr char kChunkMagic[8] = {'P', 'F', 'S', 'E', 'M', 'C', 'K', '2'};
 constexpr char kChunkMarker = 'C';
 constexpr char kTrailerMarker = 'T';
+constexpr std::size_t kTailBytes = sizeof(std::uint64_t);
 
 using detail::put_varint;
 using detail::unzigzag;
@@ -170,136 +172,66 @@ std::unique_ptr<std::istream> SpillStore::open_read() {
   return in;
 }
 
-ChunkWriter::ChunkWriter(SpillStore& store, int nranks) : store_(store) {
-  require(nranks > 0, "ChunkWriter needs a positive rank count");
-  last_t_.assign(static_cast<std::size_t>(nranks), 0);
-  buf_.assign(kChunkMagic, sizeof kChunkMagic);
-  put_varint(buf_, static_cast<std::uint64_t>(nranks));
-  store_.append(buf_);
-}
+namespace {
 
-void ChunkWriter::on_records(std::uint64_t base_seq,
-                             std::span<const Record> records) {
-  require(!finished_, "ChunkWriter fed after finish");
-  require(base_seq == expected_seq_, "ChunkWriter fed out of order");
-  if (records.empty()) return;
-  buf_.clear();
-  buf_.push_back(kChunkMarker);
-  put_varint(buf_, base_seq);
-  put_varint(buf_, records.size());
-  for (const auto& r : records) {
-    auto& prev = last_t_[static_cast<std::size_t>(r.rank)];
-    put_varint(buf_, static_cast<std::uint64_t>(r.rank));
-    // Wrapping deltas: legal times never wrap, and hostile ones decode
-    // without overflow. The delta chain spans chunks.
-    put_varint(buf_, zigzag(wrap_sub(r.tstart, prev)));
-    put_varint(buf_, zigzag(wrap_sub(r.tend, r.tstart)));
-    prev = r.tstart;
-    put_varint(buf_, static_cast<std::uint64_t>(r.layer) |
-                         (static_cast<std::uint64_t>(r.origin) << 3) |
-                         (static_cast<std::uint64_t>(r.func) << 6));
-    put_varint(buf_, zigzag(r.fd));
-    put_varint(buf_, zigzag(r.ret));
-    put_varint(buf_, r.offset);
-    put_varint(buf_, r.count);
-    put_varint(buf_, zigzag(r.flags));
-    put_varint(buf_, r.file == kNoFile
-                         ? 0
-                         : static_cast<std::uint64_t>(r.file) + 1);
-  }
-  store_.append(buf_);
-  expected_seq_ += records.size();
-}
-
-void ChunkWriter::finish(const StreamMeta& meta) {
-  require(!finished_, "ChunkWriter finished twice");
-  require(meta.records == expected_seq_,
-          "stream meta record count does not match the chunks written");
-  finished_ = true;
-  buf_.clear();
-  buf_.push_back(kTrailerMarker);
-  put_varint(buf_, meta.records);
-  put_varint(buf_, meta.paths.size());
-  for (std::size_t i = 0; i < meta.paths.size(); ++i) {
-    detail::put_string(buf_, meta.paths.view(static_cast<FileId>(i)));
-  }
-  store_.append(buf_);
-  detail::put_comm(meta.comm,
-                   [this](std::string_view bytes) { store_.append(bytes); });
-  std::string().swap(buf_);  // no more chunks: give the buffer back
-}
-
-ChunkReader::ChunkReader(std::istream& is) : in_(is) {
+/// Read the magic and the rank count.
+int read_header(detail::ByteReader& in) {
   char magic[8];
-  require(in_.read(magic, sizeof magic) &&
+  require(in.read(magic, sizeof magic) &&
               std::equal(std::begin(magic), std::end(magic), kChunkMagic),
-          "not a pfsem chunk stream");
-  nranks_ = static_cast<int>(in_.varint());
-  require(nranks_ > 0 && nranks_ < (1 << 24), "bad rank count");
-  last_t_.assign(static_cast<std::size_t>(nranks_), 0);
+          "not a pfsem chunk stream (an older pfsem trace converts with "
+          "`pfsem trace old.trc new.trc`)");
+  const auto nranks = in.varint();
+  require(nranks > 0 && nranks < (1 << 24), "bad rank count");
+  return static_cast<int>(nranks);
 }
 
-bool ChunkReader::next(Record& out) {
-  while (chunk_left_ == 0) {
-    if (at_trailer_) return false;
-    const int marker = in_.get();
-    require(marker != std::char_traits<char>::eof(),
-            "truncated chunk stream");
-    if (marker == kTrailerMarker) {
-      at_trailer_ = true;
-      return false;
-    }
-    require(marker == kChunkMarker, "bad chunk marker in stream");
-    const auto base_seq = in_.varint();
-    require(base_seq == seen_, "out-of-order chunk in stream");
-    chunk_left_ = in_.varint();
+/// One budget section: a length that must be `n`, then n counts that
+/// must fit in `*left` (what the section may still claim), which they
+/// shrink. Kept in `*out` if it is not null.
+void read_budgets(detail::ByteReader& in, std::uint64_t n,
+                  std::uint64_t* left, std::vector<std::uint64_t>* out) {
+  require(in.varint() == n, "budget section length mismatch in chunk stream");
+  if (out != nullptr) {
+    out->clear();
+    out->reserve(std::min(n, detail::kMaxReserve));
   }
-  --chunk_left_;
-  ++seen_;
-  const auto rank = in_.varint();
-  require(rank < static_cast<std::uint64_t>(nranks_), "bad record rank");
-  out.rank = static_cast<Rank>(rank);
-  auto& prev = last_t_[rank];
-  out.tstart = wrap_add(prev, unzigzag(in_.varint()));
-  out.tend = wrap_add(out.tstart, unzigzag(in_.varint()));
-  prev = out.tstart;
-  const auto packed = in_.varint();
-  require((packed & 0x7) < kLayerCount && ((packed >> 3) & 0x7) < kLayerCount,
-          "bad layer id in chunk stream");
-  out.layer = static_cast<Layer>(packed & 0x7);
-  out.origin = static_cast<Layer>((packed >> 3) & 0x7);
-  const auto func = packed >> 6;
-  require(func < kFuncCount, "bad function id in chunk stream");
-  out.func = static_cast<Func>(func);
-  out.fd = in_.zigzag_int32();
-  out.ret = unzigzag(in_.varint());
-  out.offset = in_.varint();
-  out.count = in_.varint();
-  out.flags = in_.zigzag_int32();
-  const auto fid = in_.varint();
-  if (fid == 0) {
-    out.file = kNoFile;
-  } else {
-    out.file = static_cast<FileId>(fid - 1);
-    max_file_seen_ = std::max(max_file_seen_, fid - 1);
-    any_file_seen_ = true;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const auto v = in.varint();
+    require(v <= *left, "budget exceeds the record count in chunk stream");
+    *left -= v;
+    if (out != nullptr) out->push_back(v);
   }
-  return true;
 }
 
-void ChunkReader::read_trailer(EncodedCommLog* comm, PathTable* paths) {
-  require(at_trailer_, "trailer read before the record stream was drained");
-  require(in_.varint() == seen_, "record count mismatch in chunk stream");
-  const auto npaths = in_.varint();
-  require(npaths <= (1u << 24), "implausible path-table size");
+/// What the trailer's head says: its record count and path count.
+struct TrailerCounts {
+  std::uint64_t records = 0;
+  std::uint64_t npaths = 0;
+};
+
+/// The trailer after its 'T' marker: everything but the tail. Checks the
+/// path table for duplicates without building one unless `paths` is
+/// given, and checks both budget sections: their lengths, that the rank
+/// budgets sum to at most the record count, and the file budgets to at
+/// most the rank budgets (a Posix record counts once in each section
+/// if it names a file).
+TrailerCounts read_trailer_body(detail::ByteReader& in, int nranks,
+                                PathTable* paths,
+                                std::vector<std::uint64_t>* rank_counts,
+                                std::vector<std::uint64_t>* file_counts,
+                                EncodedCommLog* comm) {
+  TrailerCounts n;
+  n.records = in.varint();
+  n.npaths = in.varint();
+  require(n.npaths <= (1u << 24), "implausible path-table size");
   // The table's strings, back to back in one buffer, checked for
-  // duplicates by sorting views of them: no PathTable unless the caller
-  // asks for one.
+  // duplicates by sorting views of them.
   std::string bytes;
   std::vector<std::size_t> ends;
-  ends.reserve(std::min(npaths, detail::kMaxReserve));
-  for (std::uint64_t i = 0; i < npaths; ++i) {
-    in_.append_string(bytes);
+  ends.reserve(std::min(n.npaths, detail::kMaxReserve));
+  for (std::uint64_t i = 0; i < n.npaths; ++i) {
+    in.append_string(bytes);
     ends.push_back(bytes.size());
   }
   std::vector<std::string_view> views;
@@ -316,9 +248,270 @@ void ChunkReader::read_trailer(EncodedCommLog* comm, PathTable* paths) {
   std::sort(views.begin(), views.end());
   require(std::adjacent_find(views.begin(), views.end()) == views.end(),
           "duplicate path in chunk table");
-  require(!any_file_seen_ || max_file_seen_ < npaths,
+  std::uint64_t left = n.records;
+  read_budgets(in, static_cast<std::uint64_t>(nranks), &left, rank_counts);
+  left = n.records - left;  // the Posix records, which file budgets share
+  read_budgets(in, n.npaths, &left, file_counts);
+  detail::read_comm(in, nranks, comm);
+  return n;
+}
+
+/// The tail: the trailer's offset as a u64 in host byte order, like v1's
+/// fixed-width fields (little-endian on every host pfsem builds for).
+std::uint64_t read_tail(detail::ByteReader& in) {
+  std::uint64_t at = 0;
+  require(in.read(reinterpret_cast<char*>(&at), sizeof at),
+          "truncated chunk stream");
+  return at;
+}
+
+void put_record(std::string& out, const Record& r, SimTime& prev) {
+  put_varint(out, static_cast<std::uint64_t>(r.rank));
+  // Wrapping deltas: legal times never wrap, and hostile ones decode
+  // without overflow. The delta chain spans chunks.
+  put_varint(out, zigzag(wrap_sub(r.tstart, prev)));
+  put_varint(out, zigzag(wrap_sub(r.tend, r.tstart)));
+  prev = r.tstart;
+  put_varint(out, static_cast<std::uint64_t>(r.layer) |
+                      (static_cast<std::uint64_t>(r.origin) << 3) |
+                      (static_cast<std::uint64_t>(r.func) << 6));
+  put_varint(out, zigzag(r.fd));
+  put_varint(out, zigzag(r.ret));
+  put_varint(out, r.offset);
+  put_varint(out, r.count);
+  put_varint(out, zigzag(r.flags));
+  put_varint(out,
+             r.file == kNoFile ? 0 : static_cast<std::uint64_t>(r.file) + 1);
+}
+
+}  // namespace
+
+namespace detail {
+
+void get_record(ByteReader& in, std::vector<SimTime>& last_t, Record& out) {
+  const auto rank = in.varint();
+  require(rank < last_t.size(), "bad record rank");
+  out.rank = static_cast<Rank>(rank);
+  auto& prev = last_t[rank];
+  out.tstart = wrap_add(prev, unzigzag(in.varint()));
+  out.tend = wrap_add(out.tstart, unzigzag(in.varint()));
+  prev = out.tstart;
+  const auto packed = in.varint();
+  require((packed & 0x7) < kLayerCount && ((packed >> 3) & 0x7) < kLayerCount,
+          "bad layer id in trace");
+  out.layer = static_cast<Layer>(packed & 0x7);
+  out.origin = static_cast<Layer>((packed >> 3) & 0x7);
+  const auto func = packed >> 6;
+  require(func < kFuncCount, "bad function id in trace");
+  out.func = static_cast<Func>(func);
+  out.fd = in.zigzag_int32();
+  out.ret = unzigzag(in.varint());
+  out.offset = in.varint();
+  out.count = in.varint();
+  out.flags = in.zigzag_int32();
+}
+
+}  // namespace detail
+
+ChunkWriter::ChunkWriter(SpillStore& store, int nranks)
+    : ChunkWriter(&store, nullptr, nranks) {}
+
+ChunkWriter::ChunkWriter(std::ostream& os, int nranks)
+    : ChunkWriter(nullptr, &os, nranks) {}
+
+ChunkWriter::ChunkWriter(SpillStore* store, std::ostream* os, int nranks)
+    : store_(store), os_(os) {
+  require(nranks > 0, "ChunkWriter needs a positive rank count");
+  last_t_.assign(static_cast<std::size_t>(nranks), 0);
+  rank_posix_counts_.assign(static_cast<std::size_t>(nranks), 0);
+  buf_.assign(kChunkMagic, sizeof kChunkMagic);
+  put_varint(buf_, static_cast<std::uint64_t>(nranks));
+  put(buf_);
+  buf_.clear();
+}
+
+void ChunkWriter::put(std::string_view bytes) {
+  if (store_ != nullptr) {
+    store_->append(bytes);
+  } else {
+    os_->write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    require(static_cast<bool>(*os_), "trace write failure");
+  }
+  written_ += bytes.size();
+}
+
+void ChunkWriter::flush_chunk() {
+  if (chunk_count_ == 0) return;
+  std::string head(1, kChunkMarker);
+  put_varint(head, expected_seq_ - chunk_count_);
+  put_varint(head, chunk_count_);
+  put(head);
+  put(buf_);
+  buf_.clear();
+  chunk_count_ = 0;
+}
+
+void ChunkWriter::on_records(std::uint64_t base_seq,
+                             std::span<const Record> records) {
+  require(!finished_, "ChunkWriter fed after finish");
+  require(base_seq == expected_seq_, "ChunkWriter fed out of order");
+  for (const auto& r : records) {
+    require(r.rank >= 0 && std::cmp_less(r.rank, last_t_.size()),
+            "ChunkWriter fed a record with a bad rank");
+    put_record(buf_, r, last_t_[static_cast<std::size_t>(r.rank)]);
+    // The budgets the windowed analysis retires ranks and files by: the
+    // same predicate the collector tallies and the analyzer decrements.
+    if (r.layer == Layer::Posix) {
+      ++rank_posix_counts_[static_cast<std::size_t>(r.rank)];
+      if (r.file != kNoFile) {
+        if (r.file >= file_posix_counts_.size()) {
+          file_posix_counts_.resize(r.file + 1, 0);
+        }
+        ++file_posix_counts_[r.file];
+      }
+    }
+    ++expected_seq_;
+    if (++chunk_count_ == kChunkRecords) flush_chunk();
+  }
+}
+
+void ChunkWriter::finish(const StreamMeta& meta) {
+  require(meta.records == expected_seq_,
+          "stream meta record count does not match the chunks written");
+  finish(meta.paths, meta.comm);
+}
+
+void ChunkWriter::finish(const PathTable& paths, const EncodedCommLog& comm) {
+  require(!finished_, "ChunkWriter finished twice");
+  require(file_posix_counts_.size() <= paths.size(),
+          "record file id outside the trace's path table");
+  finished_ = true;
+  flush_chunk();
+  const std::uint64_t trailer_at = written_;
+  buf_.push_back(kTrailerMarker);
+  put_varint(buf_, expected_seq_);
+  put_varint(buf_, paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    detail::put_string(buf_, paths.view(static_cast<FileId>(i)));
+  }
+  put_varint(buf_, rank_posix_counts_.size());
+  for (const auto c : rank_posix_counts_) put_varint(buf_, c);
+  file_posix_counts_.resize(paths.size(), 0);
+  put_varint(buf_, file_posix_counts_.size());
+  for (const auto c : file_posix_counts_) put_varint(buf_, c);
+  put(buf_);
+  detail::put_comm(comm, [this](std::string_view bytes) { put(bytes); });
+  put(std::string_view(reinterpret_cast<const char*>(&trailer_at),
+                       sizeof trailer_at));
+  // No more chunks: give the buffers back.
+  std::string().swap(buf_);
+  std::vector<std::uint64_t>().swap(file_posix_counts_);
+}
+
+ChunkReader::ChunkReader(std::istream& is) : in_(is) {
+  nranks_ = read_header(in_);
+  last_t_.assign(static_cast<std::size_t>(nranks_), 0);
+}
+
+bool ChunkReader::next(Record& out) {
+  while (chunk_left_ == 0) {
+    if (at_trailer_) return false;
+    const int marker = in_.get();
+    require(marker != std::char_traits<char>::eof(),
+            "truncated chunk stream");
+    if (marker == kTrailerMarker) {
+      at_trailer_ = true;
+      trailer_at_ = in_.consumed() - 1;
+      if (index_ != nullptr) {
+        require(trailer_at_ == index_->trailer_offset,
+                "tail does not point at the trailer in chunk stream");
+        require(seen_ == index_->records,
+                "record count mismatch in chunk stream");
+      }
+      return false;
+    }
+    require(marker == kChunkMarker, "bad chunk marker in stream");
+    const auto base_seq = in_.varint();
+    require(base_seq == seen_, "out-of-order chunk in stream");
+    chunk_left_ = in_.varint();
+  }
+  --chunk_left_;
+  ++seen_;
+  detail::get_record(in_, last_t_, out);
+  const auto fid = in_.varint();
+  if (fid == 0) {
+    out.file = kNoFile;
+  } else {
+    require(fid - 1 < file_limit_, "bad path id in chunk stream");
+    out.file = static_cast<FileId>(fid - 1);
+    max_file_seen_ = std::max(max_file_seen_, fid - 1);
+    any_file_seen_ = true;
+  }
+  return true;
+}
+
+void ChunkReader::read_trailer(EncodedCommLog* comm, PathTable* paths) {
+  require(at_trailer_, "trailer read before the record stream was drained");
+  const auto n =
+      read_trailer_body(in_, nranks_, paths, nullptr, nullptr, comm);
+  require(n.records == seen_, "record count mismatch in chunk stream");
+  require(!any_file_seen_ || max_file_seen_ < n.npaths,
           "bad path id in chunk stream");
-  detail::read_comm(in_, nranks_, comm);
+  require(read_tail(in_) == trailer_at_,
+          "tail does not point at the trailer in chunk stream");
+  require(in_.exhausted(), "trailing bytes after the chunk stream's tail");
+}
+
+void ChunkReader::follow(const TraceIndex& index) {
+  require(seen_ == 0 && !at_trailer_, "follow after records were read");
+  require(index.nranks == nranks_, "index of another chunk stream");
+  index_ = &index;
+  file_limit_ = index.npaths;
+}
+
+TraceIndex read_index(std::istream& is) {
+  TraceIndex index;
+  const std::streampos start = is.tellg();
+  index.nranks = ChunkReader(is).nranks();
+  is.clear();
+  require(static_cast<bool>(is.seekg(-static_cast<std::streamoff>(kTailBytes),
+                                     std::ios::end)),
+          "reading a chunk stream's trailer first needs a seekable stream");
+  const auto size = static_cast<std::uint64_t>(is.tellg() - start);
+  detail::ByteReader tail(is);
+  index.trailer_offset = read_tail(tail);
+  const std::uint64_t at = index.trailer_offset;
+  require(at < size, "tail points outside the chunk stream");
+  is.seekg(start + static_cast<std::streamoff>(at));
+  detail::ByteReader in(is);
+  require(in.get() == kTrailerMarker,
+          "tail does not point at the trailer in chunk stream");
+  const auto n = read_trailer_body(in, index.nranks, &index.paths,
+                                   &index.rank_posix_counts,
+                                   &index.file_posix_counts, nullptr);
+  index.records = n.records;
+  index.npaths = n.npaths;
+  require(in.consumed() == size - at,
+          "trailer does not end at the tail in chunk stream");
+  is.clear();
+  is.seekg(start);
+  return index;
+}
+
+void write_compact(const TraceBundle& bundle, std::ostream& os) {
+  ChunkWriter writer(os, bundle.nranks);
+  writer.on_records(0, bundle.records);
+  writer.finish(bundle.paths, bundle.comm);
+}
+
+TraceBundle read_chunks(std::istream& is) {
+  ChunkReader reader(is);
+  TraceBundle b;
+  b.nranks = reader.nranks();
+  Record rec;
+  while (reader.next(rec)) b.records.push_back(rec);
+  reader.read_trailer(&b.comm, &b.paths);
+  return b;
 }
 
 }  // namespace pfsem::trace

@@ -179,7 +179,7 @@ OpenResult PfsCluster::open(Rank r, const std::string& path, int flags,
   }
   if (flags & trace::kTrunc) {
     f->writes.clear();
-    f->write_index.clear();
+    f->rebuild_index();
     f->base.clear();
     f->base_max_end = 0;
     f->compact_watermark = 0;

@@ -69,8 +69,8 @@ std::vector<ReadExtent> resolve_view(const FileCore& f, const ResolveEnv& env,
   };
   std::vector<Cand> cands;
   // Gather candidate writes from the block index (deduplicated: a write
-  // spanning several blocks appears once per block).
-  std::vector<std::uint32_t> candidates;
+  // spanning several blocks appears once per block) and the wide writes.
+  std::vector<std::uint32_t> candidates(f.wide_writes);
   {
     const Offset first = range.begin / FileCore::kIndexBlock;
     const Offset last =

@@ -116,6 +116,12 @@ struct FileCore {
   /// writes overlapping the read's blocks instead of the whole history.
   static constexpr Offset kIndexBlock = 4u << 20;
   std::map<Offset, std::vector<std::uint32_t>> write_index;
+  /// Writes covering more than kWideBlocks index blocks (a preload, one
+  /// huge pwrite) skip the block index and sit in this list, which
+  /// resolve_view() scans whole: indexing costs O(1) per write whatever
+  /// its size, and the list stays short because few writes are wide.
+  static constexpr Offset kWideBlocks = 4;
+  std::vector<std::uint32_t> wide_writes;
   /// Compacted prefix of the write history (compact_file): a flat,
   /// reader-independent overlay of writes whose visibility has settled
   /// under the consistency model. Applied by resolve_view/strong_view_of
@@ -135,10 +141,15 @@ struct FileCore {
     if (e.empty()) return;
     const Offset first = e.begin / kIndexBlock;
     const Offset last = (e.end - 1) / kIndexBlock;
+    if (last - first >= kWideBlocks) {
+      wide_writes.push_back(idx);
+      return;
+    }
     for (Offset b = first; b <= last; ++b) write_index[b].push_back(idx);
   }
   void rebuild_index() {
     write_index.clear();
+    wide_writes.clear();
     for (std::uint32_t i = 0; i < writes.size(); ++i) index_write(i);
   }
 };

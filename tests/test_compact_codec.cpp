@@ -1,10 +1,10 @@
-// Robustness tests for the trace codecs, plus on-disk compatibility
-// fixtures. The compact (v2) format is LEB128 varints + zig-zag signed
-// fields + an interned path table; these tests pin down its behaviour at
-// the integer extremes and on malformed input, and the Compat suite
-// hand-crafts pre-interning v1/v2 byte streams to prove that traces
-// written before the FileId refactor still load and analyse identically
-// to bundles built in memory today.
+// Robustness tests for the trace codecs, plus on-disk fixtures. The one
+// format pfsem writes is the PFSEMCK2 chunk stream: a hand-made fixture
+// pins its writer byte for byte, and these tests pin its behaviour at the
+// integer extremes and on malformed input (truncation, tail offsets,
+// budget sections, single-byte corruption). The Compat suite hand-crafts
+// v1 and compact v2 byte streams, formats pfsem only loads, to prove
+// that their loaders read old traces and analyse them identically.
 
 #include <gtest/gtest.h>
 
@@ -24,11 +24,14 @@
 #include <utility>
 #include <vector>
 
+#include "pfsem/apps/driver.hpp"
 #include "pfsem/core/conflict.hpp"
 #include "pfsem/core/offset_tracker.hpp"
+#include "pfsem/core/report.hpp"
 #include "pfsem/trace/serialize.hpp"
 #include "pfsem/trace/spill.hpp"
 #include "pfsem/util/error.hpp"
+#include "pfsem/util/rng.hpp"
 
 // Allocation accounting for the bounded-allocation tests: every
 // operator new in this binary adds its size here. All throwing, nothrow
@@ -174,6 +177,9 @@ TraceBundle reference_bundle() {
   return b;
 }
 
+std::string v1_fixture();
+std::string compact_fixture();
+
 // --- compact-codec robustness ------------------------------------------
 
 TEST(CompactCodec, ZigZagAndVarintExtremesRoundTrip) {
@@ -195,7 +201,7 @@ TEST(CompactCodec, ZigZagAndVarintExtremesRoundTrip) {
 
   std::stringstream ss;
   write_compact(b, ss);
-  const auto copy = read_compact(ss);
+  const auto copy = read_chunks(ss);
   ASSERT_EQ(copy.records.size(), 2u);
   EXPECT_EQ(copy.records[0].ret, std::numeric_limits<std::int64_t>::min());
   EXPECT_EQ(copy.records[0].offset, std::numeric_limits<Offset>::max());
@@ -222,9 +228,7 @@ TEST(CompactCodec, BadMagicRejected) {
 }
 
 TEST(CompactCodec, EveryTruncationThrows) {
-  std::stringstream ss;
-  write_compact(reference_bundle(), ss);
-  const std::string full = ss.str();
+  const std::string full = compact_fixture();
   for (std::size_t len = 0; len < full.size(); ++len) {
     std::istringstream is(full.substr(0, len));
     EXPECT_THROW((void)read_compact(is), Error) << "prefix length " << len;
@@ -245,15 +249,15 @@ TEST(CompactCodec, DuplicatePathTableEntryRejected) {
 
 TEST(CompactCodec, EmptyPathTableRoundTrips) {
   // A bundle whose records never name a file (pathless metadata ops) has
-  // an empty in-memory table; the writer's synthesized empty-string slot
-  // must decode back to kNoFile.
+  // an empty table, and its records decode back to kNoFile.
   TraceBundle b;
   b.nranks = 1;
   b.records.push_back(
       make_record(0, 10, 11, Func::umask, -1, 0, 0, 0, 022, kNoFile));
   std::stringstream ss;
   write_compact(b, ss);
-  const auto copy = read_compact(ss);
+  const auto copy = read_chunks(ss);
+  EXPECT_EQ(copy.paths.size(), 0u);
   ASSERT_EQ(copy.records.size(), 1u);
   EXPECT_EQ(copy.records[0].file, kNoFile);
   EXPECT_EQ(copy.path_of(copy.records[0]), "");
@@ -264,7 +268,7 @@ TEST(CompactCodec, EmptyBundleRoundTrips) {
   b.nranks = 4;
   std::stringstream ss;
   write_compact(b, ss);
-  const auto copy = read_compact(ss);
+  const auto copy = read_chunks(ss);
   EXPECT_EQ(copy.nranks, 4);
   EXPECT_TRUE(copy.records.empty());
   EXPECT_EQ(copy.comm, EncodedCommLog{});
@@ -272,10 +276,10 @@ TEST(CompactCodec, EmptyBundleRoundTrips) {
 
 // --- pre-refactor on-disk compatibility --------------------------------
 
-TEST(SerializationCompat, V1InlinePathFixtureAnalysesIdentically) {
-  // Byte-for-byte what the pre-interning v1 writer produced: fixed-width
-  // little-endian fields with the path string inline in each record
-  // (empty for pathless records).
+/// Byte-for-byte what the pre-interning v1 writer produced for
+/// reference_bundle(): fixed-width little-endian fields with the path
+/// string inline in each record (empty for pathless records).
+std::string v1_fixture() {
   std::string s("PFSEMTRC", 8);
   put_le<std::uint32_t>(s, 1);  // version
   put_le<std::int32_t>(s, 2);   // nranks
@@ -306,14 +310,27 @@ TEST(SerializationCompat, V1InlinePathFixtureAnalysesIdentically) {
   rec(230, 231, 1, Func::close, 3, 0, 0, 0, 0, "");
   put_le<std::uint64_t>(s, 0);  // p2p
   put_le<std::uint64_t>(s, 0);  // collectives
+  return s;
+}
 
-  std::istringstream is(s);
-  const auto loaded = read_binary(is);
-  ASSERT_EQ(loaded.records.size(), 6u);
-  EXPECT_EQ(loaded.path_of(loaded.records[0]), "shared");
-  EXPECT_EQ(loaded.records[1].file, kNoFile);
-  EXPECT_EQ(analysis_fingerprint(loaded),
-            analysis_fingerprint(reference_bundle()));
+TEST(SerializationCompat, V1InlinePathFixtureAnalysesIdentically) {
+  for (const bool dispatch : {false, true}) {
+    std::istringstream is(v1_fixture());
+    const auto loaded = dispatch ? open_trace(is) : read_binary(is);
+    ASSERT_EQ(loaded.records.size(), 6u);
+    EXPECT_EQ(loaded.path_of(loaded.records[0]), "shared");
+    EXPECT_EQ(loaded.records[1].file, kNoFile);
+    EXPECT_EQ(analysis_fingerprint(loaded),
+              analysis_fingerprint(reference_bundle()));
+  }
+}
+
+TEST(SerializationCompat, V1EveryTruncationThrows) {
+  const std::string full = v1_fixture();
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    std::istringstream is(full.substr(0, len));
+    EXPECT_THROW((void)read_binary(is), Error) << "prefix length " << len;
+  }
 }
 
 /// Byte-for-byte what the pre-refactor v2 writer produced for
@@ -358,24 +375,108 @@ std::string compact_fixture() {
 }
 
 TEST(SerializationCompat, V2PathTableFixtureAnalysesIdentically) {
-  std::istringstream is(compact_fixture());
-  const auto loaded = read_compact(is);
-  ASSERT_EQ(loaded.records.size(), 6u);
-  EXPECT_EQ(loaded.path_of(loaded.records[0]), "shared");
-  EXPECT_EQ(loaded.records[1].file, kNoFile);
-  EXPECT_EQ(analysis_fingerprint(loaded),
-            analysis_fingerprint(reference_bundle()));
+  for (const bool dispatch : {false, true}) {
+    std::istringstream is(compact_fixture());
+    const auto loaded = dispatch ? open_trace(is) : read_compact(is);
+    ASSERT_EQ(loaded.records.size(), 6u);
+    EXPECT_EQ(loaded.path_of(loaded.records[0]), "shared");
+    EXPECT_EQ(loaded.records[1].file, kNoFile);
+    EXPECT_EQ(analysis_fingerprint(loaded),
+              analysis_fingerprint(reference_bundle()));
+  }
 }
 
-// --- chunked streaming framing (PFSEMCK1) ------------------------------
+/// The report text of the materialized pipeline over `b`.
+std::string report_of(const TraceBundle& b) {
+  const auto log = core::reconstruct_accesses(b);
+  const auto pairs = core::detect_file_overlaps(log, {}, 1);
+  const auto conflicts = core::detect_conflicts(log, pairs, {.threads = 1});
+  std::ostringstream os;
+  core::print_report(core::build_report(b, log, conflicts, 1), os);
+  return os.str();
+}
 
-/// Byte-for-byte what the chunk writer produces for reference_bundle()
-/// split into two 3-record chunks: pinned independently so the on-disk
-/// framing can never drift without this fixture failing. Unlike compact
-/// v2, the chunk encoding needs no synthesized empty path slot — the
-/// file field is 0 for kNoFile, id+1 otherwise.
-std::string chunk_fixture() {
-  std::string s("PFSEMCK1", 8);
+/// The report text of the one-pass stream drain over chunk-stream bytes.
+std::string drained_report(const std::string& bytes) {
+  std::istringstream is(bytes);
+  auto res = apps::drain(is, nullptr);
+  std::ostringstream os;
+  core::print_report(core::assemble_windowed_report(std::move(res.stats),
+                                                    res.records, res.nranks,
+                                                    res.summaries),
+                     os);
+  return os.str();
+}
+
+TEST(SerializationCompat, LegacyFixturesRewriteAndDrainLikeTheirBundles) {
+  // What `pfsem trace old.trc new.trc` does: load a legacy trace, write it
+  // as a chunk stream. The stream drain of the rewritten trace reports
+  // exactly what the materialized pipeline reports for the loaded bundle;
+  // the legacy bytes themselves do not stream.
+  for (const auto& legacy : {v1_fixture(), compact_fixture()}) {
+    std::istringstream is(legacy);
+    const auto loaded = open_trace(is);
+    std::ostringstream os;
+    write_compact(loaded, os);
+    EXPECT_EQ(drained_report(os.str()), report_of(loaded));
+    EXPECT_EQ(report_of(loaded), report_of(reference_bundle()));
+    EXPECT_THROW((void)drained_report(legacy), Error);
+  }
+}
+
+// --- the chunk stream (PFSEMCK2) ---------------------------------------
+
+/// The message of the pfsem::Error `fn` throws, or "" if it throws none.
+std::string error_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+
+/// A hand-made chunk stream's trailer (spill.hpp lists the layout).
+struct Trailer {
+  std::uint64_t records = 0;
+  std::vector<std::string> paths;
+  std::vector<std::uint64_t> rank_budgets;  ///< one per rank
+  std::vector<std::uint64_t> file_budgets;  ///< one per path
+  std::string comm = std::string(2, '\0');  ///< no p2p, no collectives
+};
+
+/// Append `t` and the tail naming it to the header and chunks in `s`.
+void close_stream(std::string& s, const Trailer& t) {
+  const std::uint64_t at = s.size();
+  s.push_back('T');
+  put_varint(s, t.records);
+  put_varint(s, t.paths.size());
+  for (const auto& p : t.paths) {
+    put_varint(s, p.size());
+    s += p;
+  }
+  put_varint(s, t.rank_budgets.size());
+  for (const auto v : t.rank_budgets) put_varint(s, v);
+  put_varint(s, t.file_budgets.size());
+  for (const auto v : t.file_budgets) put_varint(s, v);
+  s += t.comm;
+  put_le<std::uint64_t>(s, at);
+}
+
+/// The trailer of reference_bundle(): six Posix records, three per rank,
+/// two of them (the opens) naming "shared".
+Trailer reference_trailer() {
+  return {6, {"shared"}, {3, 3}, {2}};
+}
+
+/// Byte-for-byte what the chunk writer produces for reference_bundle(),
+/// with trailer `t` and `splice` inserted before it: pinned independently
+/// so the on-disk framing can never drift without this fixture failing.
+/// The six records fit one chunk; the file field is 0 for kNoFile and
+/// id+1 otherwise.
+std::string chunk_fixture_with(const Trailer& t, std::string_view splice) {
+  std::string s("PFSEMCK2", 8);
   put_varint(s, 2);  // nranks
   std::int64_t prev[2] = {0, 0};
   const auto rec = [&](std::int64_t t0, std::int64_t t1, Rank rank, Func func,
@@ -395,45 +496,40 @@ std::string chunk_fixture() {
     put_varint(s, zz(flags));
     put_varint(s, file_plus_1);
   };
-  s.push_back('C');  // chunk at seq 0, 3 records (rank 0's)
+  s.push_back('C');  // chunk at seq 0, 6 records
   put_varint(s, 0);
-  put_varint(s, 3);
+  put_varint(s, 6);
   rec(100, 105, 0, Func::open, 3, 3, 0, 0, kCreate | kRdWr, 1);
   rec(110, 120, 0, Func::pwrite, 3, 100, 0, 100, 0, 0);
   rec(130, 131, 0, Func::close, 3, 0, 0, 0, 0, 0);
-  s.push_back('C');  // chunk at seq 3, 3 records (rank 1's)
-  put_varint(s, 3);
-  put_varint(s, 3);
   rec(200, 205, 1, Func::open, 3, 3, 0, 0, kRdWr, 1);
   rec(210, 220, 1, Func::pread, 3, 100, 0, 100, 0, 0);
   rec(230, 231, 1, Func::close, 3, 0, 0, 0, 0, 0);
-  s.push_back('T');  // trailer: 6 records, one path, empty comm log
-  put_varint(s, 6);
-  put_varint(s, 1);
-  put_varint(s, 6);
-  s += "shared";
-  put_varint(s, 0);  // p2p
-  put_varint(s, 0);  // collectives
+  s += splice;
+  close_stream(s, t);
   return s;
 }
 
-/// Drain a chunk stream back into a TraceBundle (records + trailer).
-TraceBundle decode_chunks(std::istream& is) {
-  ChunkReader reader(is);
-  TraceBundle b;
-  b.nranks = reader.nranks();
-  Record rec;
-  while (reader.next(rec)) b.records.push_back(rec);
-  reader.read_trailer(&b.comm, &b.paths);
-  return b;
+std::string chunk_fixture() {
+  return chunk_fixture_with(reference_trailer(), {});
 }
+
+TraceBundle decode_chunks(std::istream& is) { return read_chunks(is); }
 
 TraceBundle decode_chunks(const std::string& bytes) {
   std::istringstream is(bytes);
-  return decode_chunks(is);
+  return read_chunks(is);
+}
+
+/// read_index over `bytes`, which must then throw or describe them.
+TraceIndex index_of(const std::string& bytes) {
+  std::istringstream is(bytes);
+  return read_index(is);
 }
 
 TEST(ChunkStream, WriterMatchesHandCraftedFixtureExactly) {
+  // Two batches of three records frame as one chunk: the bytes do not
+  // depend on how the collector batched them.
   const auto b = reference_bundle();
   SpillStore store(1u << 20);
   {
@@ -449,6 +545,9 @@ TEST(ChunkStream, WriterMatchesHandCraftedFixtureExactly) {
   const auto in = store.open_read();
   const std::string written(std::istreambuf_iterator<char>(*in), {});
   ASSERT_EQ(written, chunk_fixture());
+  std::ostringstream os;
+  write_compact(b, os);
+  ASSERT_EQ(os.str(), chunk_fixture());
 }
 
 TEST(ChunkStream, FixtureDecodesAndAnalysesIdentically) {
@@ -458,35 +557,127 @@ TEST(ChunkStream, FixtureDecodesAndAnalysesIdentically) {
   EXPECT_EQ(loaded.records[1].file, kNoFile);
   EXPECT_EQ(analysis_fingerprint(loaded),
             analysis_fingerprint(reference_bundle()));
+  std::istringstream is(chunk_fixture());
+  EXPECT_EQ(analysis_fingerprint(open_trace(is)),
+            analysis_fingerprint(reference_bundle()));
+  const auto index = index_of(chunk_fixture());
+  EXPECT_EQ(index.nranks, 2);
+  EXPECT_EQ(index.records, 6u);
+  EXPECT_EQ(index.npaths, 1u);
+  EXPECT_EQ(index.paths.view(0), "shared");
+  EXPECT_EQ(index.rank_posix_counts, (std::vector<std::uint64_t>{3, 3}));
+  EXPECT_EQ(index.file_posix_counts, (std::vector<std::uint64_t>{2}));
+  EXPECT_EQ(index.trailer_offset, chunk_fixture().size() - 8 - 17);
+  EXPECT_EQ(drained_report(chunk_fixture()), report_of(reference_bundle()));
 }
 
 TEST(ChunkStream, EveryTruncationThrows) {
   const std::string full = chunk_fixture();
   for (std::size_t len = 0; len < full.size(); ++len) {
-    EXPECT_THROW((void)decode_chunks(full.substr(0, len)), Error)
-        << "prefix length " << len;
+    const std::string cut = full.substr(0, len);
+    EXPECT_THROW((void)decode_chunks(cut), Error) << "prefix length " << len;
+    EXPECT_THROW((void)index_of(cut), Error) << "prefix length " << len;
+    EXPECT_THROW((void)drained_report(cut), Error) << "prefix length " << len;
+  }
+  EXPECT_THROW((void)decode_chunks(full + "x"), Error) << "trailing byte";
+}
+
+TEST(ChunkStream, TailMustPointAtTheTrailer) {
+  // A tail past the end, inside the header or a chunk, or on any byte
+  // that is not the trailer's 'T' is rejected by both readers: the
+  // index reader on its own, the record replay when it reaches the real
+  // trailer somewhere else.
+  const std::string good = chunk_fixture();
+  const std::uint64_t real = index_of(good).trailer_offset;
+  ASSERT_EQ(good[real], 'T');
+  std::vector<std::uint64_t> offsets;
+  for (std::uint64_t at = 0; at < good.size() + 3; ++at) {
+    if (at != real) offsets.push_back(at);
+  }
+  offsets.push_back(std::uint64_t{1} << 63);
+  offsets.push_back(~std::uint64_t{0});
+  // A 'T' inside a chunk: the first record's count field is 84 == 'T'.
+  auto inner = reference_bundle();
+  inner.records[1].count = 'T';
+  inner.records[1].ret = 'T';
+  std::ostringstream os;
+  write_compact(inner, os);
+  for (const auto& [base, name] :
+       {std::pair{good, "fixture"}, std::pair{os.str(), "'T' in a chunk"}}) {
+    const std::uint64_t trailer = index_of(base).trailer_offset;
+    for (std::uint64_t at = 0; at < base.size() + 3; ++at) {
+      if (at == trailer) continue;
+      std::string bad = base.substr(0, base.size() - 8);
+      put_le<std::uint64_t>(bad, at);
+      EXPECT_THROW((void)decode_chunks(bad), Error) << name << " at " << at;
+      EXPECT_THROW((void)drained_report(bad), Error) << name << " at " << at;
+    }
+  }
+  for (const auto at : offsets) {
+    std::string bad = good.substr(0, good.size() - 8);
+    put_le<std::uint64_t>(bad, at);
+    EXPECT_THROW((void)index_of(bad), Error) << "at " << at;
   }
 }
 
+TEST(ChunkStream, BudgetSectionsMustHaveOneEntryPerRankAndPath) {
+  for (const auto& [ranks, files] :
+       {std::pair<std::vector<std::uint64_t>, std::vector<std::uint64_t>>{
+            {3}, {2}},
+        {{3, 3, 0}, {2}},
+        {{3, 3}, {}},
+        {{3, 3}, {2, 0}}}) {
+    auto t = reference_trailer();
+    t.rank_budgets = ranks;
+    t.file_budgets = files;
+    const auto bad = chunk_fixture_with(t, {});
+    EXPECT_THROW((void)decode_chunks(bad), Error);
+    EXPECT_THROW((void)index_of(bad), Error);
+  }
+}
+
+TEST(ChunkStream, BudgetOffByOneThrowsOrReportsTheFixture) {
+  // The drain retires ranks and files by the trailer's budgets, so a
+  // budget edited by one must never change the report: either a check
+  // catches it or the analysis comes out the same.
+  const std::string want = report_of(reference_bundle());
+  const auto base = reference_trailer();
+  int edits = 0;
+  int thrown = 0;
+  for (std::size_t i = 0; i < base.rank_budgets.size() + 1; ++i) {
+    for (const int delta : {-1, 1}) {
+      auto t = base;
+      auto& v = i < base.rank_budgets.size() ? t.rank_budgets[i]
+                                             : t.file_budgets[0];
+      v = static_cast<std::uint64_t>(static_cast<std::int64_t>(v) + delta);
+      ++edits;
+      const std::string err = error_of(
+          [&] { EXPECT_EQ(drained_report(chunk_fixture_with(t, {})), want); });
+      thrown += err.empty() ? 0 : 1;
+    }
+  }
+  EXPECT_EQ(edits, 6);
+  EXPECT_EQ(thrown, 5) << "every lowered budget and every raised rank "
+                          "budget is caught";
+}
+
 TEST(ChunkStream, EmptyChunkTolerated) {
-  // A zero-record chunk is valid framing (the writer skips them, but a
-  // reader must not choke on one): splice 'C' <seq> <0> between chunks.
-  const std::string full = chunk_fixture();
-  const auto second = full.find('C', full.find('C', 8) + 1);
-  ASSERT_NE(second, std::string::npos);
-  std::string spliced = full.substr(0, second);
-  spliced.push_back('C');
-  put_varint(spliced, 3);  // base_seq continues the count
-  put_varint(spliced, 0);  // zero records
-  spliced += full.substr(second);
+  // A zero-record chunk is valid framing (the writer never writes one,
+  // but a reader must not choke on one): 'C' <seq> <0> before the
+  // trailer.
+  std::string splice(1, 'C');
+  put_varint(splice, 6);  // base_seq continues the count
+  put_varint(splice, 0);  // zero records
+  const auto spliced = chunk_fixture_with(reference_trailer(), splice);
   EXPECT_EQ(analysis_fingerprint(decode_chunks(spliced)),
             analysis_fingerprint(reference_bundle()));
+  EXPECT_EQ(drained_report(spliced), report_of(reference_bundle()));
 }
 
 TEST(ChunkStream, OutOfOrderChunkRejected) {
   // A chunk whose base_seq does not continue the stream means a lost or
   // reordered chunk; the reader must fail loudly, not mis-merge.
-  std::string s("PFSEMCK1", 8);
+  std::string s("PFSEMCK2", 8);
   put_varint(s, 2);  // nranks
   s.push_back('C');
   put_varint(s, 4);  // base_seq 4 in a stream that has seen 0 records
@@ -498,38 +689,37 @@ TEST(ChunkStream, BadMagicRejected) {
   std::string s("PFSEMCKX", 8);
   put_varint(s, 2);
   EXPECT_THROW((void)decode_chunks(s), Error);
+  std::string ck1("PFSEMCK1", 8);
+  put_varint(ck1, 2);
+  EXPECT_THROW((void)decode_chunks(ck1), Error);
 }
 
 TEST(ChunkStream, TrailerRecordCountMismatchRejected) {
   // Trailer claiming more records than the chunks carried: a truncated
   // middle (whole missing chunk) that per-chunk checks cannot see.
-  std::string s = chunk_fixture();
-  const auto t = s.rfind('T');
-  ASSERT_NE(t, std::string::npos);
-  std::string bad = s.substr(0, t);
-  bad.push_back('T');
-  put_varint(bad, 9);  // stream carried 6
-  bad += s.substr(t + 2);
+  auto t = reference_trailer();
+  t.records = 9;  // the stream carried 6
+  const auto bad = chunk_fixture_with(t, {});
   EXPECT_THROW((void)decode_chunks(bad), Error);
+  EXPECT_THROW((void)drained_report(bad), Error);
 }
 
 /// A chunk stream with no records and a trailer holding one collective
 /// (`kind`, `root`, one arrival by `arrival`), nranks 2.
 std::string chunk_trailer_with_collective(std::uint64_t kind, Rank root,
                                           std::uint64_t arrival) {
-  std::string s("PFSEMCK1", 8);
+  std::string s("PFSEMCK2", 8);
   put_varint(s, 2);  // nranks
-  s.push_back('T');
-  put_varint(s, 0);  // records
-  put_varint(s, 0);  // paths
-  put_varint(s, 0);  // p2p
-  put_varint(s, 1);  // collectives
-  put_varint(s, kind);
-  put_varint(s, zz(root));
-  put_varint(s, 1);  // arrivals
-  put_varint(s, arrival);
-  put_varint(s, zz(30));
-  put_varint(s, zz(10));
+  Trailer t{0, {}, {0, 0}, {}, {}};
+  put_varint(t.comm, 0);  // p2p
+  put_varint(t.comm, 1);  // collectives
+  put_varint(t.comm, kind);
+  put_varint(t.comm, zz(root));
+  put_varint(t.comm, 1);  // arrivals
+  put_varint(t.comm, arrival);
+  put_varint(t.comm, zz(30));
+  put_varint(t.comm, zz(10));
+  close_stream(s, t);
   return s;
 }
 
@@ -559,23 +749,15 @@ TEST(ChunkStream, TrailerWithBadCollectiveThrowsWhetherKeptOrNot) {
     EXPECT_THROW(read(chunk_trailer_with_collective(bcast, 1, 2), keep),
                  Error);
   }
-}
-
-/// The message of the pfsem::Error `fn` throws, or "" if it throws none.
-std::string error_of(const std::function<void()>& fn) {
-  try {
-    fn();
-  } catch (const Error& e) {
-    return e.what();
-  }
-  return "";
+  // The index reader validates the comm log too.
+  EXPECT_THROW((void)index_of(chunk_trailer_with_collective(8, 1, 0)), Error);
 }
 
 /// A one-rank chunk stream: one record on `file_plus_1` (0 = no file),
-/// then a trailer naming `paths` and an empty comm log.
+/// then a trailer naming `paths` (zero budgets) and an empty comm log.
 std::string chunk_stream_with_paths(std::uint64_t file_plus_1,
                                     const std::vector<std::string>& paths) {
-  std::string s("PFSEMCK1", 8);
+  std::string s("PFSEMCK2", 8);
   put_varint(s, 1);  // nranks
   s.push_back('C');
   put_varint(s, 0);  // base seq
@@ -590,15 +772,7 @@ std::string chunk_stream_with_paths(std::uint64_t file_plus_1,
   put_varint(s, 0);      // count
   put_varint(s, zz(0));  // flags
   put_varint(s, file_plus_1);
-  s.push_back('T');
-  put_varint(s, 1);  // records
-  put_varint(s, paths.size());
-  for (const auto& p : paths) {
-    put_varint(s, p.size());
-    s += p;
-  }
-  put_varint(s, 0);  // p2p
-  put_varint(s, 0);  // collectives
+  close_stream(s, {1, paths, {0}, std::vector<std::uint64_t>(paths.size())});
   return s;
 }
 
@@ -999,7 +1173,7 @@ TEST(HostileInput, V2RejectsBadLayersAndCollectives) {
 TEST(HostileInput, ChunkStreamRejectsBadLayer) {
   // One chunk of one pathless record, then an empty trailer.
   const auto stream = [](std::uint64_t layer) {
-    std::string s("PFSEMCK1", 8);
+    std::string s("PFSEMCK2", 8);
     put_varint(s, 1);  // nranks
     s.push_back('C');
     put_varint(s, 0);  // base seq
@@ -1015,11 +1189,7 @@ TEST(HostileInput, ChunkStreamRejectsBadLayer) {
     put_varint(s, 0);       // count
     put_varint(s, zz(0));   // flags
     put_varint(s, 0);       // no file
-    s.push_back('T');
-    put_varint(s, 1);  // records
-    put_varint(s, 0);  // paths
-    put_varint(s, 0);  // p2p
-    put_varint(s, 0);  // collectives
+    close_stream(s, {1, {}, {1}, {}});
     return s;
   };
   EXPECT_EQ(decode_chunks(stream(0)).records.size(), 1u);
@@ -1115,17 +1285,16 @@ std::string v2_int32_stream(const Int32Fields& f) {
 }
 
 std::string chunk_int32_stream(const Int32Fields& f) {
-  std::string s("PFSEMCK1", 8);
+  std::string s("PFSEMCK2", 8);
   put_varint(s, 2);  // nranks
   s.push_back('C');
   put_varint(s, 0);  // base seq
   put_varint(s, 1);  // records
   put_int32_record(s, f);
   put_varint(s, 0);  // no file
-  s.push_back('T');
-  put_varint(s, 1);  // records
-  put_varint(s, 0);  // paths
-  put_int32_comm(s, f);
+  Trailer t{1, {}, {1, 0}, {}, {}};
+  put_int32_comm(t.comm, f);
+  close_stream(s, t);
   return s;
 }
 
@@ -1196,17 +1365,13 @@ TEST(HostileInput, RecordTimeDeltasThatOverflowDecodeWithoutUB) {
       put_varint(s, 0);  // chunk: no file; v2: path slot 0 (the "")
     }
   };
-  std::string chunk("PFSEMCK1", 8);
+  std::string chunk("PFSEMCK2", 8);
   put_varint(chunk, 1);  // nranks
   chunk.push_back('C');
   put_varint(chunk, 0);  // base seq
   put_varint(chunk, 2);  // records
   records(chunk);
-  chunk.push_back('T');
-  put_varint(chunk, 2);  // records
-  put_varint(chunk, 0);  // paths
-  put_varint(chunk, 0);  // p2p
-  put_varint(chunk, 0);  // collectives
+  close_stream(chunk, {2, {}, {2}, {}});
   std::string v2("PFSEMTR2", 8);
   put_varint(v2, 1);  // nranks
   put_varint(v2, 1);  // path table: ""
@@ -1240,11 +1405,7 @@ TEST(HostileInput, RecordTimeDeltasThatOverflowDecodeWithoutUB) {
   EXPECT_EQ(std::string(std::istreambuf_iterator<char>(*in), {}), chunk);
 
   std::istringstream is(v2);
-  const TraceBundle from_v2 = read_compact(is);
-  expect_wrapped(from_v2);
-  std::ostringstream os;
-  write_compact(from_v2, os);
-  EXPECT_EQ(os.str(), v2);
+  expect_wrapped(read_compact(is));
 }
 
 TEST(HostileInput, V1RejectsP2PRanksOutOfRange) {
@@ -1269,6 +1430,47 @@ TEST(HostileInput, V1RejectsP2PRanksOutOfRange) {
   EXPECT_EQ(decode_comm(decode(stream(1, 0)).comm, 2).p2p.at(0).src, 1);
   EXPECT_THROW((void)decode(stream(2, 0)), Error);
   EXPECT_THROW((void)decode(stream(0, -1)), Error);
+}
+
+// --- single-byte corruption ---------------------------------------------
+
+/// Set every byte of `good` in turn to several values; `decode` must then
+/// succeed or throw pfsem::Error — never crash, hang or trip a sanitizer.
+void corrupt_each_byte(const std::string& good,
+                       const std::function<void(const std::string&)>& decode) {
+  Rng rng(2026);
+  for (std::size_t pos = 0; pos < good.size(); ++pos) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::string bad = good;
+      bad[pos] = static_cast<char>(rng.below(256));
+      try {
+        decode(bad);
+      } catch (const Error&) {
+        // acceptable: detected corruption
+      }
+    }
+  }
+}
+
+TEST(ChunkStream, SingleByteCorruptionThrowsOrDecodes) {
+  corrupt_each_byte(chunk_fixture(), [](const std::string& bad) {
+    (void)decode_chunks(bad);
+  });
+  corrupt_each_byte(chunk_fixture(), [](const std::string& bad) {
+    (void)drained_report(bad);
+  });
+}
+
+TEST(Compact, FuzzBinaryFormatToo) {
+  // The legacy loaders over their pinned fixtures.
+  corrupt_each_byte(v1_fixture(), [](const std::string& bad) {
+    std::istringstream is(bad);
+    (void)read_binary(is);
+  });
+  corrupt_each_byte(compact_fixture(), [](const std::string& bad) {
+    std::istringstream is(bad);
+    (void)read_compact(is);
+  });
 }
 
 // --- bounded allocation on hostile counts ------------------------------
@@ -1309,12 +1511,28 @@ TEST(BoundedAllocation, HugeClaimedCountsFailWithoutLargeAllocations) {
   cases.push_back({"compact path bytes at the cap", v2_header(1), compact});
   put_varint(cases.back().bytes, 1u << 20);
   cases.back().bytes += "abc";
-  cases.push_back({"chunk trailer p2p events", "PFSEMCK1", chunks});
-  put_varint(cases.back().bytes, 1);  // nranks
-  cases.back().bytes.push_back('T');
-  put_varint(cases.back().bytes, 0);  // records
-  put_varint(cases.back().bytes, 0);  // paths
+  const auto chunk_trailer = [](std::uint64_t npaths) {
+    std::string s("PFSEMCK2", 8);
+    put_varint(s, 1);  // nranks
+    s.push_back('T');
+    put_varint(s, 0);  // records
+    put_varint(s, npaths);
+    return s;
+  };
+  cases.push_back({"chunk trailer p2p events", chunk_trailer(0), chunks});
+  put_varint(cases.back().bytes, 1);  // rank budgets: one, of zero
+  put_varint(cases.back().bytes, 0);
+  put_varint(cases.back().bytes, 0);  // file budgets: none
   put_varint(cases.back().bytes, kHuge);
+  cases.push_back({"chunk rank budgets", chunk_trailer(0), chunks});
+  put_varint(cases.back().bytes, kHuge);
+  cases.push_back({"chunk file budgets", chunk_trailer(0), chunks});
+  put_varint(cases.back().bytes, 1);
+  put_varint(cases.back().bytes, 0);
+  put_varint(cases.back().bytes, kHuge);
+  // A path-table size backed by nothing, then budget sections claiming
+  // the same huge size.
+  cases.push_back({"chunk path table", chunk_trailer(1u << 24), chunks});
   cases.push_back({"v1 records", "PFSEMTRC", binary});
   put_le<std::uint32_t>(cases.back().bytes, 1);  // version
   put_le<std::int32_t>(cases.back().bytes, 1);   // nranks

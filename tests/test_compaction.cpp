@@ -220,6 +220,63 @@ std::string drive(Pfs& fs, bool crash) {
   return os.str();
 }
 
+TEST(Compaction, HugeWritesIndexInConstantEntries) {
+  // A 1 TiB preload, then seeded writes from 1 byte to 64 GiB and reads
+  // anywhere in the file: every strong-model read resolves exactly what
+  // the strong oracle returns, before and after a compaction pass, while
+  // the write index holds O(writes) entries — no write, however wide,
+  // costs more than a few index entries.
+  constexpr Offset kTiB = Offset{1} << 40;
+  FileCore f;
+  f.path = "huge";
+  WriteRecord genesis;
+  genesis.id = 1;
+  genesis.writer = kNoRank;
+  genesis.ext = {0, kTiB};
+  genesis.t_write = genesis.t_commit = genesis.t_publish = -1;
+  f.writes.push_back(genesis);
+  f.index_write(0);
+  f.size = kTiB;
+  const auto index_entries = [&f] {
+    std::size_t n = f.wide_writes.size();
+    for (const auto& [block, ids] : f.write_index) n += ids.size();
+    return n;
+  };
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  const auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  const ResolveEnv env;  // strong
+  SimTime t = 0;
+  for (int i = 0; i < 400; ++i) {
+    const Offset len = Offset{1} << (next() % 37);  // 1 B .. 64 GiB
+    const Offset begin = next() % (kTiB - len);
+    WriteRecord w;
+    w.id = static_cast<VersionTag>(f.writes.size() + 1);
+    w.writer = static_cast<Rank>(next() % 4);
+    w.ext = {begin, begin + len};
+    w.t_write = w.t_commit = w.t_publish = ++t;
+    f.writes.push_back(w);
+    f.index_write(static_cast<std::uint32_t>(f.writes.size() - 1));
+    if (i == 200) (void)detail::compact_file(f, env, ++t, kTimeNever);
+    ASSERT_LE(index_entries(), FileCore::kWideBlocks * f.writes.size());
+    for (int q = 0; q < 3; ++q) {
+      const Offset rlen = Offset{1} << (next() % 38);
+      const Offset off = next() % (kTiB - rlen);
+      const Rank reader = static_cast<Rank>(next() % 5);
+      ASSERT_EQ(extents_str(detail::resolve_view(f, env, reader, ++t, t, off,
+                                                 rlen)),
+                extents_str(detail::strong_view_of(f, off, rlen)))
+          << "write " << i << " read [" << off << ", +" << rlen << ")";
+    }
+  }
+  EXPECT_FALSE(f.wide_writes.empty());
+  EXPECT_LE(index_entries(), FileCore::kWideBlocks * f.writes.size());
+}
+
 TEST(Compaction, PfsDifferentialEveryModel) {
   for (const auto model : kModels) {
     for (const bool crash : {false, true}) {

@@ -385,7 +385,7 @@ TEST(Determinism, SamePlanAndSeedReproduceBitIdenticalRuns) {
     fault::FaultStats stats;
     const auto bundle = run_app(*info, small_cfg(), {}, {}, &setup, &stats);
     std::ostringstream os;
-    trace::write_binary(bundle, os);
+    trace::write_compact(bundle, os);
     return std::pair{os.str(), stats};
   };
   const auto [trace_a, stats_a] = once();
@@ -469,7 +469,7 @@ TEST(Determinism, ClusterMdsFailoverReproducesBitIdenticallyAcrossThreads) {
     const auto bundle =
         apps::run_app(*info, small_cfg(), ccfg, {}, &setup, &stats);
     std::ostringstream os;
-    trace::write_binary(bundle, os);
+    trace::write_compact(bundle, os);
     return std::tuple{os.str(), stats, signature_of(bundle, 8)};
   };
   const auto [trace_a, stats_a, sig_a] = once();

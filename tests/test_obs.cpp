@@ -172,7 +172,7 @@ std::string run_bytes(obs::Run* run) {
   cfg.obs = run;
   const auto bundle = apps::run_app(*info, cfg);
   std::ostringstream os;
-  trace::write_binary(bundle, os);
+  trace::write_compact(bundle, os);
   return os.str();
 }
 

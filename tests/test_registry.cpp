@@ -65,7 +65,7 @@ std::string serialized_run(const AppInfo& info, std::uint64_t seed) {
   cfg.bytes_per_rank = 64 * 1024;
   const auto bundle = run_app(info, cfg);
   std::ostringstream os;
-  trace::write_binary(bundle, os);
+  trace::write_compact(bundle, os);
   return os.str();
 }
 

@@ -1,8 +1,8 @@
 // Differential tests for the chunked streaming pipeline: every
 // registered application, run once through the spill → merge → stream
 // analysis path and once through the materialized build-a-bundle path,
-// must produce byte-identical compact-v2 serializations and
-// byte-identical report text — across thread counts, both schedulers,
+// must produce byte-identical trace files (the spill's bytes against
+// write_compact of the bundle) and byte-identical report text — across thread counts, both schedulers,
 // both PFS backends, fault plans, and skewed clocks. The materialized
 // path is the oracle; the streaming path must never be observable in
 // the output.
@@ -65,16 +65,17 @@ std::string windowed_text(core::StreamAnalyzer::WindowedResult res) {
 }
 
 struct StreamResult {
-  std::string compact;  ///< compact-v2 bytes, re-encoded from the chunks
+  std::string compact;  ///< the spill's bytes: the saved trace
   std::string report;   ///< full report text from the streaming analysis
   std::uint64_t records = 0;
   bool spilled = false;
 };
 
 /// The whole streaming pipeline end to end through the driver: capture
-/// spills chunks into a bounded store, the harness dies, the spill is
-/// transcoded to compact v2 (as `pfsem trace --stream` does) and then
-/// drained through the windowed analysis (as `pfsem report --stream`).
+/// spills chunks into a bounded store, the harness dies, the spill's bytes
+/// are kept (what `pfsem trace --stream` saves), and the spill drains
+/// through the windowed analysis (as `pfsem report --stream`). The
+/// trailer's budgets must be the ones the collector tallied.
 StreamResult stream_run(const apps::AppInfo& info, apps::AppConfig cfg,
                         std::size_t chunk, std::size_t ceiling,
                         std::vector<sim::ClockModel> clocks = {},
@@ -86,9 +87,16 @@ StreamResult stream_run(const apps::AppInfo& info, apps::AppConfig cfg,
   StreamResult out;
   out.records = run.meta.records;
   out.spilled = run.store->spilled();
-  std::ostringstream cb(std::ios::binary);
-  apps::write_compact(run, cb);
-  out.compact = cb.str();
+  {
+    const auto in = run.store->open_read();
+    out.compact.assign(std::istreambuf_iterator<char>(*in), {});
+    in->clear();
+    in->seekg(0);
+    const auto index = trace::read_index(*in);
+    EXPECT_EQ(index.rank_posix_counts, run.meta.rank_posix_counts);
+    EXPECT_EQ(index.file_posix_counts, run.meta.file_posix_counts);
+    EXPECT_EQ(index.paths.size(), run.meta.paths.size());
+  }
   out.report = windowed_text(apps::drain_spill(run));
   return out;
 }

@@ -1,15 +1,15 @@
 // Unit tests for the trace layer: record metadata, clock-skew application
-// in the collector, binary round-tripping, and the metadata census.
+// in the collector, trace-file round-tripping, and the metadata census.
 
 #include <gtest/gtest.h>
 
 #include <limits>
 #include <sstream>
 
-#include "pfsem/apps/registry.hpp"
 #include "pfsem/core/metadata_census.hpp"
 #include "pfsem/trace/collector.hpp"
 #include "pfsem/trace/serialize.hpp"
+#include "pfsem/trace/spill.hpp"
 #include "pfsem/util/error.hpp"
 #include "pfsem/util/rng.hpp"
 
@@ -148,8 +148,8 @@ TraceBundle sample_bundle() {
 TEST(Serialize, BinaryRoundTripPreservesEverything) {
   const auto original = sample_bundle();
   std::stringstream ss;
-  write_binary(original, ss);
-  const auto copy = read_binary(ss);
+  write_compact(original, ss);
+  const auto copy = open_trace(ss);
 
   ASSERT_EQ(copy.nranks, original.nranks);
   ASSERT_EQ(copy.records.size(), original.records.size());
@@ -180,34 +180,26 @@ TEST(Serialize, BinaryRoundTripPreservesEverything) {
 TEST(Serialize, RejectsBadMagic) {
   std::stringstream ss;
   ss << "NOTATRACE-having-some-length-anyway";
+  EXPECT_THROW(open_trace(ss), Error);
   EXPECT_THROW(read_binary(ss), Error);
 }
 
 TEST(Serialize, RejectsTruncatedStream) {
   const auto original = sample_bundle();
   std::stringstream ss;
-  write_binary(original, ss);
+  write_compact(original, ss);
   std::string data = ss.str();
   data.resize(data.size() / 2);
   std::stringstream half(data);
-  EXPECT_THROW(read_binary(half), Error);
-}
-
-TEST(Serialize, TextDumpMentionsRecords) {
-  const auto original = sample_bundle();
-  std::ostringstream os;
-  write_text(original, os);
-  EXPECT_NE(os.str().find("pwrite"), std::string::npos);
-  EXPECT_NE(os.str().find("h5dwrite"), std::string::npos);
-  EXPECT_NE(os.str().find("file_1"), std::string::npos);
+  EXPECT_THROW(open_trace(half), Error);
 }
 
 TEST(Serialize, EmptyBundleRoundTrips) {
   TraceBundle b;
   b.nranks = 1;
   std::stringstream ss;
-  write_binary(b, ss);
-  const auto copy = read_binary(ss);
+  write_compact(b, ss);
+  const auto copy = open_trace(ss);
   EXPECT_EQ(copy.nranks, 1);
   EXPECT_TRUE(copy.records.empty());
 }
@@ -268,7 +260,7 @@ TEST(Compact, RoundTripPreservesEverything) {
   const auto original = sample_bundle();
   std::stringstream ss;
   write_compact(original, ss);
-  const auto copy = read_compact(ss);
+  const auto copy = read_chunks(ss);
   ASSERT_EQ(copy.nranks, original.nranks);
   ASSERT_EQ(copy.records.size(), original.records.size());
   for (std::size_t i = 0; i < copy.records.size(); ++i) {
@@ -309,7 +301,7 @@ TEST(Compact, NegativeAndExtremeFieldsSurvive) {
   const auto original = c.take();
   std::stringstream ss;
   write_compact(original, ss);
-  const auto copy = read_compact(ss);
+  const auto copy = read_chunks(ss);
   EXPECT_EQ(copy.records[0].tstart, -5);
   EXPECT_EQ(copy.records[0].ret, -1);
   EXPECT_EQ(copy.records[0].offset, original.records[0].offset);
@@ -318,14 +310,14 @@ TEST(Compact, NegativeAndExtremeFieldsSurvive) {
 
 TEST(Compact, RejectsBadMagicAndTruncation) {
   std::stringstream bad("NOTATRACE-at-all-really");
-  EXPECT_THROW(read_compact(bad), Error);
+  EXPECT_THROW(read_chunks(bad), Error);
   const auto original = sample_bundle();
   std::stringstream ss;
   write_compact(original, ss);
   std::string data = ss.str();
   data.resize(data.size() / 3);
   std::stringstream half(data);
-  EXPECT_THROW(read_compact(half), Error);
+  EXPECT_THROW(read_chunks(half), Error);
 }
 
 // Failure injection: corrupt single bytes all over a valid stream; the
@@ -342,51 +334,12 @@ TEST(Compact, FuzzSingleByteCorruption) {
     bad[pos] = static_cast<char>(rng.below(256));
     std::stringstream in(bad);
     try {
-      (void)read_compact(in);
+      (void)read_chunks(in);
     } catch (const Error&) {
       // acceptable: detected corruption
     }
   }
   SUCCEED();
-}
-
-TEST(Compact, FuzzBinaryFormatToo) {
-  const auto original = sample_bundle();
-  std::stringstream ss;
-  write_binary(original, ss);
-  const std::string good = ss.str();
-  Rng rng(77);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string bad = good;
-    const auto pos = rng.below(bad.size());
-    bad[pos] = static_cast<char>(rng.below(256));
-    std::stringstream in(bad);
-    try {
-      (void)read_binary(in);
-    } catch (const Error&) {
-    }
-  }
-  SUCCEED();
-}
-
-
-TEST(Compact, SubstantiallySmallerOnRealTraces) {
-  apps::AppConfig cfg;
-  cfg.nranks = 16;
-  cfg.ranks_per_node = 4;
-  const auto bundle = apps::run_app(*apps::find_app("FLASH-fbs"), cfg);
-  std::stringstream fixed, compact;
-  write_binary(bundle, fixed);
-  write_compact(bundle, compact);
-  const auto fixed_size = fixed.str().size();
-  const auto compact_size = compact.str().size();
-  EXPECT_LT(compact_size * 3, fixed_size)
-      << "compact=" << compact_size << " fixed=" << fixed_size
-      << " — regular HPC traces should compress at least 3x";
-  // And it still round-trips to an identical analysis input.
-  const auto copy = read_compact(compact);
-  EXPECT_EQ(copy.records.size(), bundle.records.size());
-  EXPECT_EQ(copy.comm, bundle.comm);
 }
 
 }  // namespace

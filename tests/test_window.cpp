@@ -63,9 +63,26 @@ struct WindowRun {
   std::uint64_t retired_accesses = 0;
 };
 
-/// Drain a spilled capture through the driver's windowed analysis.
-WindowRun windowed_drain(apps::SpilledRun& run) {
-  auto res = apps::drain_spill(run);
+/// Drain a spilled capture through the driver's windowed analysis. With
+/// `unknown_file_budgets` the records replay instead into an analyzer
+/// given the run's rank budgets but no per-file ones: the driver always
+/// reads the exact budgets from the spill's trailer.
+WindowRun windowed_drain(apps::SpilledRun& run,
+                         bool unknown_file_budgets = false) {
+  core::StreamAnalyzer::WindowedResult res;
+  if (unknown_file_budgets) {
+    const auto in = run.store->open_read();
+    trace::ChunkReader reader(*in);
+    core::StreamAnalyzer an(run.meta.nranks, run.meta.paths,
+                            run.meta.rank_posix_counts);
+    an.enable_window({}, {});
+    trace::Record rec;
+    while (reader.next(rec)) an.feed(rec);
+    reader.read_trailer();
+    res = an.finish_windowed();
+  } else {
+    res = apps::drain_spill(run);
+  }
   WindowRun out;
   out.peak_live_files = res.peak_live_files;
   out.retired_accesses = res.retired_accesses;
@@ -251,8 +268,7 @@ TEST(WindowDiff, UnknownFileBudgetsFallBackSafely) {
   auto cfg = base_cfg(8);
   cfg.stream_chunk_records = 64;
   auto run = apps::spill_app(info, cfg, 1u << 20);
-  run.meta.file_posix_counts.clear();
-  const auto win = windowed_drain(run);
+  const auto win = windowed_drain(run, /*unknown_file_budgets=*/true);
   EXPECT_EQ(win.peak_live_files, win.active_files);
   EXPECT_EQ(win.retired_accesses, 0u);
   ASSERT_EQ(win.report, report_text(apps::run_app(info, base_cfg(8))));
@@ -264,8 +280,9 @@ TEST(WindowDiff, RetiredAccessesCountOnlyMidStreamRetirements) {
   // the early phases' accesses with the exact ones.
   const auto cfg = base_cfg(8);
   auto unknown = spill_phased(cfg, nullptr);
-  unknown.meta.file_posix_counts.clear();
-  EXPECT_EQ(windowed_drain(unknown).retired_accesses, 0u);
+  EXPECT_EQ(windowed_drain(unknown, /*unknown_file_budgets=*/true)
+                .retired_accesses,
+            0u);
   auto exact = spill_phased(cfg, nullptr);
   EXPECT_GT(windowed_drain(exact).retired_accesses, 0u);
 }
