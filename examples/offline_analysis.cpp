@@ -3,8 +3,7 @@
 // split the paper's tooling uses.
 //
 //   $ ./offline_analysis             # capture to flash.pfsemtrc + analyze
-//   $ ./offline_analysis trace.trc   # analyze an existing trace file
-//                                    # (any format `pfsem trace` wrote)
+//   $ ./offline_analysis trace.trc   # analyze a trace `pfsem trace` wrote
 
 #include <fstream>
 #include <iostream>
@@ -15,6 +14,7 @@
 #include "pfsem/core/offset_tracker.hpp"
 #include "pfsem/core/pattern.hpp"
 #include "pfsem/trace/serialize.hpp"
+#include "pfsem/trace/spill.hpp"
 #include "pfsem/util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     std::cerr << "cannot open " << path << "\n";
     return 1;
   }
-  const auto bundle = trace::open_trace(is);
+  const auto bundle = trace::read_chunks(is);
   std::cout << "loaded " << bundle.records.size() << " records from "
             << bundle.nranks << " ranks\n\n";
 

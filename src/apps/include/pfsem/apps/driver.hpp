@@ -1,7 +1,7 @@
 #pragma once
 // The streaming pipeline driver: capture → spill → windowed analysis in
-// two calls, shared by `pfsem report|tune|trace --stream`, the scaling
-// bench and the stream tests.
+// two calls, shared by `pfsem trace` and `pfsem report|tune --stream`,
+// the scaling bench and the stream tests.
 //
 //   auto run = apps::spill_app(info, cfg, ceiling);  // harness gone after
 //   auto res = apps::drain_spill(run);               // WindowedResult
@@ -56,9 +56,9 @@ struct SpilledRun {
 /// trace; `is` seekable, positioned at its magic): read_index() seeks to
 /// the tail and reads the path table and the exact per-rank and per-file
 /// budgets, then every record replays through a window-enabled
-/// StreamAnalyzer. A v1 or v2 trace is rejected (the error names the
-/// command that rewrites it). `obs` (nullable) gets the wiring
-/// spill_app describes.
+/// StreamAnalyzer. Throws pfsem::Error on malformed input, and on a
+/// trace of an older format as read_chunks() does. `obs` (nullable) gets
+/// the wiring spill_app describes.
 [[nodiscard]] core::StreamAnalyzer::WindowedResult drain(std::istream& is,
                                                          obs::Run* obs);
 

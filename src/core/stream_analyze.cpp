@@ -63,6 +63,10 @@ void StreamAnalyzer::feed(const trace::Record& rec) {
   if (rec.layer != trace::Layer::Posix) return;
   require(rec.rank >= 0 && rec.rank < log_.nranks,
           "record rank out of range in stream");
+  // Checked before the record is buffered: stepping it indexes per-file
+  // state by this id.
+  require(rec.file == kNoFile || rec.file < file_live_.size(),
+          "record file out of range in stream");
   const auto r = static_cast<std::size_t>(rec.rank);
   require(remaining_[r] > 0, "rank posix count mismatch in stream");
   if (!seen_[r]) {
@@ -117,7 +121,6 @@ void StreamAnalyzer::step_top() {
 void StreamAnalyzer::note_stepped(const trace::Record& rec) {
   const FileId f = rec.file;
   if (f == kNoFile) return;
-  require(f < file_live_.size(), "record file out of range in stream");
   // A record reaching a finalized file means the advertised per-file
   // counts were wrong and a summary already shipped without it.
   require(!file_finalized_[f], "file posix count mismatch in stream");

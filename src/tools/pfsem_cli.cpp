@@ -2,9 +2,8 @@
 //
 //   pfsem list                         list bundled application models
 //   pfsem run <config> [options]       simulate + full analysis report
-//   pfsem trace <config> <out.trc>     simulate and save the trace
-//   pfsem trace <old.trc> <new.trc>    rewrite a v1/v2 trace in the
-//                                      current format
+//   pfsem trace <config> <out.trc>     simulate and save the trace (the
+//                                      spilled chunk stream's bytes)
 //   pfsem analyze <trace.trc>          analyze a saved trace
 //   pfsem report <config|trace.trc>    full Recorder-style run report
 //   pfsem advise <config|trace.trc>    weakest-safe-model verdict only
@@ -29,7 +28,7 @@
 //   --retries N      I/O retries per op after the first attempt (default 0)
 //   --threads N      analysis threads (N >= 1; omit for all hardware
 //                    threads; output is byte-identical for every N)
-//   --stream         report/trace/tune: chunked streaming pipeline —
+//   --stream         report/tune: chunked streaming pipeline —
 //                    records spill to a bounded store as they are
 //                    captured and the analysis consumes them
 //                    incrementally, so peak memory stays flat in rank
@@ -39,7 +38,8 @@
 //                    pattern/tuning run the moment the stream frontier
 //                    retires a file, and its accesses are freed, so
 //                    memory is bounded by the *live* file window rather
-//                    than the whole log.
+//                    than the whole log. `trace` always captures
+//                    this way, so it accepts --stream as a no-op.
 //   --chunk-records N  records the capture hands the spill per batch
 //                    (default 4096); the trace's chunks are a fixed size,
 //                    so the bytes written do not depend on it
@@ -85,7 +85,7 @@
 #include "pfsem/core/remedy.hpp"
 #include "pfsem/core/report.hpp"
 #include "pfsem/core/tuning.hpp"
-#include "pfsem/trace/serialize.hpp"
+#include "pfsem/trace/spill.hpp"
 #include "pfsem/util/table.hpp"
 
 // Short commit hash baked in by src/tools/CMakeLists.txt for the JSON
@@ -114,7 +114,8 @@ struct Options {
   Offset stripe = 64u << 10;
   int retries = 0;  // retries per op after the first attempt
   int threads = 0;  // analysis threads (0 = all hardware threads)
-  // Chunked streaming pipeline (--stream; report, trace, and tune).
+  // Chunked streaming pipeline (--stream: report and tune; always on
+  // for trace).
   bool stream = false;
   std::size_t chunk_records = apps::AppConfig{}.stream_chunk_records;
   std::size_t spill_mem_mb = 64;
@@ -146,7 +147,7 @@ int usage() {
                "  pfsem list\n"
                "  pfsem run <config> [--ranks N] [--skew NS] [--seed S]\n"
                "            [--faults SPEC] [--fault-seed S] [--retries N]\n"
-               "  pfsem trace <config|old.trc> <out.trc> [options]\n"
+               "  pfsem trace <config> <out.trc> [options]\n"
                "  pfsem analyze <trace.trc>\n"
                "  pfsem report <config|trace.trc> [options]\n"
                "  pfsem advise <config|trace.trc> [options]\n"
@@ -159,11 +160,13 @@ int usage() {
                "stdout),\n"
                "                --mds N --ost M --stripe K (multi-server "
                "cluster backend)\n"
-               "report/trace/tune: --stream [--chunk-records N] "
+               "report/tune: --stream [--chunk-records N] "
                "[--spill-mem MB]\n"
                "                (chunked streaming pipeline with windowed "
                "analysis;\n"
-               "                output is byte-identical)\n";
+               "                output is byte-identical)\n"
+               "trace: [--chunk-records N] [--spill-mem MB] (it always "
+               "streams)\n";
   return 2;
 }
 
@@ -208,6 +211,8 @@ std::shared_ptr<std::ostream> open_obs_sink(const std::string& path,
 Options parse_options(int argc, char** argv, int first) {
   Options opt;
   if (argc > 2) opt.subject = argv[2];
+  // `trace` has one path, the streaming capture; --stream selects nothing.
+  opt.stream = std::strcmp(argv[1], "trace") == 0;
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> std::string {
@@ -421,7 +426,7 @@ trace::TraceBundle obtain(const std::string& what, Options& opt) {
                          s.has_faults ? &s.setup : nullptr, &opt.fault_stats);
   }
   auto is = open_saved(what, opt);
-  return trace::open_trace(is);
+  return trace::read_chunks(is);
 }
 
 /// Spill a named config's records through the streaming driver. The
@@ -569,28 +574,19 @@ int main(int argc, char** argv) {
     }
     if (cmd == "trace" && argc >= 4) {
       auto opt = parse_options(argc, argv, 4);
-      // The file is created only once there is a trace to write.
-      const auto save = [&](const auto& write) {
+      const auto* info = apps::find_app(argv[2]);
+      require(info != nullptr, "trace simulates a named config (got '" +
+                                   std::string(argv[2]) + "')");
+      const auto run = spill_config(*info, opt);
+      {
+        // The file is created only once there is a trace to write. The
+        // spill is the trace: copy its bytes out.
         std::ofstream os(argv[3], std::ios::binary);
-        if (os) write(os);
+        if (os) os << run.store->open_read()->rdbuf();
         if (!os) throw Error(std::string("cannot write ") + argv[3]);
-      };
-      std::uint64_t records = 0;
-      if (opt.stream) {
-        const auto* info = apps::find_app(argv[2]);
-        require(info != nullptr,
-                "trace --stream simulates a named config (got '" +
-                    std::string(argv[2]) + "')");
-        // The spill is the trace: copy its bytes out.
-        const auto run = spill_config(*info, opt);
-        save([&](std::ostream& os) { os << run.store->open_read()->rdbuf(); });
-        records = run.meta.records;
-      } else {
-        const auto bundle = obtain(argv[2], opt);
-        save([&](std::ostream& os) { trace::write_compact(bundle, os); });
-        records = bundle.records.size();
       }
-      std::cout << "wrote " << records << " records to " << argv[3] << "\n";
+      std::cout << "wrote " << run.meta.records << " records to " << argv[3]
+                << "\n";
       if (opt.ran_faults) {
         core::print_degraded(apps::degraded_summary(opt.fault_stats),
                              std::cout);

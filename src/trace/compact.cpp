@@ -1,16 +1,10 @@
-// The comm-log codec every trace format shares, and the read-only loader
-// of the compact v2 format ("PFSEMTR2"): LEB128 varints, zig-zag signed
-// fields, per-rank timestamp deltas and a leading interned path table —
-// the compression ideas of Recorder 2.0, which the chunk stream
-// (spill.cpp) keeps. v2 records use the chunk stream's field layout
-// (detail::get_record) but name their file by path-table slot, an
-// empty-string slot standing for "no file".
+// The comm-log codec: one encoder and one validating decoder per event
+// kind (LEB128 varints, zig-zag signed fields, times as wrapping deltas),
+// shared by the collector, write_comm/decode_comm and the chunk stream's
+// trailer (spill.cpp).
 
 #include <algorithm>
-#include <istream>
-#include <string_view>
 #include <utility>
-#include <vector>
 
 #include "pfsem/trace/serialize.hpp"
 #include "pfsem/trace/varint.hpp"
@@ -19,8 +13,6 @@
 namespace pfsem::trace {
 
 namespace {
-
-constexpr char kMagic2[8] = {'P', 'F', 'S', 'E', 'M', 'T', 'R', '2'};
 
 using detail::put_varint;
 using detail::unzigzag;
@@ -135,47 +127,6 @@ CommLog decode_comm(const EncodedCommLog& comm, int nranks) {
     out.collectives.push_back(c);
   });
   return out;
-}
-
-TraceBundle read_compact(std::istream& is) {
-  detail::ByteReader in(is);
-  char magic[8];
-  require(in.read(magic, sizeof magic) &&
-              std::equal(std::begin(magic), std::end(magic), kMagic2),
-          "not a compact pfsem trace");
-  TraceBundle b;
-  const auto nranks = in.varint();
-  require(nranks > 0 && nranks < (1 << 24), "bad rank count");
-  b.nranks = static_cast<int>(nranks);
-
-  // Adopt the on-disk intern table directly as the in-memory PathTable:
-  // ids in the stream are ids in the decoded records. Empty-string
-  // entries stay in the table (records referencing them decode to
-  // kNoFile).
-  const auto npaths = in.varint();
-  require(npaths <= (1u << 24), "implausible path-table size");
-  std::string path;
-  for (std::uint64_t i = 0; i < npaths; ++i) {
-    path.clear();
-    in.append_string(path);
-    const FileId id = b.paths.intern(path);
-    require(id == static_cast<FileId>(i), "duplicate path in compact table");
-  }
-
-  const auto nrec = in.varint();
-  b.records.reserve(std::min(nrec, detail::kMaxReserve));
-  std::vector<SimTime> last_t(static_cast<std::size_t>(b.nranks), 0);
-  Record r;
-  for (std::uint64_t i = 0; i < nrec; ++i) {
-    detail::get_record(in, last_t, r);
-    const auto pid = in.varint();
-    require(pid < b.paths.size(), "bad path id in compact trace");
-    const auto id = static_cast<FileId>(pid);
-    r.file = b.paths.view(id).empty() ? kNoFile : id;
-    b.records.push_back(r);
-  }
-  detail::read_comm(in, b.nranks, &b.comm);
-  return b;
 }
 
 }  // namespace pfsem::trace

@@ -116,10 +116,9 @@ struct CommLog {
 /// concatenated bytes of its events, as detail::put_p2p/put_collective
 /// (serialize.hpp) encode them. This is the one form a comm log takes from
 /// capture to disk: the collector appends each event's bytes as it
-/// completes, TraceBundle and StreamMeta carry them, and the compact v2
-/// and chunk trailers are varint(p2p_count) p2p varint(collective_count)
-/// collectives (v1 converts at its edge). Only decode_comm() turns it
-/// back into a CommLog.
+/// completes, TraceBundle and StreamMeta carry them, and the chunk
+/// stream's trailer is varint(p2p_count) p2p varint(collective_count)
+/// collectives. Only decode_comm() turns it back into a CommLog.
 struct EncodedCommLog {
   std::uint64_t p2p_count = 0;
   std::uint64_t collective_count = 0;

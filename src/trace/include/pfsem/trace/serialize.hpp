@@ -1,11 +1,10 @@
 #pragma once
-// Trace files. pfsem writes one format, the PFSEMCK2 chunk stream
+// Writing a TraceBundle as a trace file, and the comm-log codec every
+// trace shares. pfsem has one trace format, the PFSEMCK2 chunk stream
 // (spill.hpp): a saved trace is the bytes a streaming capture spills, so
-// it is written once and every analysis reads it, the way Recorder's
-// post-processing reads its one trace format. Two older formats still
-// load, read-only: v1 ("PFSEMTRC", fixed-width fields with inline paths)
-// and compact v2 ("PFSEMTR2", varints and a leading path table).
-// `pfsem trace old.trc new.trc` rewrites either as a chunk stream.
+// it is written once and every analysis reads it through read_chunks()
+// or ChunkReader, the way Recorder's post-processing reads its one trace
+// format.
 
 #include <cstdint>
 #include <iosfwd>
@@ -24,29 +23,11 @@ namespace pfsem::trace {
 /// pfsem::Error on stream failure.
 void write_compact(const TraceBundle& bundle, std::ostream& os);
 
-/// Load a trace of any format into a TraceBundle, by its magic: a chunk
-/// stream through read_chunks (spill.hpp), a v1 or v2 file through its
-/// loader. Throws pfsem::Error on malformed input.
-[[nodiscard]] TraceBundle open_trace(std::istream& is);
-
-/// The v1 loader. Throws pfsem::Error on malformed input (bad magic,
-/// truncated stream, wrong version).
-[[nodiscard]] TraceBundle read_binary(std::istream& is);
-
-/// The compact v2 loader. Throws pfsem::Error on malformed input. Reads
-/// ahead: `is` may be left past the end of the trace.
-[[nodiscard]] TraceBundle read_compact(std::istream& is);
-
 namespace detail {
-/// Decode one record's fields up to its file, in the layout the chunk
-/// stream and v2 share (spill.hpp lists it). `last_t` holds each rank's
-/// previous tstart, one entry per rank, and is advanced.
-void get_record(ByteReader& in, std::vector<SimTime>& last_t, Record& out);
-
 /// Per-event comm-log codec. Every comm-log writer and reader goes
 /// through these: the collector (which encodes each event as it
-/// arrives), write_comm/decode_comm, the v1 loader and the v2 and chunk
-/// trailers. One definition, so the formats cannot drift.
+/// arrives), write_comm/decode_comm and the chunk trailer. One
+/// definition, so the encodings cannot drift.
 void put_p2p(std::string& out, const P2PEvent& e);
 void put_collective(std::string& out, const CollectiveEvent& c);
 /// Decode one event into `out` and validate it: ranks in [0, nranks),

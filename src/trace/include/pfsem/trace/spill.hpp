@@ -153,6 +153,9 @@ class ChunkWriter final : public StreamSink {
 /// seekg() it first.
 class ChunkReader {
  public:
+  /// Reads the header. Throws pfsem::Error on a bad magic; a trace of a
+  /// format older pfsem builds wrote gets an error that names the format
+  /// and `pfsem trace <config>` as the way to a current trace.
   explicit ChunkReader(std::istream& is);
 
   [[nodiscard]] int nranks() const { return nranks_; }
@@ -198,7 +201,8 @@ class ChunkReader {
 [[nodiscard]] TraceIndex read_index(std::istream& is);
 
 /// Decode a whole chunk stream into a TraceBundle (records, paths, comm
-/// log). Throws pfsem::Error on malformed input.
+/// log). Throws pfsem::Error on malformed input, an older format
+/// included (see ChunkReader's constructor).
 [[nodiscard]] TraceBundle read_chunks(std::istream& is);
 
 }  // namespace pfsem::trace

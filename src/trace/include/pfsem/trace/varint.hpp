@@ -1,10 +1,10 @@
 #pragma once
-// LEB128 varint and zig-zag primitives shared by the chunk-stream codec
-// (spill.cpp) and the legacy PFSEMTR2 loader (compact.cpp). There is one
-// encoder and one decoder: writers append to a std::string and hand the
-// stream whole blocks; readers decode through a ByteReader, which pulls
-// the stream's bytes in fixed blocks and walks them with plain pointer
-// reads. Both sides of every format in the repository use exactly these
+// LEB128 varint and zig-zag primitives of the trace codec: the chunk
+// stream (spill.cpp) and the comm-log events it carries (compact.cpp).
+// There is one encoder and one decoder: writers append to a std::string
+// and hand the stream whole blocks; readers decode through a ByteReader,
+// which pulls the stream's bytes in fixed blocks and walks them with
+// plain pointer reads. Both sides of the format use exactly these
 // functions, so the encodings cannot drift apart.
 
 #include <algorithm>
@@ -50,9 +50,10 @@ constexpr std::int64_t unzigzag(std::uint64_t v) {
   return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
 }
 
-/// a - b and a + b modulo 2^64. Comm-event times are stored as deltas,
-/// and the v1 reader re-encodes whatever int64 times its input holds: a
-/// wrapping delta cannot overflow, and wrapping back restores the value.
+/// a - b and a + b modulo 2^64. Record and comm-event times are stored
+/// as deltas, and a decoder re-encodes whatever int64 times its input
+/// holds: a wrapping delta cannot overflow, and wrapping back restores
+/// the value.
 constexpr std::int64_t wrap_sub(std::int64_t a, std::int64_t b) {
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
                                    static_cast<std::uint64_t>(b));

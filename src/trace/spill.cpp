@@ -174,13 +174,21 @@ std::unique_ptr<std::istream> SpillStore::open_read() {
 
 namespace {
 
-/// Read the magic and the rank count.
+/// Read the magic and the rank count. The magics of the two formats
+/// older pfsem builds wrote are named, with the way to a current trace.
 int read_header(detail::ByteReader& in) {
   char magic[8];
-  require(in.read(magic, sizeof magic) &&
-              std::equal(std::begin(magic), std::end(magic), kChunkMagic),
-          "not a pfsem chunk stream (an older pfsem trace converts with "
-          "`pfsem trace old.trc new.trc`)");
+  require(in.read(magic, sizeof magic), "not a pfsem chunk stream");
+  const std::string_view m(magic, sizeof magic);
+  if (m == "PFSEMTRC" || m == "PFSEMTR2") {
+    throw Error(std::string(m == "PFSEMTRC" ? "a v1" : "a compact v2") +
+                " trace (" + std::string(m) +
+                ") is a format pfsem no longer reads; regenerate it with "
+                "`pfsem trace <config> out.trc` and the run's original "
+                "options, which a saved trace does not record");
+  }
+  require(m == std::string_view(kChunkMagic, sizeof kChunkMagic),
+          "not a pfsem chunk stream");
   const auto nranks = in.varint();
   require(nranks > 0 && nranks < (1 << 24), "bad rank count");
   return static_cast<int>(nranks);
@@ -256,8 +264,8 @@ TrailerCounts read_trailer_body(detail::ByteReader& in, int nranks,
   return n;
 }
 
-/// The tail: the trailer's offset as a u64 in host byte order, like v1's
-/// fixed-width fields (little-endian on every host pfsem builds for).
+/// The tail: the trailer's offset as a u64 in host byte order
+/// (little-endian on every host pfsem builds for).
 std::uint64_t read_tail(detail::ByteReader& in) {
   std::uint64_t at = 0;
   require(in.read(reinterpret_cast<char*>(&at), sizeof at),
@@ -284,11 +292,10 @@ void put_record(std::string& out, const Record& r, SimTime& prev) {
              r.file == kNoFile ? 0 : static_cast<std::uint64_t>(r.file) + 1);
 }
 
-}  // namespace
-
-namespace detail {
-
-void get_record(ByteReader& in, std::vector<SimTime>& last_t, Record& out) {
+/// Decode one record's fields up to its file. `last_t` holds each
+/// rank's previous tstart, one entry per rank, and is advanced.
+void get_record(detail::ByteReader& in, std::vector<SimTime>& last_t,
+                Record& out) {
   const auto rank = in.varint();
   require(rank < last_t.size(), "bad record rank");
   out.rank = static_cast<Rank>(rank);
@@ -311,7 +318,7 @@ void get_record(ByteReader& in, std::vector<SimTime>& last_t, Record& out) {
   out.flags = in.zigzag_int32();
 }
 
-}  // namespace detail
+}  // namespace
 
 ChunkWriter::ChunkWriter(SpillStore& store, int nranks)
     : ChunkWriter(&store, nullptr, nranks) {}
@@ -437,7 +444,7 @@ bool ChunkReader::next(Record& out) {
   }
   --chunk_left_;
   ++seen_;
-  detail::get_record(in_, last_t_, out);
+  get_record(in_, last_t_, out);
   const auto fid = in_.varint();
   if (fid == 0) {
     out.file = kNoFile;

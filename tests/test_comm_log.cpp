@@ -1,12 +1,12 @@
 // Randomized comm logs through every comm-log form. A captured log
-// travels as bytes (EncodedCommLog) from the collector through every
-// trace format's trailer, and decode_comm() builds the structs that
+// travels as bytes (EncodedCommLog) from the collector through the
+// chunk stream's trailer, and decode_comm() builds the structs that
 // HappensBefore reads. Fixed seeds, bounded sizes: the generator makes
 // p2p messages and every collective kind, rooted kinds over random
 // subgroups, and the checks are
 //   * write_comm(decode_comm(x)) == x, byte for byte, and decoding
 //     returns the generated events;
-//   * the v1, compact v2 and chunk-trailer readers return x unchanged;
+//   * a saved trace and a spill's trailer return x unchanged;
 //   * HappensBefore built from the decoded log answers every ordered()
 //     query as one built from the generator's CommLog.
 
@@ -14,13 +14,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <random>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "pfsem/core/happens_before.hpp"
@@ -116,65 +114,16 @@ void expect_same_events(const CommLog& got, const CommLog& want) {
   }
 }
 
-template <typename T>
-void put_le(std::string& out, T v) {
-  char b[sizeof v];
-  std::memcpy(b, &v, sizeof v);
-  out.append(b, sizeof v);
-}
-
-/// The comm log each trace format's reader returns for a record-free
-/// trace carrying `comm`. The v1 and v2 files are encoded here by hand:
-/// pfsem only loads those formats.
-EncodedCommLog via_v1(const EncodedCommLog& comm, int nranks) {
-  std::string s("PFSEMTRC", 8);
-  put_le<std::uint32_t>(s, 1);  // version
-  put_le<std::int32_t>(s, nranks);
-  put_le<std::uint64_t>(s, 0);  // records
-  const auto log = trace::decode_comm(comm, nranks);
-  put_le<std::uint64_t>(s, log.p2p.size());
-  for (const auto& e : log.p2p) {
-    put_le(s, e.src);
-    put_le(s, e.dst);
-    put_le(s, e.tag);
-    put_le(s, e.bytes);
-    for (const SimTime t :
-         {e.t_send_start, e.t_send_end, e.t_recv_start, e.t_recv_end}) {
-      put_le(s, t);
-    }
-  }
-  put_le<std::uint64_t>(s, log.collectives.size());
-  for (const auto& c : log.collectives) {
-    s.push_back(static_cast<char>(c.kind));
-    put_le(s, c.root);
-    put_le<std::uint32_t>(s, static_cast<std::uint32_t>(c.arrivals.size()));
-    for (const auto& a : c.arrivals) {
-      put_le(s, a.rank);
-      put_le(s, a.t_enter);
-      put_le(s, a.t_exit);
-    }
-  }
-  std::istringstream is(s);
-  return trace::open_trace(is).comm;
-}
-
-EncodedCommLog via_v2(const EncodedCommLog& comm, int nranks) {
-  std::string s("PFSEMTR2", 8);
-  trace::detail::put_varint(s, static_cast<std::uint64_t>(nranks));
-  trace::detail::put_varint(s, 0);  // paths
-  trace::detail::put_varint(s, 0);  // records
-  trace::detail::put_comm(comm, [&s](std::string_view b) { s += b; });
-  std::istringstream is(s);
-  return trace::open_trace(is).comm;
-}
-
+/// The comm log the chunk stream's trailer carries back for a
+/// record-free trace holding `comm`: through a saved trace's bytes, and
+/// through a spill's trailer read without the records.
 EncodedCommLog via_saved_trace(const EncodedCommLog& comm, int nranks) {
   trace::TraceBundle b;
   b.nranks = nranks;
   b.comm = comm;
   std::stringstream ss;
   trace::write_compact(b, ss);
-  return trace::open_trace(ss).comm;
+  return trace::read_chunks(ss).comm;
 }
 
 EncodedCommLog via_chunk_trailer(const EncodedCommLog& comm, int nranks) {
@@ -205,8 +154,6 @@ TEST(CommLogRandomized, EveryFormCarriesTheSameBytes) {
       expect_same_events(decoded, log);
       ASSERT_EQ(trace::write_comm(decoded), bytes)
           << "nranks " << nranks << " seed " << seed;
-      ASSERT_EQ(via_v1(bytes, nranks), bytes);
-      ASSERT_EQ(via_v2(bytes, nranks), bytes);
       ASSERT_EQ(via_saved_trace(bytes, nranks), bytes);
       ASSERT_EQ(via_chunk_trailer(bytes, nranks), bytes);
     }
@@ -267,8 +214,7 @@ TEST(CommLogRandomized, ExtremeTimesRoundTripThroughEveryForm) {
       {CollectiveKind::Gather, 1, {{1, kMax, kMin}, {0, kMin, kMax}}});
   const auto bytes = trace::write_comm(log);
   expect_same_events(trace::decode_comm(bytes, 2), log);
-  EXPECT_EQ(via_v1(bytes, 2), bytes);
-  EXPECT_EQ(via_v2(bytes, 2), bytes);
+  EXPECT_EQ(via_saved_trace(bytes, 2), bytes);
   EXPECT_EQ(via_chunk_trailer(bytes, 2), bytes);
 }
 

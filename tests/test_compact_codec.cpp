@@ -1,10 +1,9 @@
-// Robustness tests for the trace codecs, plus on-disk fixtures. The one
-// format pfsem writes is the PFSEMCK2 chunk stream: a hand-made fixture
-// pins its writer byte for byte, and these tests pin its behaviour at the
-// integer extremes and on malformed input (truncation, tail offsets,
-// budget sections, single-byte corruption). The Compat suite hand-crafts
-// v1 and compact v2 byte streams, formats pfsem only loads, to prove
-// that their loaders read old traces and analyse them identically.
+// Robustness tests for the trace codec, plus its on-disk fixture. The one
+// format pfsem reads and writes is the PFSEMCK2 chunk stream: a hand-made
+// fixture pins its writer byte for byte, and these tests pin its
+// behaviour at the integer extremes and on malformed input (truncation,
+// tail offsets, budget sections, hostile fields and counts, single-byte
+// corruption, the magics of older formats).
 
 #include <gtest/gtest.h>
 
@@ -155,7 +154,7 @@ std::string analysis_fingerprint(const TraceBundle& b) {
   return os.str();
 }
 
-/// The producer/consumer trace both Compat fixtures encode: rank 0
+/// The producer/consumer trace the chunk fixture encodes: rank 0
 /// creates "shared" and writes [0, 100); rank 1 opens it and reads the
 /// same range with no commit in between (a RAW conflict pair).
 TraceBundle reference_bundle() {
@@ -176,9 +175,6 @@ TraceBundle reference_bundle() {
       make_record(1, 230, 231, Func::close, 3, 0, 0, 0, 0, kNoFile));
   return b;
 }
-
-std::string v1_fixture();
-std::string compact_fixture();
 
 // --- compact-codec robustness ------------------------------------------
 
@@ -213,40 +209,6 @@ TEST(CompactCodec, ZigZagAndVarintExtremesRoundTrip) {
   EXPECT_EQ(copy.path_of(copy.records[0]), "extremes");
 }
 
-TEST(CompactCodec, OverlongVarintRejected) {
-  // 11 continuation bytes push the decoder's shift past 64 bits; it must
-  // fail loudly instead of silently wrapping.
-  std::string s("PFSEMTR2", 8);
-  s.append(11, static_cast<char>(0x80));
-  std::istringstream is(s);
-  EXPECT_THROW((void)read_compact(is), Error);
-}
-
-TEST(CompactCodec, BadMagicRejected) {
-  std::istringstream is(std::string("PFSEMTRX", 8) + "\x01");
-  EXPECT_THROW((void)read_compact(is), Error);
-}
-
-TEST(CompactCodec, EveryTruncationThrows) {
-  const std::string full = compact_fixture();
-  for (std::size_t len = 0; len < full.size(); ++len) {
-    std::istringstream is(full.substr(0, len));
-    EXPECT_THROW((void)read_compact(is), Error) << "prefix length " << len;
-  }
-}
-
-TEST(CompactCodec, DuplicatePathTableEntryRejected) {
-  std::string s("PFSEMTR2", 8);
-  put_varint(s, 1);  // nranks
-  put_varint(s, 2);  // two path entries...
-  put_varint(s, 1);
-  s += "a";
-  put_varint(s, 1);  // ...that collide
-  s += "a";
-  std::istringstream is(s);
-  EXPECT_THROW((void)read_compact(is), Error);
-}
-
 TEST(CompactCodec, EmptyPathTableRoundTrips) {
   // A bundle whose records never name a file (pathless metadata ops) has
   // an empty table, and its records decode back to kNoFile.
@@ -274,118 +236,6 @@ TEST(CompactCodec, EmptyBundleRoundTrips) {
   EXPECT_EQ(copy.comm, EncodedCommLog{});
 }
 
-// --- pre-refactor on-disk compatibility --------------------------------
-
-/// Byte-for-byte what the pre-interning v1 writer produced for
-/// reference_bundle(): fixed-width little-endian fields with the path
-/// string inline in each record (empty for pathless records).
-std::string v1_fixture() {
-  std::string s("PFSEMTRC", 8);
-  put_le<std::uint32_t>(s, 1);  // version
-  put_le<std::int32_t>(s, 2);   // nranks
-  put_le<std::uint64_t>(s, 6);  // records
-  const auto rec = [&](std::int64_t t0, std::int64_t t1, Rank rank, Func func,
-                       std::int32_t fd, std::int64_t ret, std::uint64_t off,
-                       std::uint64_t count, std::int32_t flags,
-                       const std::string& path) {
-    put_le(s, t0);
-    put_le(s, t1);
-    put_le(s, rank);
-    s.push_back(0);  // layer = Posix
-    s.push_back(6);  // origin = App
-    put_le<std::uint16_t>(s, static_cast<std::uint16_t>(func));
-    put_le(s, fd);
-    put_le(s, ret);
-    put_le(s, off);
-    put_le(s, count);
-    put_le(s, flags);
-    put_le<std::uint32_t>(s, static_cast<std::uint32_t>(path.size()));
-    s += path;
-  };
-  rec(100, 105, 0, Func::open, 3, 3, 0, 0, kCreate | kRdWr, "shared");
-  rec(110, 120, 0, Func::pwrite, 3, 100, 0, 100, 0, "");
-  rec(130, 131, 0, Func::close, 3, 0, 0, 0, 0, "");
-  rec(200, 205, 1, Func::open, 3, 3, 0, 0, kRdWr, "shared");
-  rec(210, 220, 1, Func::pread, 3, 100, 0, 100, 0, "");
-  rec(230, 231, 1, Func::close, 3, 0, 0, 0, 0, "");
-  put_le<std::uint64_t>(s, 0);  // p2p
-  put_le<std::uint64_t>(s, 0);  // collectives
-  return s;
-}
-
-TEST(SerializationCompat, V1InlinePathFixtureAnalysesIdentically) {
-  for (const bool dispatch : {false, true}) {
-    std::istringstream is(v1_fixture());
-    const auto loaded = dispatch ? open_trace(is) : read_binary(is);
-    ASSERT_EQ(loaded.records.size(), 6u);
-    EXPECT_EQ(loaded.path_of(loaded.records[0]), "shared");
-    EXPECT_EQ(loaded.records[1].file, kNoFile);
-    EXPECT_EQ(analysis_fingerprint(loaded),
-              analysis_fingerprint(reference_bundle()));
-  }
-}
-
-TEST(SerializationCompat, V1EveryTruncationThrows) {
-  const std::string full = v1_fixture();
-  for (std::size_t len = 0; len < full.size(); ++len) {
-    std::istringstream is(full.substr(0, len));
-    EXPECT_THROW((void)read_binary(is), Error) << "prefix length " << len;
-  }
-}
-
-/// Byte-for-byte what the pre-refactor v2 writer produced for
-/// reference_bundle(): a leading path table ("shared" then the
-/// synthesized empty slot) and per-record table references,
-/// varint/zig-zag encoded with per-rank time deltas.
-std::string compact_fixture() {
-  std::string s("PFSEMTR2", 8);
-  put_varint(s, 2);  // nranks
-  put_varint(s, 2);  // path table: "shared", ""
-  put_varint(s, 6);
-  s += "shared";
-  put_varint(s, 0);
-  put_varint(s, 6);  // records
-  std::int64_t prev[2] = {0, 0};
-  const auto rec = [&](std::int64_t t0, std::int64_t t1, Rank rank, Func func,
-                       std::int64_t fd, std::int64_t ret, std::uint64_t off,
-                       std::uint64_t count, std::int64_t flags,
-                       std::uint64_t path_id) {
-    put_varint(s, static_cast<std::uint64_t>(rank));
-    put_varint(s, zz(t0 - prev[rank]));
-    put_varint(s, zz(t1 - t0));
-    prev[rank] = t0;
-    put_varint(s, 0 | (6u << 3) |
-                      (static_cast<std::uint64_t>(func) << 6));  // Posix/App
-    put_varint(s, zz(fd));
-    put_varint(s, zz(ret));
-    put_varint(s, off);
-    put_varint(s, count);
-    put_varint(s, zz(flags));
-    put_varint(s, path_id);
-  };
-  rec(100, 105, 0, Func::open, 3, 3, 0, 0, kCreate | kRdWr, 0);
-  rec(110, 120, 0, Func::pwrite, 3, 100, 0, 100, 0, 1);
-  rec(130, 131, 0, Func::close, 3, 0, 0, 0, 0, 1);
-  rec(200, 205, 1, Func::open, 3, 3, 0, 0, kRdWr, 0);
-  rec(210, 220, 1, Func::pread, 3, 100, 0, 100, 0, 1);
-  rec(230, 231, 1, Func::close, 3, 0, 0, 0, 0, 1);
-  put_varint(s, 0);  // p2p
-  put_varint(s, 0);  // collectives
-  return s;
-}
-
-TEST(SerializationCompat, V2PathTableFixtureAnalysesIdentically) {
-  for (const bool dispatch : {false, true}) {
-    std::istringstream is(compact_fixture());
-    const auto loaded = dispatch ? open_trace(is) : read_compact(is);
-    ASSERT_EQ(loaded.records.size(), 6u);
-    EXPECT_EQ(loaded.path_of(loaded.records[0]), "shared");
-    EXPECT_EQ(loaded.records[1].file, kNoFile);
-    EXPECT_EQ(analysis_fingerprint(loaded),
-              analysis_fingerprint(reference_bundle()));
-  }
-}
-
 /// The report text of the materialized pipeline over `b`.
 std::string report_of(const TraceBundle& b) {
   const auto log = core::reconstruct_accesses(b);
@@ -406,22 +256,6 @@ std::string drained_report(const std::string& bytes) {
                                                     res.summaries),
                      os);
   return os.str();
-}
-
-TEST(SerializationCompat, LegacyFixturesRewriteAndDrainLikeTheirBundles) {
-  // What `pfsem trace old.trc new.trc` does: load a legacy trace, write it
-  // as a chunk stream. The stream drain of the rewritten trace reports
-  // exactly what the materialized pipeline reports for the loaded bundle;
-  // the legacy bytes themselves do not stream.
-  for (const auto& legacy : {v1_fixture(), compact_fixture()}) {
-    std::istringstream is(legacy);
-    const auto loaded = open_trace(is);
-    std::ostringstream os;
-    write_compact(loaded, os);
-    EXPECT_EQ(drained_report(os.str()), report_of(loaded));
-    EXPECT_EQ(report_of(loaded), report_of(reference_bundle()));
-    EXPECT_THROW((void)drained_report(legacy), Error);
-  }
 }
 
 // --- the chunk stream (PFSEMCK2) ---------------------------------------
@@ -557,9 +391,6 @@ TEST(ChunkStream, FixtureDecodesAndAnalysesIdentically) {
   EXPECT_EQ(loaded.records[1].file, kNoFile);
   EXPECT_EQ(analysis_fingerprint(loaded),
             analysis_fingerprint(reference_bundle()));
-  std::istringstream is(chunk_fixture());
-  EXPECT_EQ(analysis_fingerprint(open_trace(is)),
-            analysis_fingerprint(reference_bundle()));
   const auto index = index_of(chunk_fixture());
   EXPECT_EQ(index.nranks, 2);
   EXPECT_EQ(index.records, 6u);
@@ -694,6 +525,24 @@ TEST(ChunkStream, BadMagicRejected) {
   EXPECT_THROW((void)decode_chunks(ck1), Error);
 }
 
+TEST(ChunkStream, OlderFormatsNameTheWayToACurrentTrace) {
+  // The v1 and compact v2 magics, alone or ahead of more bytes: the
+  // whole-trace reader and the one-pass drain both refuse them with the
+  // command that writes a current trace.
+  for (const char* magic : {"PFSEMTRC", "PFSEMTR2"}) {
+    for (const std::string& old :
+         {std::string(magic, 8), std::string(magic, 8) + "\x02\x01"}) {
+      for (const std::string& what :
+           {error_of([&] { (void)decode_chunks(old); }),
+            error_of([&] { (void)drained_report(old); })}) {
+        EXPECT_NE(what.find(magic), std::string::npos) << what;
+        EXPECT_NE(what.find("pfsem trace <config>"), std::string::npos)
+            << what;
+      }
+    }
+  }
+}
+
 TEST(ChunkStream, TrailerRecordCountMismatchRejected) {
   // Trailer claiming more records than the chunks carried: a truncated
   // middle (whole missing chunk) that per-chunk checks cannot see.
@@ -705,9 +554,9 @@ TEST(ChunkStream, TrailerRecordCountMismatchRejected) {
 }
 
 /// A chunk stream with no records and a trailer holding one collective
-/// (`kind`, `root`, one arrival by `arrival`), nranks 2.
-std::string chunk_trailer_with_collective(std::uint64_t kind, Rank root,
-                                          std::uint64_t arrival) {
+/// (`kind`, `root`, one arrival by each rank in `arrivals`), nranks 2.
+std::string chunk_trailer_with_collective(
+    std::uint64_t kind, Rank root, const std::vector<std::uint64_t>& arrivals) {
   std::string s("PFSEMCK2", 8);
   put_varint(s, 2);  // nranks
   Trailer t{0, {}, {0, 0}, {}, {}};
@@ -715,10 +564,12 @@ std::string chunk_trailer_with_collective(std::uint64_t kind, Rank root,
   put_varint(t.comm, 1);  // collectives
   put_varint(t.comm, kind);
   put_varint(t.comm, zz(root));
-  put_varint(t.comm, 1);  // arrivals
-  put_varint(t.comm, arrival);
-  put_varint(t.comm, zz(30));
-  put_varint(t.comm, zz(10));
+  put_varint(t.comm, arrivals.size());
+  for (const auto rank : arrivals) {
+    put_varint(t.comm, rank);
+    put_varint(t.comm, zz(30));
+    put_varint(t.comm, zz(10));
+  }
   close_stream(s, t);
   return s;
 }
@@ -735,22 +586,31 @@ TEST(ChunkStream, TrailerWithBadCollectiveThrowsWhetherKeptOrNot) {
   };
   const auto bcast = static_cast<std::uint64_t>(CollectiveKind::Bcast);
   EncodedCommLog kept;
-  read(chunk_trailer_with_collective(bcast, 1, 0), &kept);
+  read(chunk_trailer_with_collective(bcast, 1, {0}), &kept);
   const auto comm = decode_comm(kept, 2);
   ASSERT_EQ(comm.collectives.size(), 1u);
   EXPECT_EQ(comm.collectives[0].root, 1);
   EXPECT_EQ(comm.collectives[0].arrivals.at(0).t_exit, 40);
-  read(chunk_trailer_with_collective(bcast, 1, 0), nullptr);
+  read(chunk_trailer_with_collective(bcast, 1, {0}), nullptr);
+  const auto barrier = static_cast<std::uint64_t>(CollectiveKind::Barrier);
+  read(chunk_trailer_with_collective(barrier, kNoRank, {1, 0}), nullptr);
   for (EncodedCommLog* keep :
        {&kept, static_cast<EncodedCommLog*>(nullptr)}) {
-    EXPECT_THROW(read(chunk_trailer_with_collective(8, 1, 0), keep), Error);
-    EXPECT_THROW(read(chunk_trailer_with_collective(bcast, 2, 0), keep),
-                 Error);
-    EXPECT_THROW(read(chunk_trailer_with_collective(bcast, 1, 2), keep),
-                 Error);
+    for (const auto& bad : {
+             chunk_trailer_with_collective(8, 1, {0}),
+             chunk_trailer_with_collective(std::uint64_t{1} << 33, 1, {0}),
+             chunk_trailer_with_collective(bcast, 2, {0}),
+             chunk_trailer_with_collective(bcast, kNoRank, {0}),
+             chunk_trailer_with_collective(bcast, 1, {2}),
+             chunk_trailer_with_collective(bcast, 1, {std::uint64_t{1} << 32}),
+             // Three arrivals in a two-rank job.
+             chunk_trailer_with_collective(barrier, kNoRank, {0, 1, 0}),
+         }) {
+      EXPECT_THROW(read(bad, keep), Error);
+    }
   }
   // The index reader validates the comm log too.
-  EXPECT_THROW((void)index_of(chunk_trailer_with_collective(8, 1, 0)), Error);
+  EXPECT_THROW((void)index_of(chunk_trailer_with_collective(8, 1, {0})), Error);
 }
 
 /// A one-rank chunk stream: one record on `file_plus_1` (0 = no file),
@@ -957,23 +817,13 @@ class TrickleBuf final : public std::streambuf {
 
 TEST(BlockDecoder, PinnedFixturesDecodeIdenticallyUnderShortReads) {
   std::istringstream whole_chunks(chunk_fixture());
-  std::istringstream whole_compact(compact_fixture());
   const auto want_chunks = decode_chunks(whole_chunks);
-  const auto want_compact = read_compact(whole_compact);
   for (const std::size_t k : {1u, 3u, 7u}) {
     TrickleBuf chunk_buf(chunk_fixture(), k);
     std::istream chunk_in(&chunk_buf);
     const auto chunks = decode_chunks(chunk_in);
     EXPECT_EQ(chunks.records, want_chunks.records) << "k=" << k;
     EXPECT_EQ(analysis_fingerprint(chunks), analysis_fingerprint(want_chunks))
-        << "k=" << k;
-
-    TrickleBuf compact_buf(compact_fixture(), k);
-    std::istream compact_in(&compact_buf);
-    const auto compact = read_compact(compact_in);
-    EXPECT_EQ(compact.records, want_compact.records) << "k=" << k;
-    EXPECT_EQ(analysis_fingerprint(compact),
-              analysis_fingerprint(want_compact))
         << "k=" << k;
   }
 }
@@ -1027,158 +877,42 @@ TEST(BlockDecoder, ChunkStreamDecodesAcrossBlockEdges) {
 }
 
 TEST(BlockDecoder, ElevenByteVarintRejectedOnBothPaths) {
-  std::string overlong("PFSEMTR2", 8);
+  // A chunk stream header whose rank count takes 11 bytes.
+  std::string overlong("PFSEMCK2", 8);
   overlong.append(10, static_cast<char>(0x80));
   overlong.push_back(0x01);  // the 11th byte
   // Mid-buffer: plenty of bytes follow, so the unchecked path sees it
   // first and must hand over to the checked one.
   std::istringstream mid(overlong + std::string(64, '\0'));
-  EXPECT_NE(error_of([&] { (void)read_compact(mid); })
+  EXPECT_NE(error_of([&] { (void)decode_chunks(mid); })
                 .find("overlong varint in compact trace"),
             std::string::npos);
   // Stream end, fed 7 bytes at a time: the checked path decodes it
   // across refills with the 11th byte last in the stream.
   TrickleBuf tail_buf(overlong, 7);
   std::istream tail(&tail_buf);
-  EXPECT_NE(error_of([&] { (void)read_compact(tail); })
+  EXPECT_NE(error_of([&] { (void)decode_chunks(tail); })
                 .find("overlong varint in compact trace"),
             std::string::npos);
   // Ten continuation bytes and then nothing is a truncation instead.
   std::istringstream cut(overlong.substr(0, overlong.size() - 1));
-  EXPECT_NE(error_of([&] { (void)read_compact(cut); })
+  EXPECT_NE(error_of([&] { (void)decode_chunks(cut); })
                 .find("truncated compact trace"),
             std::string::npos);
 }
 
 // --- hostile ranks, layers and collectives -----------------------------
 
-/// A v1 stream with one record (rank `rank`, layer byte `layer`) and one
-/// collective (`kind`, `root`, a single arrival by `arrival`), nranks 2.
-std::string v1_stream(Rank rank, std::uint8_t layer, std::uint8_t kind,
-                      Rank root, Rank arrival) {
-  std::string s("PFSEMTRC", 8);
-  put_le<std::uint32_t>(s, 1);  // version
-  put_le<std::int32_t>(s, 2);   // nranks
-  put_le<std::uint64_t>(s, 1);  // records
-  put_le<SimTime>(s, 10);
-  put_le<SimTime>(s, 20);
-  put_le(s, rank);
-  s.push_back(static_cast<char>(layer));
-  s.push_back(6);  // origin = App
-  put_le<std::uint16_t>(s, static_cast<std::uint16_t>(Func::stat));
-  put_le<std::int32_t>(s, -1);  // fd
-  put_le<std::int64_t>(s, 0);   // ret
-  put_le<std::uint64_t>(s, 0);  // offset
-  put_le<std::uint64_t>(s, 0);  // count
-  put_le<std::int32_t>(s, 0);   // flags
-  put_le<std::uint32_t>(s, 0);  // path
-  put_le<std::uint64_t>(s, 0);  // p2p
-  put_le<std::uint64_t>(s, 1);  // collectives
-  s.push_back(static_cast<char>(kind));
-  put_le(s, root);
-  put_le<std::uint32_t>(s, 1);  // arrivals
-  put_le(s, arrival);
-  put_le<SimTime>(s, 30);
-  put_le<SimTime>(s, 40);
-  return s;
-}
-
-/// The same content as compact v2: one record, one collective.
-std::string v2_stream(std::uint64_t rank, std::uint64_t layer,
-                      std::uint64_t kind, Rank root, std::uint64_t arrival) {
-  std::string s("PFSEMTR2", 8);
-  put_varint(s, 2);  // nranks
-  put_varint(s, 1);  // path table: ""
-  put_varint(s, 0);
-  put_varint(s, 1);  // records
-  put_varint(s, rank);
-  put_varint(s, zz(10));
-  put_varint(s, zz(10));
-  put_varint(s, layer | (6u << 3) |
-                    (static_cast<std::uint64_t>(Func::stat) << 6));
-  put_varint(s, zz(-1));  // fd
-  put_varint(s, zz(0));   // ret
-  put_varint(s, 0);       // offset
-  put_varint(s, 0);       // count
-  put_varint(s, zz(0));   // flags
-  put_varint(s, 0);       // path slot
-  put_varint(s, 0);       // p2p
-  put_varint(s, 1);       // collectives
-  put_varint(s, kind);
-  put_varint(s, zz(root));
-  put_varint(s, 1);  // arrivals
-  put_varint(s, arrival);
-  put_varint(s, zz(30));
-  put_varint(s, zz(10));
-  return s;
-}
-
-TEST(HostileInput, V1RejectsBadRanksLayersAndCollectives) {
-  const auto decode = [](const std::string& bytes) {
-    std::istringstream is(bytes);
-    return read_binary(is);
-  };
-  const auto barrier = static_cast<std::uint8_t>(CollectiveKind::Barrier);
-  const auto bcast = static_cast<std::uint8_t>(CollectiveKind::Bcast);
-  const auto ok = decode_comm(decode(v1_stream(1, 0, bcast, 1, 0)).comm, 2);
-  ASSERT_EQ(ok.collectives.size(), 1u);
-  EXPECT_EQ(ok.collectives[0].root, 1);
-  (void)decode(v1_stream(0, 0, barrier, kNoRank, 1));  // rootless: no root
-
-  EXPECT_THROW(decode(v1_stream(2, 0, barrier, kNoRank, 0)), Error);
-  EXPECT_THROW(decode(v1_stream(-1, 0, barrier, kNoRank, 0)), Error);
-  EXPECT_THROW(decode(v1_stream(0, 7, barrier, kNoRank, 0)), Error);
-  EXPECT_THROW(decode(v1_stream(0, 0, barrier, kNoRank, 5)), Error);
-  EXPECT_THROW(decode(v1_stream(0, 0, barrier, kNoRank, -1)), Error);
-  EXPECT_THROW(decode(v1_stream(0, 0, 8, kNoRank, 0)), Error);
-  EXPECT_THROW(decode(v1_stream(0, 0, bcast, 2, 0)), Error);
-  EXPECT_THROW(decode(v1_stream(0, 0, bcast, kNoRank, 0)), Error);
-  // Three arrivals in a two-rank job: v1 applies the arrival-count bound
-  // of the compact decoders too.
-  auto crowded = v1_stream(0, 0, barrier, kNoRank, 0);
-  const std::size_t arrival_bytes = sizeof(Rank) + 2 * sizeof(SimTime);
-  crowded[crowded.size() - arrival_bytes - sizeof(std::uint32_t)] = 3;
-  for (const Rank r : {1, 0}) {
-    put_le(crowded, r);
-    put_le<SimTime>(crowded, 30);
-    put_le<SimTime>(crowded, 40);
-  }
-  EXPECT_THROW(decode(crowded), Error);
-}
-
-TEST(HostileInput, V2RejectsBadLayersAndCollectives) {
-  const auto decode = [](const std::string& bytes) {
-    std::istringstream is(bytes);
-    return read_compact(is);
-  };
-  const auto barrier = static_cast<std::uint64_t>(CollectiveKind::Barrier);
-  const auto reduce = static_cast<std::uint64_t>(CollectiveKind::Reduce);
-  const auto ok = decode_comm(decode(v2_stream(1, 0, reduce, 0, 1)).comm, 2);
-  ASSERT_EQ(ok.collectives.size(), 1u);
-  EXPECT_EQ(ok.collectives[0].kind, CollectiveKind::Reduce);
-  (void)decode(v2_stream(0, 0, barrier, kNoRank, 1));
-
-  EXPECT_THROW(decode(v2_stream(2, 0, barrier, kNoRank, 0)), Error);
-  EXPECT_THROW(decode(v2_stream(0, 7, barrier, kNoRank, 0)), Error);
-  EXPECT_THROW(decode(v2_stream(0, 0, barrier, kNoRank, 5)), Error);
-  EXPECT_THROW(decode(v2_stream(0, 0, barrier, kNoRank,
-                                std::uint64_t{1} << 32)),
-               Error);
-  EXPECT_THROW(decode(v2_stream(0, 0, 8, kNoRank, 0)), Error);
-  EXPECT_THROW(decode(v2_stream(0, 0, std::uint64_t{1} << 33, kNoRank, 0)),
-               Error);
-  EXPECT_THROW(decode(v2_stream(0, 0, reduce, 3, 0)), Error);
-}
-
 TEST(HostileInput, ChunkStreamRejectsBadLayer) {
-  // One chunk of one pathless record, then an empty trailer.
-  const auto stream = [](std::uint64_t layer) {
+  // One chunk of one pathless record, then an empty trailer. A record
+  // rank outside the job is rejected too.
+  const auto stream = [](std::uint64_t layer, std::uint64_t rank = 0) {
     std::string s("PFSEMCK2", 8);
     put_varint(s, 1);  // nranks
     s.push_back('C');
     put_varint(s, 0);  // base seq
     put_varint(s, 1);  // records
-    put_varint(s, 0);  // rank
+    put_varint(s, rank);
     put_varint(s, zz(10));
     put_varint(s, zz(10));
     put_varint(s, layer | (6u << 3) |
@@ -1194,9 +928,11 @@ TEST(HostileInput, ChunkStreamRejectsBadLayer) {
   };
   EXPECT_EQ(decode_chunks(stream(0)).records.size(), 1u);
   EXPECT_THROW((void)decode_chunks(stream(7)), Error);
+  EXPECT_THROW((void)decode_chunks(stream(0, 1)), Error);
+  EXPECT_THROW((void)decode_chunks(stream(0, std::uint64_t{1} << 32)), Error);
 }
 
-/// Raw varints of every int32 field a v2 stream or a chunk stream carries:
+/// Raw varints of every int32 field a chunk stream carries:
 /// one record's fd and flags, one p2p message's src, dst and tag, and a
 /// bcast's root. The defaults decode (nranks 2).
 struct Int32Fields {
@@ -1237,7 +973,7 @@ std::vector<std::pair<const char*, Int32Fields>> int32_misfits() {
   return out;
 }
 
-/// One pathless stat record with `f`'s fd and flags, compact-v2 style.
+/// One pathless stat record with `f`'s fd and flags, up to its file.
 void put_int32_record(std::string& s, const Int32Fields& f) {
   put_varint(s, 0);  // rank
   put_varint(s, zz(10));
@@ -1272,18 +1008,6 @@ void put_int32_comm(std::string& s, const Int32Fields& f) {
   }
 }
 
-std::string v2_int32_stream(const Int32Fields& f) {
-  std::string s("PFSEMTR2", 8);
-  put_varint(s, 2);  // nranks
-  put_varint(s, 1);  // path table: ""
-  put_varint(s, 0);
-  put_varint(s, 1);  // records
-  put_int32_record(s, f);
-  put_varint(s, 0);  // path slot
-  put_int32_comm(s, f);
-  return s;
-}
-
 std::string chunk_int32_stream(const Int32Fields& f) {
   std::string s("PFSEMCK2", 8);
   put_varint(s, 2);  // nranks
@@ -1296,22 +1020,6 @@ std::string chunk_int32_stream(const Int32Fields& f) {
   put_int32_comm(t.comm, f);
   close_stream(s, t);
   return s;
-}
-
-TEST(HostileInput, V2RejectsInt32FieldsThatDoNotFit) {
-  const auto decode = [](const std::string& bytes) {
-    std::istringstream is(bytes);
-    return read_compact(is);
-  };
-  const auto ok = decode(v2_int32_stream({}));
-  EXPECT_EQ(ok.records.at(0).fd, 3);
-  const auto comm = decode_comm(ok.comm, ok.nranks);
-  ASSERT_EQ(comm.p2p.size(), 1u);
-  EXPECT_EQ(comm.p2p[0].tag, -7);
-  EXPECT_EQ(comm.collectives.at(0).root, 1);
-  for (const auto& [what, f] : int32_misfits()) {
-    EXPECT_THROW((void)decode(v2_int32_stream(f)), Error) << what;
-  }
 }
 
 TEST(HostileInput, ChunkRecordsAndTrailerRejectInt32FieldsThatDoNotFit) {
@@ -1359,39 +1067,24 @@ TEST(HostileInput, RecordTimeDeltasThatOverflowDecodeWithoutUB) {
   // sanitizer job turns a signed overflow into a failure), so the times
   // decode to the wrapped values and re-encode to the same bytes.
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-  const auto records = [](std::string& s) {
-    for (int i = 0; i < 2; ++i) {
-      put_delta_record(s, zz(kMax), zz(kMax));
-      put_varint(s, 0);  // chunk: no file; v2: path slot 0 (the "")
-    }
-  };
   std::string chunk("PFSEMCK2", 8);
   put_varint(chunk, 1);  // nranks
   chunk.push_back('C');
   put_varint(chunk, 0);  // base seq
   put_varint(chunk, 2);  // records
-  records(chunk);
+  for (int i = 0; i < 2; ++i) {
+    put_delta_record(chunk, zz(kMax), zz(kMax));
+    put_varint(chunk, 0);  // no file
+  }
   close_stream(chunk, {2, {}, {2}, {}});
-  std::string v2("PFSEMTR2", 8);
-  put_varint(v2, 1);  // nranks
-  put_varint(v2, 1);  // path table: ""
-  put_varint(v2, 0);
-  put_varint(v2, 2);  // records
-  records(v2);
-  put_varint(v2, 0);  // p2p
-  put_varint(v2, 0);  // collectives
-
-  const auto expect_wrapped = [&](const TraceBundle& b) {
-    ASSERT_EQ(b.records.size(), 2u);
-    EXPECT_EQ(b.records[0].tstart, kMax);
-    EXPECT_EQ(b.records[0].tend, -2);
-    EXPECT_EQ(b.records[1].tstart, -2);
-    EXPECT_EQ(b.records[1].tend, kMax - 2);
-    EXPECT_EQ(b.records[1].file, kNoFile);
-  };
 
   const TraceBundle from_chunks = decode_chunks(chunk);
-  expect_wrapped(from_chunks);
+  ASSERT_EQ(from_chunks.records.size(), 2u);
+  EXPECT_EQ(from_chunks.records[0].tstart, kMax);
+  EXPECT_EQ(from_chunks.records[0].tend, -2);
+  EXPECT_EQ(from_chunks.records[1].tstart, -2);
+  EXPECT_EQ(from_chunks.records[1].tend, kMax - 2);
+  EXPECT_EQ(from_chunks.records[1].file, kNoFile);
   SpillStore store(1u << 20);
   {
     ChunkWriter writer(store, from_chunks.nranks);
@@ -1403,33 +1096,6 @@ TEST(HostileInput, RecordTimeDeltasThatOverflowDecodeWithoutUB) {
   }
   const auto in = store.open_read();
   EXPECT_EQ(std::string(std::istreambuf_iterator<char>(*in), {}), chunk);
-
-  std::istringstream is(v2);
-  expect_wrapped(read_compact(is));
-}
-
-TEST(HostileInput, V1RejectsP2PRanksOutOfRange) {
-  const auto stream = [](Rank src, Rank dst) {
-    std::string s("PFSEMTRC", 8);
-    put_le<std::uint32_t>(s, 1);  // version
-    put_le<std::int32_t>(s, 2);   // nranks
-    put_le<std::uint64_t>(s, 0);  // records
-    put_le<std::uint64_t>(s, 1);  // p2p
-    put_le(s, src);
-    put_le(s, dst);
-    put_le<std::int32_t>(s, 7);   // tag
-    put_le<std::uint64_t>(s, 64);  // bytes
-    for (const SimTime t : {5, 6, 5, 8}) put_le(s, t);
-    put_le<std::uint64_t>(s, 0);  // collectives
-    return s;
-  };
-  const auto decode = [](const std::string& bytes) {
-    std::istringstream is(bytes);
-    return read_binary(is);
-  };
-  EXPECT_EQ(decode_comm(decode(stream(1, 0)).comm, 2).p2p.at(0).src, 1);
-  EXPECT_THROW((void)decode(stream(2, 0)), Error);
-  EXPECT_THROW((void)decode(stream(0, -1)), Error);
 }
 
 // --- single-byte corruption ---------------------------------------------
@@ -1461,18 +1127,6 @@ TEST(ChunkStream, SingleByteCorruptionThrowsOrDecodes) {
   });
 }
 
-TEST(Compact, FuzzBinaryFormatToo) {
-  // The legacy loaders over their pinned fixtures.
-  corrupt_each_byte(v1_fixture(), [](const std::string& bad) {
-    std::istringstream is(bad);
-    (void)read_binary(is);
-  });
-  corrupt_each_byte(compact_fixture(), [](const std::string& bad) {
-    std::istringstream is(bad);
-    (void)read_compact(is);
-  });
-}
-
 // --- bounded allocation on hostile counts ------------------------------
 
 /// Bytes requested from operator new while `fn` runs.
@@ -1488,29 +1142,13 @@ TEST(BoundedAllocation, HugeClaimedCountsFailWithoutLargeAllocations) {
   struct Case {
     const char* what;
     std::string bytes;
-    std::function<void(std::istream&)> decode;
-  };
-  const auto compact = [](std::istream& is) { (void)read_compact(is); };
-  const auto chunks = [](std::istream& is) { (void)decode_chunks(is); };
-  const auto binary = [](std::istream& is) { (void)read_binary(is); };
-  const auto v2_header = [](std::uint64_t npaths) {
-    std::string s("PFSEMTR2", 8);
-    put_varint(s, 1);  // nranks
-    put_varint(s, npaths);
-    return s;
   };
   std::vector<Case> cases;
-  cases.push_back({"compact records", v2_header(0), compact});
+  cases.push_back({"chunk records", std::string("PFSEMCK2", 8)});
+  put_varint(cases.back().bytes, 1);  // nranks
+  cases.back().bytes.push_back('C');
+  put_varint(cases.back().bytes, 0);  // base seq
   put_varint(cases.back().bytes, kHuge);
-  cases.push_back({"compact p2p events", v2_header(0), compact});
-  put_varint(cases.back().bytes, 0);  // records
-  put_varint(cases.back().bytes, kHuge);
-  cases.push_back({"compact path bytes", v2_header(1), compact});
-  put_varint(cases.back().bytes, kHuge);
-  // The largest length the decoder accepts, backed by three bytes.
-  cases.push_back({"compact path bytes at the cap", v2_header(1), compact});
-  put_varint(cases.back().bytes, 1u << 20);
-  cases.back().bytes += "abc";
   const auto chunk_trailer = [](std::uint64_t npaths) {
     std::string s("PFSEMCK2", 8);
     put_varint(s, 1);  // nranks
@@ -1519,54 +1157,34 @@ TEST(BoundedAllocation, HugeClaimedCountsFailWithoutLargeAllocations) {
     put_varint(s, npaths);
     return s;
   };
-  cases.push_back({"chunk trailer p2p events", chunk_trailer(0), chunks});
+  cases.push_back({"chunk trailer p2p events", chunk_trailer(0)});
   put_varint(cases.back().bytes, 1);  // rank budgets: one, of zero
   put_varint(cases.back().bytes, 0);
   put_varint(cases.back().bytes, 0);  // file budgets: none
   put_varint(cases.back().bytes, kHuge);
-  cases.push_back({"chunk rank budgets", chunk_trailer(0), chunks});
+  cases.push_back({"chunk rank budgets", chunk_trailer(0)});
   put_varint(cases.back().bytes, kHuge);
-  cases.push_back({"chunk file budgets", chunk_trailer(0), chunks});
+  cases.push_back({"chunk file budgets", chunk_trailer(0)});
   put_varint(cases.back().bytes, 1);
   put_varint(cases.back().bytes, 0);
   put_varint(cases.back().bytes, kHuge);
   // A path-table size backed by nothing, then budget sections claiming
   // the same huge size.
-  cases.push_back({"chunk path table", chunk_trailer(1u << 24), chunks});
-  cases.push_back({"v1 records", "PFSEMTRC", binary});
-  put_le<std::uint32_t>(cases.back().bytes, 1);  // version
-  put_le<std::int32_t>(cases.back().bytes, 1);   // nranks
-  put_le<std::uint64_t>(cases.back().bytes, kHuge);
-  cases.push_back({"v1 p2p events", "PFSEMTRC", binary});
-  put_le<std::uint32_t>(cases.back().bytes, 1);
-  put_le<std::int32_t>(cases.back().bytes, 1);
-  put_le<std::uint64_t>(cases.back().bytes, 0);  // records
-  put_le<std::uint64_t>(cases.back().bytes, kHuge);
+  cases.push_back({"chunk path table", chunk_trailer(1u << 24)});
+  cases.push_back({"chunk path bytes", chunk_trailer(1)});
+  put_varint(cases.back().bytes, kHuge);
+  // The largest length the decoder accepts, backed by three bytes.
+  cases.push_back({"chunk path bytes at the cap", chunk_trailer(1)});
+  put_varint(cases.back().bytes, 1u << 20);
+  cases.back().bytes += "abc";
 
   for (const auto& c : cases) {
     ASSERT_LE(c.bytes.size(), 32u) << c.what;
     std::istringstream is(c.bytes);
     const auto allocated = bytes_allocated_by(
-        [&] { EXPECT_THROW(c.decode(is), Error) << c.what; });
+        [&] { EXPECT_THROW((void)decode_chunks(is), Error) << c.what; });
     EXPECT_LT(allocated, kLimit) << c.what;
   }
-}
-
-TEST(BoundedAllocation, V1PathGrowsByBytesRead) {
-  // v1 stores each record's path inline behind fixed-width fields, so
-  // its header cannot be this short; a path claiming the largest length
-  // the decoder accepts, backed by three bytes, must still fail cheaply.
-  std::string s("PFSEMTRC", 8);
-  put_le<std::uint32_t>(s, 1);  // version
-  put_le<std::int32_t>(s, 1);   // nranks
-  put_le<std::uint64_t>(s, 1);  // records
-  s.append(56, '\0');           // fixed-width fields of one pathless open
-  put_le<std::uint32_t>(s, 1u << 20);
-  s += "abc";
-  std::istringstream is(s);
-  const auto allocated = bytes_allocated_by(
-      [&] { EXPECT_THROW((void)read_binary(is), Error); });
-  EXPECT_LT(allocated, std::size_t{1} << 20);
 }
 
 }  // namespace

@@ -308,6 +308,26 @@ TEST(OffsetTracker, OutOfRangeRecordRankThrows) {
   }
 }
 
+TEST(OffsetTracker, OutOfRangeRecordFileThrows) {
+  // A file id past the analyzer's path table is refused as the record is
+  // fed, before stepping it would index per-file state by that id.
+  TraceBuilder tb(1);
+  tb.open(0, 3, "f", trace::kCreate).write(0, 3, 10).close(0, 3);
+  const auto& b = tb.bundle();
+  for (const FileId bad : {FileId{1}, FileId{1000}}) {
+    StreamAnalyzer sa(b.nranks, b.paths, {b.records.size()});
+    auto rec = b.records[0];
+    rec.file = bad;
+    EXPECT_THROW(
+        {
+          sa.feed(rec);
+          (void)sa.finish_windowed();
+        },
+        Error)
+        << bad;
+  }
+}
+
 TEST(OffsetTracker, FlatViewAliasesFileColumns) {
   TraceBuilder tb(2);
   tb.open(0, 3, "a", trace::kCreate)

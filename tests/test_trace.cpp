@@ -1,5 +1,6 @@
 // Unit tests for the trace layer: record metadata, clock-skew application
-// in the collector, trace-file round-tripping, and the metadata census.
+// in the collector, trace-file round-tripping (the Compact suite), and the
+// metadata census.
 
 #include <gtest/gtest.h>
 
@@ -143,65 +144,6 @@ TraceBundle sample_bundle() {
   ev.arrivals = {{0, 5, 9}, {1, 6, 9}, {2, 4, 9}, {3, 5, 9}};
   c.emit_collective(std::move(ev));
   return c.take();
-}
-
-TEST(Serialize, BinaryRoundTripPreservesEverything) {
-  const auto original = sample_bundle();
-  std::stringstream ss;
-  write_compact(original, ss);
-  const auto copy = open_trace(ss);
-
-  ASSERT_EQ(copy.nranks, original.nranks);
-  ASSERT_EQ(copy.records.size(), original.records.size());
-  for (std::size_t i = 0; i < copy.records.size(); ++i) {
-    const auto& a = original.records[i];
-    const auto& b = copy.records[i];
-    EXPECT_EQ(a.tstart, b.tstart);
-    EXPECT_EQ(a.tend, b.tend);
-    EXPECT_EQ(a.rank, b.rank);
-    EXPECT_EQ(a.layer, b.layer);
-    EXPECT_EQ(a.origin, b.origin);
-    EXPECT_EQ(a.func, b.func);
-    EXPECT_EQ(a.fd, b.fd);
-    EXPECT_EQ(a.ret, b.ret);
-    EXPECT_EQ(a.offset, b.offset);
-    EXPECT_EQ(a.count, b.count);
-    EXPECT_EQ(original.path_of(a), copy.path_of(b));
-  }
-  EXPECT_EQ(copy.comm, original.comm);
-  const auto comm = decode_comm(copy.comm, copy.nranks);
-  ASSERT_EQ(comm.p2p.size(), 1u);
-  EXPECT_EQ(comm.p2p[0].tag, 7);
-  ASSERT_EQ(comm.collectives.size(), 1u);
-  EXPECT_EQ(comm.collectives[0].kind, CollectiveKind::Allreduce);
-  EXPECT_EQ(comm.collectives[0].arrivals.size(), 4u);
-}
-
-TEST(Serialize, RejectsBadMagic) {
-  std::stringstream ss;
-  ss << "NOTATRACE-having-some-length-anyway";
-  EXPECT_THROW(open_trace(ss), Error);
-  EXPECT_THROW(read_binary(ss), Error);
-}
-
-TEST(Serialize, RejectsTruncatedStream) {
-  const auto original = sample_bundle();
-  std::stringstream ss;
-  write_compact(original, ss);
-  std::string data = ss.str();
-  data.resize(data.size() / 2);
-  std::stringstream half(data);
-  EXPECT_THROW(open_trace(half), Error);
-}
-
-TEST(Serialize, EmptyBundleRoundTrips) {
-  TraceBundle b;
-  b.nranks = 1;
-  std::stringstream ss;
-  write_compact(b, ss);
-  const auto copy = open_trace(ss);
-  EXPECT_EQ(copy.nranks, 1);
-  EXPECT_TRUE(copy.records.empty());
 }
 
 TEST(Census, CountsPerFuncAndOrigin) {
