@@ -37,25 +37,22 @@ struct Analysis {
   core::RaceCheck races;
 };
 
-/// `threads` parallelizes the analysis stages; outputs are identical for
-/// every value (default 1 keeps the reproduction binaries sequential).
 inline Analysis analyze_app(const apps::AppInfo& info,
                             apps::AppConfig cfg = paper_scale(),
                             vfs::PfsConfig pfs_cfg = {},
-                            std::vector<sim::ClockModel> clocks = {},
-                            int threads = 1) {
+                            std::vector<sim::ClockModel> clocks = {}) {
   Analysis a;
   a.bundle = apps::run_app(info, cfg, pfs_cfg, std::move(clocks));
   a.log = core::reconstruct_accesses(a.bundle);
-  a.report = core::detect_conflicts(a.log, core::ConflictOptions{.threads = threads});
+  a.report = core::detect_conflicts(a.log);
   a.pattern = core::classify_high_level(a.log, cfg.nranks);
-  a.local = core::local_pattern(a.log, threads);
-  a.global = core::global_pattern(a.log, threads);
+  a.local = core::local_pattern(a.log);
+  a.global = core::global_pattern(a.log);
   a.census = core::census_metadata(a.bundle);
   const core::HappensBefore hb(trace::decode_comm(a.bundle.comm, cfg.nranks),
                                cfg.nranks);
-  a.races = core::validate_synchronization(a.report, hb, threads);
-  a.advice = core::advise(a.report, &hb, threads);
+  a.races = core::validate_synchronization(a.report, hb);
+  a.advice = core::advise(a.report, &hb);
   return a;
 }
 

@@ -41,18 +41,6 @@ void BM_ConflictDetection_Flash(benchmark::State& state) {
 }
 BENCHMARK(BM_ConflictDetection_Flash);
 
-/// Thread-scaling sweep over the same trace; output is byte-identical at
-/// every thread count, so the only variable is wall time. On a machine
-/// with fewer cores than the Arg the extra workers just contend.
-void BM_ConflictDetection_Flash_Threads(benchmark::State& state) {
-  const auto log = core::reconstruct_accesses(flash_bundle());
-  const core::ConflictOptions opts{.threads = static_cast<int>(state.range(0))};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::detect_conflicts(log, opts));
-  }
-}
-BENCHMARK(BM_ConflictDetection_Flash_Threads)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 void BM_EndToEnd_Flash(benchmark::State& state) {
   const auto& bundle = flash_bundle();
   for (auto _ : state) {

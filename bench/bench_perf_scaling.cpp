@@ -1,17 +1,13 @@
-// Scaling harness for the parallel analysis pipeline. Unlike the
+// Scaling harness for the capture and analysis pipeline. Unlike the
 // google-benchmark binaries this one emits a machine-readable
 // BENCH_perf.json so the numbers live in the repository:
 //
 //   bench_perf_scaling [--out FILE]    full sizes, write JSON (default
 //                                      BENCH_perf.json in the cwd)
 //   bench_perf_scaling --check         small sizes, assert correctness
-//                                      (identical parallel/sequential
-//                                      output always; speedup bounds only
-//                                      where the host can express them)
+//                                      and the speedup floors
 //
 // Experiments:
-//   threads        detect_conflicts over a synthetic many-file log at
-//                  1/2/4/8 threads — the work-stealing pool scaling curve;
 //   sweep          sweep-line vs the paper's Algorithm-1 scan on an
 //                  adversarial long-lived-read log — the single-thread
 //                  algorithmic win;
@@ -88,7 +84,6 @@
 #include "pfsem/trace/serialize.hpp"
 #include "pfsem/core/offset_tracker.hpp"
 #include "pfsem/core/overlap.hpp"
-#include "pfsem/exec/pool.hpp"
 #include "pfsem/obs/obs.hpp"
 #include "pfsem/sim/engine.hpp"
 #include "pfsem/trace/collector.hpp"
@@ -116,37 +111,6 @@ double best_of(int k, Fn&& fn) {
   return best;
 }
 
-/// Synthetic many-file log: per file a checkpoint-like mix of mostly
-/// disjoint per-rank writes plus a shared header that every rank rewrites
-/// (real overlap pressure on every file).
-core::AccessLog make_conflict_log(std::size_t nfiles,
-                                  std::size_t accesses_per_file) {
-  core::AccessLog log;
-  log.nranks = 64;
-  Rng rng(1234);
-  for (std::size_t f = 0; f < nfiles; ++f) {
-    auto& fl = log.file("/scratch/run/ckpt." + std::to_string(f));
-    for (std::size_t i = 0; i < accesses_per_file; ++i) {
-      core::Access a;
-      a.rank = static_cast<Rank>(rng.below(64));
-      a.t = static_cast<SimTime>(i * 1000 + f);
-      a.t_open = 0;
-      a.t_close = kTimeNever;
-      a.t_commit = kTimeNever;
-      a.type =
-          rng.chance(0.75) ? core::AccessType::Write : core::AccessType::Read;
-      if (i % 64 == 0) {
-        a.ext = {0, 128};  // shared header rewrite
-      } else {
-        const Offset begin = static_cast<Offset>(rng.below(1u << 20)) * 4096;
-        a.ext = {begin, begin + 4096};
-      }
-      fl.accesses.push_back(a);
-    }
-  }
-  return log;
-}
-
 /// Adversarial single-file log for the sweep-vs-scan comparison: n mostly
 /// long-lived reads and a few writes. The scan's stop condition is
 /// begin-order, so it visits ~n^2/2 read-read candidates that the
@@ -169,45 +133,6 @@ std::vector<core::Access> long_reads(std::size_t n) {
     v.push_back(a);
   }
   return v;
-}
-
-/// Canonical text form of a report, for exact equality checks.
-std::string fingerprint(const core::ConflictReport& r) {
-  std::ostringstream os;
-  os << r.potential_pairs << '|' << r.session.count << r.session.waw_s
-     << r.session.waw_d << r.session.raw_s << r.session.raw_d << '|'
-     << r.commit.count << r.commit.waw_s << r.commit.waw_d << r.commit.raw_s
-     << r.commit.raw_d << '\n';
-  for (const auto& c : r.conflicts) {
-    os << c.file << ' ' << c.first.rank << ' ' << c.first.t << ' '
-       << c.first.ext.begin << ' ' << c.first.ext.end << ' ' << c.second.rank
-       << ' ' << c.second.t << ' ' << c.second.ext.begin << ' '
-       << c.second.ext.end << ' ' << static_cast<int>(c.kind) << ' '
-       << c.same_process << c.under_commit << c.under_session << '\n';
-  }
-  return os.str();
-}
-
-struct ThreadPoint {
-  int threads;
-  double seconds;
-};
-
-/// The conflict_scaling.speedup_by_threads value: the ratio against one
-/// thread per thread count, or the "unmeasurable" marker on a host with
-/// one hardware thread, where every thread count time-slices the same
-/// core and the ratios would record scheduling noise as a result.
-std::string speedup_by_threads_json(const std::vector<ThreadPoint>& points,
-                                    int hardware_threads) {
-  if (hardware_threads <= 1) return "\"unmeasurable\"";
-  std::ostringstream os;
-  os << "{";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    os << (i ? ", " : "") << "\"" << points[i].threads
-       << "\": " << points[0].seconds / points[i].seconds;
-  }
-  os << "}";
-  return os.str();
 }
 
 /// Synthetic raw trace for the intern-vs-string grouping experiment:
@@ -621,9 +546,7 @@ double obs_overhead_run(const apps::AppInfo& info, int ranks, int level,
   if (level >= 1) cfg.obs = &run;
   const double t0 = now_seconds();
   const auto bundle = apps::run_app(info, cfg);
-  if (level >= 1) exec::set_observer(&run);
   const auto text = materialized_report_text(bundle);
-  exec::set_observer(nullptr);
   const double dt = now_seconds() - t0;
   if (text.empty()) std::abort();  // keep the report alive
   if (level >= 2 && run.ledger.empty()) std::abort();
@@ -634,34 +557,10 @@ double obs_overhead_run(const apps::AppInfo& info, int ranks, int level,
 int run(bool check, bool scale64k, const std::string& out_path,
         const std::string& sha, const std::string& timestamp,
         const std::string& host) {
-  const int cores = exec::hardware_threads();
-  const std::size_t nfiles = check ? 32 : 128;
-  const std::size_t per_file = check ? 2'000 : 20'000;
   const std::size_t adversarial_n = check ? 8'192 : 16'384;
   const int reps = check ? 2 : 3;
 
-  std::cout << "hardware threads: " << cores << "\n";
-
-  // --- experiment 1: thread scaling of detect_conflicts ----------------
-  const auto log = make_conflict_log(nfiles, per_file);
-  const auto reference = core::detect_conflicts(log, core::ConflictOptions{.threads = 1});
-  const std::string ref_print = fingerprint(reference);
-
-  std::vector<ThreadPoint> points;
-  for (const int t : {1, 2, 4, 8}) {
-    core::ConflictReport got;
-    const double secs = best_of(
-        reps, [&] { got = core::detect_conflicts(log, core::ConflictOptions{.threads = t}); });
-    if (fingerprint(got) != ref_print) {
-      std::cerr << "FAIL: detect_conflicts(threads=" << t
-                << ") differs from sequential\n";
-      return 1;
-    }
-    points.push_back({t, secs});
-    std::cout << "detect_conflicts threads=" << t << "  " << secs << " s\n";
-  }
-
-  // --- experiment 2: sweep vs scan on the adversarial log ---------------
+  // --- experiment 1: sweep vs scan on the adversarial log ---------------
   const auto adv = long_reads(adversarial_n);
   std::vector<core::OverlapPair> sweep_pairs, scan_pairs;
   // Interleaved best-of (sweep, scan, sweep, scan, ...): a transient load
@@ -686,7 +585,7 @@ int run(bool check, bool scale64k, const std::string& out_path,
   std::cout << "sweep " << sweep_s << " s   scan " << scan_s
             << " s   speedup " << sweep_speedup << "x\n";
 
-  // --- experiment 3: interned vs string-keyed record grouping -----------
+  // --- experiment 2: interned vs string-keyed record grouping -----------
   // The refactor's core claim: resolving each record's file by FileId into
   // a dense column beats hashing/comparing its path string into a
   // string-keyed map (the retired reconstruction hot path).
@@ -708,7 +607,7 @@ int run(bool check, bool scale64k, const std::string& out_path,
             << " s   interned " << interned_s << " s   speedup "
             << intern_speedup << "x\n";
 
-  // --- experiment 4: capture — bucketed scheduler vs heap oracle -------
+  // --- experiment 3: capture — bucketed scheduler vs heap oracle -------
   // Both arms run the one emitter; the heap scheduler is the test-only
   // oracle. The bucketed scheduler must produce the exact same compact
   // bytes and beat it >=2x on this delay(0)-heavy workload.
@@ -740,7 +639,7 @@ int run(bool check, bool scale64k, const std::string& out_path,
             << cap_bucketed.seconds << " s   heap " << cap_heap.seconds
             << " s   speedup " << capture_speedup << "x\n";
 
-  // --- experiment 5: end-to-end run -> report on a registered app -------
+  // --- experiment 4: end-to-end run -> report on a registered app -------
   const auto* flash = apps::find_app("FLASH-fbs");
   if (flash == nullptr) {
     std::cerr << "FAIL: FLASH-fbs not in the registry\n";
@@ -840,7 +739,7 @@ int run(bool check, bool scale64k, const std::string& out_path,
     r2r.push_back(wpt);
   }
 
-  // --- experiment 5c: memory scaling — full-log vs windowed analysis ----
+  // --- experiment 4c: memory scaling — full-log vs windowed analysis ----
   // The tentpole claim in one curve: with per-file retirement the
   // analyzer's resident set is bounded by the live window (one checkpoint
   // generation of the phased N-N trace), not the trace, so the
@@ -948,7 +847,7 @@ int run(bool check, bool scale64k, const std::string& out_path,
     }
   }
 
-  // --- experiment 6: cluster failover — degraded vs healthy -------------
+  // --- experiment 5: cluster failover — degraded vs healthy -------------
   // The same workload on the multi-server backend, healthy and with one
   // MDS plus one OST crashed early in the run. Time-to-recover shows up
   // as the simulated completion-time overhead (failover backoff + holes);
@@ -990,7 +889,7 @@ int run(bool check, bool scale64k, const std::string& out_path,
             << " ns   redirects " << cl_stats.failover_redirects
             << "   degraded reads " << cl_stats.degraded_reads << "\n";
 
-  // --- experiment 7: observability overhead ----------------------------
+  // --- experiment 6: observability overhead ----------------------------
   // The pure-observer contract bounds what obs may change (nothing, byte
   // for byte); this bounds what it may cost. Same pipeline three ways —
   // obs off, metrics registry wired in, metrics + the cost-attribution
@@ -1069,9 +968,8 @@ int run(bool check, bool scale64k, const std::string& out_path,
       std::cerr << "FAIL: LBANN reads over the dead OST must be degraded\n";
       return 1;
     }
-    // Parallel output already proven identical above. Speedup bounds:
-    // the algorithmic sweep-vs-scan win holds on any machine; the
-    // thread-scaling bound needs real cores to express itself.
+    // Speedup bounds: the algorithmic sweep-vs-scan win holds on any
+    // machine.
     if (sweep_speedup < 5.0) {
       std::cerr << "FAIL: sweep-vs-scan speedup " << sweep_speedup
                 << "x below the 5x bound\n";
@@ -1091,25 +989,6 @@ int run(bool check, bool scale64k, const std::string& out_path,
                 << "x below the 2x bound\n";
       return 1;
     }
-    // A record written on a 1-thread host must carry the marker, never
-    // ratios (checked on every host, whatever its own thread count).
-    if (speedup_by_threads_json(points, 1) != "\"unmeasurable\"") {
-      std::cerr << "FAIL: a 1-thread record must mark speedup_by_threads "
-                   "unmeasurable\n";
-      return 1;
-    }
-    if (cores >= 2) {
-      const double s2 = points[0].seconds / points[1].seconds;
-      if (s2 < 1.0) {
-        std::cerr << "FAIL: threads=2 slower than threads=1 (" << s2
-                  << "x) on a " << cores << "-core host\n";
-        return 1;
-      }
-      std::cout << "threads=2 speedup " << s2 << "x\n";
-    } else {
-      std::cout << "single-core host: thread-scaling bound skipped "
-                   "(outputs still verified identical)\n";
-    }
     std::cout << "CHECK PASSED\n";
     return 0;
   }
@@ -1123,19 +1002,6 @@ int run(bool check, bool scale64k, const std::string& out_path,
      << "  \"git_sha\": \"" << sha << "\",\n"
      << "  \"timestamp\": \"" << timestamp << "\",\n"
      << "  \"host\": \"" << host << "\",\n"
-     << "  \"hardware_threads\": " << cores << ",\n"
-     << "  \"conflict_scaling\": {\n"
-     << "    \"files\": " << nfiles << ",\n"
-     << "    \"accesses_per_file\": " << per_file << ",\n"
-     << "    \"seconds_by_threads\": {";
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    os << (i ? ", " : "") << "\"" << points[i].threads
-       << "\": " << points[i].seconds;
-  }
-  os << "},\n"
-     << "    \"speedup_by_threads\": "
-     << speedup_by_threads_json(points, cores) << "\n"
-     << "  },\n"
      << "  \"sweep_vs_scan\": {\n"
      << "    \"accesses\": " << adversarial_n << ",\n"
      << "    \"sweep_seconds\": " << sweep_s << ",\n"

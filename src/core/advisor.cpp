@@ -17,11 +17,10 @@ ConsistencyModel pick(bool no_pairs, bool session_conflicts,
 
 }  // namespace
 
-Advice advise(const ConflictReport& report, const HappensBefore* hb,
-              int threads) {
+Advice advise(const ConflictReport& report, const HappensBefore* hb) {
   Advice advice;
   if (hb) {
-    const RaceCheck rc = validate_synchronization(report, *hb, threads);
+    const RaceCheck rc = validate_synchronization(report, *hb);
     advice.race_free = rc.racy == 0;
   }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "pfsem/core/overlap.hpp"
-#include "pfsem/exec/pool.hpp"
 
 namespace pfsem::core {
 
@@ -26,29 +25,12 @@ void merge(ConflictMatrix& into, const ConflictMatrix& part) {
   into.count += part.count;
 }
 
-ConflictReport merge_file_parts(std::vector<ConflictReport> parts) {
-  ConflictReport report;
-  std::size_t total = 0;
-  for (const auto& part : parts) total += part.conflicts.size();
-  report.conflicts.reserve(total);
-  for (auto& part : parts) {
-    std::move(part.conflicts.begin(), part.conflicts.end(),
-              std::back_inserter(report.conflicts));
-    merge(report.session, part.session);
-    merge(report.commit, part.commit);
-    report.potential_pairs += part.potential_pairs;
-  }
-  return report;
-}
-
 }  // namespace
 
 namespace detail {
 
-/// The inner loop of the original sequential detect_conflicts, verbatim,
-/// over precomputed (canonical-order) pairs. Runs as one shard task;
-/// shard results merge in file order, so parallel output is
-/// byte-identical to sequential.
+/// The semantics conditions over one file's precomputed (canonical-order)
+/// pairs. detect_conflicts appends the parts in file order.
 ConflictReport evaluate_file(FileId file, std::span<const Access> accesses,
                              std::span<const OverlapPair> pairs,
                              const ConflictOptions& opts) {
@@ -92,30 +74,24 @@ ConflictReport evaluate_file(FileId file, std::span<const Access> accesses,
 }  // namespace detail
 
 ConflictReport detect_conflicts(const AccessLog& log, ConflictOptions opts) {
-  const auto flat = FlatAccessLog::from(log);
-  exec::ThreadPool pool(opts.threads);
-  // Stage 1: overlap pairs, one task per (file, begin-sorted slice).
-  const auto pairs = detect_file_overlaps(flat, {}, pool);
-  // Stage 2: semantics conditions, one task per file.
-  std::vector<ConflictReport> parts(flat.files.size());
-  pool.parallel_for(flat.files.size(), [&](std::size_t f) {
-    parts[f] = detail::evaluate_file(flat.files[f].file, flat.accesses(f),
-                                     pairs[f], opts);
-  });
-  return merge_file_parts(std::move(parts));
+  return detect_conflicts(log, detect_file_overlaps(log), opts);
 }
 
 ConflictReport detect_conflicts(const AccessLog& log, const FileOverlaps& pairs,
                                 ConflictOptions opts) {
-  const auto flat = FlatAccessLog::from(log);
-  exec::ThreadPool pool(opts.threads);
-  std::vector<ConflictReport> parts(flat.files.size());
-  pool.parallel_for(flat.files.size(), [&](std::size_t f) {
-    if (f >= pairs.size() || pairs[f].empty()) return;
-    parts[f] = detail::evaluate_file(flat.files[f].file, flat.accesses(f),
-                                     pairs[f], opts);
-  });
-  return merge_file_parts(std::move(parts));
+  ConflictReport report;
+  for (std::size_t id = 0; id < log.files.size() && id < pairs.size(); ++id) {
+    if (pairs[id].empty()) continue;
+    const FileLog& fl = log.files[id];
+    ConflictReport part =
+        detail::evaluate_file(fl.file, fl.accesses, pairs[id], opts);
+    std::move(part.conflicts.begin(), part.conflicts.end(),
+              std::back_inserter(report.conflicts));
+    merge(report.session, part.session);
+    merge(report.commit, part.commit);
+    report.potential_pairs += part.potential_pairs;
+  }
+  return report;
 }
 
 }  // namespace pfsem::core

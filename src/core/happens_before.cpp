@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "pfsem/exec/pool.hpp"
 #include "pfsem/util/error.hpp"
 
 namespace pfsem::core {
@@ -146,32 +145,15 @@ bool HappensBefore::ordered(Rank r1, SimTime t1, Rank r2, SimTime t2) const {
 }
 
 RaceCheck validate_synchronization(const ConflictReport& report,
-                                   const HappensBefore& hb, int threads) {
-  const auto& conflicts = report.conflicts;
-  const int nthreads = exec::resolve_threads(threads);
-  const std::size_t chunks =
-      std::min<std::size_t>(conflicts.size(),
-                            static_cast<std::size_t>(nthreads) * 4);
+                                   const HappensBefore& hb) {
   RaceCheck rc;
-  if (chunks == 0) return rc;
-  std::vector<RaceCheck> parts(chunks);
-  exec::parallel_for(nthreads, chunks, [&](std::size_t ch) {
-    const std::size_t lo = conflicts.size() * ch / chunks;
-    const std::size_t hi = conflicts.size() * (ch + 1) / chunks;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const auto& c = conflicts[i];
-      ++parts[ch].checked;
-      if (hb.ordered(c.first.rank, c.first.t, c.second.rank, c.second.t)) {
-        ++parts[ch].synchronized;
-      } else {
-        ++parts[ch].racy;
-      }
+  for (const auto& c : report.conflicts) {
+    ++rc.checked;
+    if (hb.ordered(c.first.rank, c.first.t, c.second.rank, c.second.t)) {
+      ++rc.synchronized;
+    } else {
+      ++rc.racy;
     }
-  });
-  for (const auto& p : parts) {
-    rc.checked += p.checked;
-    rc.synchronized += p.synchronized;
-    rc.racy += p.racy;
   }
   return rc;
 }

@@ -11,12 +11,11 @@
 //
 // Files are identified by interned FileId throughout: the store is
 // columnar, one FileLog slot per table id in a dense vector, so analyses
-// shard per file with an O(1) index instead of walking a string-keyed map.
+// index a file in O(1) instead of walking a string-keyed map.
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -164,35 +163,5 @@ struct TraceStore {
 
 /// Historical name: analyses consume the reconstructed store.
 using AccessLog = TraceStore;
-
-/// Per-file view of a TraceStore: one slice per store slot (slice
-/// index == FileId), each a span over the slot's own `accesses` column,
-/// so parallel analysis shards index files by FileId without walking
-/// the store. Owns no Access storage; the store must outlive the view.
-struct FlatAccessLog {
-  int nranks = 0;
-  struct FileSlice {
-    FileId file = kNoFile;         ///< slot id (kNoFile: inactive slot)
-    const FileLog* log = nullptr;  ///< the slot (accesses, event tables)
-  };
-  /// One slice per store slot, index == FileId (inactive slots empty).
-  std::vector<FileSlice> files;
-
-  [[nodiscard]] std::span<const Access> accesses(std::size_t f) const {
-    return files[f].log->accesses;
-  }
-
-  [[nodiscard]] static FlatAccessLog from(const TraceStore& log) {
-    FlatAccessLog flat;
-    flat.nranks = log.nranks;
-    flat.files.reserve(log.files.size());
-    for (std::size_t id = 0; id < log.files.size(); ++id) {
-      const FileLog& fl = log.files[id];
-      flat.files.push_back(
-          {fl.active() ? static_cast<FileId>(id) : kNoFile, &fl});
-    }
-    return flat;
-  }
-};
 
 }  // namespace pfsem::core

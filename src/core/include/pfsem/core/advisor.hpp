@@ -27,10 +27,8 @@ struct Advice {
 
 /// Derive advice from the conflict report. Pass the HappensBefore checker
 /// to additionally validate race-freedom (Section 5.2); pass nullptr to
-/// assume race-freedom like the paper does after validation. `threads`
-/// fans the happens-before checks out (1 = sequential, 0 = all cores).
+/// assume race-freedom like the paper does after validation.
 [[nodiscard]] Advice advise(const ConflictReport& report,
-                            const HappensBefore* hb = nullptr,
-                            int threads = 1);
+                            const HappensBefore* hb = nullptr);
 
 }  // namespace pfsem::core

@@ -68,15 +68,12 @@ struct ConflictReport {
 struct ConflictOptions {
   /// Max example Conflict entries retained per file (counts stay exact).
   std::size_t max_examples_per_file = 64;
-  /// Analysis threads: 1 = the sequential reference path, 0 = all
-  /// hardware threads, N = exactly N. Any value produces byte-identical
-  /// reports (shards merge in deterministic file/pair order).
+  /// Ignored: bench_e2e/pipeline.cpp still sets it, and the field goes
+  /// away with ROADMAP item 8.
   int threads = 1;
 };
 
 /// Run overlap detection + the semantics conditions over every file.
-/// Fans out one task per (file, begin-sorted slice) shard on a
-/// work-stealing pool when opts.threads != 1.
 [[nodiscard]] ConflictReport detect_conflicts(const AccessLog& log,
                                               ConflictOptions opts = {});
 
@@ -90,10 +87,10 @@ struct ConflictOptions {
 namespace detail {
 
 /// One file's contribution to the report: the semantics conditions over
-/// that file's (canonical-order) overlap pairs. detect_conflicts fans
-/// this out one task per file; the windowed analyzer runs it the moment
-/// a file retires from the stream window. Both merge per-file parts in
-/// FileId order, so the outputs are identical by construction.
+/// that file's (canonical-order) overlap pairs. detect_conflicts runs it
+/// per file; the windowed analyzer runs it the moment a file retires
+/// from the stream window. Both merge per-file parts in FileId order, so
+/// the outputs are identical by construction.
 [[nodiscard]] ConflictReport evaluate_file(FileId file,
                                            std::span<const Access> accesses,
                                            std::span<const OverlapPair> pairs,

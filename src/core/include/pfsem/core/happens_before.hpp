@@ -60,10 +60,7 @@ struct RaceCheck {
 
 /// Check that every potential-conflict pair in `report` is ordered by the
 /// communication structure (timestamp order matches execution order).
-/// ordered() is a const lookup, so the pairs fan out over `threads`
-/// chunks; the counter sums are order-invariant.
 [[nodiscard]] RaceCheck validate_synchronization(const ConflictReport& report,
-                                                 const HappensBefore& hb,
-                                                 int threads = 1);
+                                                 const HappensBefore& hb);
 
 }  // namespace pfsem::core

@@ -72,13 +72,9 @@ struct MetadataConflictReport {
 };
 
 struct MetadataConflictOptions {
-  /// Max stored dependency examples (counters stay exact).
+  /// Max stored dependency examples, the first in trace order (counters
+  /// stay exact).
   std::size_t max_examples = 256;
-  /// Analysis threads (1 = sequential, 0 = all hardware threads). The
-  /// mutate/observe pairing consults only a path and its ancestors, all
-  /// sharing the path's first component, so ops shard by that component
-  /// and results merge in global trace order — byte-identical output.
-  int threads = 1;
 };
 
 /// Extract namespace dependencies from a trace. Pass `hb` to classify

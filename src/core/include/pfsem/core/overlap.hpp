@@ -29,10 +29,6 @@
 
 #include "pfsem/core/access.hpp"
 
-namespace pfsem::exec {
-class ThreadPool;
-}  // namespace pfsem::exec
-
 namespace pfsem::core {
 
 /// Indices (into the input span) of two overlapping accesses.
@@ -54,13 +50,6 @@ struct OverlapOptions {
 [[nodiscard]] std::vector<OverlapPair> detect_overlaps(
     std::span<const Access> accesses, OverlapOptions opts = {});
 
-/// Parallel sweep-line: identical output to detect_overlaps, computed
-/// as begin-sorted slices fanned out over `pool` (each slice seeds its
-/// active set from the prefix before it, so slices are independent).
-[[nodiscard]] std::vector<OverlapPair> detect_overlaps(
-    std::span<const Access> accesses, OverlapOptions opts,
-    exec::ThreadPool& pool);
-
 /// The paper's Algorithm 1 as literally written: sorted starts, forward
 /// scan, early break. Oracle/baseline for the sweep-line.
 [[nodiscard]] std::vector<OverlapPair> detect_overlaps_scan(
@@ -74,20 +63,13 @@ struct OverlapOptions {
 /// Per-file overlap pairs for a whole log, computed once so downstream
 /// consumers (conflict detection, tuning, the rank table) stop redoing
 /// the sweep per call site. Indexed by FileId (== store slot index);
-/// inactive slots hold empty vectors. Sharded over `threads`
-/// (1 = sequential).
+/// inactive slots hold empty vectors. `threads` is ignored:
+/// bench_e2e/pipeline.cpp still passes one, and the parameter goes away
+/// with ROADMAP item 8.
 using FileOverlaps = std::vector<std::vector<OverlapPair>>;
 [[nodiscard]] FileOverlaps detect_file_overlaps(const AccessLog& log,
                                                 OverlapOptions opts = {},
                                                 int threads = 1);
-
-/// Same, over a prebuilt flat view and an existing pool; returns one
-/// pair vector per flat file slice, in flat order. This is the shard
-/// fan-out detect_conflicts rides on: one task per (file, begin-sorted
-/// slice), flattened into a single task list so the pool is never
-/// entered reentrantly.
-[[nodiscard]] std::vector<std::vector<OverlapPair>> detect_file_overlaps(
-    const FlatAccessLog& flat, OverlapOptions opts, exec::ThreadPool& pool);
 
 /// The paper's process-pair overlap table P[ri][rj] (Algorithm 1 output).
 /// This overload runs its own sweep, after coalescing each rank's

@@ -51,12 +51,10 @@ struct TransitionMix {
   }
 };
 
-/// Per-(rank,file) sequences, aggregated (Figure 1b). Fans out one task
-/// per file (each file splits into per-rank sequences internally) when
-/// threads != 1; the integer sums make the merge order-invariant.
-[[nodiscard]] TransitionMix local_pattern(const AccessLog& log, int threads = 1);
+/// Per-(rank,file) sequences, aggregated (Figure 1b).
+[[nodiscard]] TransitionMix local_pattern(const AccessLog& log);
 /// Per-file time-ordered global sequences, aggregated (Figure 1a).
-[[nodiscard]] TransitionMix global_pattern(const AccessLog& log, int threads = 1);
+[[nodiscard]] TransitionMix global_pattern(const AccessLog& log);
 
 /// One file's contribution to local_pattern / global_pattern. The
 /// windowed analyzer computes these when a file retires from the stream

@@ -71,10 +71,8 @@ struct DegradedSummary {
   }
 };
 
-/// Partial record counters over any slice of the trace; merging partials
-/// in any order gives the sequential totals (all fields are sums or
-/// min/max), so both the chunked parallel scan of build_report and the
-/// one-record-at-a-time streaming feed produce identical values.
+/// Record counters, fed one record at a time by both build_report's scan
+/// and the streaming analyzer.
 struct RecordStats {
   std::map<trace::Func, std::uint64_t> function_counts;
   std::map<trace::Layer, std::uint64_t> layer_counts;
@@ -83,7 +81,6 @@ struct RecordStats {
   SimTime lo = kTimeNever, hi = 0;
 
   void feed(const trace::Record& rec);
-  void merge(const RecordStats& p);
 };
 
 struct RunReport {
@@ -108,10 +105,9 @@ struct RunReport {
   std::optional<std::string> obs_summary;
 };
 
-/// Build the full report for one run. `threads` fans the record-counter
-/// scan and the per-file summaries out over the analysis pool (1 =
-/// sequential, 0 = all hardware threads); counters merge in chunk order
-/// so the report is identical for every thread count.
+/// Build the full report for one run. `threads` is ignored:
+/// bench_e2e/pipeline.cpp still passes one, and the parameter goes away
+/// with ROADMAP item 8.
 [[nodiscard]] RunReport build_report(const trace::TraceBundle& bundle,
                                      const AccessLog& log,
                                      const ConflictReport& conflicts,

@@ -1,7 +1,7 @@
 #pragma once
 // Streaming reconstruction: consume a run's records in global emission
 // (seq) order — replayed from a collector spill (trace/spill.hpp) or a
-// compact trace stream — and build the same AccessLog and record
+// saved trace file — and build the same AccessLog and record
 // counters the materialized pipeline derives from a full TraceBundle,
 // without the bundle ever existing.
 //

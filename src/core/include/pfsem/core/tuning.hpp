@@ -47,10 +47,8 @@ struct TuningReport {
   }
 };
 
-/// Per-file weakest-model assignment from the access log. `threads`
-/// parallelizes the per-file overlap sweeps (0 = all hardware threads).
-[[nodiscard]] TuningReport per_file_tuning(const AccessLog& log,
-                                           int threads = 1);
+/// Per-file weakest-model assignment from the access log.
+[[nodiscard]] TuningReport per_file_tuning(const AccessLog& log);
 
 /// Same, reusing precomputed per-file overlap pairs (as returned by
 /// detect_file_overlaps) so callers that already ran conflict detection

@@ -52,7 +52,7 @@ struct FileWindowSummary {
 };
 
 struct WindowAnalysisOptions {
-  ConflictOptions conflict;  ///< example cap (threads field is unused)
+  ConflictOptions conflict;  ///< example cap
   PatternOptions pattern;
   /// Invoked after each file retires (summary shipped, per-file state
   /// freed): (file, live files still open, frontier sim time of the last

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <string_view>
 
-#include "pfsem/exec/pool.hpp"
-
 namespace pfsem::core {
 
 namespace {
@@ -91,107 +89,45 @@ MetadataConflictReport detect_metadata_dependencies(
   }
 
   // Pair each op with the nearest preceding mutation of the same path by
-  // a different process. The pairing for a path consults only that path
-  // and its ancestor directories, all of which share the path's first
-  // component ("out.bp" for "out.bp/data.0", "/scratch" for
-  // "/scratch/run/chk.h5"), so ops shard by that component and each
-  // shard walks its subset in global trace order independently. Shard
-  // keys are interned like paths: dense shard ids, vector-of-vectors
-  // grouping instead of a string-keyed map.
-  trace::PathTable shard_keys;
-  std::vector<FileId> shard_of_file(npaths, kNoFile);
-  std::vector<std::vector<std::size_t>> shards;
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    FileId& s = shard_of_file[ops[i].file];
-    if (s == kNoFile) {
-      const std::string_view path = bundle.paths.view(ops[i].file);
-      s = shard_keys.intern(path.substr(0, path.find('/', 1)));
-      if (s >= shards.size()) shards.resize(s + 1);
-    }
-    shards[s].push_back(i);
-  }
-
-  // Every path (and each of its ancestors) belongs to exactly one shard,
-  // so the shards write disjoint slots of this shared last-mutate column.
-  std::vector<const NsOp*> last_mutate(npaths, nullptr);
-
-  struct Part {
-    MetadataConflictReport report;
-    std::vector<std::size_t> dep_op;  ///< global op index per stored dep
-  };
-  std::vector<Part> parts(shards.size());
-  exec::parallel_for(opts.threads, shards.size(), [&](std::size_t s) {
-    Part& part = parts[s];
-    // Nearest preceding mutation of this exact path, or of an ancestor
-    // directory (creating "out.bp" is what makes "out.bp/data.0"
-    // reachable). Ancestors resolve through the intern table; a prefix
-    // that was never interned was never mutated in the trace.
-    auto find_mutate = [&](FileId file) -> const NsOp* {
-      if (const NsOp* m = last_mutate[file]) return m;
-      const std::string_view path = bundle.paths.view(file);
-      for (auto pos = path.rfind('/'); pos != std::string_view::npos && pos > 0;
-           pos = path.rfind('/', pos - 1)) {
-        const FileId anc = bundle.paths.find(path.substr(0, pos));
-        if (anc != kNoFile && last_mutate[anc]) return last_mutate[anc];
-      }
-      return nullptr;
-    };
-    for (const std::size_t idx : shards[s]) {
-      const NsOp& op = ops[idx];
-      if (const NsOp* m = find_mutate(op.file); m && m->rank != op.rank) {
-        ++part.report.cross_process;
-        if (op.hard) ++part.report.hard_cross_process;
-        ++part.report.paths[op.file];
-        MetadataDependency dep;
-        dep.mutate = *m;
-        dep.observe = op;
-        if (hb) {
-          dep.synchronized =
-              hb->ordered(dep.mutate.rank, dep.mutate.t, op.rank, op.t);
-        }
-        if (!dep.synchronized) {
-          ++part.report.unsynchronized;
-          if (op.hard) ++part.report.hard_unsynchronized;
-        }
-        // Keep up to the global cap per shard: the merge below truncates
-        // to the first max_examples in global order, and those can all
-        // come from one shard.
-        if (part.report.dependencies.size() < opts.max_examples) {
-          part.report.dependencies.push_back(std::move(dep));
-          part.dep_op.push_back(idx);
-        }
-      }
-      // Pointers into `ops` stay valid: the vector is fully built above.
-      if (op.kind == NsOpKind::Mutate) last_mutate[op.file] = &op;
-    }
-  });
-
-  // Deterministic reduction: sum the counters, merge the (disjoint)
-  // path maps, and interleave the stored examples back into global
-  // trace order before applying the cap — byte-identical to the
-  // sequential walk regardless of shard count.
+  // a different process, walking the ops once in trace order.
   MetadataConflictReport report;
-  struct Tagged {
-    std::size_t op_index;
-    MetadataDependency* dep;
-  };
-  std::vector<Tagged> tagged;
-  for (auto& part : parts) {
-    report.cross_process += part.report.cross_process;
-    report.unsynchronized += part.report.unsynchronized;
-    report.hard_cross_process += part.report.hard_cross_process;
-    report.hard_unsynchronized += part.report.hard_unsynchronized;
-    report.paths.merge(part.report.paths);
-    for (std::size_t d = 0; d < part.report.dependencies.size(); ++d) {
-      tagged.push_back({part.dep_op[d], &part.report.dependencies[d]});
+  std::vector<const NsOp*> last_mutate(npaths, nullptr);
+  // Nearest preceding mutation of this exact path, or of an ancestor
+  // directory (creating "out.bp" is what makes "out.bp/data.0"
+  // reachable). Ancestors resolve through the intern table; a prefix
+  // that was never interned was never mutated in the trace.
+  auto find_mutate = [&](FileId file) -> const NsOp* {
+    if (const NsOp* m = last_mutate[file]) return m;
+    const std::string_view path = bundle.paths.view(file);
+    for (auto pos = path.rfind('/'); pos != std::string_view::npos && pos > 0;
+         pos = path.rfind('/', pos - 1)) {
+      const FileId anc = bundle.paths.find(path.substr(0, pos));
+      if (anc != kNoFile && last_mutate[anc]) return last_mutate[anc];
     }
-  }
-  std::sort(tagged.begin(), tagged.end(),
-            [](const Tagged& a, const Tagged& b) { return a.op_index < b.op_index; });
-  const std::size_t keep = std::min(tagged.size(), opts.max_examples);
-  report.dependencies.reserve(keep);
-  for (std::size_t d = 0; d < keep; ++d) {
-    report.dependencies.push_back(std::move(*tagged[d].dep));
+    return nullptr;
+  };
+  for (const NsOp& op : ops) {
+    if (const NsOp* m = find_mutate(op.file); m && m->rank != op.rank) {
+      ++report.cross_process;
+      if (op.hard) ++report.hard_cross_process;
+      ++report.paths[op.file];
+      MetadataDependency dep;
+      dep.mutate = *m;
+      dep.observe = op;
+      if (hb) {
+        dep.synchronized =
+            hb->ordered(dep.mutate.rank, dep.mutate.t, op.rank, op.t);
+      }
+      if (!dep.synchronized) {
+        ++report.unsynchronized;
+        if (op.hard) ++report.hard_unsynchronized;
+      }
+      if (report.dependencies.size() < opts.max_examples) {
+        report.dependencies.push_back(std::move(dep));
+      }
+    }
+    // Pointers into `ops` stay valid: the vector is fully built above.
+    if (op.kind == NsOpKind::Mutate) last_mutate[op.file] = &op;
   }
   return report;
 }

@@ -2,14 +2,11 @@
 
 #include <algorithm>
 
-#include "pfsem/exec/pool.hpp"
-
 namespace pfsem::core {
 
 namespace {
 
-/// Canonicalize so pair ordering is deterministic regardless of algorithm
-/// (and of how many shards produced the pairs).
+/// Canonicalize so pair ordering is deterministic regardless of algorithm.
 void canonicalize(std::vector<OverlapPair>& pairs) {
   for (auto& p : pairs) {
     if (p.first > p.second) std::swap(p.first, p.second);
@@ -56,84 +53,25 @@ void scan_actives(std::span<const Access> accesses,
   act.resize(keep);
 }
 
-/// Sweep the begin-sorted slice order[lo,hi), seeding the active sets
-/// from the prefix order[0,lo). Emits exactly the pairs whose
-/// later-sorted member lies in the slice, so disjoint slices partition
-/// the full pair set — the unit of parallelism.
-///
-/// Reads and writes live in separate active lists: an incoming write
-/// pairs with both, an incoming read only with the writes (when
-/// writes_only is set), so read-read candidates are never visited.
-void sweep_slice(std::span<const Access> accesses,
-                 std::span<const std::uint32_t> order, std::size_t lo,
-                 std::size_t hi, const OverlapOptions& opts,
-                 std::vector<OverlapPair>& out) {
-  if (lo >= hi) return;
-  std::vector<std::uint32_t> active_w, active_r;
-  if (lo > 0) {
-    // Only prefix intervals still alive at the slice's first begin can
-    // pair with anything in the slice.
-    const Offset first_begin = accesses[order[lo]].ext.begin;
-    for (std::size_t k = 0; k < lo; ++k) {
-      const std::uint32_t j = order[k];
-      if (accesses[j].ext.end <= first_begin) continue;
-      (accesses[j].type == AccessType::Write ? active_w : active_r).push_back(j);
-    }
-  }
-  for (std::size_t k = lo; k < hi; ++k) {
-    const std::uint32_t idx = order[k];
-    const Access& a = accesses[idx];
-    const bool is_write = a.type == AccessType::Write;
-    scan_actives(accesses, active_w, a.ext.begin, idx, out);
-    if (is_write || !opts.writes_only) {
-      scan_actives(accesses, active_r, a.ext.begin, idx, out);
-    }
-    (is_write ? active_w : active_r).push_back(idx);
-  }
-}
-
-/// Slice bounds for splitting `n` sorted accesses into `shards` chunks.
-std::vector<std::size_t> slice_bounds(std::size_t n, std::size_t shards) {
-  std::vector<std::size_t> bounds;
-  bounds.push_back(0);
-  for (std::size_t s = 1; s < shards; ++s) bounds.push_back(n * s / shards);
-  bounds.push_back(n);
-  return bounds;
-}
-
 }  // namespace
 
 std::vector<OverlapPair> detect_overlaps(std::span<const Access> accesses,
                                          OverlapOptions opts) {
-  const auto order = begin_order(accesses);
+  // Sweep the begin-sorted order once. Reads and writes live in separate
+  // active lists: an incoming write pairs with both, an incoming read
+  // only with the writes (when writes_only is set), so read-read
+  // candidates are never visited.
   std::vector<OverlapPair> pairs;
-  sweep_slice(accesses, order, 0, order.size(), opts, pairs);
-  canonicalize(pairs);
-  return pairs;
-}
-
-std::vector<OverlapPair> detect_overlaps(std::span<const Access> accesses,
-                                         OverlapOptions opts,
-                                         exec::ThreadPool& pool) {
-  constexpr std::size_t kMinParallel = 4096;
-  const auto order = begin_order(accesses);
-  if (pool.size() <= 1 || order.size() < kMinParallel) {
-    std::vector<OverlapPair> pairs;
-    sweep_slice(accesses, order, 0, order.size(), opts, pairs);
-    canonicalize(pairs);
-    return pairs;
+  std::vector<std::uint32_t> active_w, active_r;
+  for (const std::uint32_t idx : begin_order(accesses)) {
+    const Access& a = accesses[idx];
+    const bool is_write = a.type == AccessType::Write;
+    scan_actives(accesses, active_w, a.ext.begin, idx, pairs);
+    if (is_write || !opts.writes_only) {
+      scan_actives(accesses, active_r, a.ext.begin, idx, pairs);
+    }
+    (is_write ? active_w : active_r).push_back(idx);
   }
-  const auto shards = static_cast<std::size_t>(pool.size()) * 4;
-  const auto bounds = slice_bounds(order.size(), shards);
-  std::vector<std::vector<OverlapPair>> parts(shards);
-  pool.parallel_for(shards, [&](std::size_t s) {
-    sweep_slice(accesses, order, bounds[s], bounds[s + 1], opts, parts[s]);
-  });
-  std::size_t total = 0;
-  for (const auto& p : parts) total += p.size();
-  std::vector<OverlapPair> pairs;
-  pairs.reserve(total);
-  for (const auto& p : parts) pairs.insert(pairs.end(), p.begin(), p.end());
   canonicalize(pairs);
   return pairs;
 }
@@ -169,72 +107,14 @@ std::vector<OverlapPair> detect_overlaps_naive(std::span<const Access> accesses,
   return pairs;
 }
 
-std::vector<std::vector<OverlapPair>> detect_file_overlaps(
-    const FlatAccessLog& flat, OverlapOptions opts, exec::ThreadPool& pool) {
-  const std::size_t nfiles = flat.files.size();
-  // Phase A: begin-sorted order per file.
-  std::vector<std::vector<std::uint32_t>> orders(nfiles);
-  pool.parallel_for(nfiles, [&](std::size_t f) {
-    orders[f] = begin_order(flat.accesses(f));
-  });
-  // Task list: split each file into begin-sorted slices so one huge
-  // file still fans out across the pool. Slice size targets ~4 tasks
-  // per participant over the whole log, with a floor that keeps the
-  // per-slice prefix rescan amortized.
-  std::size_t total = 0;
-  for (const auto& o : orders) total += o.size();
-  // A single-participant pool gets one slice per file: threads=1 then
-  // runs the pristine sequential sweep and stays a genuine oracle.
-  const std::size_t chunk =
-      pool.size() <= 1
-          ? std::max<std::size_t>(total, 1)
-          : std::max<std::size_t>(
-                2048, total / (static_cast<std::size_t>(pool.size()) * 4) + 1);
-  struct SliceTask {
-    std::size_t file, lo, hi, slot;
-  };
-  std::vector<SliceTask> tasks;
-  std::vector<std::size_t> first_slot(nfiles + 1, 0);
-  for (std::size_t f = 0; f < nfiles; ++f) {
-    first_slot[f] = tasks.size();
-    const std::size_t n = orders[f].size();
-    for (std::size_t lo = 0; lo < n; lo += chunk) {
-      tasks.push_back({f, lo, std::min(n, lo + chunk), tasks.size()});
-    }
-    if (n == 0) tasks.push_back({f, 0, 0, tasks.size()});
-  }
-  first_slot[nfiles] = tasks.size();
-  // Phase B: sweep every slice independently.
-  std::vector<std::vector<OverlapPair>> slice_pairs(tasks.size());
-  pool.parallel_for(tasks.size(), [&](std::size_t t) {
-    const SliceTask& st = tasks[t];
-    sweep_slice(flat.accesses(st.file), orders[st.file], st.lo, st.hi, opts,
-                slice_pairs[st.slot]);
-  });
-  // Phase C: per file, concatenate its slices and canonicalize — the
-  // deterministic reduction that makes shard count invisible.
-  std::vector<std::vector<OverlapPair>> out(nfiles);
-  pool.parallel_for(nfiles, [&](std::size_t f) {
-    std::size_t count = 0;
-    for (std::size_t s = first_slot[f]; s < first_slot[f + 1]; ++s) {
-      count += slice_pairs[s].size();
-    }
-    out[f].reserve(count);
-    for (std::size_t s = first_slot[f]; s < first_slot[f + 1]; ++s) {
-      out[f].insert(out[f].end(), slice_pairs[s].begin(), slice_pairs[s].end());
-    }
-    canonicalize(out[f]);
-  });
-  return out;
-}
-
 FileOverlaps detect_file_overlaps(const AccessLog& log, OverlapOptions opts,
-                                  int threads) {
-  // Flat slices are built one per store slot, so the returned vector is
-  // already indexed by FileId.
-  const auto flat = FlatAccessLog::from(log);
-  exec::ThreadPool pool(threads);
-  return detect_file_overlaps(flat, opts, pool);
+                                  int /*threads*/) {
+  // One sweep per store slot, so the result is indexed by FileId.
+  FileOverlaps out(log.files.size());
+  for (std::size_t id = 0; id < log.files.size(); ++id) {
+    out[id] = detect_overlaps(log.files[id].accesses, opts);
+  }
+  return out;
 }
 
 namespace {

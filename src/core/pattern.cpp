@@ -5,8 +5,6 @@
 #include <numeric>
 #include <set>
 
-#include "pfsem/exec/pool.hpp"
-
 namespace pfsem::core {
 
 const char* to_string(FileLayout l) {
@@ -208,25 +206,6 @@ std::int64_t round_stride(AccessSeq accesses) {
 
 }  // namespace
 
-namespace {
-
-/// Sum per-file TransitionMix partials computed on the pool. Addition is
-/// commutative over exact integers, so any completion order yields the
-/// identical aggregate.
-TransitionMix sum_per_file(const AccessLog& log, int threads,
-                           const std::function<TransitionMix(const FileLog&)>& per_file) {
-  // One task per store slot (FileId); inactive slots contribute an empty
-  // mix and integer sums make the merge order-invariant.
-  std::vector<TransitionMix> parts(log.files.size());
-  exec::parallel_for(threads, log.files.size(),
-                     [&](std::size_t f) { parts[f] = per_file(log.files[f]); });
-  TransitionMix mix;
-  for (const auto& p : parts) mix += p;
-  return mix;
-}
-
-}  // namespace
-
 TransitionMix local_transitions(const FileLog& file) {
   TransitionMix mix;
   const auto seq = all_accesses(file);
@@ -243,12 +222,16 @@ TransitionMix global_transitions(const FileLog& file) {
   return mix;
 }
 
-TransitionMix local_pattern(const AccessLog& log, int threads) {
-  return sum_per_file(log, threads, local_transitions);
+TransitionMix local_pattern(const AccessLog& log) {
+  TransitionMix mix;
+  for (const auto& fl : log.files) mix += local_transitions(fl);
+  return mix;
 }
 
-TransitionMix global_pattern(const AccessLog& log, int threads) {
-  return sum_per_file(log, threads, global_transitions);
+TransitionMix global_pattern(const AccessLog& log) {
+  TransitionMix mix;
+  for (const auto& fl : log.files) mix += global_transitions(fl);
+  return mix;
 }
 
 FileLayout classify_file_layout(const FileLog& file, PatternOptions opts) {

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <ostream>
-#include <span>
 
 #include "pfsem/core/window.hpp"
-#include "pfsem/exec/pool.hpp"
 #include "pfsem/util/table.hpp"
 
 namespace pfsem::core {
@@ -58,43 +56,17 @@ void RecordStats::feed(const trace::Record& rec) {
   }
 }
 
-void RecordStats::merge(const RecordStats& p) {
-  for (const auto& [f, n] : p.function_counts) function_counts[f] += n;
-  for (const auto& [l, n] : p.layer_counts) layer_counts[l] += n;
-  for (std::size_t k = 0; k < SizeHistogram::kBuckets; ++k) {
-    read_sizes.counts[k] += p.read_sizes.counts[k];
-    write_sizes.counts[k] += p.write_sizes.counts[k];
-  }
-  lo = std::min(lo, p.lo);
-  hi = std::max(hi, p.hi);
-}
-
 RunReport build_report(const trace::TraceBundle& bundle, const AccessLog& log,
-                       const ConflictReport& conflicts, int threads) {
-  const int nthreads = exec::resolve_threads(threads);
-  const std::size_t chunks = std::min<std::size_t>(
-      bundle.records.size(), static_cast<std::size_t>(nthreads) * 4);
+                       const ConflictReport& conflicts, int /*threads*/) {
   RecordStats stats;
-  if (chunks > 0) {
-    std::vector<RecordStats> parts(chunks);
-    exec::parallel_for(nthreads, chunks, [&](std::size_t ch) {
-      const std::size_t lo = bundle.records.size() * ch / chunks;
-      const std::size_t hi = bundle.records.size() * (ch + 1) / chunks;
-      for (const auto& rec : std::span(bundle.records).subspan(lo, hi - lo)) {
-        parts[ch].feed(rec);
-      }
-    });
-    for (auto& p : parts) stats.merge(p);
-  }
-  // Per-file summaries are independent; compute into FileId-indexed
-  // slots, then fold them exactly as the windowed path does.
+  for (const auto& rec : bundle.records) stats.feed(rec);
+  // Per-file summaries in FileId-indexed slots, folded exactly as the
+  // windowed path folds them.
   std::vector<FileWindowSummary> summaries(log.files.size());
-  const std::vector<FileId> ids = log.active_ids();
-  exec::parallel_for(nthreads, ids.size(), [&](std::size_t f) {
-    const FileId id = ids[f];
+  for (const FileId id : log.active_ids()) {
     summaries[id] =
         summarize_file_pattern(id, log.path(id), log.files[id], {});
-  });
+  }
   for (const auto& c : conflicts.conflicts) {
     if (c.file >= summaries.size() || summaries[c.file].file == kNoFile) {
       continue;

@@ -74,8 +74,8 @@ TuningReport assemble(const AccessLog& log,
 
 }  // namespace
 
-TuningReport per_file_tuning(const AccessLog& log, int threads) {
-  return per_file_tuning(log, detect_file_overlaps(log, {}, threads));
+TuningReport per_file_tuning(const AccessLog& log) {
+  return per_file_tuning(log, detect_file_overlaps(log));
 }
 
 TuningReport per_file_tuning(const AccessLog& log, const FileOverlaps& pairs) {

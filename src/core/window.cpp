@@ -35,9 +35,8 @@ FileWindowSummary summarize_file(FileId id, std::string_view path,
   FileWindowSummary s = summarize_file_pattern(id, path, fl, w.pattern);
 
   // Pair computation shared by conflict + tuning, exactly as the
-  // materialized path shares one detect_file_overlaps result. The
-  // sequential sweep and the sharded one emit the identical canonical
-  // pair list (tests/test_overlap_diff.cpp).
+  // materialized path shares one detect_file_overlaps result (the same
+  // per-file sweep).
   const std::vector<OverlapPair> pairs = detect_overlaps(fl.accesses, {});
   const ConflictReport part =
       detail::evaluate_file(id, fl.accesses, pairs, w.conflict);

@@ -306,14 +306,6 @@ struct Differ {
     }
   }
 
-  /// Volatile metrics that count races between analysis workers rather
-  /// than work done: two runs of one configuration differ here by design
-  /// (which idle worker wins a steal is up to the OS scheduler), so a
-  /// difference is a note, never a regression.
-  [[nodiscard]] static bool scheduling_race(std::string_view name) {
-    return name == "pool.steals";
-  }
-
   /// Threshold-gated comparison of a volatile "counters"/"gauges" map.
   void gated_metric_map(const char* section, const JValue* a,
                         const JValue* b) {
@@ -329,15 +321,7 @@ struct Differ {
       const JValue* vb = b != nullptr ? b->find(name) : nullptr;
       const double x = va != nullptr ? va->num() : 0.0;
       const double y = vb != nullptr ? vb->num() : 0.0;
-      const std::string what = "volatile " + std::string(section) + " " + name;
-      if (scheduling_race(name)) {
-        if (x != y) {
-          note(what + ": " + trim_num(x) + " vs " + trim_num(y) +
-               " (scheduling race, not gated)");
-        }
-      } else {
-        gate(what, x, y);
-      }
+      gate("volatile " + std::string(section) + " " + name, x, y);
     }
   }
 

@@ -12,8 +12,6 @@
 //     as the simulator's cost model evolves, and volatile metrics depend
 //     on scheduling — the gate catches order-of-magnitude regressions,
 //     not noise. Sub-threshold drifts are reported as notes.
-//   * pool.steals is never gated, only noted: it counts races between
-//     analysis workers, so same-configuration runs differ there by design.
 //   * Manifest fields are compared but never gate (they describe the run;
 //     "same config" is the caller's claim to make).
 //

@@ -4,8 +4,7 @@
 // metrics (iolib facades delta-snapshot the vfs traffic counters around
 // each call). Every quantity derives from simulated time and deterministic
 // event counts, so the exported rows are Stable in the obs sense: byte-
-// identical across --threads, both schedulers, and
-// --stream/materialized.
+// identical across both schedulers and --stream/materialized.
 //
 // Memory shape: per-file aggregates are a fixed array of op-class cells
 // (order-independent sums), plus one per-(file, rank) stall accumulator —

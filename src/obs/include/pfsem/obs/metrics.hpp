@@ -10,14 +10,12 @@
 // Determinism contract: a metric registered `Stability::Stable` may
 // derive only from simulated time and event counts — never wall clock,
 // thread ids, or scheduling races — so the stable dump is byte-identical
-// across `--threads N` and both schedulers and can itself be
-// diff-tested (tests/test_obs.cpp). Implementation-dependent values
-// (scheduler-tier hit counts, pool steal counts, stream batch sizes) must
-// be registered `Stability::Volatile`; dump() excludes them unless asked.
+// across both schedulers and can itself be diff-tested
+// (tests/test_obs.cpp). Implementation-dependent values (scheduler-tier
+// hit counts, stream batch sizes) must be registered
+// `Stability::Volatile`; dump() excludes them unless asked.
 //
-// The registry is not thread-safe: updates must come from one thread at
-// a time (the DES simulation is single-threaded; the analysis pool
-// accumulates per-worker and publishes from the calling thread).
+// The registry is not thread-safe; pfsem is single-threaded.
 
 #include <cstdint>
 #include <iosfwd>

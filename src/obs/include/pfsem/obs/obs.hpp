@@ -10,14 +10,12 @@
 // Wiring: everything is off by default. A caller that wants
 // observability constructs a Run and hands its address to the stack
 // (apps::AppConfig::obs wires the harness, engine, collector, injector,
-// and iolib facades; exec::set_observer covers the analysis pool, which
-// is constructed deep inside the analysis functions). Components never
-// own the Run; the driver (CLI, test) does.
+// and iolib facades). Components never own the Run; the driver (CLI,
+// test) does.
 //
 // See docs/observability.md for the metric catalogue, the span schema,
 // and the determinism contract.
 
-#include <chrono>
 #include <string>
 
 #include "pfsem/obs/ledger.hpp"
@@ -50,18 +48,9 @@ struct Run {
   Tracer tracer;
   /// Cost-attribution rows (filled only when cfg.ledger; see ledger.hpp).
   Ledger ledger;
-  /// Wall-clock origin for the analysis pool's spans (the only wall
-  /// timestamps in the trace; everything else is simulated time).
-  std::chrono::steady_clock::time_point wall_origin;
 
   [[nodiscard]] bool tracing() const { return cfg.tracing; }
   [[nodiscard]] bool ledger_on() const { return cfg.ledger; }
-  /// Nanoseconds of wall clock since this Run was created.
-  [[nodiscard]] std::int64_t wall_ns() const {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now() - wall_origin)
-        .count();
-  }
 
   // --- pre-registered handles (the metric catalogue) --------------------
   // sim::Engine
@@ -117,11 +106,6 @@ struct Run {
   Counter fault_failovers;        ///< standby MDS replicas promoted (stable)
   Counter fault_redirects;        ///< client ops re-sent after EHOSTDOWN (stable)
   Counter fault_degraded_reads;   ///< reads with dead-OST holes (stable)
-  // exec::ThreadPool (wall-clock side; never in the stable dump)
-  Counter pool_jobs;    ///< parallel_for invocations (volatile)
-  Counter pool_items;   ///< loop indices executed (volatile)
-  Counter pool_steals;  ///< ranges stolen from another deque (volatile)
-  Gauge pool_workers;   ///< participants of the widest pool seen (volatile)
 };
 
 /// Compact human-readable summary of a Run — the block appended to the

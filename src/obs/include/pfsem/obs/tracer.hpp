@@ -5,12 +5,8 @@
 //
 // Events are addressed by a Track — the Chrome (pid, tid) pair. Each
 // instrumented subsystem owns a pid (constants below); the tid is the
-// natural lane within it (rank for I/O and programs, worker index for
-// the analysis pool, tier for the scheduler). Timestamps are simulated
-// nanoseconds for everything driven by the DES; only the analysis pool
-// — which runs offline, outside simulated time — records wall-clock
-// nanoseconds relative to the obs::Run's creation (its pid is labelled
-// accordingly in the export).
+// natural lane within it (rank for I/O and programs, tier for the
+// scheduler). Timestamps are simulated nanoseconds.
 //
 // Names and arg keys must be string literals (or otherwise outlive the
 // tracer): events store the pointers, not copies, so appending an event
@@ -29,7 +25,6 @@ namespace pfsem::obs {
 inline constexpr std::int32_t kPidHarness = 1;  ///< per-rank programs
 inline constexpr std::int32_t kPidSim = 2;      ///< scheduler tiers
 inline constexpr std::int32_t kPidIo = 3;       ///< per-rank I/O ops
-inline constexpr std::int32_t kPidPool = 4;     ///< analysis pool (wall clock)
 inline constexpr std::int32_t kPidFault = 5;    ///< injected faults
 inline constexpr std::int32_t kPidVfs = 6;      ///< vfs counter tracks
 inline constexpr std::int32_t kPidStream = 7;   ///< stream-pipeline counters

@@ -9,8 +9,7 @@
 
 namespace pfsem::obs {
 
-Run::Run(Config c)
-    : cfg(c), wall_origin(std::chrono::steady_clock::now()) {
+Run::Run(Config c) : cfg(c) {
   const auto S = Stability::Stable;
   const auto V = Stability::Volatile;
   sim_events = metrics.counter("sim.events_dispatched", S);
@@ -64,11 +63,6 @@ Run::Run(Config c)
   fault_failovers = metrics.counter("fault.mds_failovers", S);
   fault_redirects = metrics.counter("fault.failover_redirects", S);
   fault_degraded_reads = metrics.counter("fault.degraded_reads", S);
-
-  pool_jobs = metrics.counter("pool.jobs", V);
-  pool_items = metrics.counter("pool.items", V);
-  pool_steals = metrics.counter("pool.steals", V);
-  pool_workers = metrics.gauge("pool.workers", V);
 }
 
 std::string summary(const Run& run) {
@@ -168,9 +162,8 @@ std::string summary(const Run& run) {
     }
   }
   // Deliberately nothing volatile here: the summary rides inside
-  // analysis output whose byte-identity across --threads is a core
-  // guarantee. Pool activity (jobs/items/steals, per-worker busy
-  // spans) lives in the Chrome trace and the include_volatile dump.
+  // analysis output whose byte-identity across both schedulers is a core
+  // guarantee. Volatile metrics live in the include_volatile dump.
   return os.str();
 }
 

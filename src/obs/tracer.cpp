@@ -13,7 +13,6 @@ const char* pid_name(std::int32_t pid) {
     case kPidHarness: return "programs (per rank, sim time)";
     case kPidSim: return "sim scheduler (sim time)";
     case kPidIo: return "io (per rank, sim time)";
-    case kPidPool: return "analysis pool (wall time)";
     case kPidFault: return "fault injector (sim time)";
     case kPidVfs: return "vfs counters (sim time)";
     case kPidStream: return "stream pipeline counters (sim time)";
@@ -24,7 +23,6 @@ const char* pid_name(std::int32_t pid) {
 std::string tid_name(std::int32_t pid, std::int32_t tid) {
   switch (pid) {
     case kPidSim: return tid == 0 ? "ring tier" : "heap tier";
-    case kPidPool: return "worker " + std::to_string(tid);
     case kPidVfs:
     case kPidStream: return "counters";
     default: return "rank " + std::to_string(tid);

@@ -26,8 +26,6 @@
 //                    KiB/MiB (default 64K). Implies the cluster backend.
 //   --fault-seed S   fault-injection seed (default 1)
 //   --retries N      I/O retries per op after the first attempt (default 0)
-//   --threads N      analysis threads (N >= 1; omit for all hardware
-//                    threads; output is byte-identical for every N)
 //   --stream         report/tune: chunked streaming pipeline —
 //                    records spill to a bounded store as they are
 //                    captured and the analysis consumes them
@@ -47,7 +45,7 @@
 //                    file (default 64; at most SIZE_MAX >> 20)
 //   --obs            observability: print the run's metrics summary
 //   --obs-out FILE   write the stable metrics dump (byte-identical across
-//                    --threads; see docs/observability.md)
+//                    both schedulers; see docs/observability.md)
 //   --obs-trace FILE write a Chrome trace_event JSON timeline (load in
 //                    ui.perfetto.dev or chrome://tracing)
 //   --obs-ledger     cost-attribution ledger: per-(file × rank × op-class)
@@ -68,7 +66,6 @@
 #include <sstream>
 #include <string>
 
-#include "pfsem/exec/pool.hpp"
 #include "pfsem/obs/diff.hpp"
 #include "pfsem/obs/export.hpp"
 #include "pfsem/obs/obs.hpp"
@@ -113,7 +110,6 @@ struct Options {
   int ost = 1;
   Offset stripe = 64u << 10;
   int retries = 0;  // retries per op after the first attempt
-  int threads = 0;  // analysis threads (0 = all hardware threads)
   // Chunked streaming pipeline (--stream: report and tune; always on
   // for trace).
   bool stream = false;
@@ -154,8 +150,7 @@ int usage() {
                "  pfsem tune <config|trace.trc> [options]\n"
                "  pfsem remedy <config|trace.trc> [--strict] [options]\n"
                "  pfsem obs-diff <a.json> <b.json> [--threshold F]\n"
-               "common options: --threads N (N >= 1; omit for all cores),\n"
-               "                --obs, --obs-out <file>, --obs-trace <file>,\n"
+               "common options: --obs, --obs-out <file>, --obs-trace <file>,\n"
                "                --obs-ledger, --obs-json <file> ('-' = "
                "stdout),\n"
                "                --mds N --ost M --stripe K (multi-server "
@@ -246,14 +241,6 @@ Options parse_options(int argc, char** argv, int first) {
       opt.cluster = true;
     }
     else if (a == "--retries") opt.retries = std::stoi(next());
-    else if (a == "--threads") {
-      opt.threads = std::stoi(next());
-      if (opt.threads <= 0) {
-        throw Error("--threads wants a positive thread count, got " +
-                    std::to_string(opt.threads) +
-                    " (omit the flag to use all hardware threads)");
-      }
-    }
     else if (a == "--stream") opt.stream = true;
     else if (a == "--chunk-records") {
       const long long v = std::stoll(next());
@@ -290,9 +277,6 @@ Options parse_options(int argc, char** argv, int first) {
     opt.obs_run = std::make_shared<obs::Run>(
         obs::Config{.metrics = true, .tracing = !opt.obs_trace.empty(),
                     .ledger = opt.obs_ledger});
-    // The analysis pool is wired globally (pools are transient objects
-    // created inside the analysis functions).
-    exec::set_observer(opt.obs_run.get());
     // Open every file destination now: an unwritable path should fail
     // up front, not after the full simulation has run.
     if (!opt.obs_out.empty()) {
@@ -315,8 +299,8 @@ Options parse_options(int argc, char** argv, int first) {
 
 /// Run manifest for the structured JSON export: the knobs that produced
 /// this dump. Deliberately outside the dump's "stable" section — it
-/// records exactly the parameters (threads, stream) the stable
-/// metrics are invariant to.
+/// records exactly the parameters (stream) the stable metrics are
+/// invariant to.
 obs::Manifest make_manifest(const Options& opt) {
   obs::Manifest m;
   m.emplace_back("tool", "pfsem");
@@ -324,7 +308,6 @@ obs::Manifest make_manifest(const Options& opt) {
   m.emplace_back("subject", opt.subject);
   m.emplace_back("ranks", std::to_string(opt.ranks));
   m.emplace_back("seed", std::to_string(opt.seed));
-  m.emplace_back("threads", std::to_string(opt.threads));
   m.emplace_back("stream", opt.stream ? "1" : "0");
   m.emplace_back("window", opt.stream ? "1" : "0");
   m.emplace_back("faults", opt.faults);
@@ -362,7 +345,6 @@ void finish_obs(const Options& opt) {
   if (opt.obs_print) {
     std::cout << "\n" << obs::summary(*opt.obs_run);
   }
-  exec::set_observer(nullptr);
 }
 
 /// Everything a named-config simulation needs, shared between the
@@ -451,20 +433,17 @@ core::StreamAnalyzer::WindowedResult stream_windowed(const std::string& what,
   return apps::drain(is, opt.obs_run.get());
 }
 
-void print_report(const trace::TraceBundle& bundle, int threads) {
+void print_report(const trace::TraceBundle& bundle) {
   const auto log = core::reconstruct_accesses(bundle);
-  // Sweep every file once; conflict detection reuses the pairs.
-  const auto pairs = core::detect_file_overlaps(log, {}, threads);
-  const auto report = core::detect_conflicts(log, pairs, {.threads = threads});
+  const auto report = core::detect_conflicts(log);
   const auto pattern = core::classify_high_level(log, bundle.nranks);
-  const auto local = core::local_pattern(log, threads);
-  const auto global = core::global_pattern(log, threads);
+  const auto local = core::local_pattern(log);
+  const auto global = core::global_pattern(log);
   const auto census = core::census_metadata(bundle);
   const core::HappensBefore hb(trace::decode_comm(bundle.comm, bundle.nranks),
                                bundle.nranks);
-  const auto advice = core::advise(report, &hb, threads);
-  const auto meta =
-      core::detect_metadata_dependencies(bundle, &hb, {.threads = threads});
+  const auto advice = core::advise(report, &hb);
+  const auto meta = core::detect_metadata_dependencies(bundle, &hb);
 
   std::cout << "ranks: " << bundle.nranks
             << "   records: " << bundle.records.size()
@@ -507,9 +486,9 @@ void print_tuning(const core::TuningReport& tuning) {
             << " even tolerate eventual consistency.\n";
 }
 
-void print_tuning(const trace::TraceBundle& bundle, int threads) {
+void print_tuning(const trace::TraceBundle& bundle) {
   const auto log = core::reconstruct_accesses(bundle);
-  print_tuning(core::per_file_tuning(log, threads));
+  print_tuning(core::per_file_tuning(log));
 }
 
 }  // namespace
@@ -563,7 +542,7 @@ int main(int argc, char** argv) {
     if (cmd == "run" && argc >= 3) {
       auto opt = parse_options(argc, argv, 3);
       require(!opt.stream, "--stream is supported by report, trace, and tune only");
-      print_report(obtain(argv[2], opt), opt.threads);
+      print_report(obtain(argv[2], opt));
       if (opt.ran_faults) {
         std::cout << "\n";
         core::print_degraded(apps::degraded_summary(opt.fault_stats),
@@ -597,7 +576,7 @@ int main(int argc, char** argv) {
     if (cmd == "analyze" && argc >= 3) {
       auto opt = parse_options(argc, argv, 3);
       require(!opt.stream, "--stream is supported by report, trace, and tune only");
-      print_report(obtain(argv[2], opt), opt.threads);
+      print_report(obtain(argv[2], opt));
       finish_obs(opt);
       return 0;
     }
@@ -611,10 +590,7 @@ int main(int argc, char** argv) {
       } else {
         const auto bundle = obtain(argv[2], opt);
         const auto log = core::reconstruct_accesses(bundle);
-        const auto pairs = core::detect_file_overlaps(log, {}, opt.threads);
-        const auto conflicts =
-            core::detect_conflicts(log, pairs, {.threads = opt.threads});
-        rep = core::build_report(bundle, log, conflicts, opt.threads);
+        rep = core::build_report(bundle, log, core::detect_conflicts(log));
       }
       if (opt.ran_faults) {
         rep.degraded = apps::degraded_summary(opt.fault_stats);
@@ -633,11 +609,10 @@ int main(int argc, char** argv) {
       require(!opt.stream, "--stream is supported by report, trace, and tune only");
       const auto bundle = obtain(argv[2], opt);
       const auto log = core::reconstruct_accesses(bundle);
-      const auto report = core::detect_conflicts(
-          log, core::ConflictOptions{.threads = opt.threads});
+      const auto report = core::detect_conflicts(log);
       const core::HappensBefore hb(
           trace::decode_comm(bundle.comm, bundle.nranks), bundle.nranks);
-      const auto advice = core::advise(report, &hb, opt.threads);
+      const auto advice = core::advise(report, &hb);
       std::cout << vfs::to_string(advice.weakest) << "\n" << advice.rationale
                 << "\n";
       finish_obs(opt);
@@ -650,7 +625,7 @@ int main(int argc, char** argv) {
         print_tuning(core::assemble_windowed_tuning(res.summaries));
       } else {
         const auto bundle = obtain(argv[2], opt);
-        print_tuning(bundle, opt.threads);
+        print_tuning(bundle);
       }
       finish_obs(opt);
       return 0;

@@ -69,7 +69,7 @@ constexpr std::int64_t wrap_add(std::int64_t a, std::int64_t b) {
 /// would let 2^32 + 1 pass as 1 and re-encode to different bytes.
 inline std::int32_t to_int32(std::int64_t v) {
   require(v >= INT32_MIN && v <= INT32_MAX,
-          "int32 field out of range in compact trace");
+          "int32 field out of range in trace");
   return static_cast<std::int32_t>(v);
 }
 
@@ -144,9 +144,9 @@ class ByteReader {
   /// claims.
   void append_string(std::string& out) {
     const auto n = varint();
-    require(n <= (1u << 20), "implausible string length in compact trace");
+    require(n <= (1u << 20), "implausible string length in trace");
     for (auto left = static_cast<std::size_t>(n); left > 0;) {
-      require(cur_ != end_ || refill(), "truncated compact trace");
+      require(cur_ != end_ || refill(), "truncated trace");
       const auto k = std::min(left, static_cast<std::size_t>(end_ - cur_));
       out.append(cur_, k);
       cur_ += k;
@@ -163,8 +163,8 @@ class ByteReader {
   std::uint64_t varint_checked() {
     std::uint64_t v = 0;
     for (int shift = 0;; shift += 7) {
-      require(cur_ != end_ || refill(), "truncated compact trace");
-      require(shift < 64, "overlong varint in compact trace");
+      require(cur_ != end_ || refill(), "truncated trace");
+      require(shift < 64, "overlong varint in trace");
       const auto c = static_cast<unsigned char>(*cur_++);
       v |= static_cast<std::uint64_t>(c & 0x7f) << shift;
       if (!(c & 0x80)) return v;

@@ -5,7 +5,6 @@
 // simulated PFS), mirroring how a real tracing/analysis stack distinguishes
 // "our bug" from "the traced application saw an error".
 
-#include <source_location>
 #include <stdexcept>
 #include <string>
 
@@ -16,26 +15,19 @@ class Error : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Throw pfsem::Error carrying the caller's location and `msg`.
-[[noreturn]] inline void fail(
-    const std::string& msg,
-    std::source_location loc = std::source_location::current()) {
-  throw Error(std::string(loc.file_name()) + ":" + std::to_string(loc.line()) +
-              ": " + msg);
-}
+/// Throw pfsem::Error whose message is `msg` alone.
+[[noreturn]] inline void fail(const std::string& msg) { throw Error(msg); }
 
 /// Throw pfsem::Error if `cond` is false. Used for API-contract checks that
 /// must hold in release builds too (unlike assert).
-inline void require(bool cond, const std::string& msg,
-                    std::source_location loc = std::source_location::current()) {
-  if (!cond) fail(msg, loc);
+inline void require(bool cond, const std::string& msg) {
+  if (!cond) fail(msg);
 }
 
 /// Literal-message form: builds no std::string unless the check fails, so
 /// it is free on hot paths (per-record decoder validation).
-inline void require(bool cond, const char* msg,
-                    std::source_location loc = std::source_location::current()) {
-  if (!cond) fail(msg, loc);
+inline void require(bool cond, const char* msg) {
+  if (!cond) fail(msg);
 }
 
 }  // namespace pfsem

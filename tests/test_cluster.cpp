@@ -53,11 +53,10 @@ std::string compact_bytes(const trace::TraceBundle& bundle) {
   return os.str();
 }
 
-std::string report_text(const trace::TraceBundle& bundle, int threads = 1) {
+std::string report_text(const trace::TraceBundle& bundle) {
   const auto log = core::reconstruct_accesses(bundle);
-  const auto pairs = core::detect_file_overlaps(log, {}, threads);
-  const auto conflicts = core::detect_conflicts(log, pairs, {.threads = threads});
-  const auto rep = core::build_report(bundle, log, conflicts, threads);
+  const auto rep =
+      core::build_report(bundle, log, core::detect_conflicts(log));
   std::ostringstream os;
   core::print_report(rep, os);
   return os.str();

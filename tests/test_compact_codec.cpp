@@ -239,10 +239,9 @@ TEST(CompactCodec, EmptyBundleRoundTrips) {
 /// The report text of the materialized pipeline over `b`.
 std::string report_of(const TraceBundle& b) {
   const auto log = core::reconstruct_accesses(b);
-  const auto pairs = core::detect_file_overlaps(log, {}, 1);
-  const auto conflicts = core::detect_conflicts(log, pairs, {.threads = 1});
   std::ostringstream os;
-  core::print_report(core::build_report(b, log, conflicts, 1), os);
+  core::print_report(core::build_report(b, log, core::detect_conflicts(log)),
+                     os);
   return os.str();
 }
 
@@ -885,19 +884,19 @@ TEST(BlockDecoder, ElevenByteVarintRejectedOnBothPaths) {
   // first and must hand over to the checked one.
   std::istringstream mid(overlong + std::string(64, '\0'));
   EXPECT_NE(error_of([&] { (void)decode_chunks(mid); })
-                .find("overlong varint in compact trace"),
+                .find("overlong varint in trace"),
             std::string::npos);
   // Stream end, fed 7 bytes at a time: the checked path decodes it
   // across refills with the 11th byte last in the stream.
   TrickleBuf tail_buf(overlong, 7);
   std::istream tail(&tail_buf);
   EXPECT_NE(error_of([&] { (void)decode_chunks(tail); })
-                .find("overlong varint in compact trace"),
+                .find("overlong varint in trace"),
             std::string::npos);
   // Ten continuation bytes and then nothing is a truncation instead.
   std::istringstream cut(overlong.substr(0, overlong.size() - 1));
   EXPECT_NE(error_of([&] { (void)decode_chunks(cut); })
-                .find("truncated compact trace"),
+                .find("truncated trace"),
             std::string::npos);
 }
 

@@ -179,6 +179,31 @@ TEST(MetadataDeps, ExampleCapKeepsCountsExact) {
       detect_metadata_dependencies(tb.bundle(), nullptr, {.max_examples = 5});
   EXPECT_EQ(rep.dependencies.size(), 5u);
   EXPECT_EQ(rep.cross_process, 50u);
+
+  // Dependencies on paths under two first components ("a", "b"),
+  // interleaved in trace order; the cap cuts through the interleaving.
+  // The kept examples are the first five in trace order.
+  NsTraceBuilder mixed(3);
+  mixed.create(0, "a/x").create(0, "b/y");
+  for (int i = 0; i < 6; ++i) {
+    mixed.stat(1, "a/x", true).open_existing(2, "b/y");
+  }
+  const auto& bundle = mixed.bundle();
+  const auto capped =
+      detect_metadata_dependencies(bundle, nullptr, {.max_examples = 5});
+  EXPECT_EQ(capped.cross_process, 12u);
+  EXPECT_EQ(capped.hard_cross_process, 6u);
+  EXPECT_EQ(capped.unsynchronized, 0u);
+  EXPECT_EQ(capped.paths.at(bundle.paths.find("a/x")), 6u);
+  EXPECT_EQ(capped.paths.at(bundle.paths.find("b/y")), 6u);
+  ASSERT_EQ(capped.dependencies.size(), 5u);
+  for (std::size_t i = 0; i < capped.dependencies.size(); ++i) {
+    const auto& dep = capped.dependencies[i];
+    EXPECT_EQ(bundle.paths.view(dep.observe.file), i % 2 == 0 ? "a/x" : "b/y")
+        << "example " << i;
+    EXPECT_EQ(dep.observe.t, static_cast<SimTime>(20 + 10 * i))
+        << "example " << i;
+  }
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // pfsem::obs tests: deterministic metrics registry, log2 histograms,
 // Chrome-trace export, and the two wiring contracts that matter —
 //
-//  1. The stable metrics dump is byte-identical across analysis thread
-//     counts {1,2,4} AND schedulers {bucketed, heap}; it is the
-//     diff-testable observability artifact.
+//  1. The stable metrics dump is byte-identical across schedulers
+//     {bucketed, heap}; it is the diff-testable observability artifact.
 //  2. Observability is a pure observer: a run with obs wired in produces
 //     a byte-identical trace bundle to the same run without it.
 //
@@ -20,7 +19,6 @@
 #include "pfsem/core/conflict.hpp"
 #include "pfsem/core/offset_tracker.hpp"
 #include "pfsem/core/overlap.hpp"
-#include "pfsem/exec/pool.hpp"
 #include "pfsem/fault/plan.hpp"
 #include "pfsem/iolib/posix_io.hpp"
 #include "pfsem/obs/obs.hpp"
@@ -121,7 +119,7 @@ TEST(Tracer, ChromeJsonCarriesRequiredKeys) {
 
 /// One full simulate + analyze pass with observability on; returns the
 /// stable metrics dump.
-std::string stable_dump(int threads, bool heap) {
+std::string stable_dump(bool heap) {
   obs::Run run(obs::Config{.metrics = true, .tracing = false});
   const auto* info = apps::find_app("pF3D-IO");
   EXPECT_NE(info, nullptr);
@@ -132,34 +130,22 @@ std::string stable_dump(int threads, bool heap) {
   cfg.obs = &run;
   const auto bundle = apps::run_app(*info, cfg);
 
-  // Analysis rides the work-stealing pool; its pool.* metrics are
-  // volatile, so the stable dump must not depend on `threads`.
-  exec::set_observer(&run);
   const auto log = core::reconstruct_accesses(bundle);
-  const auto pairs = core::detect_file_overlaps(log, {}, threads);
-  (void)core::detect_conflicts(log, pairs, {.threads = threads});
-  exec::set_observer(nullptr);
+  (void)core::detect_conflicts(log);
 
   std::ostringstream os;
   run.metrics.dump(os);
   // The human-facing summary rides inside analysis output whose
-  // byte-identity across --threads is a core guarantee, so it is held
+  // byte-identity across schedulers is a core guarantee, so it is held
   // to the same standard as the dump.
   os << obs::summary(run);
   return os.str();
 }
 
-TEST(ObsDeterminism, StableDumpIdenticalAcrossThreadsAndCapture) {
-  const std::string baseline = stable_dump(/*threads=*/1, /*heap=*/false);
+TEST(ObsDeterminism, StableDumpIdenticalAcrossSchedulers) {
+  const std::string baseline = stable_dump(/*heap=*/false);
   EXPECT_NE(baseline.find("counter io.ops"), std::string::npos);
-  for (const int threads : {2, 4}) {
-    EXPECT_EQ(stable_dump(threads, /*heap=*/false), baseline)
-        << "threads=" << threads;
-  }
-  for (const int threads : {1, 4}) {
-    EXPECT_EQ(stable_dump(threads, /*heap=*/true), baseline)
-        << "heap scheduler, threads=" << threads;
-  }
+  EXPECT_EQ(stable_dump(/*heap=*/true), baseline);
 }
 
 /// Serialize one GTC run, with or without observability wired in.

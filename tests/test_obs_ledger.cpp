@@ -6,8 +6,8 @@
 //  2. Early (window-retirement) vs late (export-time) condensation is
 //     byte-identical: the reductions commute with interleaving.
 //  3. The versioned JSON export format is pinned by fixture, and its
-//     stable section is byte-identical across analysis thread counts and
-//     schedulers with the ledger enabled.
+//     stable section is byte-identical across schedulers with the ledger
+//     enabled.
 //  4. obs-diff policy: exact on the stable section, threshold-gated on
 //     volatile metrics and ledger rows, version exact, manifest informational.
 
@@ -204,7 +204,7 @@ TEST(ObsExport, LedgerSectionPinnedByFixture) {
 }
 
 /// One full simulated run with metrics + ledger; returns the export.
-std::string obs_json(int threads, bool heap) {
+std::string obs_json(bool heap) {
   obs::Run run(obs::Config{.metrics = true, .ledger = true});
   const auto* info = apps::find_app("pF3D-IO");
   EXPECT_NE(info, nullptr);
@@ -214,7 +214,6 @@ std::string obs_json(int threads, bool heap) {
   if (heap) cfg.scheduler = sim::SchedulerKind::Heap;
   cfg.obs = &run;
   (void)apps::run_app(*info, cfg);
-  (void)threads;  // the capture side is thread-free; knob kept for symmetry
 
   std::ostringstream os;
   obs::write_obs_json(os, run, {{"fixture", "invariance"}});
@@ -231,13 +230,10 @@ std::string stable_section(const std::string& json) {
   return json.substr(a, b - a);
 }
 
-TEST(ObsExport, StableSectionIdenticalAcrossThreadsAndCapture) {
-  const std::string baseline =
-      stable_section(obs_json(/*threads=*/1, /*heap=*/false));
+TEST(ObsExport, StableSectionIdenticalAcrossSchedulers) {
+  const std::string baseline = stable_section(obs_json(/*heap=*/false));
   EXPECT_NE(baseline.find("\"ledger\""), std::string::npos);
-  EXPECT_EQ(stable_section(obs_json(4, false)), baseline);
-  EXPECT_EQ(stable_section(obs_json(1, true)), baseline);
-  EXPECT_EQ(stable_section(obs_json(4, true)), baseline);
+  EXPECT_EQ(stable_section(obs_json(/*heap=*/true)), baseline);
 }
 
 // --- obs-diff policy -------------------------------------------------------
@@ -256,7 +252,7 @@ std::string doc(const std::string& stable_counters,
 }
 
 TEST(ObsDiff, IdenticalDocumentsPass) {
-  const std::string a = doc("\"io.ops\": 100", "\"pool.steals\": 5");
+  const std::string a = doc("\"io.ops\": 100", "\"sim.ring_pops\": 5");
   const auto res = obs::diff_obs_json(a, a, {});
   EXPECT_TRUE(res.ok);
 }
@@ -277,30 +273,16 @@ TEST(ObsDiff, StableMetricsAreExactEvenBelowThreshold) {
 
 TEST(ObsDiff, VolatileMetricsAreThresholdGated) {
   // 4% under the default 5% gate: pass. 10%: regression.
-  EXPECT_TRUE(obs::diff_obs_json(doc("", "\"pool.ns\": 100"),
-                                 doc("", "\"pool.ns\": 104"), {})
+  EXPECT_TRUE(obs::diff_obs_json(doc("", "\"sim.ring_pops\": 100"),
+                                 doc("", "\"sim.ring_pops\": 104"), {})
                   .ok);
-  EXPECT_FALSE(obs::diff_obs_json(doc("", "\"pool.ns\": 100"),
-                                  doc("", "\"pool.ns\": 110"), {})
+  EXPECT_FALSE(obs::diff_obs_json(doc("", "\"sim.ring_pops\": 100"),
+                                  doc("", "\"sim.ring_pops\": 110"), {})
                    .ok);
   // A tighter explicit threshold flips the 4% case.
-  EXPECT_FALSE(obs::diff_obs_json(doc("", "\"pool.ns\": 100"),
-                                  doc("", "\"pool.ns\": 104"),
+  EXPECT_FALSE(obs::diff_obs_json(doc("", "\"sim.ring_pops\": 100"),
+                                  doc("", "\"sim.ring_pops\": 104"),
                                   {.threshold = 0.01})
-                   .ok);
-}
-
-TEST(ObsDiff, WorkStealingRacesAreNotesNotRegressions) {
-  // Steal counts vary between same-seed runs (24 vs 31 is typical at
-  // the default thread count); the gate must not fail on them.
-  const auto res = obs::diff_obs_json(doc("", "\"pool.steals\": 24"),
-                                      doc("", "\"pool.steals\": 31"), {});
-  EXPECT_TRUE(res.ok);
-  ASSERT_EQ(res.notes.size(), 1u);
-  EXPECT_NE(res.notes[0].find("pool.steals"), std::string::npos);
-  // Other pool counters stay gated.
-  EXPECT_FALSE(obs::diff_obs_json(doc("", "\"pool.items\": 100"),
-                                  doc("", "\"pool.items\": 110"), {})
                    .ok);
 }
 

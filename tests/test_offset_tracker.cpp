@@ -328,22 +328,6 @@ TEST(OffsetTracker, OutOfRangeRecordFileThrows) {
   }
 }
 
-TEST(OffsetTracker, FlatViewAliasesFileColumns) {
-  TraceBuilder tb(2);
-  tb.open(0, 3, "a", trace::kCreate)
-      .open(1, 4, "b", trace::kCreate)
-      .write(0, 3, 10)
-      .write(1, 4, 20);
-  const auto log = reconstruct_accesses(tb.bundle());
-  const auto flat = FlatAccessLog::from(log);
-  ASSERT_EQ(flat.files.size(), log.files.size());
-  for (std::size_t f = 0; f < log.files.size(); ++f) {
-    EXPECT_EQ(flat.files[f].log, &log.files[f]);
-    EXPECT_EQ(flat.accesses(f).data(), log.files[f].accesses.data());
-    EXPECT_EQ(flat.accesses(f).size(), log.files[f].accesses.size());
-  }
-}
-
 TEST(OffsetTracker, AnnotateSortsAnOutOfOrderHandBuiltLog) {
   // Hand-built columns need not arrive in time order; equal timestamps
   // keep their column order (a stable sort).

@@ -1,9 +1,9 @@
-// Randomized differential tests for the overlap engines and the parallel
-// pipeline: across seeded generated logs (including adversarial
-// long-lived intervals, empty extents, and dense clusters) the sweep-line
-// engine, the paper's Algorithm-1 scan, and the naive O(n^2) oracle must
-// agree pair-for-pair; and detect_conflicts / build_report at threads=N
-// must be byte-identical to threads=1 for every registered application.
+// Randomized differential tests for the overlap engines: across seeded
+// generated logs (including adversarial long-lived intervals, empty
+// extents, and dense clusters) the sweep-line engine, the paper's
+// Algorithm-1 scan, and the naive O(n^2) oracle must agree pair-for-pair;
+// and conflict detection, tuning and the CLI text computed from shared
+// precomputed pairs must match the self-contained calls.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "pfsem/core/overlap.hpp"
 #include "pfsem/core/report.hpp"
 #include "pfsem/core/tuning.hpp"
-#include "pfsem/exec/pool.hpp"
 #include "pfsem/util/rng.hpp"
 
 namespace pfsem {
@@ -87,16 +86,6 @@ TEST(OverlapDiff, SweepEqualsScanEqualsNaiveAcrossSeeds) {
   }
 }
 
-TEST(OverlapDiff, ParallelSweepEqualsSequentialAcrossSeeds) {
-  for (std::uint64_t seed = 0; seed < 40; ++seed) {
-    const auto v = random_accesses(seed * 31 + 7);
-    const auto sequential = core::detect_overlaps(v);
-    exec::ThreadPool pool(4);
-    const auto parallel = core::detect_overlaps(v, {}, pool);
-    ASSERT_EQ(parallel, sequential) << "seed=" << seed;
-  }
-}
-
 /// A multi-file log built from the random generator, with open/close and
 /// commit windows so the semantics conditions are exercised too.
 core::AccessLog random_log(std::uint64_t seed) {
@@ -138,24 +127,12 @@ std::string fingerprint(const core::ConflictReport& r) {
   return os.str();
 }
 
-TEST(ConflictDiff, ParallelEqualsSequentialAcrossSeeds) {
-  for (std::uint64_t seed = 0; seed < 30; ++seed) {
-    const auto log = random_log(seed);
-    const auto seq = core::detect_conflicts(log, core::ConflictOptions{.threads = 1});
-    for (const int threads : {2, 4, 8}) {
-      const auto par = core::detect_conflicts(log, core::ConflictOptions{.threads = threads});
-      ASSERT_EQ(fingerprint(par), fingerprint(seq))
-          << "seed=" << seed << " threads=" << threads;
-    }
-  }
-}
-
 TEST(ConflictDiff, PrecomputedPairsMatchDirectDetection) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const auto log = random_log(seed + 500);
     const auto direct = core::detect_conflicts(log);
-    const auto pairs = core::detect_file_overlaps(log, {}, 4);
-    const auto reused = core::detect_conflicts(log, pairs, {.threads = 4});
+    const auto pairs = core::detect_file_overlaps(log);
+    const auto reused = core::detect_conflicts(log, pairs);
     ASSERT_EQ(fingerprint(reused), fingerprint(direct)) << "seed=" << seed;
     // Tuning through the same precomputed pairs matches the direct path.
     const auto t_direct = core::per_file_tuning(log);
@@ -171,41 +148,52 @@ TEST(ConflictDiff, PrecomputedPairsMatchDirectDetection) {
   }
 }
 
-TEST(PipelineDiff, EveryRegisteredAppReportsByteIdenticalAcrossThreads) {
-  // Everything the CLI can print — report, advise, tune — rendered at
-  // several thread counts must be byte-identical to the sequential run.
+/// Everything the CLI can print — report, advise, tune — rendered from
+/// one set of per-file overlap pairs.
+std::string cli_text(const trace::TraceBundle& bundle,
+                     const core::AccessLog& log,
+                     const core::ConflictReport& conflicts,
+                     const core::TuningReport& tuning) {
+  std::ostringstream os;
+  core::print_report(core::build_report(bundle, log, conflicts), os);
+  const core::HappensBefore hb(trace::decode_comm(bundle.comm, bundle.nranks),
+                               bundle.nranks);
+  const auto advice = core::advise(conflicts, &hb);
+  os << vfs::to_string(advice.weakest) << '|'
+     << vfs::to_string(advice.weakest_strict) << '|' << advice.race_free << '|'
+     << advice.rationale << '\n';
+  for (const auto& f : tuning.files) {
+    os << f.path << ' ' << vfs::to_string(f.weakest) << ' ' << f.bytes << ' '
+       << f.session_pairs << ' ' << f.commit_pairs << '\n';
+  }
+  os << tuning.total_bytes << '|' << tuning.relaxed_bytes << '|'
+     << tuning.eventual_fraction() << '\n';
+  return os.str();
+}
+
+TEST(PipelineDiff, EveryRegisteredAppReportsByteIdenticalFromPrecomputedPairs) {
+  // Conflict detection and tuning can share one set of per-file pairs.
+  // For every registered app, the text printed from the sweep's shared
+  // pairs, and from pairs the paper's Algorithm-1 scan found, must match
+  // what the self-contained calls print.
   apps::AppConfig cfg;
   cfg.nranks = 8;
   cfg.ranks_per_node = 4;
   for (const auto& info : apps::registry()) {
     const auto bundle = apps::run_app(info, cfg);
     const auto log = core::reconstruct_accesses(bundle);
-    std::string reference;
-    for (const int threads : {1, 2, 4}) {
-      const auto pairs = core::detect_file_overlaps(log, {}, threads);
-      const auto conflicts =
-          core::detect_conflicts(log, pairs, {.threads = threads});
-      const auto rep = core::build_report(bundle, log, conflicts, threads);
-      std::ostringstream os;
-      core::print_report(rep, os);
-      const core::HappensBefore hb(
-          trace::decode_comm(bundle.comm, bundle.nranks), bundle.nranks);
-      const auto advice = core::advise(conflicts, &hb, threads);
-      os << vfs::to_string(advice.weakest) << '|'
-         << vfs::to_string(advice.weakest_strict) << '|' << advice.race_free
-         << '|' << advice.rationale << '\n';
-      const auto tuning = core::per_file_tuning(log, threads);
-      for (const auto& f : tuning.files) {
-        os << f.path << ' ' << vfs::to_string(f.weakest) << ' ' << f.bytes
-           << ' ' << f.session_pairs << ' ' << f.commit_pairs << '\n';
-      }
-      os << tuning.total_bytes << '|' << tuning.relaxed_bytes << '|'
-         << tuning.eventual_fraction() << '\n';
-      if (threads == 1) {
-        reference = os.str();
-      } else {
-        ASSERT_EQ(os.str(), reference) << info.name << " threads=" << threads;
-      }
+    const std::string direct = cli_text(bundle, log, core::detect_conflicts(log),
+                                        core::per_file_tuning(log));
+    core::FileOverlaps sweep = core::detect_file_overlaps(log);
+    core::FileOverlaps scan(log.files.size());
+    for (std::size_t id = 0; id < log.files.size(); ++id) {
+      scan[id] = core::detect_overlaps_scan(log.files[id].accesses);
+    }
+    for (const auto* pairs : {&sweep, &scan}) {
+      ASSERT_EQ(cli_text(bundle, log, core::detect_conflicts(log, *pairs),
+                         core::per_file_tuning(log, *pairs)),
+                direct)
+          << info.name << (pairs == &scan ? " (scan pairs)" : " (sweep pairs)");
     }
   }
 }

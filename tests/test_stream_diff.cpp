@@ -2,10 +2,10 @@
 // registered application, run once through the spill → merge → stream
 // analysis path and once through the materialized build-a-bundle path,
 // must produce byte-identical trace files (the spill's bytes against
-// write_compact of the bundle) and byte-identical report text — across thread counts, both schedulers,
-// both PFS backends, fault plans, and skewed clocks. The materialized
-// path is the oracle; the streaming path must never be observable in
-// the output.
+// write_compact of the bundle) and byte-identical report text — across
+// both schedulers, both PFS backends, fault plans, and skewed clocks. The
+// materialized path is the oracle; the streaming path must never be
+// observable in the output.
 
 #include <gtest/gtest.h>
 
@@ -45,12 +45,10 @@ std::string compact_bytes(const trace::TraceBundle& bundle) {
   return os.str();
 }
 
-std::string report_text(const trace::TraceBundle& bundle, int threads = 1) {
+std::string report_text(const trace::TraceBundle& bundle) {
   const auto log = core::reconstruct_accesses(bundle);
-  const auto pairs = core::detect_file_overlaps(log, {}, threads);
-  const auto conflicts =
-      core::detect_conflicts(log, pairs, {.threads = threads});
-  const auto rep = core::build_report(bundle, log, conflicts, threads);
+  const auto rep =
+      core::build_report(bundle, log, core::detect_conflicts(log));
   std::ostringstream os;
   core::print_report(rep, os);
   return os.str();
@@ -142,18 +140,13 @@ TEST(StreamDiff, HeapSchedulerMatchesMaterialized) {
   ASSERT_EQ(stream.report, report_text(bundle));
 }
 
-TEST(StreamDiff, ThreadCountsAllByteIdentical) {
-  // The streaming analysis is single-pass; the materialized oracle must
-  // agree with it at every thread count.
+TEST(StreamDiff, FlashAt64RanksMatchesMaterialized) {
   const auto& info = *apps::find_app("FLASH-fbs");
   const auto cfg = base_cfg(64);
   const auto bundle = apps::run_app(info, cfg);
   const auto stream = stream_run(info, cfg, 256, 32u << 10);
   ASSERT_EQ(stream.compact, compact_bytes(bundle));
-  for (const int threads : {1, 2, 4}) {
-    ASSERT_EQ(stream.report, report_text(bundle, threads))
-        << "threads=" << threads;
-  }
+  ASSERT_EQ(stream.report, report_text(bundle));
 }
 
 TEST(StreamDiff, SkewedClocksMatchMaterialized) {

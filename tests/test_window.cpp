@@ -3,8 +3,8 @@
 // (StreamAnalyzer::enable_window → per-file retirement at the stream
 // frontier → assemble_windowed_report) and once through the materialized
 // build-a-bundle path, must produce byte-identical report text and
-// structurally identical tuning reports — across thread counts, both
-// schedulers, both PFS backends, and fault plans. The materialized path is
+// structurally identical tuning reports — across both schedulers, both
+// PFS backends, and fault plans. The materialized path is
 // the oracle; retiring files mid-stream must never be observable in the
 // output, only in the memory profile.
 
@@ -39,12 +39,10 @@ apps::AppConfig base_cfg(int ranks) {
   return cfg;
 }
 
-std::string report_text(const trace::TraceBundle& bundle, int threads = 1) {
+std::string report_text(const trace::TraceBundle& bundle) {
   const auto log = core::reconstruct_accesses(bundle);
-  const auto pairs = core::detect_file_overlaps(log, {}, threads);
-  const auto conflicts =
-      core::detect_conflicts(log, pairs, {.threads = threads});
-  const auto rep = core::build_report(bundle, log, conflicts, threads);
+  const auto rep =
+      core::build_report(bundle, log, core::detect_conflicts(log));
   std::ostringstream os;
   core::print_report(rep, os);
   return os.str();
@@ -140,17 +138,13 @@ TEST(WindowDiff, EveryAppWindowedMatchesMaterialized) {
                            "anything";
 }
 
-TEST(WindowDiff, ThreadCountsAllByteIdentical) {
-  // The windowed pipeline is single-pass by construction; the
-  // materialized oracle must agree with it at every thread count.
+TEST(WindowDiff, FlashAt64RanksMatchesMaterialized) {
+  // Eight times the ranks of the per-app sweep, so more files overlap in
+  // the window.
   const auto& info = *apps::find_app("FLASH-fbs");
   const auto cfg = base_cfg(64);
-  const auto bundle = apps::run_app(info, cfg);
   const auto win = windowed_run(info, cfg);
-  for (const int threads : {1, 2, 4}) {
-    ASSERT_EQ(win.report, report_text(bundle, threads))
-        << "threads=" << threads;
-  }
+  ASSERT_EQ(win.report, report_text(apps::run_app(info, cfg)));
 }
 
 TEST(WindowDiff, HeapSchedulerMatchesMaterialized) {
