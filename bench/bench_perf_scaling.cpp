@@ -43,8 +43,11 @@
 //   obs_overhead   the same FLASH-fbs run->report pipeline with
 //                  observability off, with the metrics registry wired in,
 //                  and with metrics + the cost-attribution ledger —
-//                  interleaved best-of so a load spike hits all three
-//                  arms (--check floor: each obs arm within 5% of off).
+//                  interleaved so a load spike hits all three arms
+//                  (--check: an arm fails when its median paired ratio
+//                  to off is >= 1.05 and its median lies above off's
+//                  upper quartile; over 1.05 without that separation it
+//                  prints "unresolved" and passes).
 //
 // Subprocess mode (used internally for RSS measurement, and by the
 // stream_rss_bounded ctest entry):
@@ -52,13 +55,19 @@
 //                  run the FLASH-fbs (or APP) run->report pipeline once
 //                  in the given mode and print one line of key=value
 //                  pairs including this process's getrusage peak RSS
-//                  (rss_kb) and that peak when capture ended
-//                  (capture_peak_kb)
+//                  (rss_kb), that peak when capture ended
+//                  (capture_peak_kb) and the heap still in use then
+//                  (capture_heap_kb, from glibc's mallinfo2; the value
+//                  reads "unmeasurable" elsewhere). The difference of
+//                  the two capture keys is capture's transient share.
 //   bench_perf_scaling --rss-probe phased|phased-windowed RANKS
 //                  the memory_scaling analysis, full-log or windowed.
 
 #include <sys/resource.h>
 #include <unistd.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <algorithm>
 #include <utility>
@@ -225,6 +234,18 @@ long current_rss_kb() {
   return ru.ru_maxrss;
 }
 
+/// The heap this process has in use (KiB): arena chunks plus mmapped
+/// ones, or "unmeasurable" without glibc's mallinfo2().
+std::string heap_in_use_kb() {
+#if defined(__GLIBC__) && \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
+  const struct mallinfo2 mi = ::mallinfo2();
+  return std::to_string((mi.uordblks + mi.hblkhd) / 1024);
+#else
+  return "unmeasurable";
+#endif
+}
+
 std::string materialized_report_text(const trace::TraceBundle& bundle) {
   const auto log = core::reconstruct_accesses(bundle);
   const auto pairs = core::detect_file_overlaps(log);
@@ -248,6 +269,7 @@ struct StreamRun {
   std::uint64_t live_peak = 0;  ///< live-window high-water (files)
   std::uint64_t retired = 0;    ///< accesses freed mid-stream
   long capture_peak_kb = 0;     ///< peak RSS when the spill half returned
+  std::string capture_heap_kb;  ///< heap in use then (heap_in_use_kb)
   std::string report;
 };
 
@@ -273,6 +295,7 @@ StreamRun stream_run_to_report(const apps::AppInfo& info, int ranks) {
   auto run = apps::spill_app(info, cfg, trace::SpillStore::kDefaultCeiling);
   out.capture_seconds = now_seconds() - t0;
   out.capture_peak_kb = current_rss_kb();
+  out.capture_heap_kb = heap_in_use_kb();
   out.spill_bytes = run.store->bytes();
   t0 = now_seconds();
   take_windowed(apps::drain_spill(run), out);
@@ -369,9 +392,9 @@ StreamRun phased_analysis(int ranks, bool windowed) {
 
 /// Child mode for --rss-probe: one pipeline run, one line of key=value
 /// output including this process's peak RSS, and for stream|materialize
-/// its peak when capture ended (capture_peak_kb: the stream_rss_bounded
-/// test takes the last "rss_kb=" on the line, so no other key may
-/// contain it).
+/// its peak when capture ended and the heap still in use then
+/// (capture_peak_kb, capture_heap_kb: the stream_rss_bounded test takes
+/// the last "rss_kb=" on the line, so no other key may contain it).
 int rss_probe_main(const std::string& mode, int ranks,
                    const std::string& app) {
   if (mode == "phased" || mode == "phased-windowed") {
@@ -389,6 +412,7 @@ int rss_probe_main(const std::string& mode, int ranks,
     const auto s = stream_run_to_report(*flash, ranks);
     std::cout << "records=" << s.records << " rss_kb=" << current_rss_kb()
               << " capture_peak_kb=" << s.capture_peak_kb
+              << " capture_heap_kb=" << s.capture_heap_kb
               << " spill_bytes=" << s.spill_bytes
               << " peak_buffered=" << s.peak_buffered
               << " live_peak=" << s.live_peak << " retired=" << s.retired
@@ -404,12 +428,14 @@ int rss_probe_main(const std::string& mode, int ranks,
     const auto bundle = apps::run_app(*flash, cfg);
     const double cap = now_seconds() - t0;
     const long capture_peak_kb = current_rss_kb();
+    const std::string capture_heap_kb = heap_in_use_kb();
     t0 = now_seconds();
     const auto text = materialized_report_text(bundle);
     const double ana = now_seconds() - t0;
     std::cout << "records=" << bundle.records.size()
               << " rss_kb=" << current_rss_kb()
               << " capture_peak_kb=" << capture_peak_kb
+              << " capture_heap_kb=" << capture_heap_kb
               << " spill_bytes=0 peak_buffered=0 capture_seconds=" << cap
               << " analysis_seconds=" << ana << "\n";
     return text.empty() ? 1 : 0;
@@ -895,65 +921,94 @@ int run(bool check, bool scale64k, const std::string& out_path,
   // obs off, metrics registry wired in, metrics + the cost-attribution
   // ledger. The true overhead is small (Ledger::record allocates
   // nothing on the hot path), but preemption bursts on a loaded CI host
-  // swing short samples by several percent, so the measurement defends
-  // in depth: 256 ranks keeps each sample long enough that one burst
-  // stays small relative to it, reps interleave the three arms, and the
-  // floor accepts either of two independent estimators — best-of mins
-  // (each arm's quietest sample) or the median of per-rep paired ratios
-  // (adjacent samples share a load regime) — so noise must corrupt both
-  // statistics at once to produce a false failure.
+  // swing short samples by several percent. 256 ranks keeps each sample
+  // long enough that one burst stays small relative to it, and reps
+  // interleave the three arms. An arm's overhead is the median of its
+  // per-rep paired ratios to off (adjacent samples share a load regime).
+  // The gate fails an arm only when that overhead reaches the 5% bound
+  // *and* the arm's median sample lies above off's upper quartile, i.e.
+  // the gap is wider than off's own spread; a ratio over the bound
+  // without that separation is printed as unresolved and passes.
   const int obs_ranks = 256;
   const int obs_reps = check ? 9 : 5;
+  constexpr double kObsBound = 0.05;
   std::string obs_off_text, obs_on_text, obs_ledger_text;
-  double obs_off_s = 1e300, obs_on_s = 1e300, obs_ledger_s = 1e300;
+  std::vector<double> obs_off_t, obs_on_t, obs_ledger_t;
   std::vector<double> obs_on_ratio, obs_ledger_ratio;
-  double obs_on_overhead = 0, obs_ledger_overhead = 0;
-  const auto median = [](std::vector<double> v) {
+  const auto quantile = [](std::vector<double> v, std::size_t num,
+                           std::size_t den) {
     std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
+    return v[v.size() * num / den];
+  };
+  const auto median = [&](const std::vector<double>& v) {
+    return quantile(v, 1, 2);
   };
   // Check mode gets one escalation: if the first evaluation lands above
-  // the floor (a sustained load window can corrupt a whole round), take
-  // another full round of reps and re-evaluate over the combined sample.
+  // the bound (a sustained load window can corrupt a whole round), take
+  // another full round of reps and judge the combined sample.
   for (int attempt = 0; attempt < (check ? 2 : 1); ++attempt) {
     for (int rep = 0; rep < obs_reps; ++rep) {
       const bool first = attempt == 0 && rep == 0;
       std::string* t0 = first ? &obs_off_text : nullptr;
       std::string* t1 = first ? &obs_on_text : nullptr;
       std::string* t2 = first ? &obs_ledger_text : nullptr;
-      const double off = obs_overhead_run(*flash, obs_ranks, 0, t0);
-      const double on = obs_overhead_run(*flash, obs_ranks, 1, t1);
-      const double led = obs_overhead_run(*flash, obs_ranks, 2, t2);
-      obs_off_s = std::min(obs_off_s, off);
-      obs_on_s = std::min(obs_on_s, on);
-      obs_ledger_s = std::min(obs_ledger_s, led);
+      // Each sample is the quicker of two back-to-back runs, so one
+      // preemption burst does not make it an outlier.
+      const auto sample = [&](int level, std::string* text) {
+        return std::min(obs_overhead_run(*flash, obs_ranks, level, text),
+                        obs_overhead_run(*flash, obs_ranks, level, nullptr));
+      };
+      const double off = sample(0, t0);
+      const double on = sample(1, t1);
+      const double led = sample(2, t2);
+      obs_off_t.push_back(off);
+      obs_on_t.push_back(on);
+      obs_ledger_t.push_back(led);
       obs_on_ratio.push_back(on / off);
       obs_ledger_ratio.push_back(led / off);
     }
-    // Two estimators of the same quantity; each arm's reported overhead
-    // is the lower (the other one ate noise the true sub-1% signal
-    // cannot explain).
-    obs_on_overhead =
-        std::min(obs_on_s / obs_off_s, median(obs_on_ratio)) - 1.0;
-    obs_ledger_overhead =
-        std::min(obs_ledger_s / obs_off_s, median(obs_ledger_ratio)) - 1.0;
-    if (obs_on_overhead < 0.05 && obs_ledger_overhead < 0.05) break;
+    if (median(obs_on_ratio) - 1.0 < kObsBound &&
+        median(obs_ledger_ratio) - 1.0 < kObsBound) {
+      break;
+    }
   }
+  const double obs_off_s = median(obs_off_t);
+  const double obs_on_s = median(obs_on_t);
+  const double obs_ledger_s = median(obs_ledger_t);
+  const double obs_on_overhead = median(obs_on_ratio) - 1.0;
+  const double obs_ledger_overhead = median(obs_ledger_ratio) - 1.0;
+  const double obs_off_q3 = quantile(obs_off_t, 3, 4);
+  // "" within the bound, "unresolved" over it but inside off's spread,
+  // "over" over it and resolved against noise.
+  const auto obs_verdict = [&](double overhead, double arm_s) {
+    if (overhead < kObsBound) return "";
+    return arm_s > obs_off_q3 ? "over" : "unresolved";
+  };
+  const std::string obs_on_verdict = obs_verdict(obs_on_overhead, obs_on_s);
+  const std::string obs_ledger_verdict =
+      obs_verdict(obs_ledger_overhead, obs_ledger_s);
   if (obs_on_text != obs_off_text || obs_ledger_text != obs_off_text) {
     std::cerr << "FAIL: report changed with observability wired in "
                  "(pure-observer contract violated)\n";
     return 1;
   }
-  std::cout << "obs_overhead FLASH-fbs ranks=" << obs_ranks << "  off "
-            << obs_off_s << " s   metrics " << obs_on_s << " s ("
-            << obs_on_overhead * 100 << "%)   +ledger " << obs_ledger_s
-            << " s (" << obs_ledger_overhead * 100 << "%)\n";
+  const auto verdict_note = [](const std::string& v) {
+    return v.empty() ? std::string{} : ", " + v;
+  };
+  std::cout << "obs_overhead FLASH-fbs ranks=" << obs_ranks << " reps="
+            << obs_off_t.size() << "  median off " << obs_off_s
+            << " s   metrics " << obs_on_s << " s (" << obs_on_overhead * 100
+            << "%" << verdict_note(obs_on_verdict) << ")   +ledger "
+            << obs_ledger_s << " s (" << obs_ledger_overhead * 100 << "%"
+            << verdict_note(obs_ledger_verdict) << ")\n";
 
   if (check) {
-    if (obs_on_overhead >= 0.05 || obs_ledger_overhead >= 0.05) {
+    if (obs_on_verdict == "over" || obs_ledger_verdict == "over") {
       std::cerr << "FAIL: observability overhead above the 5% bound "
                    "(metrics " << obs_on_overhead * 100 << "%, +ledger "
-                << obs_ledger_overhead * 100 << "%)\n";
+                << obs_ledger_overhead * 100
+                << "%; median above off's upper quartile "
+                << obs_off_q3 << " s)\n";
       return 1;
     }
     if (cl_degraded.records.empty() || cl_stats.mds_failovers != 1 ||

@@ -104,7 +104,7 @@ void Harness::run(const std::function<sim::Task<void>(Rank)>& program) {
     // its non-durable writes per the active consistency model.
     for (const auto& [victim, when] : injector_->crash_schedule(cfg_.nranks)) {
       engine_.spawn(
-          [](Harness* h, Rank rank, SimTime t) -> sim::Task<void> {
+          [](Harness* h, Rank rank, SimTime t) -> sim::Engine::Root {
             co_await h->engine_.delay(t);
             h->injector_->mark_crashed(rank, h->engine_.now());
             h->injector_->note_lost_writes(
@@ -117,19 +117,20 @@ void Harness::run(const std::function<sim::Task<void>(Rank)>& program) {
     // unless servers_: set_faults rejected the events otherwise.
     for (const fault::ServerEvent& ev : injector_->server_schedule()) {
       engine_.spawn(
-          [](Harness* h, fault::ServerEvent e) -> sim::Task<void> {
+          [](Harness* h, fault::ServerEvent e) -> sim::Engine::Root {
             co_await h->engine_.delay(e.t);
             h->pfs_->apply_server_event(e, h->engine_.now());
           }(this, ev));
     }
   }
   // Every root points at the one program: it outlives engine_.run(),
-  // and a failed run destroys the roots before run() rethrows.
+  // and a failed run destroys the roots before run() rethrows. Each rank's
+  // wrapper is the engine's root itself, so a rank costs one root frame.
   for (Rank r = 0; r < cfg_.nranks; ++r) {
     engine_.spawn(
         [](Harness* h, Rank rank,
            const std::function<sim::Task<void>(Rank)>* body)
-            -> sim::Task<void> {
+            -> sim::Engine::Root {
           // The paper's methodology: a startup barrier defines time zero and
           // bounds clock skew before any traced I/O happens.
           co_await h->world().barrier(rank);

@@ -39,31 +39,47 @@ Engine::Bucket* Engine::ring_front() {
   return &ring_[(base + static_cast<unsigned>(d)) & (kRingWindow - 1)];
 }
 
-Engine::Root Engine::run_root(Task<void> task, std::size_t slot) {
-  // Hold the task in this frame so its coroutine outlives every suspension.
+void Engine::Root::promise_type::unhandled_exception() noexcept {
   try {
-    co_await std::move(task);
+    throw;
   } catch (const TaskKilled&) {
-    // Fail-stop crash: the task unwound cleanly (its nested coroutine
+    // Fail-stop crash: the root unwound cleanly (its nested coroutine
     // frames are destroyed by normal exception propagation); the run
     // itself is healthy and continues.
-    ++killed_roots_;
-    if (obs_ != nullptr) obs_->metrics.add(obs_->sim_roots_killed);
+    ++engine->killed_roots_;
+    if (engine->obs_ != nullptr) {
+      engine->obs_->metrics.add(engine->obs_->sim_roots_killed);
+    }
   } catch (...) {
-    if (!first_error_) first_error_ = std::current_exception();
+    if (!engine->first_error_) engine->first_error_ = std::current_exception();
   }
+}
+
+Engine::Root Engine::run_root(Task<void> task) {
+  // Hold the task in this frame so its coroutine outlives every suspension.
+  co_await std::move(task);
+}
+
+void Engine::end_root(std::uint32_t slot) {
   --live_roots_;
   roots_[slot] = nullptr;
 }
 
-void Engine::spawn(Task<void> task, int label) {
-  require(task.valid(), "spawn() needs a valid task");
+void Engine::spawn(Root root, int label) {
+  require(static_cast<bool>(root.h_), "spawn() needs a valid root");
   if (obs_ != nullptr) obs_->metrics.add(obs_->sim_roots);
-  const auto h = run_root(std::move(task), roots_.size()).handle;
+  const auto h = std::exchange(root.h_, {});
+  h.promise().engine = this;
+  h.promise().slot = static_cast<std::uint32_t>(roots_.size());
   h.promise().label = label;
   roots_.push_back(h);
   ++live_roots_;
-  schedule(now_, h);  // defer the program body to the event loop
+  schedule(now_, h);  // defer the root's body to the event loop
+}
+
+void Engine::spawn(Task<void> task, int label) {
+  require(task.valid(), "spawn() needs a valid task");
+  spawn(run_root(std::move(task)), label);
 }
 
 void Engine::destroy_roots() {

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <exception>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "pfsem/obs/obs.hpp"
@@ -85,10 +86,48 @@ class Engine {
   /// coroutine a fair, deterministic turn.
   [[nodiscard]] Delay delay(SimDuration d) { return {this, d}; }
 
-  /// Launch a root task (e.g. one simulated rank's program). The engine
-  /// owns it; it starts when run() reaches time 0. `label` identifies the
-  /// task in deadlock diagnostics (the harness passes the rank; -1 =
-  /// anonymous, omitted from messages).
+  /// A coroutine the engine runs as a root itself: its promise keeps the
+  /// root's bookkeeping, so spawning one costs a single frame where a
+  /// Task<void> needs a second, wrapping one. It starts suspended and
+  /// frees itself when it ends; an unspawned Root is destroyed with its
+  /// owner.
+  class [[nodiscard]] Root {
+   public:
+    struct promise_type {
+      Engine* engine = nullptr;
+      std::uint32_t slot = 0;  ///< index in roots_, cleared at the end
+      int label = -1;          ///< spawn() label, for deadlock diagnostics
+      Root get_return_object() {
+        return Root{std::coroutine_handle<promise_type>::from_promise(*this)};
+      }
+      std::suspend_always initial_suspend() noexcept { return {}; }
+      std::suspend_never final_suspend() noexcept {
+        engine->end_root(slot);
+        return {};
+      }
+      void return_void() noexcept {}
+      void unhandled_exception() noexcept;
+    };
+
+    Root(Root&& o) noexcept : h_(std::exchange(o.h_, {})) {}
+    Root& operator=(Root&&) = delete;
+    ~Root() {
+      if (h_) h_.destroy();
+    }
+
+   private:
+    friend class Engine;
+    explicit Root(std::coroutine_handle<promise_type> h) : h_(h) {}
+    std::coroutine_handle<promise_type> h_;
+  };
+
+  /// Launch a root (e.g. one simulated rank's program). The engine owns
+  /// it; it starts when run() reaches the current time. `label`
+  /// identifies the root in deadlock diagnostics (the harness passes the
+  /// rank; -1 = anonymous, omitted from messages). A TaskKilled escaping
+  /// the root counts as a kill; any other exception fails run().
+  void spawn(Root root, int label = -1);
+  /// Launch a task as a root, wrapped in a Root frame that awaits it.
   void spawn(Task<void> task, int label = -1);
 
   /// Run until the event queue drains. Throws the first unhandled exception
@@ -141,24 +180,10 @@ class Engine {
     [[nodiscard]] bool empty() const { return head == entries.size(); }
   };
 
-  // Wrapper that owns a root Task for its whole run. It starts suspended
-  // (spawn() schedules it), frees itself when the task ends, and is
-  // destroyed by destroy_roots() if the run fails first.
-  struct Root {
-    struct promise_type {
-      int label = -1;  ///< spawn() label, for deadlock diagnostics
-      Root get_return_object() {
-        return {std::coroutine_handle<promise_type>::from_promise(*this)};
-      }
-      std::suspend_always initial_suspend() noexcept { return {}; }
-      std::suspend_never final_suspend() noexcept { return {}; }
-      void return_void() noexcept {}
-      void unhandled_exception() noexcept { std::terminate(); }  // run_root catches
-    };
-    std::coroutine_handle<promise_type> handle;
-  };
-  /// `slot` is the root's index in roots_, cleared when the task ends.
-  Root run_root(Task<void> task, std::size_t slot);
+  /// The Root that owns `task` for its whole run.
+  static Root run_root(Task<void> task);
+  /// A root ended (returned, or unwound through unhandled_exception).
+  void end_root(std::uint32_t slot);
 
   /// Destroy every root still suspended and drop every pending event:
   /// the failed run's cleanup.

@@ -179,10 +179,7 @@ OpenResult PfsCluster::open(Rank r, const std::string& path, int flags,
   }
   if (flags & trace::kTrunc) {
     f->writes.clear();
-    f->rebuild_index();
-    f->base.clear();
-    f->base_max_end = 0;
-    f->compact_watermark = 0;
+    f->cold.reset();
     f->size = 0;
   }
   auto of = std::make_unique<OpenFile>();
@@ -248,7 +245,7 @@ WriteResult PfsCluster::pwrite(Rank r, int fd, Offset off, std::uint64_t count,
     return {0, off, cfg_.base.data_latency, e};
   }
   WriteRecord w;
-  w.id = next_version_++;
+  w.id = detail::write_seq(next_version_++);
   w.writer = r;
   w.ext = {off, off + count};
   w.t_write = now;
@@ -256,8 +253,7 @@ WriteResult PfsCluster::pwrite(Rank r, int fd, Offset off, std::uint64_t count,
     w.t_commit = now;
     w.t_publish = now;
   }
-  f.writes.push_back(w);
-  f.index_write(static_cast<std::uint32_t>(f.writes.size() - 1));
+  f.append(w);
   f.size = std::max(f.size, w.ext.end);
   maybe_compact(f, now);
   if (cfg_.base.model == ConsistencyModel::Eventual && injector_ != nullptr &&
@@ -530,14 +526,13 @@ void PfsCluster::preload(const std::string& path, Offset size) {
   auto f = std::make_shared<File>();
   f->path = path;
   WriteRecord w;
-  w.id = next_version_++;
+  w.id = detail::write_seq(next_version_++);
   w.writer = kNoRank;
   w.ext = {0, size};
   w.t_write = -1;
   w.t_commit = -1;
   w.t_publish = -1;
-  f->writes.push_back(w);
-  f->index_write(0);
+  f->append(w);
   f->size = size;
   slot(path) = std::move(f);
 }

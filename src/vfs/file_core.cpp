@@ -3,8 +3,15 @@
 #include <algorithm>
 
 #include "pfsem/fault/injector.hpp"
+#include "pfsem/util/error.hpp"
 
 namespace pfsem::vfs::detail {
+
+std::uint32_t write_seq(VersionTag v) {
+  require(v <= UINT32_MAX,
+          "PfsCluster: write count exceeds the 32-bit version sequence");
+  return static_cast<std::uint32_t>(v);
+}
 
 void assign(std::map<Offset, Seg>& m, Extent e, VersionTag v, Rank w) {
   auto split = [&m](Offset x) {
@@ -45,10 +52,11 @@ namespace {
 /// conditions), so applying them right after the seed is exact. Base
 /// segments are disjoint, so their relative order is irrelevant.
 void overlay_base(std::map<Offset, Seg>& m, const FileCore& f, Extent range) {
-  if (f.base.empty()) return;
-  auto it = f.base.upper_bound(range.begin);
-  if (it != f.base.begin()) --it;
-  for (; it != f.base.end() && it->first < range.end; ++it) {
+  if (!f.cold || f.cold->base.empty()) return;
+  const std::map<Offset, Seg>& base = f.cold->base;
+  auto it = base.upper_bound(range.begin);
+  if (it != base.begin()) --it;
+  for (; it != base.end() && it->first < range.end; ++it) {
     const Extent e{it->first, it->second.end};
     if (e.overlaps(range)) {
       assign(m, e.intersect(range), it->second.v, it->second.w);
@@ -68,24 +76,8 @@ std::vector<ReadExtent> resolve_view(const FileCore& f, const ResolveEnv& env,
     const WriteRecord* w;
   };
   std::vector<Cand> cands;
-  // Gather candidate writes from the block index (deduplicated: a write
-  // spanning several blocks appears once per block) and the wide writes.
-  std::vector<std::uint32_t> candidates(f.wide_writes);
-  {
-    const Offset first = range.begin / FileCore::kIndexBlock;
-    const Offset last =
-        range.end == 0 ? 0 : (range.end - 1) / FileCore::kIndexBlock;
-    for (auto it = f.write_index.lower_bound(first);
-         it != f.write_index.end() && it->first <= last; ++it) {
-      candidates.insert(candidates.end(), it->second.begin(), it->second.end());
-    }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-  }
-  for (std::uint32_t ci : candidates) {
-    const auto& w = f.writes[ci];
-    if (!w.ext.overlaps(range)) continue;
+  const auto consider = [&](const WriteRecord& w) {
+    if (!w.ext.overlaps(range)) return;
     SimTime key = kTimeNever;
     SimTime threshold = now;
     if (w.writer == r || w.writer == kNoRank || f.laminated) {
@@ -100,11 +92,11 @@ std::vector<ReadExtent> resolve_view(const FileCore& f, const ResolveEnv& env,
           break;
         case ConsistencyModel::Commit:
           key = w.t_commit;
-          if (key == kTimeNever) continue;
+          if (key == kTimeNever) return;
           break;
         case ConsistencyModel::Session:
           key = w.t_publish;
-          if (key == kTimeNever) continue;
+          if (key == kTimeNever) return;
           threshold = session_open;
           break;
         case ConsistencyModel::Eventual:
@@ -123,8 +115,27 @@ std::vector<ReadExtent> resolve_view(const FileCore& f, const ResolveEnv& env,
         key = env.injector->partition_defer(w.writer, r, key);
       }
     }
-    if (key > threshold) continue;
+    if (key > threshold) return;
     cands.push_back({key, &w});
+  };
+  if (!f.indexed()) {
+    // A short history is its own candidate list.
+    for (const WriteRecord& w : f.writes) consider(w);
+  } else {
+    // Gather candidate writes from the block index (deduplicated: a write
+    // spanning several blocks appears once per block) and the wide writes.
+    std::vector<std::uint32_t> candidates(f.cold->wide_writes);
+    const Offset first = range.begin / FileCore::kIndexBlock;
+    const Offset last =
+        range.end == 0 ? 0 : (range.end - 1) / FileCore::kIndexBlock;
+    for (auto it = f.cold->write_index.lower_bound(first);
+         it != f.cold->write_index.end() && it->first <= last; ++it) {
+      candidates.insert(candidates.end(), it->second.begin(), it->second.end());
+    }
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    for (const std::uint32_t ci : candidates) consider(f.writes[ci]);
   }
   std::sort(cands.begin(), cands.end(), [](const Cand& a, const Cand& b) {
     return a.key != b.key ? a.key < b.key : a.w->id < b.w->id;
@@ -330,7 +341,8 @@ std::vector<VersionTag> apply_rank_crash(
       });
       if (f->writes.size() != before) {
         f->rebuild_index();
-        Offset size = f->base_max_end;  // folded writes are durable
+        // Folded writes are durable.
+        Offset size = f->cold ? f->cold->base_max_end : 0;
         for (const auto& w : f->writes) size = std::max(size, w.ext.end);
         f->size = size;
       }
@@ -489,9 +501,10 @@ void overlay_cover(std::map<Offset, CoverSeg>& cover, const WriteRecord& w,
 
 std::size_t compact_file(FileCore& f, const ResolveEnv& env, SimTime now,
                          SimTime session_floor) {
+  ColdState& cold = f.cold_state();
   const std::size_t n = f.writes.size();
   if (n == 0) {
-    f.compact_watermark = 0;
+    cold.compact_watermark = 0;
     return 0;
   }
   // Every reader's visibility threshold is >= `limit`: future readers
@@ -529,27 +542,28 @@ std::size_t compact_file(FileCore& f, const ResolveEnv& env, SimTime now,
     for (std::size_t i = 0; i < k; ++i) {
       const WriteRecord& w = f.writes[i];
       if (!w.ext.empty()) {
-        assign(f.base, w.ext, w.id, w.writer);
-        f.base_max_end = std::max(f.base_max_end, w.ext.end);
+        assign(cold.base, w.ext, w.id, w.writer);
+        cold.base_max_end = std::max(cold.base_max_end, w.ext.end);
       }
     }
     f.writes.erase(f.writes.begin(),
                    f.writes.begin() + static_cast<std::ptrdiff_t>(k));
     f.rebuild_index();
-    f.folded_writes += k;
   }
-  f.compact_watermark = f.writes.size();
+  cold.compact_watermark = f.writes.size();
   return k;
 }
 
 void truncate_base(FileCore& f, Offset length) {
-  auto it = f.base.lower_bound(length);
-  if (it != f.base.begin()) {
+  if (!f.cold) return;
+  std::map<Offset, Seg>& base = f.cold->base;
+  auto it = base.lower_bound(length);
+  if (it != base.begin()) {
     auto prev = std::prev(it);
     if (prev->second.end > length) prev->second.end = length;
   }
-  f.base.erase(it, f.base.end());
-  f.base_max_end = std::min(f.base_max_end, length);
+  base.erase(it, base.end());
+  f.cold->base_max_end = std::min(f.cold->base_max_end, length);
 }
 
 }  // namespace pfsem::vfs::detail

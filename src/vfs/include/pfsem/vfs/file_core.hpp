@@ -25,15 +25,24 @@ class Injector;
 namespace pfsem::vfs::detail {
 
 /// One recorded write. t_commit/t_publish start at kTimeNever and are set
-/// by fsync (commit) and close (commit + publish) respectively.
+/// by fsync (commit) and close (commit + publish) respectively. `id` is
+/// the write's VersionTag stored as the 32-bit per-run write sequence
+/// (write_seq narrows it), which keeps a record at 48 bytes; it widens
+/// back to a VersionTag wherever it leaves the history.
 struct WriteRecord {
-  VersionTag id = 0;
+  std::uint32_t id = 0;
   Rank writer = kNoRank;
   Extent ext;
   SimTime t_write = 0;
   SimTime t_commit = kTimeNever;
   SimTime t_publish = kTimeNever;
 };
+static_assert(sizeof(WriteRecord) == 48);
+
+/// `v` as a WriteRecord id. Throws pfsem::Error once `v` needs more than
+/// 32 bits, rather than wrapping: a wrapped id would reorder overlapping
+/// writes in every read.
+[[nodiscard]] std::uint32_t write_seq(VersionTag v);
 
 /// The ranks holding one lock block, with no heap node per holder. One
 /// holder sits inline; up to kListMax sit in a sorted vector; past that
@@ -104,23 +113,22 @@ void assign(std::map<Offset, Seg>& m, Extent e, VersionTag v, Rank w);
 [[nodiscard]] std::vector<ReadExtent> emit_extents(
     const std::map<Offset, Seg>& m);
 
-/// The per-file state every backend keeps: the write history, its block
-/// index, the distributed-lock table, and the lamination flag.
-struct FileCore {
-  std::string path;
-  std::vector<WriteRecord> writes;
-  Offset size = 0;
-  bool laminated = false;
-  LockTable locks;
-  /// Block index over `writes` (4 MiB buckets): resolve_view() only scans
-  /// writes overlapping the read's blocks instead of the whole history.
-  static constexpr Offset kIndexBlock = 4u << 20;
+/// A history shorter than this is neither indexed nor compacted: a read
+/// takes every write as a candidate, which costs O(1) per read at this
+/// length, and a file-per-process output never allocates ColdState.
+inline constexpr std::size_t kCompactMinWrites = 64;
+
+/// The per-file state only a long history needs, allocated the first time
+/// a history reaches kCompactMinWrites writes or a compaction pass runs.
+struct ColdState {
+  /// Block index over FileCore::writes (4 MiB buckets): resolve_view()
+  /// only scans writes overlapping the read's blocks instead of the whole
+  /// history. Empty while the history is shorter than kCompactMinWrites.
   std::map<Offset, std::vector<std::uint32_t>> write_index;
   /// Writes covering more than kWideBlocks index blocks (a preload, one
   /// huge pwrite) skip the block index and sit in this list, which
   /// resolve_view() scans whole: indexing costs O(1) per write whatever
   /// its size, and the list stays short because few writes are wide.
-  static constexpr Offset kWideBlocks = 4;
   std::vector<std::uint32_t> wide_writes;
   /// Compacted prefix of the write history (compact_file): a flat,
   /// reader-independent overlay of writes whose visibility has settled
@@ -130,27 +138,69 @@ struct FileCore {
   std::map<Offset, Seg> base;
   /// max ext.end over folded writes (crash-time size recomputation).
   Offset base_max_end = 0;
-  /// Lifetime count of folded writes (introspection / obs).
-  std::uint64_t folded_writes = 0;
   /// writes.size() right after the last compaction attempt; the trigger
   /// waits for the history to double past it (amortized O(1) per write).
   std::size_t compact_watermark = 0;
+};
 
+/// The per-file state every backend keeps: the write history, the
+/// distributed-lock table, the lamination flag, and the out-of-line
+/// ColdState of a long history.
+struct FileCore {
+  std::string path;
+  std::vector<WriteRecord> writes;
+  Offset size = 0;
+  bool laminated = false;
+  LockTable locks;
+  /// Null until the history first needs it (see ColdState).
+  std::unique_ptr<ColdState> cold;
+
+  static constexpr Offset kIndexBlock = 4u << 20;
+  static constexpr Offset kWideBlocks = 4;
+
+  /// Does the block index cover `writes`? Exactly when the history has
+  /// kCompactMinWrites writes or more.
+  [[nodiscard]] bool indexed() const {
+    return writes.size() >= kCompactMinWrites;
+  }
+  /// The cold state, allocated on first use.
+  ColdState& cold_state() {
+    if (!cold) cold = std::make_unique<ColdState>();
+    return *cold;
+  }
+  /// Append `w` to the history. The write that reaches kCompactMinWrites
+  /// indexes the whole history once; every later one indexes itself.
+  void append(const WriteRecord& w) {
+    writes.push_back(w);
+    if (writes.size() == kCompactMinWrites) {
+      rebuild_index();
+    } else if (indexed()) {
+      index_write(static_cast<std::uint32_t>(writes.size() - 1));
+    }
+  }
+  /// Re-derive the block index after the history changed in place
+  /// (truncate, crash, compaction): none below kCompactMinWrites writes.
+  void rebuild_index() {
+    if (cold) {
+      cold->write_index.clear();
+      cold->wide_writes.clear();
+    }
+    if (!indexed()) return;
+    for (std::uint32_t i = 0; i < writes.size(); ++i) index_write(i);
+  }
+
+ private:
   void index_write(std::uint32_t idx) {
     const Extent& e = writes[idx].ext;
     if (e.empty()) return;
+    ColdState& c = cold_state();
     const Offset first = e.begin / kIndexBlock;
     const Offset last = (e.end - 1) / kIndexBlock;
     if (last - first >= kWideBlocks) {
-      wide_writes.push_back(idx);
+      c.wide_writes.push_back(idx);
       return;
     }
-    for (Offset b = first; b <= last; ++b) write_index[b].push_back(idx);
-  }
-  void rebuild_index() {
-    write_index.clear();
-    wide_writes.clear();
-    for (std::uint32_t i = 0; i < writes.size(); ++i) index_write(i);
+    for (Offset b = first; b <= last; ++b) c.write_index[b].push_back(idx);
   }
 };
 
@@ -231,7 +281,7 @@ std::vector<VersionTag> apply_rank_crash(
     std::vector<std::shared_ptr<FileCore>>& files, Rank r, SimTime now,
     const ResolveEnv& env);
 
-/// Fold the maximal safe prefix of `f.writes` into `f.base`, preserving
+/// Fold the maximal safe prefix of `f.writes` into the base, preserving
 /// resolve_view()/strong_view_of() bit-exactly for every reader at every
 /// time >= now. A write folds only when it is *settled* — its worst-case
 /// visibility key (model key, stretched by visibility spikes and clamped
@@ -245,14 +295,11 @@ std::vector<VersionTag> apply_rank_crash(
 std::size_t compact_file(FileCore& f, const ResolveEnv& env, SimTime now,
                          SimTime session_floor);
 
-/// Minimum history length before compact_file is worth attempting.
-inline constexpr std::size_t kCompactMinWrites = 64;
-
 /// Amortized trigger: attempt a pass only once the history has doubled
 /// past the last attempt's watermark (and is at least kCompactMinWrites).
 [[nodiscard]] inline bool should_compact(const FileCore& f) {
   return f.writes.size() >= kCompactMinWrites &&
-         f.writes.size() >= 2 * f.compact_watermark;
+         (!f.cold || f.writes.size() >= 2 * f.cold->compact_watermark);
 }
 
 /// Clip the compacted base at `length` (backend ftruncate helper):

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -15,6 +16,7 @@
 #include "pfsem/fault/injector.hpp"
 #include "pfsem/fault/plan.hpp"
 #include "pfsem/trace/record.hpp"
+#include "pfsem/util/error.hpp"
 #include "pfsem/vfs/file_core.hpp"
 #include "pfsem/vfs/pfs.hpp"
 
@@ -234,12 +236,12 @@ TEST(Compaction, HugeWritesIndexInConstantEntries) {
   genesis.writer = kNoRank;
   genesis.ext = {0, kTiB};
   genesis.t_write = genesis.t_commit = genesis.t_publish = -1;
-  f.writes.push_back(genesis);
-  f.index_write(0);
+  f.append(genesis);
   f.size = kTiB;
   const auto index_entries = [&f] {
-    std::size_t n = f.wide_writes.size();
-    for (const auto& [block, ids] : f.write_index) n += ids.size();
+    if (!f.cold) return std::size_t{0};
+    std::size_t n = f.cold->wide_writes.size();
+    for (const auto& [block, ids] : f.cold->write_index) n += ids.size();
     return n;
   };
   std::uint64_t state = 0x9e3779b97f4a7c15ull;
@@ -259,21 +261,22 @@ TEST(Compaction, HugeWritesIndexInConstantEntries) {
     w.writer = static_cast<Rank>(next() % 4);
     w.ext = {begin, begin + len};
     w.t_write = w.t_commit = w.t_publish = ++t;
-    f.writes.push_back(w);
-    f.index_write(static_cast<std::uint32_t>(f.writes.size() - 1));
+    f.append(w);
     if (i == 200) (void)detail::compact_file(f, env, ++t, kTimeNever);
     ASSERT_LE(index_entries(), FileCore::kWideBlocks * f.writes.size());
     for (int q = 0; q < 3; ++q) {
       const Offset rlen = Offset{1} << (next() % 38);
       const Offset off = next() % (kTiB - rlen);
       const Rank reader = static_cast<Rank>(next() % 5);
-      ASSERT_EQ(extents_str(detail::resolve_view(f, env, reader, ++t, t, off,
+      const SimTime now = ++t;
+      ASSERT_EQ(extents_str(detail::resolve_view(f, env, reader, now, now, off,
                                                  rlen)),
                 extents_str(detail::strong_view_of(f, off, rlen)))
           << "write " << i << " read [" << off << ", +" << rlen << ")";
     }
   }
-  EXPECT_FALSE(f.wide_writes.empty());
+  ASSERT_TRUE(f.indexed());
+  EXPECT_FALSE(f.cold->wide_writes.empty());
   EXPECT_LE(index_entries(), FileCore::kWideBlocks * f.writes.size());
 }
 
@@ -310,6 +313,260 @@ TEST(Compaction, PfsDifferentialUnderPartitionPlan) {
         << "model=" << to_string(model);
     EXPECT_GT(on.compaction_stats().folded_writes, 0u)
         << "model=" << to_string(model);
+  }
+}
+
+
+// --- Short histories --------------------------------------------------
+
+TEST(ShortHistory, IndexAndColdStateStartAtTheThreshold) {
+  FileCore f;
+  const auto index_entries = [&f] {
+    if (!f.cold) return std::size_t{0};
+    std::size_t n = f.cold->wide_writes.size();
+    for (const auto& [block, ids] : f.cold->write_index) n += ids.size();
+    return n;
+  };
+  for (std::size_t i = 0; i < detail::kCompactMinWrites; ++i) {
+    ASSERT_FALSE(f.indexed());
+    ASSERT_EQ(f.cold, nullptr) << "cold state allocated at " << i << " writes";
+    WriteRecord w;
+    w.id = static_cast<std::uint32_t>(i + 1);
+    w.writer = 0;
+    w.ext = {i * 4096, i * 4096 + 4096};
+    f.append(w);
+  }
+  // The write that reaches the threshold indexes the whole history.
+  ASSERT_TRUE(f.indexed());
+  ASSERT_NE(f.cold, nullptr);
+  EXPECT_EQ(index_entries(), detail::kCompactMinWrites);
+  // Back below it, the history is unindexed again; the cold state stays.
+  f.writes.pop_back();
+  f.rebuild_index();
+  EXPECT_FALSE(f.indexed());
+  EXPECT_EQ(index_entries(), 0u);
+}
+
+TEST(ShortHistory, WriteIdsPastThirtyTwoBitsThrow) {
+  EXPECT_EQ(detail::write_seq(1), 1u);
+  EXPECT_EQ(detail::write_seq(VersionTag{UINT32_MAX}), UINT32_MAX);
+  EXPECT_THROW((void)detail::write_seq(VersionTag{UINT32_MAX} + 1), Error);
+  EXPECT_THROW((void)detail::write_seq(~VersionTag{0}), Error);
+}
+
+/// What the brute-force oracle keeps of one write.
+struct Shadow {
+  VersionTag id = 0;
+  Rank writer = kNoRank;
+  Extent ext;
+  SimTime t_write = 0;
+  SimTime t_commit = kTimeNever;
+  SimTime t_publish = kTimeNever;
+};
+
+/// The read by brute force: cut the range at every visible write's ends,
+/// and give each piece the covering write that overlays last, i.e. the
+/// one with the largest (visibility key, id). Adjacent pieces with the
+/// same write merge; uncovered pieces are holes.
+std::vector<ReadExtent> brute_view(const std::vector<Shadow>& hist,
+                                   ConsistencyModel model, SimDuration prop,
+                                   Rank r, SimTime now, SimTime open,
+                                   Extent range) {
+  struct Vis {
+    SimTime key;
+    const Shadow* w;
+  };
+  std::vector<Vis> vis;
+  for (const Shadow& w : hist) {
+    if (!w.ext.overlaps(range)) continue;
+    SimTime key = w.t_write;
+    SimTime threshold = now;
+    if (w.writer != r) {
+      switch (model) {
+        case ConsistencyModel::Strong: break;
+        case ConsistencyModel::Commit: key = w.t_commit; break;
+        case ConsistencyModel::Session:
+          key = w.t_publish;
+          threshold = open;
+          break;
+        case ConsistencyModel::Eventual: key = w.t_write + prop; break;
+      }
+    }
+    if (key == kTimeNever || key > threshold) continue;
+    vis.push_back({key, &w});
+  }
+  std::sort(vis.begin(), vis.end(), [](const Vis& a, const Vis& b) {
+    return a.key != b.key ? a.key < b.key : a.w->id < b.w->id;
+  });
+  std::vector<Offset> cuts{range.begin, range.end};
+  for (const Vis& v : vis) {
+    cuts.push_back(std::max(v.w->ext.begin, range.begin));
+    cuts.push_back(std::min(v.w->ext.end, range.end));
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  std::vector<const Shadow*> top(cuts.size() - 1, nullptr);
+  for (const Vis& v : vis) {
+    auto i = static_cast<std::size_t>(
+        std::lower_bound(cuts.begin(), cuts.end(),
+                         std::max(v.w->ext.begin, range.begin)) -
+        cuts.begin());
+    for (; i + 1 < cuts.size() && cuts[i + 1] <= v.w->ext.end; ++i) {
+      top[i] = v.w;
+    }
+  }
+  std::vector<ReadExtent> out;
+  for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+    const VersionTag ver = top[i] != nullptr ? top[i]->id : 0;
+    const Rank wr = top[i] != nullptr ? top[i]->writer : kNoRank;
+    if (!out.empty() && out.back().version == ver && out.back().writer == wr) {
+      out.back().ext.end = cuts[i + 1];
+    } else {
+      out.push_back({{cuts[i], cuts[i + 1]}, ver, wr});
+    }
+  }
+  return out;
+}
+
+/// One seeded run on one file: 1-200 writes by four ranks, spread over
+/// four index blocks with some wide writes, fsyncs and close/reopen
+/// cycles, one truncate and one rank crash. Every write is followed by a
+/// read of a random range and of the whole file, and each is checked
+/// against brute_view over the test's own copy of the history, so reads
+/// land on both sides of kCompactMinWrites, and on a history a truncate
+/// or a crash (or, with compaction on, a fold) took back below it.
+void short_history_case(ConsistencyModel model, bool compaction,
+                        std::uint64_t seed) {
+  constexpr SimDuration kProp = 300'000;
+  constexpr Rank kRanks = 4;
+  constexpr Offset kMiB = Offset{1} << 20;
+  std::uint64_t state = seed * 0x9e3779b97f4a7c15ull + 1;
+  const auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  PfsConfig cfg;
+  cfg.model = model;
+  cfg.compaction = compaction;
+  cfg.eventual_propagation = kProp;
+  Pfs fs(cfg);
+  const bool strong = model == ConsistencyModel::Strong;
+  std::vector<Shadow> hist;
+  Offset size = 0;
+  int fd[kRanks];
+  SimTime opened[kRanks];
+  SimTime t = 0;
+  for (Rank r = 0; r < kRanks; ++r) {
+    fd[r] = fs.open(r, "f", trace::kCreate | trace::kRdWr, t).fd;
+    opened[r] = t;
+  }
+  const int n = 1 + static_cast<int>(next() % 200);
+  // The truncate comes after the history has passed the threshold when
+  // there are enough writes; short runs truncate and crash anywhere.
+  const int truncate_at =
+      n > 80 ? 70 + static_cast<int>(next() % (n - 75))
+             : static_cast<int>(next() % n);
+  const int crash_at = static_cast<int>(next() % n);
+  const auto check_read = [&](Rank q, Offset off, std::uint64_t count,
+                              SimTime when) {
+    const ReadResult rd = fs.pread(q, fd[q], off, count, when);
+    const std::uint64_t bytes =
+        off >= size ? 0 : std::min<std::uint64_t>(count, size - off);
+    ASSERT_EQ(rd.bytes, bytes);
+    if (bytes == 0) return;
+    ASSERT_EQ(extents_str(rd.extents),
+              extents_str(brute_view(hist, model, kProp, q, when, opened[q],
+                                     {off, off + bytes})))
+        << "reader " << q << " [" << off << ", +" << bytes << ") at " << when
+        << " with " << hist.size() << " writes";
+  };
+  for (int i = 0; i < n; ++i) {
+    t += 10'000;
+    const auto r = static_cast<Rank>(next() % kRanks);
+    const std::uint64_t kind = next() % 20;
+    const Offset off = (next() % (16 * kMiB)) & ~Offset{4095};
+    const std::uint64_t len = kind == 0   ? 17 * kMiB + next() % (8 * kMiB)
+                              : kind < 4 ? kMiB + next() % (5 * kMiB)
+                                         : 1 + next() % (256 * 1024);
+    const WriteResult wr = fs.pwrite(r, fd[r], off, len, t);
+    ASSERT_EQ(wr.err, 0);
+    hist.push_back({wr.version, r, {off, off + len}, t,
+                    strong ? t : kTimeNever, strong ? t : kTimeNever});
+    size = std::max(size, off + len);
+    if (next() % 7 == 0) {
+      ASSERT_EQ(fs.fsync(r, fd[r], t + 1).ret, 0);
+      for (Shadow& w : hist) {
+        if (w.writer == r && w.t_commit == kTimeNever) w.t_commit = t + 1;
+      }
+    }
+    if (next() % 11 == 0) {
+      ASSERT_EQ(fs.close(r, fd[r], t + 2).ret, 0);
+      for (Shadow& w : hist) {
+        if (w.writer != r) continue;
+        if (w.t_commit == kTimeNever) w.t_commit = t + 2;
+        if (w.t_publish == kTimeNever) w.t_publish = t + 2;
+      }
+      fd[r] = fs.open(r, "f", trace::kRdWr, t + 3).fd;
+      opened[r] = t + 3;
+    }
+    if (i == truncate_at) {
+      const Offset length = next() % kMiB;
+      ASSERT_EQ(fs.ftruncate(r, fd[r], length, t + 4).ret, 0);
+      if (length < size) {
+        std::erase_if(hist,
+                      [&](const Shadow& w) { return w.ext.begin >= length; });
+        for (Shadow& w : hist) w.ext.end = std::min(w.ext.end, length);
+      }
+      size = length;
+    }
+    if (i == crash_at) {
+      const auto victim = static_cast<Rank>(next() % kRanks);
+      const SimTime when = t + 5;
+      std::vector<VersionTag> expect_lost;
+      std::erase_if(hist, [&](const Shadow& w) {
+        if (w.writer != victim) return false;
+        bool durable = true;
+        switch (model) {
+          case ConsistencyModel::Strong: break;
+          case ConsistencyModel::Commit: durable = w.t_commit <= when; break;
+          case ConsistencyModel::Session: durable = w.t_publish <= when; break;
+          case ConsistencyModel::Eventual:
+            durable = w.t_write + kProp <= when;
+            break;
+        }
+        if (!durable) expect_lost.push_back(w.id);
+        return !durable;
+      });
+      std::sort(expect_lost.begin(), expect_lost.end());
+      ASSERT_EQ(fs.crash_rank(victim, when), expect_lost);
+      if (!expect_lost.empty()) {
+        size = 0;
+        for (const Shadow& w : hist) size = std::max(size, w.ext.end);
+      }
+      fd[victim] = fs.open(victim, "f", trace::kRdWr, t + 6).fd;
+      opened[victim] = t + 6;
+    }
+    ASSERT_EQ(fs.file_size("f"), size);
+    const auto q = static_cast<Rank>(next() % kRanks);
+    const Offset roff = next() % (size + 1);
+    check_read(q, roff, 1 + next() % (6 * kMiB), t + 7);
+    check_read(static_cast<Rank>((q + 1) % kRanks), 0, size, t + 8);
+  }
+}
+
+TEST(ShortHistory, ReadsMatchBruteForceOverlayAcrossTheThreshold) {
+  for (const auto model : kModels) {
+    for (const bool compaction : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE(std::string("model=") + to_string(model) +
+                     " compaction=" + (compaction ? "on" : "off") +
+                     " seed=" + std::to_string(seed));
+        short_history_case(model, compaction, seed);
+        if (HasFatalFailure()) return;
+      }
+    }
   }
 }
 
